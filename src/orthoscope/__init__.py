@@ -53,7 +53,6 @@ from .ratfunc import (
     HermiteDecomposition,
     PoleSpectrum,
     RatFunc,
-    ResiduePolynomial,
     derivative_witness,
     dlog,
     dlog_witness,

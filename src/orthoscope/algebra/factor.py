@@ -354,8 +354,8 @@ def _integer_roots_squarefree_monic(f_int: list[int]) -> list[int]:
         r = r0
         while m < target:
             m2 = m * m
-            fr = _eval_int_mod(f_int, r, m2)
-            dfr = _eval_int_mod([k * f_int[k] for k in range(1, len(f_int))], r, m2)
+            fr = _pz_eval_mod(f_int, r, m2)
+            dfr = _pz_eval_mod([k * f_int[k] for k in range(1, len(f_int))], r, m2)
             r = (r - fr * pow(dfr, -1, m2)) % m2
             m = m2
         cand = _symmetric(r, m)
@@ -365,13 +365,6 @@ def _integer_roots_squarefree_monic(f_int: list[int]) -> list[int]:
 
 
 def _pz_eval_mod(f, v, m):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * v + c) % m
-    return acc
-
-
-def _eval_int_mod(f, v, m):
     acc = 0
     for c in reversed(f):
         acc = (acc * v + c) % m

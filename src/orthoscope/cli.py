@@ -86,8 +86,8 @@ def _run_function_command(command: str, text: str, residue_class: str) -> Report
         if result.found:
             wd = WitnessData(WITNESS_DLOG, result.witness.h, result.witness.scaling, r)
             return Report("is-dlog", "dlog-witness-found", witness=wd,
-                          residues=pole_spectrum(r))
-        return Report("is-dlog", "dlog-witness-none", residues=pole_spectrum(r),
+                          residues=result.spectrum)
+        return Report("is-dlog", "dlog-witness-none", residues=result.spectrum,
                       notes=[f"reason: {result.reason}"])
     h = derivative_witness(r)
     if h is not None:

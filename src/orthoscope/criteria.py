@@ -29,7 +29,6 @@ from .ratfunc import (
     hermite_reduce,
     pole_spectrum,
     ratio_all_rational,
-    residue_polynomial,
 )
 
 EVIDENCE_MULTIPLE_AND_SIMPLE = "multiple-and-simple-pole"
@@ -98,8 +97,7 @@ def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
     if spectrum.has_multiple_pole() and spectrum.has_simple_pole():
         return OrthogonalityVerdict(True, EVIDENCE_MULTIPLE_AND_SIMPLE, spectrum)
     if spectrum.only_simple_poles():
-        rho = residue_polynomial(RatFunc.one(f.var) / f)
-        if ratio_all_rational(rho):
+        if ratio_all_rational(spectrum):
             return OrthogonalityVerdict(False, EVIDENCE_RATIONAL_RATIOS, spectrum)
         return OrthogonalityVerdict(True, EVIDENCE_IRRATIONAL_RATIO, spectrum)
     return OrthogonalityVerdict(False, EVIDENCE_NO_SIMPLE_POLE, spectrum)
@@ -296,7 +294,7 @@ def _test_candidate(
     result = dlog_witness(r, residue_class)
     if result.found:
         return BetaSearchResult(
-            STATUS_FOUND, beta, result.witness, case, pole_spectrum(r), None
+            STATUS_FOUND, beta, result.witness, case, result.spectrum, None
         )
     if assert_found:
         raise WitnessVerificationError(

@@ -15,6 +15,9 @@ from .errors import HypothesisError, OrthoscopeError, ParseError, ShapeError
 from .ratfunc import RATIONAL
 from .report import Report, emit
 
+# The values of `expect_error` and the error each one names.
+ERROR_KINDS = {"hypothesis": HypothesisError, "parse": ParseError, "shape": ShapeError}
+
 
 @dataclass
 class Fixture:
@@ -72,15 +75,16 @@ def run_fixture(fx: Fixture) -> FixtureOutcome:
     details: list[str] = []
     report: Report | None = None
     if "expect_error" in fx.expectations:
+        want = fx.expectations["expect_error"]
         try:
             run(fx.command, fx.source, residue_class=fx.residue_class,
                 gauge_h=fx.gauge_h)
-        except (HypothesisError, ShapeError):
-            return FixtureOutcome(fx, True, [], None)
-        except ParseError:
-            if fx.expectations["expect_error"] == "parse":
+        except (HypothesisError, ParseError, ShapeError) as exc:
+            if isinstance(exc, ERROR_KINDS.get(want, ())):
                 return FixtureOutcome(fx, True, [], None)
-            return FixtureOutcome(fx, False, ["raised a parse error instead"], None)
+            return FixtureOutcome(
+                fx, False, [f"expected a {want} error, raised {type(exc).__name__}"], None
+            )
         return FixtureOutcome(fx, False, ["expected an error, got a verdict"], None)
     try:
         report = run(fx.command, fx.source, residue_class=fx.residue_class,

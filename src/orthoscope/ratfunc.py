@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra.factor import factor_rationals, rational_roots_squarefree
+from .algebra.factor import factor_rationals
 from .algebra.bipoly import BiPoly, resultant_x
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
@@ -417,25 +417,16 @@ def derivative_witness(r: RatFunc) -> Optional[RatFunc]:
 # -- residue polynomial (Rothstein-Trager form) ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResiduePolynomial:
-    """Monic rho(t) whose roots (with multiplicity) are the residues of the
-    simple-pole part of the source function; source_denominator is that
-    squarefree denominator."""
+def residue_polynomial(r: RatFunc) -> UniPoly:
+    """Monic rho(t) = Res_x(d, n - t*d') for the simple-pole part n/d of r.
 
-    rho: UniPoly
-    source_denominator: UniPoly
-
-
-def residue_polynomial(r: RatFunc) -> ResiduePolynomial:
-    """rho(t) = Res_x(d, n - t*d') for the simple-pole part n/d of r.
-
-    The simple-pole part is the Hermite remainder; for a remainder of zero
-    the residue polynomial is 1 (no residues).
+    The roots of rho, with multiplicity, are the residues of r at the roots
+    of d. The simple-pole part is the Hermite remainder; for a remainder of
+    zero the residue polynomial is 1 (no residues).
     """
     rem = hermite_reduce(r).remainder
     if rem.is_zero:
-        return ResiduePolynomial(UniPoly.one("t"), UniPoly.one(r.var))
+        return UniPoly.one("t")
     d, n = rem.den, rem.num
     a = BiPoly.from_unipoly_x(d)
     b = BiPoly.from_unipoly_x(n) - BiPoly({(0, 1): Fraction(1)}) * BiPoly.from_unipoly_x(
@@ -444,32 +435,34 @@ def residue_polynomial(r: RatFunc) -> ResiduePolynomial:
     rho = resultant_x(a, b, "t")
     if rho.is_zero:
         raise WitnessVerificationError("residue polynomial vanished identically")
-    return ResiduePolynomial(rho.monic(), d)
+    return rho.monic()
 
 
-def ratio_all_rational(rho: ResiduePolynomial) -> bool:
-    """True iff every pairwise ratio of the roots of rho is rational.
+def ratio_all_rational(spectrum: PoleSpectrum) -> bool:
+    """True iff every ratio of two nonzero affine residues is rational.
 
-    Forms the ratio polynomial Phi(s) = Res_t(rho(t), s^n rho(t/s)), whose
-    roots are all the ratios, and checks that rational roots account for its
-    full degree. Rejects rho with a zero root.
+    The residues form a Galois-stable set, and an automorphism sending a
+    residue r to c*r with c rational forces c = +-1. So all ratios are
+    rational exactly when every residue is rational, or when every residue
+    is irrational with r*r = a_i rational and each a_i/a_1 a rational square.
     """
-    p = rho.rho
-    if p.coeff(0) == 0:
-        raise ValueError("residue polynomial has a zero root")
-    n = int(p.degree) if not p.is_constant else 0
-    if n <= 1:
+    entries = [e for e in spectrum.affine_poles if e.residue != 0]
+    if all(e.residue_is_rational for e in entries):
         return True
-    a = BiPoly({(k, 0): c for k, c in enumerate(p.coeffs)})
-    b = BiPoly({(k, n - k): c for k, c in enumerate(p.coeffs)})
-    phi = resultant_x(a, b, "s")
-    total = 0
-    for part, mult in squarefree_decompose(phi).parts:
-        nroots = len(rational_roots_squarefree(part))
-        if nroots < part.degree:
+    squares = []
+    for e in entries:
+        if e.residue_is_rational:
             return False
-        total += mult * nroots
-    return total == n * n
+        square = e.residue * e.residue
+        if not square.is_rational:
+            return False
+        squares.append(square.as_fraction())
+    return all(_is_rational_square(a / squares[0]) for a in squares)
+
+
+def _is_rational_square(q: Fraction) -> bool:
+    return (q >= 0 and math.isqrt(q.numerator) ** 2 == q.numerator
+            and math.isqrt(q.denominator) ** 2 == q.denominator)
 
 
 # -- dlog membership with witnesses ----------------------------------------------------
@@ -487,6 +480,7 @@ class DlogWitness:
 class DlogWitnessResult:
     witness: Optional[DlogWitness]
     reason: Optional[str]
+    spectrum: PoleSpectrum   # the projective pole spectrum of r that was read
 
     @property
     def found(self) -> bool:
@@ -503,20 +497,20 @@ def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
     if r.is_zero:
-        return _verified(r, RatFunc.one(r.var), 1)
+        return _verified(r, RatFunc.one(r.var), 1, PoleSpectrum((), None))
     spectrum = pole_spectrum(r, projective=True)
     if spectrum.infinity_pole is not None and spectrum.infinity_pole.multiplicity >= 2:
-        return DlogWitnessResult(None, REASON_IMPROPER_AT_INFINITY)
+        return DlogWitnessResult(None, REASON_IMPROPER_AT_INFINITY, spectrum)
     if spectrum.has_affine_multiple():
-        return DlogWitnessResult(None, REASON_MULTIPLE_POLE)
+        return DlogWitnessResult(None, REASON_MULTIPLE_POLE, spectrum)
     values: list[Fraction] = []
     for entry in spectrum.affine_poles:
         if not entry.residue_is_rational:
-            return DlogWitnessResult(None, REASON_NON_CLASS_RESIDUE)
+            return DlogWitnessResult(None, REASON_NON_CLASS_RESIDUE, spectrum)
         values.append(entry.residue_as_fraction())
     if residue_class == INTEGER:
         if any(v.denominator != 1 for v in values):
-            return DlogWitnessResult(None, REASON_NON_CLASS_RESIDUE)
+            return DlogWitnessResult(None, REASON_NON_CLASS_RESIDUE, spectrum)
         scale = 1
     else:
         scale = math.lcm(*(v.denominator for v in values)) if values else 1
@@ -529,12 +523,13 @@ def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
             continue
         g = poly_gcd(d, n_scaled - value * d.derivative())
         h = h * RatFunc.from_poly(g) ** m
-    return _verified(r, h, scale)
+    return _verified(r, h, scale, spectrum)
 
 
-def _verified(r: RatFunc, h: RatFunc, scale: int) -> DlogWitnessResult:
+def _verified(r: RatFunc, h: RatFunc, scale: int,
+              spectrum: PoleSpectrum) -> DlogWitnessResult:
     if h.is_zero or h.dlog() != r * scale:
         raise WitnessVerificationError(
             f"dlog witness failed: dlog({h}) != {scale}*({r})"
         )
-    return DlogWitnessResult(DlogWitness(h, scale), None)
+    return DlogWitnessResult(DlogWitness(h, scale), None, spectrum)

@@ -7,6 +7,7 @@ import pytest
 from orthoscope import (
     INTEGER,
     RATIONAL,
+    BiPoly,
     NFElement,
     RatFunc,
     UniPoly,
@@ -17,14 +18,17 @@ from orthoscope import (
     pole_spectrum,
     ratio_all_rational,
     residue_polynomial,
+    resultant_x,
+    squarefree_decompose,
 )
+from orthoscope.algebra.factor import rational_roots_squarefree
 from orthoscope.ratfunc import (
     REASON_IMPROPER_AT_INFINITY,
     REASON_MULTIPLE_POLE,
     REASON_NON_CLASS_RESIDUE,
 )
 
-from conftest import random_proper_ratfunc, random_squarefree_denominator
+from conftest import random_proper_ratfunc, random_squarefree_denominator, random_unipoly
 
 
 def charpoly_oracle(elem, degree: int) -> UniPoly:
@@ -65,6 +69,56 @@ def charpoly_oracle(elem, degree: int) -> UniPoly:
             a_cur = mat_mul(m, shifted)
         coeffs.append(-trace(a_cur) / step)
     return UniPoly.of(list(reversed(coeffs)), "t")
+
+
+def ratio_oracle(rho: UniPoly) -> bool:
+    """True iff every ratio of two roots of rho is rational, decided from the
+    ratio polynomial Phi(s) = Res_t(rho(t), s^n rho(t/s)), whose n^2 roots
+    are all the ratios: they must all be rational."""
+    assert rho.coeff(0) != 0, "rho has a zero root"
+    n = int(rho.degree)
+    if n <= 1:
+        return True
+    a = BiPoly({(k, 0): c for k, c in enumerate(rho.coeffs)})
+    b = BiPoly({(k, n - k): c for k, c in enumerate(rho.coeffs)})
+    phi = resultant_x(a, b, "s")
+    total = 0
+    for part, mult in squarefree_decompose(phi).parts:
+        nroots = len(rational_roots_squarefree(part))
+        if nroots < part.degree:
+            return False
+        total += mult * nroots
+    return total == n * n
+
+
+def random_ratfunc_with_multiple_poles(rng: random.Random) -> RatFunc:
+    """A proper r with denominator degree at most 5. Poles may be multiple,
+    with a zero residue when the multiple part is an exact derivative; in
+    one case in three the poles are at +-s_i*sqrt(a) for one shared a, so
+    that the residues can be irrational with rational ratios."""
+    x = UniPoly.variable()
+    shared = rng.choice([2, 3, -1, 5]) if rng.random() < 1 / 3 else None
+    r, degree = RatFunc.zero(), 0
+    while True:
+        if shared is not None:
+            q = x**2 - shared * rng.randint(1, 3) ** 2
+        elif rng.random() < 0.6:
+            q = x - rng.randint(-4, 4)
+        else:
+            q = x**2 + rng.randint(-3, 3) * x + rng.randint(-4, 4)
+        e = rng.choice([1, 1, 2])
+        if degree + e * int(q.degree) > 5:
+            return r if not r.is_zero else RatFunc(UniPoly.one(), q)
+        degree += e * int(q.degree)
+        if e >= 2 and rng.random() < 0.5:
+            pass  # no simple part: residue zero at the roots of q
+        elif shared is not None:
+            r = r + RatFunc(UniPoly.constant(rng.choice([-3, -1, 1, 2])), q)
+        else:
+            r = r + RatFunc(random_unipoly(rng, int(q.degree) - 1, -5, 5, nonzero=True), q)
+        if e >= 2:
+            u = random_unipoly(rng, int(q.degree) - 1, -5, 5, nonzero=True)
+            r = r + RatFunc(u, q ** (e - 1)).derivative()
 
 
 class TestNormalize:
@@ -126,12 +180,12 @@ class TestPoleSpectrum:
 
 class TestResiduePolynomial:
     def test_two_simple_poles(self, x):
-        rp = residue_polynomial(RatFunc(UniPoly.one(), x * (x - 1)))
-        assert rp.rho == UniPoly.of([-1, 0, 1], "t")
+        rho = residue_polynomial(RatFunc(UniPoly.one(), x * (x - 1)))
+        assert rho == UniPoly.of([-1, 0, 1], "t")
 
     def test_cube_root_residues(self, x):
-        rp = residue_polynomial(RatFunc(UniPoly.one(), x**3 - 2))
-        assert rp.rho == UniPoly.of([Fraction(-1, 108), 0, 0, 1], "t")
+        rho = residue_polynomial(RatFunc(UniPoly.one(), x**3 - 2))
+        assert rho == UniPoly.of([Fraction(-1, 108), 0, 0, 1], "t")
         # numerical cross-check: roots should be alpha/6 with alpha^3 = 2
         roots = np.roots([1, 0, 0, -1 / 108])
         expected = np.roots([1, 0, 0, -2]) / 6
@@ -140,29 +194,22 @@ class TestResiduePolynomial:
         )
 
     def test_single_pole(self, x):
-        rp = residue_polynomial(RatFunc(UniPoly.one(), x))
-        assert rp.rho == UniPoly.of([-1, 1], "t")
+        rho = residue_polynomial(RatFunc(UniPoly.one(), x))
+        assert rho == UniPoly.of([-1, 1], "t")
 
     def test_oracle_equivalence_200(self, x):
         # rho equals the product of the characteristic polynomials of the
-        # per-factor residues computed by direct number-field arithmetic
-        from orthoscope import factor_rationals
-
+        # per-factor residues that pole_spectrum reports
         rng = random.Random(123)
         done = 0
         while done < 200:
             den = random_squarefree_denominator(rng)
             r = random_proper_ratfunc(rng, den)
-            rho = residue_polynomial(r).rho
             product = UniPoly.one("t")
-            for q, mult in factor_rationals(r.den).parts:
-                assert mult == 1
-                inv = NFElement(r.den.derivative(), q).inverse()
-                res = NFElement(r.num, q) * inv
-                product = product * charpoly_oracle(
-                    res if not res.is_rational else res.as_fraction(), int(q.degree)
-                )
-            assert rho == product.monic()
+            for entry in pole_spectrum(r).affine_poles:
+                assert entry.multiplicity == 1
+                product = product * charpoly_oracle(entry.residue, int(entry.locus.degree))
+            assert residue_polynomial(r) == product.monic()
             done += 1
 
     def test_numerical_residue_crosscheck_smoke(self):
@@ -221,6 +268,7 @@ class TestDlogWitness:
         r = RatFunc(UniPoly.constant(Fraction(1, 2)), x)
         res = dlog_witness(r, INTEGER)
         assert not res.found and res.reason == REASON_NON_CLASS_RESIDUE
+        assert res.spectrum == pole_spectrum(r)
         res = dlog_witness(r, RATIONAL)
         assert res.found and res.witness.h == RatFunc.from_poly(x)
         assert res.witness.scaling == 2
@@ -237,6 +285,7 @@ class TestDlogWitness:
     def test_zero_function(self):
         res = dlog_witness(RatFunc.zero(), INTEGER)
         assert res.found and res.witness.h == RatFunc.one() and res.witness.scaling == 1
+        assert res.spectrum == pole_spectrum(RatFunc.zero())
 
     def test_soundness_and_completeness_smoke(self):
         # the full 100-instance suite lives in the acceptance suite
@@ -247,23 +296,48 @@ class TestDlogWitness:
 
 class TestRatioAllRational:
     def test_plus_minus_one(self, x):
-        rp = residue_polynomial(RatFunc(UniPoly.one(), x * (x - 1)))
-        assert ratio_all_rational(rp) is True
+        assert ratio_all_rational(pole_spectrum(RatFunc(UniPoly.one(), x * (x - 1)))) is True
 
     def test_cube_roots_of_unity(self, x):
-        rp = residue_polynomial(RatFunc(UniPoly.one(), x**3 - 2))
-        assert ratio_all_rational(rp) is False
+        assert ratio_all_rational(pole_spectrum(RatFunc(UniPoly.one(), x**3 - 2))) is False
 
     def test_rational_residues(self, x):
-        rp = residue_polynomial(RatFunc(5 * x - 12, (x - 2) * (x - 3)))
-        assert rp.rho == UniPoly.of([6, -5, 1], "t")  # residues 2 and 3
-        assert ratio_all_rational(rp) is True
+        r = RatFunc(5 * x - 12, (x - 2) * (x - 3))
+        assert residue_polynomial(r) == UniPoly.of([6, -5, 1], "t")  # residues 2 and 3
+        assert ratio_all_rational(pole_spectrum(r)) is True
 
-    def test_zero_root_rejected(self, x):
-        from orthoscope.ratfunc import ResiduePolynomial
+    def test_square_roots_with_rational_ratio(self, x):
+        # residues +-sqrt(2)/24 and +-sqrt(2)/48: every ratio is +-1, +-2 or +-1/2
+        r = RatFunc(UniPoly.one(), (x**2 - 2) * (x**2 - 8))
+        assert ratio_all_rational(pole_spectrum(r)) is True
 
-        with pytest.raises(ValueError):
-            ratio_all_rational(ResiduePolynomial(UniPoly.of([0, 1], "t"), x))
+    def test_square_roots_with_irrational_ratio(self, x):
+        r = RatFunc(UniPoly.one(), (x**2 - 2) * (x**2 - 3))
+        assert ratio_all_rational(pole_spectrum(r)) is False
+
+    def test_quartic_field_residues(self, x):
+        # roots +-sqrt(2) +- sqrt(3): the residue squares are not rational
+        r = RatFunc(UniPoly.one(), x**4 - 10 * x**2 + 1)
+        assert ratio_all_rational(pole_spectrum(r)) is False
+
+    def test_rational_and_irrational_residues(self, x):
+        r = RatFunc(UniPoly.one(), (x - 1) * (x**2 - 2))
+        assert ratio_all_rational(pole_spectrum(r)) is False
+
+    def test_zero_residue_ignored(self, x):
+        r = RatFunc(UniPoly.one(), x**2) + RatFunc(UniPoly.one(), x - 1) \
+            + RatFunc(UniPoly.constant(2), x - 2)
+        assert ratio_all_rational(pole_spectrum(r)) is True
+
+    def test_agrees_with_ratio_oracle(self):
+        rng = random.Random(2)
+        outcomes = []
+        for _ in range(160):
+            r = random_ratfunc_with_multiple_poles(rng)
+            got = ratio_all_rational(pole_spectrum(r))
+            assert got == ratio_oracle(residue_polynomial(r)), r
+            outcomes.append(got)
+        assert 20 <= sum(outcomes) <= 140
 
 
 class TestDerivativeWitness:

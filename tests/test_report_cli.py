@@ -6,7 +6,7 @@ import pytest
 from orthoscope import RatFunc, emit
 from orthoscope.cli import main, run
 from orthoscope.errors import WitnessVerificationError
-from orthoscope.fixtures import load_corpus, run_corpus
+from orthoscope.fixtures import Fixture, load_corpus, run_corpus, run_fixture
 from orthoscope.report import WITNESS_DLOG, Report, WitnessData
 
 
@@ -112,6 +112,18 @@ class TestCliExitCodes:
         assert "FAIL" not in out
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 20
+
+    def test_fixture_runner_compares_error_kinds(self):
+        # the classify command refuses a planar field with a ShapeError
+        source = "x' = x^2*(x-1) + y; y' = x*y"
+        wrong = Fixture("wrong-kind", command="classify", source=source,
+                        expectations={"expect_error": "parse"})
+        right = Fixture("right-kind", command="classify", source=source,
+                        expectations={"expect_error": "shape"})
+        outcome = run_fixture(wrong)
+        assert not outcome.passed
+        assert outcome.details == ["expected a parse error, raised ShapeError"]
+        assert run_fixture(right).passed
 
     def test_dlog_sys_command(self, capsys):
         assert main(["dlog-sys", "--h", "y", "x' = x^3*(x-1); y' = x*y + y^2/2"]) == 0
