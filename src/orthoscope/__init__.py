@@ -2,7 +2,7 @@
 algebraic differential systems, with verified witnesses."""
 
 from .algebra.bipoly import BiPoly, bipoly_gcd, bipoly_partial, resultant_x
-from .algebra.factor import IrreducibleFactorization, factor_rationals, rational_roots
+from .algebra.factor import factor_rationals, rational_roots
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
     NEG_INF,

@@ -2,7 +2,6 @@
 
 from .bipoly import BiPoly, bipoly_gcd, bipoly_partial, resultant_uni, resultant_x
 from .factor import (
-    IrreducibleFactorization,
     factor_rationals,
     is_irreducible,
     rational_roots,

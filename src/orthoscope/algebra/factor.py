@@ -9,25 +9,9 @@ for degrees up to a few dozen with moderate coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .unipoly import UniPoly, squarefree_decompose
-
-
-@dataclass(frozen=True)
-class IrreducibleFactorization:
-    """p = content * prod(factor ** multiplicity), factors monic irreducible."""
-
-    content: Fraction
-    parts: tuple[tuple[UniPoly, int], ...]
-
-    def expand(self) -> UniPoly:
-        var = self.parts[0][0].var if self.parts else "x"
-        acc = UniPoly.constant(self.content, var)
-        for f, m in self.parts:
-            acc = acc * f**m
-        return acc
+from .unipoly import SquarefreeFactorization, UniPoly, squarefree_decompose
 
 
 # -- arithmetic mod p on integer coefficient lists ---------------------------
@@ -422,8 +406,12 @@ def rational_roots(p: UniPoly) -> dict[Fraction, int]:
 # -- top-level factorization ---------------------------------------------------------
 
 
-def factor_rationals(p: UniPoly) -> IrreducibleFactorization:
-    """Complete irreducible factorization over Q; rejects the zero polynomial."""
+def factor_rationals(p: UniPoly) -> SquarefreeFactorization:
+    """Complete irreducible factorization over Q; rejects the zero polynomial.
+
+    The parts are the monic irreducible factors, so several may share a
+    multiplicity.
+    """
     if p.is_zero:
         raise ValueError("factorization of the zero polynomial")
     sf = squarefree_decompose(p)
@@ -432,7 +420,7 @@ def factor_rationals(p: UniPoly) -> IrreducibleFactorization:
         for factor in _factor_squarefree(sq_part):
             parts[factor] = parts.get(factor, 0) + mult
     ordered = sorted(parts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return IrreducibleFactorization(sf.content, tuple(ordered))
+    return SquarefreeFactorization(sf.content, tuple(ordered))
 
 
 def _factor_squarefree(f: UniPoly) -> list[UniPoly]:

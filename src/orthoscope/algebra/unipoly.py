@@ -367,7 +367,11 @@ def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 
 @dataclass(frozen=True)
 class SquarefreeFactorization:
-    """p = content * prod(factor ** multiplicity), factors monic squarefree coprime."""
+    """p = content * prod(factor ** multiplicity), factors monic squarefree coprime.
+
+    squarefree_decompose gives one factor per multiplicity; factor_rationals
+    gives the irreducible factors.
+    """
 
     content: Fraction
     parts: tuple[tuple[UniPoly, int], ...]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .criteria import (
     STATUS_FOUND,
@@ -47,9 +46,11 @@ from .ratfunc import (
     RATIONAL,
     DlogWitness,
     RatFunc,
-    derivative_witness,
     dlog_witness,
+    exact_derivative_part,
+    hermite_reduce,
     pole_spectrum,
+    spectrum_from_remainder,
 )
 from .report import WITNESS_DERIVATIVE, WITNESS_DLOG, Report, WitnessData, emit
 
@@ -66,15 +67,11 @@ _DY = PlanarVectorField(BiPoly.zero(), BiPoly.one())
 def run(command: str, source_text: str, residue_class: str = RATIONAL,
         gauge_h: str = "y") -> Report:
     """Dispatch a command against an input text and assemble a report."""
-    start = time.perf_counter()
     if command in FUNCTION_COMMANDS:
-        report = _run_function_command(command, source_text, residue_class)
-    elif command in SYSTEM_COMMANDS:
-        report = _run_system_command(command, source_text, residue_class, gauge_h)
-    else:
-        raise ShapeError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    report.timings[command] = (time.perf_counter() - start) * 1000.0
-    return report
+        return _run_function_command(command, source_text, residue_class)
+    if command in SYSTEM_COMMANDS:
+        return _run_system_command(command, source_text, residue_class, gauge_h)
+    raise ShapeError(f"unknown command {command!r}; expected one of {COMMANDS}")
 
 
 def _run_function_command(command: str, text: str, residue_class: str) -> Report:
@@ -89,12 +86,13 @@ def _run_function_command(command: str, text: str, residue_class: str) -> Report
                           residues=result.spectrum)
         return Report("is-dlog", "dlog-witness-none", residues=result.spectrum,
                       notes=[f"reason: {result.reason}"])
-    h = derivative_witness(r)
+    herm = hermite_reduce(r)
+    h = exact_derivative_part(r, herm)
     if h is not None:
         wd = WitnessData(WITNESS_DERIVATIVE, h, 1, r)
         return Report("is-derivative", "derivative-witness-found", witness=wd)
     return Report("is-derivative", "derivative-witness-none",
-                  residues=pole_spectrum(r))
+                  residues=spectrum_from_remainder(r, herm.remainder))
 
 
 def _family(source: SystemSource, command: str, kind: str | None = None) -> UnivariateFamily:

@@ -26,9 +26,11 @@ from .ratfunc import (
     PoleSpectrum,
     RatFunc,
     dlog_witness,
+    exact_derivative_part,
     hermite_reduce,
     pole_spectrum,
     ratio_all_rational,
+    spectrum_from_remainder,
 )
 
 EVIDENCE_MULTIPLE_AND_SIMPLE = "multiple-and-simple-pole"
@@ -337,10 +339,11 @@ def beta_search_derivative(f: RatFunc, g: RatFunc) -> BetaSearchResult:
         beta = ratio.constant_value()
     r = (g - RatFunc.constant(beta, g.var)) / f
     herm = hermite_reduce(r)
-    if not herm.remainder.is_zero or herm.derivative_part.derivative() != r:
+    h = exact_derivative_part(r, herm)
+    if h is None:
         raise WitnessVerificationError("derivative witness failed its identity")
     return BetaSearchResult(
-        STATUS_FOUND, beta, herm.derivative_part, CASE_B, pole_spectrum(r), None
+        STATUS_FOUND, beta, h, CASE_B, spectrum_from_remainder(r, herm.remainder), None
     )
 
 

@@ -293,12 +293,17 @@ def pole_spectrum(r: RatFunc, projective: bool = True) -> PoleSpectrum:
     Residues at higher-order poles come from the Hermite remainder (the
     derivative part contributes no residue anywhere).
     """
+    remainder = hermite_reduce(r).remainder if r.den.degree >= 1 else RatFunc.zero(r.var)
+    return spectrum_from_remainder(r, remainder, projective)
+
+
+def spectrum_from_remainder(r: RatFunc, remainder: RatFunc,
+                            projective: bool = True) -> PoleSpectrum:
+    """pole_spectrum(r) for a caller that already holds hermite_reduce(r).remainder."""
     affine: list[PoleEntry] = []
-    if not r.is_zero and r.den.degree >= 1:
-        fac = factor_rationals(r.den)
-        rem = hermite_reduce(r).remainder
-        for q, e in fac.parts:
-            affine.append(PoleEntry(q, e, _residue_of_simple(rem, q)))
+    if r.den.degree >= 1:
+        for q, e in factor_rationals(r.den).parts:
+            affine.append(PoleEntry(q, e, _residue_of_simple(remainder, q)))
     inf = _infinity_pole(r) if projective else None
     return PoleSpectrum(tuple(affine), inf)
 
@@ -360,7 +365,13 @@ class HermiteDecomposition:
 
 
 def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
-    """Exact Hermite reduction by per-factor integration by parts."""
+    """Exact Hermite reduction by per-factor integration by parts.
+
+    For a squarefree factor p of multiplicity e, step j = e..2 splits off
+    c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
+    over p^(e-1), so each factor costs one rational-function addition
+    (Bronstein, Symbolic Integration I, section 2.2).
+    """
     var = r.var
     if r.is_zero:
         return HermiteDecomposition(RatFunc.zero(var), RatFunc.zero(var))
@@ -369,17 +380,21 @@ def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
     rem = RatFunc.zero(var)
     if r.den.degree >= 1 and not n0.is_zero:
         parts = squarefree_decompose(r.den).parts
-        moduli = [p**e for p, e in parts]
-        numerators = _split_partial(n0, moduli)
-        for (p, e), a in zip(parts, numerators):
+        powers = [_powers(p, e) for p, e in parts]
+        numerators = _split_partial(n0, [pw[-1] for pw in powers])
+        for (p, e), pw, a in zip(parts, powers, numerators):
             _, s, t = poly_xgcd(p, p.derivative())
-            j = e
-            while j >= 2:
-                a = a % p**j
+            terms = []
+            for j in range(e, 1, -1):
+                a = a % pw[j]
                 b = a * t
-                h = h + RatFunc(-b, (j - 1) * p ** (j - 1))
+                terms.append(b * Fraction(-1, j - 1))
                 a = a * s + b.derivative() * Fraction(1, j - 1)
-                j -= 1
+            if terms:
+                acc = UniPoly.zero(var)
+                for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
+                    acc = acc * p + c
+                h = h + RatFunc(acc, pw[e - 1])
             rem = rem + RatFunc(a % p, p)
     # dropped polynomial quotients along the way surface here, exactly
     defect = r - h.derivative() - rem
@@ -388,6 +403,14 @@ def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
     if not defect.is_zero:
         h = h + RatFunc.from_poly(defect.num.antiderivative())
     return HermiteDecomposition(h, rem)
+
+
+def _powers(p: UniPoly, e: int) -> list[UniPoly]:
+    """[p**0, p**1, ..., p**e], one multiplication each."""
+    powers = [UniPoly.one(p.var)]
+    for _ in range(e):
+        powers.append(powers[-1] * p)
+    return powers
 
 
 def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
@@ -405,7 +428,11 @@ def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
 
 def derivative_witness(r: RatFunc) -> Optional[RatFunc]:
     """h with h' = r when r is an exact derivative (no residues), else None."""
-    herm = hermite_reduce(r)
+    return exact_derivative_part(r, hermite_reduce(r))
+
+
+def exact_derivative_part(r: RatFunc, herm: HermiteDecomposition) -> Optional[RatFunc]:
+    """derivative_witness(r) for a caller that already holds herm = hermite_reduce(r)."""
     if not herm.remainder.is_zero:
         return None
     h = herm.derivative_part

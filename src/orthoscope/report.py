@@ -69,7 +69,6 @@ class Report:
     residues: Optional[PoleSpectrum] = None
     completeness_case: Optional[str] = None
     notes: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
 
     def verify_witnesses(self):
         if self.witness is not None and not self.witness.verify():
@@ -172,6 +171,4 @@ def _emit_text(report: Report) -> str:
         lines.append(f"completeness case: {report.completeness_case}")
     for note in report.notes:
         lines.append(f"note: {note}")
-    for name, ms in report.timings.items():
-        lines.append(f"timing: {name} {ms:.1f} ms")
     return "\n".join(lines)

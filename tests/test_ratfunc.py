@@ -16,6 +16,7 @@ from orthoscope import (
     dlog_witness,
     hermite_reduce,
     pole_spectrum,
+    poly_xgcd,
     ratio_all_rational,
     residue_polynomial,
     resultant_x,
@@ -26,7 +27,10 @@ from orthoscope.ratfunc import (
     REASON_IMPROPER_AT_INFINITY,
     REASON_MULTIPLE_POLE,
     REASON_NON_CLASS_RESIDUE,
+    HermiteDecomposition,
+    _split_partial,
 )
+from orthoscope.errors import WitnessVerificationError
 
 from conftest import random_proper_ratfunc, random_squarefree_denominator, random_unipoly
 
@@ -119,6 +123,64 @@ def random_ratfunc_with_multiple_poles(rng: random.Random) -> RatFunc:
         if e >= 2:
             u = random_unipoly(rng, int(q.degree) - 1, -5, 5, nonzero=True)
             r = r + RatFunc(u, q ** (e - 1)).derivative()
+
+
+def hermite_oracle(r: RatFunc) -> HermiteDecomposition:
+    """Hermite reduction with one rational-function addition per step and
+    every power of p recomputed: the reference that hermite_reduce must match."""
+    var = r.var
+    if r.is_zero:
+        return HermiteDecomposition(RatFunc.zero(var), RatFunc.zero(var))
+    polypart, n0 = divmod(r.num, r.den)
+    h = RatFunc.from_poly(polypart.antiderivative())
+    rem = RatFunc.zero(var)
+    if r.den.degree >= 1 and not n0.is_zero:
+        parts = squarefree_decompose(r.den).parts
+        moduli = [p**e for p, e in parts]
+        numerators = _split_partial(n0, moduli)
+        for (p, e), a in zip(parts, numerators):
+            _, s, t = poly_xgcd(p, p.derivative())
+            j = e
+            while j >= 2:
+                a = a % p**j
+                b = a * t
+                h = h + RatFunc(-b, (j - 1) * p ** (j - 1))
+                a = a * s + b.derivative() * Fraction(1, j - 1)
+                j -= 1
+            rem = rem + RatFunc(a % p, p)
+    defect = r - h.derivative() - rem
+    if defect.den.degree != 0:
+        raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
+    if not defect.is_zero:
+        h = h + RatFunc.from_poly(defect.num.antiderivative())
+    return HermiteDecomposition(h, rem)
+
+
+def random_ratfunc_with_high_multiplicities(rng: random.Random) -> RatFunc:
+    """r with a nonzero polynomial part over 2..4 distinct linear or
+    irreducible quadratic factors of multiplicity 1..8, at least two of
+    them multiple; denominator degree at most 16."""
+    x = UniPoly.variable()
+    while True:
+        loci: list[UniPoly] = []
+        count = rng.randint(2, 4)
+        while len(loci) < count:
+            if rng.random() < 0.5:
+                q = x - Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            else:
+                b, k = rng.randint(-3, 3), rng.randint(1, 4)
+                q = x**2 + b * x + b * b + k  # discriminant -3b^2 - 4k < 0
+            if q not in loci:
+                loci.append(q)
+        mults = [rng.randint(1, 8) for _ in loci]
+        den = UniPoly.one()
+        for q, e in zip(loci, mults):
+            den = den * q**e
+        if sum(e >= 2 for e in mults) >= 2 and den.degree <= 16:
+            break
+    num = random_unipoly(rng, int(den.degree) + 3, -9, 9)
+    num = num + UniPoly.monomial(int(den.degree) + 1, rng.choice([-2, -1, 1, 3]))
+    return RatFunc(num, den)
 
 
 class TestNormalize:
@@ -240,6 +302,17 @@ class TestHermite:
         import properties
 
         properties.hermite_roundtrip(count=30)
+
+    def test_agrees_with_hermite_oracle(self):
+        rng = random.Random(2026)
+        for _ in range(150):
+            r = random_ratfunc_with_high_multiplicities(rng)
+            assert not divmod(r.num, r.den)[0].is_zero
+            assert hermite_reduce(r) == hermite_oracle(r)
+
+    def test_agrees_with_hermite_oracle_at_multiplicity_40(self, x):
+        r = RatFunc(3 * x**41 - x**7 + 5 * x - 2, (x - 1) ** 40)
+        assert hermite_reduce(r) == hermite_oracle(r)
 
 
 class TestDlog:

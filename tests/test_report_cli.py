@@ -52,7 +52,12 @@ class TestEmit:
     def test_json_deterministic(self):
         a = emit(run("classify", "x' = x^2*(x-1); y' = y*x"), "json")
         b = emit(run("classify", "x' = x^2*(x-1); y' = y*x"), "json")
-        assert a == b  # byte-identical (timings excluded from machine output)
+        assert a == b  # byte-identical
+
+    def test_text_deterministic(self):
+        a = emit(run("classify", "x' = x^2*(x-1); y' = y*x"), "text")
+        b = emit(run("classify", "x' = x^2*(x-1); y' = y*x"), "text")
+        assert a == b  # byte-identical, no wall-clock line
 
     def test_exact_strings_never_floats(self):
         report = run("residues", "1/(x^3 - 2)")
