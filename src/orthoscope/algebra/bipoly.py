@@ -165,7 +165,7 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             out[i] = out.get(i, Fraction(0)) + c * value**j
         n = max(out, default=-1) + 1
-        return UniPoly(tuple(out.get(k, Fraction(0)) for k in range(n)), self.xvar)
+        return UniPoly.of((out.get(k, 0) for k in range(n)), self.xvar)
 
     def subst_x(self, value) -> "UniPoly":
         value = _frac(value)
@@ -173,7 +173,7 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             out[j] = out.get(j, Fraction(0)) + c * value**i
         n = max(out, default=-1) + 1
-        return UniPoly(tuple(out.get(k, Fraction(0)) for k in range(n)), self.yvar)
+        return UniPoly.of((out.get(k, 0) for k in range(n)), self.yvar)
 
     def eval(self, xval, yval) -> Fraction:
         acc = Fraction(0)
@@ -232,7 +232,7 @@ class BiPoly:
         out = []
         for row in rows:
             n = max(row, default=-1) + 1
-            out.append(UniPoly(tuple(row.get(k, Fraction(0)) for k in range(n)), self.xvar))
+            out.append(UniPoly.of((row.get(k, 0) for k in range(n)), self.xvar))
         return out
 
     def x_coefficients(self, aux_var: str = "t") -> list[UniPoly]:
@@ -244,7 +244,7 @@ class BiPoly:
         out = []
         for row in rows:
             n = max(row, default=-1) + 1
-            out.append(UniPoly(tuple(row.get(k, Fraction(0)) for k in range(n)), aux_var))
+            out.append(UniPoly.of((row.get(k, 0) for k in range(n)), aux_var))
         return out
 
     # -- printing ---------------------------------------------------------

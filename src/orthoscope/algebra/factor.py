@@ -362,7 +362,7 @@ def _eval_int(f, v):
     return acc
 
 
-def _to_monic_transform(f_int: list[int]) -> tuple[list[int], int]:
+def _to_monic_transform(f_int: tuple[int, ...]) -> tuple[list[int], int]:
     """Map primitive f with lc = l to the monic F(y) = l^(n-1) f(y/l)."""
     n = len(f_int) - 1
     l = f_int[-1]
@@ -371,8 +371,7 @@ def _to_monic_transform(f_int: list[int]) -> tuple[list[int], int]:
 
 def _from_monic_factor(g_int: list[int], l: int, var: str) -> UniPoly:
     """Map a monic factor G of the transform back to monic G(l*x) over Q."""
-    coeffs = [Fraction(g_int[i]) * l**i for i in range(len(g_int))]
-    return UniPoly.of(coeffs, var).monic()
+    return UniPoly.of([g * l**i for i, g in enumerate(g_int)], var).monic()
 
 
 def rational_roots_squarefree(f: UniPoly) -> list[Fraction]:
@@ -387,8 +386,7 @@ def rational_roots_squarefree(f: UniPoly) -> list[Fraction]:
         f = f.exact_div(UniPoly.variable(f.var))
         if f.degree < 1:
             return roots
-    _, ints = f.primitive_int()
-    monic_ints, l = _to_monic_transform(ints)
+    monic_ints, l = _to_monic_transform(f.prim)
     for r in _integer_roots_squarefree_monic(monic_ints):
         roots.append(Fraction(r, l))
     return sorted(set(roots))
@@ -437,8 +435,7 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
         return factors
     if f.degree == 1:
         return factors + [f.monic()]
-    _, ints = f.primitive_int()
-    monic_ints, l = _to_monic_transform(ints)
+    monic_ints, l = _to_monic_transform(f.prim)
     for g_int in _factor_squarefree_monic_int(monic_ints):
         factors.append(_from_monic_factor(g_int, l, f.var))
     return factors

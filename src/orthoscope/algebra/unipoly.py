@@ -1,8 +1,11 @@
 """Exact univariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction`; every operation is pure and exact.
-The degree of the zero polynomial is the distinguished value ``NEG_INF``
-so that degree comparisons are total.
+A polynomial is stored as a rational content times a primitive integer
+polynomial with a positive leading coefficient. That form is canonical, so
+equality and hashing are exact, and products, quotients and gcds run on
+Python ints; the rational coefficients are formed only when read. Every
+operation is pure and exact. The degree of the zero polynomial is the
+distinguished value ``NEG_INF`` so that degree comparisons are total.
 """
 
 from __future__ import annotations
@@ -10,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 NEG_INF = float("-inf")
 
 Scalar = Union[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(v) -> Fraction:
@@ -27,76 +33,82 @@ def _frac(v) -> Fraction:
     raise TypeError(f"not an exact rational scalar: {v!r}")
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense polynomial; ``coeffs[k]`` multiplies ``var ** k``, no trailing zeros."""
+    """Dense polynomial ``content * sum(prim[k] * var**k)``.
 
-    coeffs: tuple[Fraction, ...]
+    Canonical form: ``prim`` is a tuple of ints with gcd 1 and a positive
+    last entry, and ``content`` is a nonzero Fraction; the zero polynomial
+    has ``content == 0`` and ``prim == ()``. Build from rational
+    coefficients with `UniPoly.of`; ``coeffs[k]`` multiplies ``var ** k``.
+    """
+
+    content: Fraction
+    prim: tuple[int, ...]
     var: str = "x"
-
-    def __post_init__(self):
-        trimmed = _trim([_frac(c) for c in self.coeffs])
-        object.__setattr__(self, "coeffs", trimmed)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(values: Iterable, var: str = "x") -> "UniPoly":
-        return UniPoly(tuple(_frac(v) for v in values), var)
+        fracs = [_frac(v) for v in values]
+        den = math.lcm(*(c.denominator for c in fracs))
+        ints = [c.numerator * (den // c.denominator) for c in fracs]
+        return _canonical(Fraction(1, den), ints, var)
 
     @staticmethod
     def zero(var: str = "x") -> "UniPoly":
-        return UniPoly((), var)
+        return UniPoly(_ZERO, (), var)
 
     @staticmethod
     def one(var: str = "x") -> "UniPoly":
-        return UniPoly((Fraction(1),), var)
+        return UniPoly(_ONE, (1,), var)
 
     @staticmethod
     def constant(c, var: str = "x") -> "UniPoly":
-        return UniPoly((_frac(c),), var)
+        c = _frac(c)
+        return UniPoly(c, (1,), var) if c else UniPoly(_ZERO, (), var)
 
     @staticmethod
     def variable(var: str = "x") -> "UniPoly":
-        return UniPoly((Fraction(0), Fraction(1)), var)
+        return UniPoly(_ONE, (0, 1), var)
 
     @staticmethod
     def monomial(k: int, c=1, var: str = "x") -> "UniPoly":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return UniPoly((Fraction(0),) * k + (_frac(c),), var)
+        return UniPoly.constant(c, var).shift_up(k)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients, lowest degree first, no trailing zeros."""
+        c = self.content
+        return tuple(c * v for v in self.prim)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.prim) - 1 if self.prim else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.prim) <= 1
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        if not self.prim:
+            return _ZERO
+        return self.content * self.prim[-1]
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        if 0 <= k < len(self.prim):
+            return self.content * self.prim[k]
+        return _ZERO
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -107,15 +119,27 @@ class UniPoly:
 
     def __add__(self, other) -> "UniPoly":
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            tuple(self.coeff(k) + other.coeff(k) for k in range(n)), self.var
-        )
+        if not other.prim:
+            return self
+        if not self.prim:
+            return UniPoly(other.content, other.prim, self.var)
+        # over the common denominator den, self + other = (fa*A + fb*B) / den
+        ca, cb = self.content, other.content
+        den = math.lcm(ca.denominator, cb.denominator)
+        fa = ca.numerator * (den // ca.denominator)
+        fb = cb.numerator * (den // cb.denominator)
+        out = [fa * v for v in self.prim]
+        rest = [fb * v for v in other.prim]
+        if len(out) < len(rest):
+            out, rest = rest, out
+        for k, v in enumerate(rest):
+            out[k] += v
+        return _canonical(Fraction(1, den), out, self.var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs), self.var)
+        return UniPoly(-self.content, self.prim, self.var)
 
     def __sub__(self, other) -> "UniPoly":
         return self + (-self._coerce(other))
@@ -125,17 +149,20 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs), self.var)
+            if not other:
+                return UniPoly(_ZERO, (), self.var)
+            return UniPoly(self.content * other, self.prim, self.var)
         other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(tuple(out), self.var)
+        if not self.prim or not other.prim:
+            return UniPoly(_ZERO, (), self.var)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        b = other.prim
+        out = [0] * (len(self.prim) + len(b) - 1)
+        for i, av in enumerate(self.prim):
+            if av:
+                for j, bv in enumerate(b):
+                    out[i + j] += av * bv
+        return UniPoly(self.content * other.content, tuple(out), self.var)
 
     __rmul__ = __mul__
 
@@ -153,20 +180,15 @@ class UniPoly:
 
     def __divmod__(self, other) -> tuple["UniPoly", "UniPoly"]:
         other = self._coerce(other)
-        if other.is_zero:
+        if not other.prim:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        lc = other.coeffs[-1]
-        for k in range(len(rem) - 1 - d, -1, -1):
-            c = rem[k + d] / lc
-            if c == 0:
-                continue
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return UniPoly(tuple(q), self.var), UniPoly(tuple(rem), self.var)
+        if len(self.prim) < len(other.prim):
+            return UniPoly(_ZERO, (), self.var), self
+        # s * A = Q * B + R on the primitive parts
+        s, q, r = _int_divmod(self.prim, other.prim)
+        ca = self.content
+        return (_canonical(ca / (other.content * s), q, self.var),
+                _canonical(ca / s, r, self.var))
 
     def __floordiv__(self, other) -> "UniPoly":
         return divmod(self, other)[0]
@@ -183,20 +205,19 @@ class UniPoly:
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
             return other
-        return UniPoly.constant(_frac(other), self.var)
+        return UniPoly.constant(other, self.var)
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var
+        return _canonical(
+            self.content, [k * v for k, v in enumerate(self.prim)][1:], self.var
         )
 
     def antiderivative(self) -> "UniPoly":
-        return UniPoly(
-            (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)),
-            self.var,
-        )
+        den = math.lcm(*range(1, len(self.prim) + 1))
+        ints = [0] + [v * (den // (k + 1)) for k, v in enumerate(self.prim)]
+        return _canonical(self.content / den, ints, self.var)
 
     def eval(self, value):
         acc = Fraction(0) if isinstance(value, (int, Fraction)) else 0.0
@@ -212,9 +233,9 @@ class UniPoly:
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         acc = UniPoly.zero(inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(c, inner.var)
-        return acc
+        for v in reversed(self.prim):
+            acc = acc * inner + v
+        return acc * self.content
 
     def compose_affine(self, a, b) -> "UniPoly":
         """Evaluate at ``a*var + b`` exactly."""
@@ -222,48 +243,33 @@ class UniPoly:
 
     def reverse(self) -> "UniPoly":
         """Coefficient reversal: x^deg * p(1/x)."""
-        return UniPoly(tuple(reversed(self.coeffs)), self.var)
+        return _canonical(self.content, list(reversed(self.prim)), self.var)
 
     def shift_up(self, k: int) -> "UniPoly":
         """Multiply by var**k."""
         if self.is_zero:
             return self
-        return UniPoly((Fraction(0),) * k + self.coeffs, self.var)
+        return UniPoly(self.content, (0,) * k + self.prim, self.var)
 
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
-        inv = 1 / self.coeffs[-1]
-        return UniPoly(tuple(c * inv for c in self.coeffs), self.var)
-
-    def primitive_int(self) -> tuple[Fraction, list[int]]:
-        """Write self = content * P with P integer-coefficient, primitive, lc > 0."""
-        if self.is_zero:
-            return Fraction(0), []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        sign = -1 if ints[-1] < 0 else 1
-        g *= sign
-        return Fraction(g, den), [v // g for v in ints]
+        return UniPoly(Fraction(1, self.prim[-1]), self.prim, self.var)
 
     def renamed(self, var: str) -> "UniPoly":
-        return UniPoly(self.coeffs, var)
+        return UniPoly(self.content, self.prim, var)
 
     # -- printing --------------------------------------------------------
 
     def to_string(self) -> str:
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -285,43 +291,53 @@ class UniPoly:
         return f"UniPoly({self.to_string()!r})"
 
 
-# -- gcd machinery -------------------------------------------------------
+# -- integer polynomial kernels ---------------------------------------------
 
 
-def _int_degree(p: list[int]) -> int:
-    return len(p) - 1
-
-
-def _int_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _int_primitive(p: list[int]) -> list[int]:
-    g = 0
-    for v in p:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return p
-    if p[-1] < 0:
+def _canonical(content: Fraction, ints: list[int], var: str) -> UniPoly:
+    """content * ints in canonical form; ints is consumed."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints or not content:
+        return UniPoly(_ZERO, (), var)
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
         g = -g
-    return [v // g for v in p]
+    if g != 1:
+        ints = [v // g for v in ints]
+        content = content * g
+    return UniPoly(content, tuple(ints), var)
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of primitive integer polynomials, lc(b)^k * a mod b."""
-    r = list(a)
-    d = _int_degree(b)
+def _int_divmod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """s, q, r with s * a = q * b + r, deg r < deg b, for b[-1] > 0.
+
+    The remainder is scaled only when b[-1] does not divide its leading
+    coefficient, and then by the smallest factor that makes it divide, so
+    s is 1 whenever b[-1] == 1.
+    """
+    d = len(b) - 1
     lb = b[-1]
-    while _int_trim(r) and _int_degree(r) >= d:
-        k = _int_degree(r) - d
-        lr = r[-1]
-        r = [v * lb for v in r]
-        for j, bv in enumerate(b):
-            r[k + j] -= lr * bv
-        _int_trim(r)
-    return r
+    low = b[:d]
+    r = list(a)
+    q: list[int] = []            # quotient, highest coefficient first
+    s = 1
+    for k in range(len(a) - 1 - d, -1, -1):
+        t = r.pop()
+        if t:
+            if lb != 1:
+                g = math.gcd(t, lb)
+                if g != lb:
+                    m = lb // g
+                    r = [v * m for v in r]
+                    q = [v * m for v in q]
+                    s *= m
+                t //= g
+            for j, bv in enumerate(low, k):
+                r[j] -= t * bv
+        q.append(t)
+    q.reverse()
+    return s, q, r
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -335,14 +351,14 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    _, pa = a.primitive_int()
-    _, pb = b.primitive_int()
+    pa, pb = a.prim, b.prim
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    while pb:
-        r = _int_primitive(_int_pseudo_rem(pa, pb))
-        pa, pb = pb, r
-    return UniPoly.of(pa, a.var).monic()
+    while len(pb) > 1:
+        pa, pb = pb, _canonical(_ONE, _int_divmod(pa, pb)[2], a.var).prim
+    if pb:
+        return UniPoly.one(a.var)
+    return UniPoly(Fraction(1, pa[-1]), pa, a.var)
 
 
 def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:

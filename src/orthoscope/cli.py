@@ -2,7 +2,8 @@
 
 Exit codes: 0 a verdict was produced (any verdict), 2 parse error,
 3 shape or hypothesis error, 4 internal inconsistency (a witness failed
-its verification identity; must never happen).
+its verification identity, or a RuntimeError such as a factorization
+that did not split; must never happen).
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _run_system_command(command: str, text: str, residue_class: str,
 
     if command == "lift":
         sv = classify_invariant_line_lift(v)
-        lin = linearize_along_line(v)
+        lin = sv.linearization
         report = _report_from_system_verdict(
             "lift", sv, None,
             f=RatFunc.from_poly(lin.base_f0), g=RatFunc.from_poly(lin.fiber_hZ),
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
     except (ShapeError, HypothesisError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except WitnessVerificationError as exc:
+    except (WitnessVerificationError, RuntimeError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
 

@@ -51,9 +51,10 @@ class BiRatFunc:
             object.__setattr__(self, "num", BiPoly.zero())
             object.__setattr__(self, "den", BiPoly.one())
             return
-        g = bipoly_gcd(num, den)
-        if not g.is_constant:
-            num, den = num.div_exact(g), den.div_exact(g)
+        if not (num.is_constant or den.is_constant):
+            g = bipoly_gcd(num, den)
+            if not g.is_constant:
+                num, den = num.div_exact(g), den.div_exact(g)
         lead = den.terms[max(den.terms)]
         object.__setattr__(self, "num", num * (1 / lead))
         object.__setattr__(self, "den", den * (1 / lead))
@@ -317,7 +318,14 @@ def verify_gauge_identity(
     return lhs == rhs
 
 
-def classify_invariant_line_lift(v: PlanarVectorField) -> SystemVerdict:
+@dataclass(frozen=True)
+class LiftVerdict(SystemVerdict):
+    """A SystemVerdict together with the linearization it was decided on."""
+
+    linearization: LinearizedSystem
+
+
+def classify_invariant_line_lift(v: PlanarVectorField) -> LiftVerdict:
     """Lifting classifier along the invariant line y = 0.
 
     Pipeline: invariant line, linearization, base orthogonality of f(x,0),
@@ -331,9 +339,11 @@ def classify_invariant_line_lift(v: PlanarVectorField) -> SystemVerdict:
     base = base_orthogonal(f)
     fibration = beta_search_log(f, g, RATIONAL)
     if not base.orthogonal:
-        return SystemVerdict(base, fibration, CONCLUSION_BASE_INAPPLICABLE, None)
-    if fibration.status == STATUS_NONE:
-        return SystemVerdict(base, fibration, CONCLUSION_ORTHOGONAL, None)
-    if fibration.status == STATUS_FOUND:
-        return SystemVerdict(base, fibration, CONCLUSION_INCONCLUSIVE_FOR_LIFT, None)
-    return SystemVerdict(base, fibration, CONCLUSION_INCONCLUSIVE, None)
+        conclusion = CONCLUSION_BASE_INAPPLICABLE
+    elif fibration.status == STATUS_NONE:
+        conclusion = CONCLUSION_ORTHOGONAL
+    elif fibration.status == STATUS_FOUND:
+        conclusion = CONCLUSION_INCONCLUSIVE_FOR_LIFT
+    else:
+        conclusion = CONCLUSION_INCONCLUSIVE
+    return LiftVerdict(base, fibration, conclusion, None, lin)

@@ -45,9 +45,12 @@ class RatFunc:
         num, den = self.num, self.den
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
+        if num.is_zero:
+            den = UniPoly.one(den.var)
+        elif not (num.is_constant or den.is_constant):
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
         scale = 1 / den.lc
         object.__setattr__(self, "num", num * scale)
         object.__setattr__(self, "den", den * scale)

@@ -11,7 +11,7 @@ from conftest import random_unipoly
 
 def brute_force_rational_roots(p: UniPoly) -> set[Fraction]:
     """Independent oracle: candidate roots from divisors of the end coefficients."""
-    content, ints = p.primitive_int()
+    ints = p.prim
     while ints and ints[0] == 0:
         ints = ints[1:]
     roots = {Fraction(0)} if p.coeff(0) == 0 else set()

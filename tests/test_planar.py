@@ -45,6 +45,20 @@ def dy():
     return PlanarVectorField(BiPoly.zero(), BiPoly.one())
 
 
+class TestBiRatFunc:
+    def test_constant_side_needs_no_gcd(self, monkeypatch):
+        import orthoscope.planar as planar_mod
+
+        def no_gcd(p, q):
+            raise AssertionError("bivariate gcd with a constant side")
+
+        monkeypatch.setattr(planar_mod, "bipoly_gcd", no_gcd)
+        h = BiRatFunc(bp({(1, 1): 2, (0, 0): 4}), BiPoly.constant(2))
+        assert (h.num, h.den) == (bp({(1, 1): 1, (0, 0): 2}), BiPoly.one())
+        h = BiRatFunc(BiPoly.constant(3), bp({(2, 0): 3, (0, 1): 1}))
+        assert (h.num, h.den) == (BiPoly.one(), bp({(2, 0): 1, (0, 1): Fraction(1, 3)}))
+
+
 def random_field(rng, max_deg=3, lo=-3, hi=3):
     def rand_poly():
         terms = {}
@@ -249,6 +263,7 @@ class TestLiftClassifier:
         assert verdict.conclusion == CONCLUSION_ORTHOGONAL
         assert verdict.base.orthogonal
         assert verdict.fibration.status == STATUS_NONE
+        assert verdict.linearization == linearize_along_line(quadratic_fiber_field)
 
     def test_deformed_instance_orthogonal(self):
         v = PlanarVectorField(

@@ -194,6 +194,19 @@ class TestNormalize:
     def test_content_absorbed(self, x):
         assert RatFunc(2 * x, UniPoly.constant(2)) == RatFunc.from_poly(x)
 
+    def test_constant_side_needs_no_gcd(self, x, monkeypatch):
+        import orthoscope.ratfunc as ratfunc_mod
+
+        def no_gcd(a, b):
+            raise AssertionError("gcd with a constant side")
+
+        monkeypatch.setattr(ratfunc_mod, "poly_gcd", no_gcd)
+        r = RatFunc(3 * x**2 - 1, UniPoly.constant(Fraction(3, 2)))
+        assert (r.num, r.den) == (2 * x**2 - Fraction(2, 3), UniPoly.one())
+        r = RatFunc(UniPoly.constant(4), 2 * x**2 + 2)
+        assert (r.num, r.den) == (UniPoly.constant(2), x**2 + 1)
+        assert RatFunc(UniPoly.zero(), 5 * x).den == UniPoly.one()
+
     def test_zero_denominator_rejected(self, x):
         with pytest.raises(ZeroDivisionError):
             RatFunc(x, UniPoly.zero())

@@ -103,6 +103,19 @@ class TestCliExitCodes:
         monkeypatch.setattr(cli_mod, "run", broken_run)
         assert cli_mod.main(["classify", "x' = x; y' = y*x"]) == 4
 
+    def test_factorizer_runtime_error_exit_four(self, capsys, monkeypatch):
+        import orthoscope.algebra.factor as factor_mod
+
+        def broken_berlekamp(f, p):
+            raise RuntimeError("modular factorization did not split completely")
+
+        monkeypatch.setattr(factor_mod, "_berlekamp", broken_berlekamp)
+        # x^2 + 1 has no rational root, so factoring it reaches Berlekamp
+        assert main(["classify", "x' = (x^2 + 1)*x^2; y' = y*x"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: modular factorization")
+        assert "Traceback" not in err
+
     def test_input_file(self, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text("x' = x^2*(x-1); y' = x\n")

@@ -1,0 +1,90 @@
+"""Differential tests against sympy, an implementation that shares no code
+with orthoscope. Skipped when sympy is not installed."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from orthoscope import UniPoly, factor_rationals, poly_gcd, squarefree_decompose
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p: UniPoly):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], X, domain=sympy.QQ)
+
+
+def from_sympy(p) -> UniPoly:
+    return UniPoly.of(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def _rational(rng: random.Random, wide: bool) -> Fraction:
+    if wide:
+        return Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+
+def _random_poly(rng: random.Random, max_degree: int, wide: bool = False) -> UniPoly:
+    deg = rng.randint(0, max_degree)
+    lead = Fraction(0)
+    while lead == 0:
+        lead = _rational(rng, wide)
+    return UniPoly.of([_rational(rng, wide) for _ in range(deg)] + [lead])
+
+
+def _structured_poly(rng: random.Random) -> UniPoly:
+    """A product of powers of small factors, so that factors repeat."""
+    p = UniPoly.constant(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 4)):
+        base = _random_poly(rng, 3)
+        if base.degree >= 1:
+            p = p * base ** rng.randint(1, 3)
+    return p
+
+
+def test_divmod_matches_sympy():
+    rng = random.Random(7001)
+    for _ in range(150):
+        wide = rng.random() < 0.3
+        a, b = _random_poly(rng, 25, wide), _random_poly(rng, 10, wide)
+        q, r = divmod(a, b)
+        sq, sr = to_sympy(a).div(to_sympy(b))
+        assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+
+def test_gcd_matches_sympy():
+    rng = random.Random(7002)
+    for _ in range(150):
+        common = _structured_poly(rng)
+        a = _random_poly(rng, 6) * common
+        b = _random_poly(rng, 6) * common
+        if a.is_zero and b.is_zero:
+            continue
+        assert poly_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b)).monic())
+
+
+def test_squarefree_decompose_matches_sympy():
+    rng = random.Random(7003)
+    for _ in range(120):
+        p = _structured_poly(rng)
+        sf = squarefree_decompose(p)
+        content, parts = to_sympy(p).sqf_list()
+        assert sf.content == Fraction(int(content.p), int(content.q))
+        assert set(sf.parts) == {(from_sympy(f), m) for f, m in parts}
+
+
+def test_factor_rationals_matches_sympy():
+    rng = random.Random(7004)
+    cases = [_structured_poly(rng) for _ in range(100)]
+    cases.append(UniPoly.of([1, 0, -10, 0, 1]))      # x^4 - 10x^2 + 1
+    cases.append(UniPoly.of([-2, 0, 0, 1]) * UniPoly.of([3, 0, 1]) ** 2)
+    for p in cases:
+        fac = factor_rationals(p)
+        content, parts = to_sympy(p).factor_list()   # primitive integer factors
+        monic_content = content * sympy.prod([f.LC() ** m for f, m in parts])
+        assert fac.content == Fraction(int(monic_content.p), int(monic_content.q))
+        assert set(fac.parts) == {(from_sympy(f.monic()), m) for f, m in parts}

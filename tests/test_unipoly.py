@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -104,3 +106,275 @@ class TestSquarefree:
             if p.degree < 1:
                 continue
             assert squarefree_decompose(p).expand() == p
+
+
+# -- Fraction oracle ------------------------------------------------------
+#
+# The dense Fraction-tuple core that UniPoly used before it stored a content
+# times a primitive integer part. The method bodies and the gcd machinery
+# are kept as they were; the new core must give equal coefficient tuples.
+
+
+def _frac(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, str):
+        return Fraction(v)
+    raise TypeError(f"not an exact rational scalar: {v!r}")
+
+
+def _trim(coeffs) -> tuple:
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+@dataclass(frozen=True)
+class FracPoly:
+    coeffs: tuple
+    var: str = "x"
+
+    def __post_init__(self):
+        trimmed = _trim([_frac(c) for c in self.coeffs])
+        object.__setattr__(self, "coeffs", trimmed)
+
+    @staticmethod
+    def of(values, var: str = "x") -> "FracPoly":
+        return FracPoly(tuple(_frac(v) for v in values), var)
+
+    @staticmethod
+    def zero(var: str = "x") -> "FracPoly":
+        return FracPoly((), var)
+
+    @staticmethod
+    def constant(c, var: str = "x") -> "FracPoly":
+        return FracPoly((_frac(c),), var)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, k: int) -> Fraction:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return Fraction(0)
+
+    def _coerce(self, other) -> "FracPoly":
+        if isinstance(other, FracPoly):
+            return other
+        return FracPoly.constant(_frac(other), self.var)
+
+    def __add__(self, other) -> "FracPoly":
+        other = self._coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FracPoly(
+            tuple(self.coeff(k) + other.coeff(k) for k in range(n)), self.var
+        )
+
+    def __mul__(self, other) -> "FracPoly":
+        if isinstance(other, (int, Fraction)):
+            return FracPoly(tuple(c * other for c in self.coeffs), self.var)
+        other = self._coerce(other)
+        if self.is_zero or other.is_zero:
+            return FracPoly.zero(self.var)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly(tuple(out), self.var)
+
+    def __divmod__(self, other) -> tuple:
+        other = self._coerce(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        rem = list(self.coeffs)
+        d = len(other.coeffs) - 1
+        lc = other.coeffs[-1]
+        for k in range(len(rem) - 1 - d, -1, -1):
+            c = rem[k + d] / lc
+            if c == 0:
+                continue
+            q[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+        return FracPoly(tuple(q), self.var), FracPoly(tuple(rem), self.var)
+
+    def derivative(self) -> "FracPoly":
+        return FracPoly(
+            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var
+        )
+
+    def monic(self) -> "FracPoly":
+        if self.is_zero:
+            return self
+        inv = 1 / self.coeffs[-1]
+        return FracPoly(tuple(c * inv for c in self.coeffs), self.var)
+
+    def primitive_int(self) -> tuple:
+        if self.is_zero:
+            return Fraction(0), []
+        den = 1
+        for c in self.coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        ints = [int(c * den) for c in self.coeffs]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, abs(v))
+        sign = -1 if ints[-1] < 0 else 1
+        g *= sign
+        return Fraction(g, den), [v // g for v in ints]
+
+
+def _int_degree(p: list) -> int:
+    return len(p) - 1
+
+
+def _int_trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _int_primitive(p: list) -> list:
+    g = 0
+    for v in p:
+        g = math.gcd(g, abs(v))
+    if g == 0:
+        return p
+    if p[-1] < 0:
+        g = -g
+    return [v // g for v in p]
+
+
+def _int_pseudo_rem(a: list, b: list) -> list:
+    r = list(a)
+    d = _int_degree(b)
+    lb = b[-1]
+    while _int_trim(r) and _int_degree(r) >= d:
+        k = _int_degree(r) - d
+        lr = r[-1]
+        r = [v * lb for v in r]
+        for j, bv in enumerate(b):
+            r[k + j] -= lr * bv
+        _int_trim(r)
+    return r
+
+
+def frac_gcd(a: FracPoly, b: FracPoly) -> FracPoly:
+    if a.is_zero and b.is_zero:
+        return FracPoly.zero(a.var)
+    if a.is_zero:
+        return b.monic()
+    if b.is_zero:
+        return a.monic()
+    _, pa = a.primitive_int()
+    _, pb = b.primitive_int()
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while pb:
+        r = _int_primitive(_int_pseudo_rem(pa, pb))
+        pa, pb = pb, r
+    return FracPoly.of(pa, a.var).monic()
+
+
+def _random_coeffs(rng: random.Random) -> list:
+    """Zero, constant or up to degree 60; small, fractional or 100-bit entries;
+    leading coefficient of either sign and rarely a unit."""
+    shape = rng.random()
+    if shape < 0.05:
+        return []
+    deg = 0 if shape < 0.15 else rng.choice([rng.randint(1, 8), rng.randint(1, 60)])
+    size = rng.choice(["int", "frac", "wide"]) if deg <= 30 else rng.choice(["int", "frac"])
+
+    def draw() -> Fraction:
+        if size == "int":
+            return Fraction(rng.randint(-9, 9))
+        if size == "frac":
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        return Fraction(rng.getrandbits(100) - 2**99, rng.getrandbits(100) | 1)
+
+    coeffs = [draw() if rng.random() < 0.8 else Fraction(0) for _ in range(deg)]
+    lead = draw()
+    while lead == 0:
+        lead = draw()
+    return coeffs + [lead]
+
+
+def _seeded_pairs(count: int = 320):
+    rng = random.Random(4040)
+    for _ in range(count):
+        a, b = _random_coeffs(rng), _random_coeffs(rng)
+        if rng.random() < 0.2 and b:
+            b = [Fraction(v) for v in rng.choices(range(-5, 6), k=len(b) - 1)] + [1]
+        yield a, b
+
+
+class TestFractionOracle:
+    def test_core_matches_fraction_loops(self):
+        pairs = list(_seeded_pairs())
+        assert len(pairs) >= 300
+        degrees, seen = set(), set()
+        for a, b in pairs:
+            pa, pb = UniPoly.of(a), UniPoly.of(b)
+            fa, fb = FracPoly.of(a), FracPoly.of(b)
+            degrees.add(len(fa.coeffs) - 1)
+            if a:
+                seen.add("negative lc" if a[-1] < 0 else "positive lc")
+                seen.add("integer-unit divisor" if pa.prim[-1] == 1 else "other divisor")
+                if max(abs(c.numerator) for c in a) >= 2**90:
+                    seen.add("100-bit")
+            assert pa.coeffs == fa.coeffs
+            assert (pa + pb).coeffs == (fa + fb).coeffs
+            assert (pa * pb).coeffs == (fa * fb).coeffs
+            assert pa.monic().coeffs == fa.monic().coeffs
+            assert pa.derivative().coeffs == fa.derivative().coeffs
+            if not fb.is_zero:
+                q, r = divmod(pa, pb)
+                fq, fr = divmod(fa, fb)
+                assert (q.coeffs, r.coeffs) == (fq.coeffs, fr.coeffs)
+            if max(len(a), len(b)) <= 21:
+                assert poly_gcd(pa, pb).coeffs == frac_gcd(fa, fb).coeffs
+        assert {-1, 0, 60} <= degrees
+        assert seen == {"negative lc", "positive lc", "integer-unit divisor",
+                        "other divisor", "100-bit"}
+
+    def test_gcd_with_planted_common_factor(self):
+        rng = random.Random(4041)
+        for _ in range(40):
+            c = _random_coeffs(rng)[:12] or [Fraction(1)]
+            a, b = _random_coeffs(rng)[:10], _random_coeffs(rng)[:10]
+            pc, fc = UniPoly.of(c), FracPoly.of(c)
+            pa, pb = UniPoly.of(a) * pc, UniPoly.of(b) * pc
+            fa, fb = FracPoly.of(a) * fc, FracPoly.of(b) * fc
+            assert poly_gcd(pa, pb).coeffs == frac_gcd(fa, fb).coeffs
+
+    def test_hash_and_equality_follow_coefficients(self):
+        polys = [UniPoly.of(a) for a, _ in _seeded_pairs(120)]
+        for p in polys:
+            others = [
+                UniPoly.of(p.coeffs),
+                -(-p),
+                p * 3 * Fraction(1, 3),
+                p + UniPoly.zero() if not p.is_zero else UniPoly.zero(),
+                UniPoly.of(list(p.coeffs) + [0, 0]),
+                sum((UniPoly.monomial(k, c) for k, c in enumerate(p.coeffs)),
+                    UniPoly.zero()),
+            ]
+            if not p.is_zero:
+                others.append(p.monic() * p.lc)
+                divisor = UniPoly.of([Fraction(2, 3), -5, Fraction(7, 2)])
+                others.append((p * divisor).exact_div(divisor))
+            for q in others:
+                assert q == p and hash(q) == hash(p)
+                assert (q.content, q.prim) == (p.content, p.prim)
+        for p, q in zip(polys, polys[1:]):
+            assert (p == q) == (p.coeffs == q.coeffs)
+            if p == q:
+                assert hash(p) == hash(q)
+        assert UniPoly.of([1, 2]) != UniPoly.of([1, 2], "t")
