@@ -1,100 +1,130 @@
 """Exact bivariate polynomials over the rationals, plus resultants.
 
-A BiPoly is a sparse term map (i, j) -> coefficient for x^i * y^j. The
-resultant here eliminates the primary variable from two BiPoly operands
-via fraction-free Bareiss elimination on the Sylvester matrix, returning
-a UniPoly in the secondary variable. This is the engine behind the
-residue polynomial and the ratio-of-roots polynomial.
+A BiPoly is a rational content times a sparse primitive integer term map
+(i, j) -> coefficient of x^i * y^j, in the same canonical form as UniPoly,
+so products, exact quotients and derivatives run on Python ints and the
+rational coefficients are formed only when read. The bivariate gcd here
+reduces the parser's rational functions. The resultant eliminates the
+primary variable from two BiPoly operands via fraction-free Bareiss
+elimination on the Sylvester matrix, returning a UniPoly in the secondary
+variable; it builds the residue polynomial and number-field
+characteristic polynomials, and no verdict goes through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import UniPoly, _frac, poly_gcd
+from .unipoly import _ONE, _ZERO, UniPoly, _frac, poly_gcd
+from .unipoly import _canonical as _uni_canonical
 
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Sparse bivariate polynomial; no zero coefficients stored."""
+    """Sparse polynomial ``content * sum(prim[i, j] * x**i * y**j)``.
 
-    terms: dict[tuple[int, int], Fraction]
-    xvar: str = "x"
-    yvar: str = "y"
+    Canonical form: ``prim`` maps exponent pairs to nonzero ints with gcd 1
+    whose lex-leading entry (at the ``max`` key) is positive, and
+    ``content`` is a nonzero Fraction; the zero polynomial has
+    ``content == 0`` and ``prim == {}``. Build from rational coefficients
+    with `BiPoly.of`. ``prim`` is never mutated once built.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for (i, j), c in self.terms.items():
-            c = _frac(c)
-            if c != 0:
-                clean[(int(i), int(j))] = c
-        object.__setattr__(self, "terms", clean)
+    content: Fraction
+    prim: dict[tuple[int, int], int]
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "BiPoly":
-        return BiPoly({})
+        return BiPoly(_ZERO, {})
 
     @staticmethod
     def one() -> "BiPoly":
-        return BiPoly({(0, 0): Fraction(1)})
+        return BiPoly(_ONE, {(0, 0): 1})
 
     @staticmethod
     def constant(c) -> "BiPoly":
-        return BiPoly({(0, 0): _frac(c)})
+        c = _frac(c)
+        return BiPoly(c, {(0, 0): 1}) if c else BiPoly.zero()
 
     @staticmethod
     def x() -> "BiPoly":
-        return BiPoly({(1, 0): Fraction(1)})
+        return BiPoly(_ONE, {(1, 0): 1})
 
     @staticmethod
     def y() -> "BiPoly":
-        return BiPoly({(0, 1): Fraction(1)})
+        return BiPoly(_ONE, {(0, 1): 1})
 
     @staticmethod
     def of(terms: Mapping[tuple[int, int], object]) -> "BiPoly":
-        return BiPoly({k: _frac(v) for k, v in terms.items()})
+        fracs = {(int(i), int(j)): _frac(v) for (i, j), v in terms.items()}
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        ints = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        return _canonical(Fraction(1, den), ints)
 
     @staticmethod
     def from_unipoly_x(p: UniPoly) -> "BiPoly":
-        return BiPoly({(k, 0): c for k, c in enumerate(p.coeffs)})
+        return BiPoly(p.content, {(k, 0): v for k, v in enumerate(p.prim) if v})
 
     @staticmethod
     def from_unipoly_y(p: UniPoly) -> "BiPoly":
-        return BiPoly({(0, k): c for k, c in enumerate(p.coeffs)})
+        return BiPoly(p.content, {(0, k): v for k, v in enumerate(p.prim) if v})
 
     # -- structure ---------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """Rational coefficients by exponent pair, formed on each read."""
+        c = self.content
+        return {k: c * v for k, v in self.prim.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.prim
 
     @property
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return all(k == (0, 0) for k in self.prim)
+
+    @property
+    def lc(self) -> Fraction:
+        """The lex-leading coefficient; 0 for the zero polynomial."""
+        if not self.prim:
+            return _ZERO
+        return self.content * self.prim[max(self.prim)]
+
+    def monic(self) -> "BiPoly":
+        """Scale by a rational unit so the lex-leading coefficient is 1."""
+        if not self.prim:
+            return self
+        return BiPoly(Fraction(1, self.prim[max(self.prim)]), self.prim)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get((0, 0), Fraction(0))
+        return self.coeff(0, 0)
 
     def degree_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
+        return max((i for i, _ in self.prim), default=-1)
 
     def degree_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return max((j for _, j in self.prim), default=-1)
+
+    def total_degree(self) -> int:
+        return max((i + j for i, j in self.prim), default=-1)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return self.content * self.prim.get((i, j), 0)
 
     def is_y_free(self) -> bool:
-        return all(j == 0 for _, j in self.terms)
+        return all(j == 0 for _, j in self.prim)
 
     def is_x_free(self) -> bool:
-        return all(i == 0 for i, _ in self.terms)
+        return all(i == 0 for i, _ in self.prim)
 
     # -- ring operations ----------------------------------------------
 
@@ -107,15 +137,24 @@ class BiPoly:
 
     def __add__(self, other) -> "BiPoly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BiPoly(out)
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        # over the common denominator den, self + other = (fa*A + fb*B) / den
+        ca, cb = self.content, other.content
+        den = math.lcm(ca.denominator, cb.denominator)
+        fa = ca.numerator * (den // ca.denominator)
+        fb = cb.numerator * (den // cb.denominator)
+        out = {k: fa * v for k, v in self.prim.items()}
+        for k, v in other.prim.items():
+            out[k] = out.get(k, 0) + fb * v
+        return _canonical(Fraction(1, den), out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return BiPoly(-self.content, self.prim)
 
     def __sub__(self, other) -> "BiPoly":
         return self + (-self._coerce(other))
@@ -125,14 +164,21 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
-            return BiPoly({k: c * other for k, c in self.terms.items()})
+            if not other or not self.prim:
+                return BiPoly.zero()
+            return BiPoly(self.content * other, self.prim)
         other = self._coerce(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        if not self.prim or not other.prim:
+            return BiPoly.zero()
+        # Gauss's lemma: a product of primitive polynomials is primitive, and
+        # the lex-leading term of a product is the product of the leading terms
+        out: dict[tuple[int, int], int] = {}
+        b = other.prim.items()
+        for (i1, j1), av in self.prim.items():
+            for (i2, j2), bv in b:
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return BiPoly(out)
+                out[k] = out.get(k, 0) + av * bv
+        return BiPoly(self.content * other.content, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -152,116 +198,128 @@ class BiPoly:
 
     def partial(self, variable: str) -> "BiPoly":
         """Formal partial derivative with respect to 'x' or 'y'."""
-        if variable == self.xvar or variable == "x":
-            return BiPoly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
-        if variable == self.yvar or variable == "y":
-            return BiPoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
-        raise ValueError(f"unknown variable {variable!r}")
+        if variable == "x":
+            ints = {(i - 1, j): v * i for (i, j), v in self.prim.items() if i}
+        elif variable == "y":
+            ints = {(i, j - 1): v * j for (i, j), v in self.prim.items() if j}
+        else:
+            raise ValueError(f"unknown variable {variable!r}")
+        return _canonical(self.content, ints)
 
     def subst_y(self, value) -> "UniPoly":
         """Substitute a rational constant for y; result is univariate in x."""
-        value = _frac(value)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c * value**j
-        n = max(out, default=-1) + 1
-        return UniPoly.of((out.get(k, 0) for k in range(n)), self.xvar)
+        return self._subst(value, 1, "x")
 
     def subst_x(self, value) -> "UniPoly":
+        """Substitute a rational constant for x; result is univariate in y."""
+        return self._subst(value, 0, "y")
+
+    def _subst(self, value, axis: int, var: str) -> "UniPoly":
+        """Substitute p/q for x (axis 0) or y (axis 1). Over the common
+        denominator q**d, d the degree in that variable, a term v * (p/q)**e
+        contributes v * p**e * q**(d - e)."""
+        if not self.prim:
+            return UniPoly.zero(var)
         value = _frac(value)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + c * value**i
-        n = max(out, default=-1) + 1
-        return UniPoly.of((out.get(k, 0) for k in range(n)), self.yvar)
+        p, q = value.numerator, value.denominator
+        keep = 1 - axis
+        d = max(k[axis] for k in self.prim)
+        ints = [0] * (max(k[keep] for k in self.prim) + 1)
+        for k, v in self.prim.items():
+            e = k[axis]
+            ints[k[keep]] += v * p**e * q ** (d - e)
+        return _uni_canonical(self.content / q**d, ints, var)
 
     def eval(self, xval, yval) -> Fraction:
-        acc = Fraction(0)
         xval, yval = _frac(xval), _frac(yval)
-        for (i, j), c in self.terms.items():
-            acc += c * xval**i * yval**j
-        return acc
+        return self.content * sum(
+            (v * xval**i * yval**j for (i, j), v in self.prim.items()), _ZERO
+        )
 
     def compose_affine(self, ax, bx, ay) -> "BiPoly":
         """Substitute x -> ax*x + bx and y -> ay*y (invariant-line-preserving)."""
-        xo = BiPoly({(1, 0): _frac(ax), (0, 0): _frac(bx)})
-        yo = BiPoly({(0, 1): _frac(ay)})
+        xo = BiPoly.of({(1, 0): ax, (0, 0): bx})
+        yo = BiPoly.of({(0, 1): ay})
         acc = BiPoly.zero()
-        for (i, j), c in self.terms.items():
-            acc = acc + BiPoly.constant(c) * xo**i * yo**j
-        return acc
+        for (i, j), v in self.prim.items():
+            acc = acc + xo**i * yo**j * v
+        return acc * self.content
 
     def div_exact_y(self) -> "BiPoly":
         """Exact division by y; raises if y does not divide self."""
-        if any(j == 0 for _, j in self.terms):
+        if any(j == 0 for _, j in self.prim):
             raise ValueError("y does not divide this polynomial")
-        return BiPoly({(i, j - 1): c for (i, j), c in self.terms.items()})
+        return BiPoly(self.content, {(i, j - 1): v for (i, j), v in self.prim.items()})
 
     def div_exact(self, other: "BiPoly") -> "BiPoly":
-        """Exact division via lex-ordered long division; raises if inexact."""
+        """Exact division via lex-ordered long division; raises if inexact.
+
+        By Gauss's lemma the quotient of two primitive integer polynomials,
+        when it exists, is a primitive integer polynomial, so every step
+        divides exactly in the integers or the division is inexact.
+        """
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self.terms)
-        quo: dict[tuple[int, int], Fraction] = {}
-        lt_key = max(other.terms)  # lex order on (i, j)
-        lt_c = other.terms[lt_key]
+        rem = dict(self.prim)
+        quo: dict[tuple[int, int], int] = {}
+        lt_key = max(other.prim)  # lex order on (i, j)
+        lt_c = other.prim[lt_key]
         while rem:
             k = max(rem)
             i, j = k[0] - lt_key[0], k[1] - lt_key[1]
-            if i < 0 or j < 0:
+            c, r = divmod(rem[k], lt_c)
+            if i < 0 or j < 0 or r:
                 raise ValueError("inexact bivariate division")
-            c = rem[k] / lt_c
-            quo[(i, j)] = quo.get((i, j), Fraction(0)) + c
-            for (oi, oj), oc in other.terms.items():
+            quo[(i, j)] = c
+            for (oi, oj), ov in other.prim.items():
                 kk = (oi + i, oj + j)
-                nv = rem.get(kk, Fraction(0)) - c * oc
-                if nv == 0:
-                    rem.pop(kk, None)
-                else:
+                nv = rem.get(kk, 0) - c * ov
+                if nv:
                     rem[kk] = nv
-        return BiPoly(quo)
+                else:
+                    del rem[kk]
+        if not quo:
+            return BiPoly.zero()
+        return BiPoly(self.content / other.content, quo)
 
     # -- views ----------------------------------------------------------
 
     def y_coefficients(self) -> list[UniPoly]:
         """Coefficients as polynomials in x, indexed by the power of y."""
-        dy = self.degree_y()
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
-        for (i, j), c in self.terms.items():
-            rows[j][i] = c
-        out = []
-        for row in rows:
-            n = max(row, default=-1) + 1
-            out.append(UniPoly.of((row.get(k, 0) for k in range(n)), self.xvar))
-        return out
+        return self._rows(1, "x")
 
     def x_coefficients(self, aux_var: str = "t") -> list[UniPoly]:
         """Coefficients as polynomials in the secondary variable, indexed by x power."""
-        dx = self.degree_x()
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(dx + 1)]
-        for (i, j), c in self.terms.items():
-            rows[i][j] = c
+        return self._rows(0, aux_var)
+
+    def _rows(self, axis: int, var: str) -> list[UniPoly]:
+        keep = 1 - axis
+        size = max((k[axis] for k in self.prim), default=-1) + 1
+        rows: list[dict[int, int]] = [dict() for _ in range(size)]
+        for k, v in self.prim.items():
+            rows[k[axis]][k[keep]] = v
         out = []
         for row in rows:
-            n = max(row, default=-1) + 1
-            out.append(UniPoly.of((row.get(k, 0) for k in range(n)), aux_var))
+            ints = [row.get(e, 0) for e in range(max(row, default=-1) + 1)]
+            out.append(_uni_canonical(self.content, ints, var))
         return out
 
     # -- printing ---------------------------------------------------------
 
     def to_string(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
+        keys = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
         parts: list[str] = []
         for i, j in keys:
-            c = self.terms[(i, j)]
+            c = terms[(i, j)]
             mag = abs(c)
             factors = []
             if i:
-                factors.append(self.xvar if i == 1 else f"{self.xvar}^{i}")
+                factors.append("x" if i == 1 else f"x^{i}")
             if j:
-                factors.append(self.yvar if j == 1 else f"{self.yvar}^{j}")
+                factors.append("y" if j == 1 else f"y^{j}")
             if not factors:
                 body = str(mag)
             else:
@@ -279,6 +337,20 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_string()!r})"
+
+
+def _canonical(content: Fraction, ints: dict[tuple[int, int], int]) -> BiPoly:
+    """content * ints in canonical form; ints may hold zero entries."""
+    ints = {k: v for k, v in ints.items() if v}
+    if not ints or not content:
+        return BiPoly.zero()
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+        content = content * g
+    return BiPoly(content, ints)
 
 
 def bipoly_partial(p: BiPoly, variable: str) -> BiPoly:
@@ -351,20 +423,12 @@ def resultant_uni(a: UniPoly, b: UniPoly) -> Fraction:
 
 def _content_x(p: BiPoly) -> UniPoly:
     """gcd over Q[x] of the y-coefficients."""
-    g = UniPoly.zero(p.xvar)
+    g = UniPoly.zero()
     for c in p.y_coefficients():
         g = poly_gcd(g, c)
         if g.degree == 0:
             break
     return g
-
-
-def _divide_by_unipoly_x(p: BiPoly, d: UniPoly) -> BiPoly:
-    out = BiPoly.zero()
-    for j, c in enumerate(p.y_coefficients()):
-        q = c.exact_div(d)
-        out = out + BiPoly({(i, j): v for i, v in enumerate(q.coeffs)})
-    return out
 
 
 def _primitive_y(coeffs: list[UniPoly]) -> list[UniPoly]:
@@ -408,14 +472,13 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     if p.is_zero and q.is_zero:
         return BiPoly.zero()
     if p.is_zero:
-        return _normalize_gcd(q)
+        return q.monic()
     if q.is_zero:
-        return _normalize_gcd(p)
+        return p.monic()
     cp, cq = _content_x(p), _content_x(q)
-    pp, qq = _divide_by_unipoly_x(p, cp), _divide_by_unipoly_x(q, cq)
     cg = poly_gcd(cp, cq)
-    a = _primitive_y(pp.y_coefficients())
-    b = _primitive_y(qq.y_coefficients())
+    a = _primitive_y([c.exact_div(cp) for c in p.y_coefficients()])
+    b = _primitive_y([c.exact_div(cq) for c in q.y_coefficients()])
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -424,15 +487,5 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     if len(b) == 1:
         g_prim = BiPoly.one()
     else:
-        g_prim = BiPoly.zero()
-        for j, c in enumerate(a):
-            g_prim = g_prim + BiPoly({(i, j): v for i, v in enumerate(c.coeffs)})
-    return _normalize_gcd(BiPoly.from_unipoly_x(cg) * g_prim)
-
-
-def _normalize_gcd(g: BiPoly) -> BiPoly:
-    """Scale by a rational unit so the lex-leading coefficient is 1."""
-    if g.is_zero:
-        return g
-    lt = max(g.terms)
-    return g * (1 / g.terms[lt])
+        g_prim = BiPoly.of({(i, j): v for j, c in enumerate(a) for i, v in enumerate(c.coeffs)})
+    return (BiPoly.from_unipoly_x(cg) * g_prim).monic()

@@ -116,7 +116,7 @@ class NFElement:
     def charpoly(self, aux_var: str = "t") -> UniPoly:
         """Characteristic polynomial of the element over Q, monic in aux_var."""
         q = BiPoly.from_unipoly_x(self.modulus)
-        t_minus_rep = BiPoly({(0, 1): Fraction(1)}) - BiPoly.from_unipoly_x(self.rep)
+        t_minus_rep = BiPoly.y() - BiPoly.from_unipoly_x(self.rep)
         return resultant_x(q, t_minus_rep, aux_var).monic()
 
     def to_string(self) -> str:

@@ -3,7 +3,8 @@
 Statements "x' = <expr>" and "y' = <expr>" separated by ";" or newlines;
 expressions over x, y with integer literals, + - * / ^ and parentheses
 (caret takes a nonnegative integer exponent; ratio literals such as 1/2
-fall out of division). Parsed systems are shape-classified:
+fall out of division). A power whose degree would exceed MAX_DEGREE is
+refused before it is expanded. Parsed systems are shape-classified:
 
   y' = y*g(x)  with y-free f, g  ->  log family
   y' = g(x)    with y-free f, g  ->  derivative family
@@ -23,6 +24,11 @@ from .ratfunc import RatFunc
 
 KIND_LOG = "log"
 KIND_DERIVATIVE = "derivative"
+
+# Largest degree a power may reach; a constant base counts as degree 1, so
+# the exponent itself is bounded too. The fixture corpus and the benchmark
+# workloads raise to powers of degree at most 22.
+MAX_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,12 @@ class _Parser:
             if tok.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
             self.next()
-            base = base ** int(tok.text)
+            digits = tok.text.lstrip("0") or "0"
+            degree = max(base.num.total_degree(), base.den.total_degree(), 1)
+            # lengths first: int() refuses a string of more than 4300 digits
+            if len(digits) > len(str(MAX_DEGREE)) or degree * int(digits) > MAX_DEGREE:
+                raise ParseError(f"power exceeds the degree bound {MAX_DEGREE}", tok.pos)
+            base = base ** int(digits)
         return base
 
     def parse_atom(self) -> BiRatFunc:
@@ -203,9 +214,17 @@ def parse_univariate(text: str) -> RatFunc:
 
 
 def _to_univariate(value: BiRatFunc, text: str) -> RatFunc:
-    if not (value.num.is_y_free() and value.den.is_y_free()):
+    f = _y_free(value)
+    if f is None:
         raise ShapeError(f"expression is not univariate in x: {text!r}")
-    return RatFunc(value.num.subst_y(0), value.den.subst_y(0))
+    return f
+
+
+def _y_free(value: BiRatFunc) -> Optional[RatFunc]:
+    """value as a rational function of x, or None if it involves y."""
+    if value.num.is_y_free() and value.den.is_y_free():
+        return RatFunc(value.num.subst_y(0), value.den.subst_y(0))
+    return None
 
 
 # -- systems -----------------------------------------------------------------
@@ -241,15 +260,13 @@ def parse_system(text: str) -> SystemSource:
 
 
 def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, Planar]:
-    x_univariate = fx.num.is_y_free() and fx.den.is_y_free()
-    if x_univariate:
-        f = RatFunc(fx.num.subst_y(0), fx.den.subst_y(0))
-        quotient = fy / BiRatFunc.from_poly(BiPoly.y())
-        if not fy.is_zero and quotient.num.is_y_free() and quotient.den.is_y_free():
-            g = RatFunc(quotient.num.subst_y(0), quotient.den.subst_y(0))
+    f = _y_free(fx)
+    if f is not None:
+        g = None if fy.is_zero else _y_free(fy / BiRatFunc.from_poly(BiPoly.y()))
+        if g is not None:
             return UnivariateFamily(f, g, KIND_LOG)
-        if fy.num.is_y_free() and fy.den.is_y_free():
-            g = RatFunc(fy.num.subst_y(0), fy.den.subst_y(0))
+        g = _y_free(fy)
+        if g is not None:
             return UnivariateFamily(f, g, KIND_DERIVATIVE)
     if fx.is_polynomial and fy.is_polynomial:
         return Planar(PlanarVectorField(fx.num * (1 / fx.den.constant_value()),

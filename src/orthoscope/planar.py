@@ -55,9 +55,8 @@ class BiRatFunc:
             g = bipoly_gcd(num, den)
             if not g.is_constant:
                 num, den = num.div_exact(g), den.div_exact(g)
-        lead = den.terms[max(den.terms)]
-        object.__setattr__(self, "num", num * (1 / lead))
-        object.__setattr__(self, "den", den * (1 / lead))
+        object.__setattr__(self, "num", num * (1 / den.lc))
+        object.__setattr__(self, "den", den.monic())
 
     # -- constructors ---------------------------------------------------
 

@@ -459,9 +459,7 @@ def residue_polynomial(r: RatFunc) -> UniPoly:
         return UniPoly.one("t")
     d, n = rem.den, rem.num
     a = BiPoly.from_unipoly_x(d)
-    b = BiPoly.from_unipoly_x(n) - BiPoly({(0, 1): Fraction(1)}) * BiPoly.from_unipoly_x(
-        d.derivative()
-    )
+    b = BiPoly.from_unipoly_x(n) - BiPoly.y() * BiPoly.from_unipoly_x(d.derivative())
     rho = resultant_x(a, b, "t")
     if rho.is_zero:
         raise WitnessVerificationError("residue polynomial vanished identically")

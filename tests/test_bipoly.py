@@ -1,10 +1,13 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
 from orthoscope import BiPoly, UniPoly, bipoly_gcd, bipoly_partial, resultant_x
 from orthoscope.algebra.bipoly import resultant_uni
+from orthoscope.algebra.unipoly import _frac
 
 from conftest import random_unipoly
 
@@ -143,3 +146,259 @@ class TestBivariateGcd:
             # the planted factor divides the gcd
             assert g.div_exact(bipoly_gcd(g, shared)) is not None
             (shared * a).div_exact(bipoly_gcd(g, shared))  # raises if not a divisor
+
+
+# -- Fraction-dict oracle ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FracBiPoly:
+    """The Fraction-dict BiPoly that the integer core is checked against."""
+
+    terms: dict[tuple[int, int], Fraction]
+    xvar: str = "x"
+    yvar: str = "y"
+
+    def __post_init__(self):
+        clean = {}
+        for (i, j), c in self.terms.items():
+            c = _frac(c)
+            if c != 0:
+                clean[(int(i), int(j))] = c
+        object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def one() -> "FracBiPoly":
+        return FracBiPoly({(0, 0): Fraction(1)})
+
+    @staticmethod
+    def constant(c) -> "FracBiPoly":
+        return FracBiPoly({(0, 0): _frac(c)})
+
+    @staticmethod
+    def of(terms: Mapping[tuple[int, int], object]) -> "FracBiPoly":
+        return FracBiPoly({k: _frac(v) for k, v in terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree_y(self) -> int:
+        return max((j for _, j in self.terms), default=-1)
+
+    def _coerce(self, other) -> "FracBiPoly":
+        if isinstance(other, FracBiPoly):
+            return other
+        return FracBiPoly.constant(_frac(other))
+
+    def __add__(self, other) -> "FracBiPoly":
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return FracBiPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FracBiPoly":
+        return FracBiPoly({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other) -> "FracBiPoly":
+        if isinstance(other, (int, Fraction)):
+            return FracBiPoly({k: c * other for k, c in self.terms.items()})
+        other = self._coerce(other)
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, Fraction(0)) + c1 * c2
+        return FracBiPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "FracBiPoly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = FracBiPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def partial(self, variable: str) -> "FracBiPoly":
+        """Formal partial derivative with respect to 'x' or 'y'."""
+        if variable == self.xvar or variable == "x":
+            return FracBiPoly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
+        if variable == self.yvar or variable == "y":
+            return FracBiPoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
+        raise ValueError(f"unknown variable {variable!r}")
+
+    def subst_y(self, value) -> "UniPoly":
+        """Substitute a rational constant for y; result is univariate in x."""
+        value = _frac(value)
+        out: dict[int, Fraction] = {}
+        for (i, j), c in self.terms.items():
+            out[i] = out.get(i, Fraction(0)) + c * value**j
+        n = max(out, default=-1) + 1
+        return UniPoly.of((out.get(k, 0) for k in range(n)), self.xvar)
+
+    def subst_x(self, value) -> "UniPoly":
+        value = _frac(value)
+        out: dict[int, Fraction] = {}
+        for (i, j), c in self.terms.items():
+            out[j] = out.get(j, Fraction(0)) + c * value**i
+        n = max(out, default=-1) + 1
+        return UniPoly.of((out.get(k, 0) for k in range(n)), self.yvar)
+
+    def div_exact(self, other: "FracBiPoly") -> "FracBiPoly":
+        """Exact division via lex-ordered long division; raises if inexact."""
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = dict(self.terms)
+        quo: dict[tuple[int, int], Fraction] = {}
+        lt_key = max(other.terms)  # lex order on (i, j)
+        lt_c = other.terms[lt_key]
+        while rem:
+            k = max(rem)
+            i, j = k[0] - lt_key[0], k[1] - lt_key[1]
+            if i < 0 or j < 0:
+                raise ValueError("inexact bivariate division")
+            c = rem[k] / lt_c
+            quo[(i, j)] = quo.get((i, j), Fraction(0)) + c
+            for (oi, oj), oc in other.terms.items():
+                kk = (oi + i, oj + j)
+                nv = rem.get(kk, Fraction(0)) - c * oc
+                if nv == 0:
+                    rem.pop(kk, None)
+                else:
+                    rem[kk] = nv
+        return FracBiPoly(quo)
+
+    def y_coefficients(self) -> list[UniPoly]:
+        """Coefficients as polynomials in x, indexed by the power of y."""
+        dy = self.degree_y()
+        rows: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
+        for (i, j), c in self.terms.items():
+            rows[j][i] = c
+        out = []
+        for row in rows:
+            n = max(row, default=-1) + 1
+            out.append(UniPoly.of((row.get(k, 0) for k in range(n)), self.xvar))
+        return out
+
+
+def _random_terms(rng: random.Random) -> dict:
+    """Zero, a constant, or up to 12 terms of degree at most (8, 4); small,
+    fractional or 100-bit entries. Zero entries are kept, as a caller may
+    pass them."""
+    shape = rng.random()
+    if shape < 0.05:
+        return {}
+    size = rng.choice(["int", "frac", "wide"])
+
+    def draw() -> Fraction:
+        if size == "int":
+            return Fraction(rng.randint(-9, 9))
+        if size == "frac":
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        return Fraction(rng.getrandbits(100) - 2**99, rng.getrandbits(100) | 1)
+
+    if shape < 0.15:
+        return {(0, 0): draw()}
+    return {(rng.randint(0, 8), rng.randint(0, 4)): draw() for _ in range(rng.randint(1, 12))}
+
+
+def _seeded_pairs(count: int = 320):
+    """Random pairs, plus pairs whose sum or product cancels terms: b = -a
+    plus a few terms, and (u + v, u - v), whose product drops the u*v terms."""
+    rng = random.Random(5050)
+    for n in range(count):
+        a, b = _random_terms(rng), _random_terms(rng)
+        if n % 5 == 1:
+            b = {k: -c for k, c in a.items()}
+            b.update(_random_terms(rng) if rng.random() < 0.7 else {})
+        elif n % 5 == 2:
+            u, v = FracBiPoly.of(a), FracBiPoly.of(b)
+            a, b = (u + v).terms, (u + -v).terms
+        yield a, b
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFractionOracle:
+    def test_core_matches_fraction_loops(self):
+        pairs = list(_seeded_pairs())
+        assert len(pairs) >= 300
+        rng = random.Random(5051)
+        seen = set()
+        for a, b in pairs:
+            pa, pb = BiPoly.of(a), BiPoly.of(b)
+            fa, fb = FracBiPoly.of(a), FracBiPoly.of(b)
+            if fa.is_zero:
+                seen.add("zero")
+            elif set(fa.terms) == {(0, 0)}:
+                seen.add("constant")
+            else:
+                seen.add("negative lc" if fa.terms[max(fa.terms)] < 0 else "positive lc")
+            if any(abs(c.numerator) >= 2**90 and c.denominator >= 2**90
+                   for c in fa.terms.values()):
+                seen.add("100-bit")
+            sum_ab, prod = fa + fb, fa * fb
+            if len(sum_ab.terms) < len(set(fa.terms) | set(fb.terms)):
+                seen.add("sum cancels")
+            if len(prod.terms) < len({(i1 + i2, j1 + j2) for i1, j1 in fa.terms
+                                      for i2, j2 in fb.terms}):
+                seen.add("product cancels")
+            assert pa.terms == fa.terms
+            assert (pa + pb).terms == sum_ab.terms
+            assert (-pa).terms == (-fa).terms
+            assert (pa * pb).terms == prod.terms
+            scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert (pa * scalar).terms == (fa * scalar).terms
+            if len(fa.terms) <= 6:
+                k = rng.randint(0, 3)
+                assert (pa**k).terms == (fa**k).terms
+            for var in "xy":
+                assert pa.partial(var).terms == fa.partial(var).terms
+            value = rng.choice([Fraction(0), Fraction(1), Fraction(-2, 3),
+                                Fraction(rng.getrandbits(40) - 2**39, rng.getrandbits(40) | 1)])
+            assert pa.subst_y(value) == fa.subst_y(value)
+            assert pa.subst_x(value) == fa.subst_x(value)
+            assert pa.y_coefficients() == fa.y_coefficients()
+            if not fb.is_zero:
+                assert (pa * pb).div_exact(pb).terms == prod.div_exact(fb).terms
+                for num, fnum in ((pa, fa), (pa * pb + pa, prod + fa)):
+                    got = _outcome(lambda: num.div_exact(pb).terms)
+                    assert got == _outcome(lambda: fnum.div_exact(fb).terms)
+        assert seen == {"zero", "constant", "negative lc", "positive lc", "100-bit",
+                        "sum cancels", "product cancels"}
+
+    def test_equality_follows_terms(self):
+        polys = [BiPoly.of(a) for a, _ in _seeded_pairs(120)]
+        divisor = BiPoly.of({(1, 1): Fraction(2, 3), (0, 0): -5, (2, 0): Fraction(7, 2)})
+        for p in polys:
+            others = [
+                BiPoly.of(p.terms),
+                BiPoly.of({**p.terms, (9, 9): 0}),
+                -(-p),
+                -BiPoly.of({k: -c for k, c in p.terms.items()}),
+                p * 3 * Fraction(1, 3),
+                p + BiPoly.zero(),
+                sum((BiPoly.of({k: c}) for k, c in p.terms.items()), BiPoly.zero()),
+                (p * divisor).div_exact(divisor),
+                p.monic() * p.lc if not p.is_zero else p,
+            ]
+            for q in others:
+                assert q == p
+                assert (q.content, q.prim) == (p.content, p.prim)
+        for p, q in zip(polys, polys[1:]):
+            assert (p == q) == (p.terms == q.terms)
+        assert BiPoly.of({(1, 0): 2}) != BiPoly.of({(0, 1): 2})

@@ -5,7 +5,13 @@ import pytest
 
 from orthoscope import RatFunc, UniPoly, parse_expression, parse_system, parse_univariate
 from orthoscope.errors import ParseError, ShapeError
-from orthoscope.parsing import KIND_DERIVATIVE, KIND_LOG, Planar, UnivariateFamily
+from orthoscope.parsing import (
+    KIND_DERIVATIVE,
+    KIND_LOG,
+    MAX_DEGREE,
+    Planar,
+    UnivariateFamily,
+)
 
 
 class TestGrammar:
@@ -48,6 +54,18 @@ class TestGrammar:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("x^-2")
+
+    def test_power_degree_bound(self):
+        assert parse_expression(f"x^{MAX_DEGREE}").num.degree_x() == MAX_DEGREE
+        assert parse_expression("x^0003 + x^0") == parse_expression("x^3 + 1")
+        assert parse_expression(f"(x^2/y)^{MAX_DEGREE // 2}").den.degree_y() == MAX_DEGREE // 2
+        for text in (f"x^{MAX_DEGREE + 1}", f"(x*y)^{MAX_DEGREE // 2 + 1}",
+                     f"(1/(x + 1))^{MAX_DEGREE + 1}", f"2^{MAX_DEGREE + 1}",
+                     f"x^2^{MAX_DEGREE // 2 + 1}", "x^99999999999999999999",
+                     "x^" + "9" * 5000):
+            with pytest.raises(ParseError) as exc:
+                parse_expression(text)
+            assert exc.value.position == text.rindex("^") + 1, text
 
     def test_missing_statement(self):
         with pytest.raises(ParseError):

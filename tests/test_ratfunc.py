@@ -83,8 +83,8 @@ def ratio_oracle(rho: UniPoly) -> bool:
     n = int(rho.degree)
     if n <= 1:
         return True
-    a = BiPoly({(k, 0): c for k, c in enumerate(rho.coeffs)})
-    b = BiPoly({(k, n - k): c for k, c in enumerate(rho.coeffs)})
+    a = BiPoly.of({(k, 0): c for k, c in enumerate(rho.coeffs)})
+    b = BiPoly.of({(k, n - k): c for k, c in enumerate(rho.coeffs)})
     phi = resultant_x(a, b, "s")
     total = 0
     for part, mult in squarefree_decompose(phi).parts:

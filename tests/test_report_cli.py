@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -86,6 +87,13 @@ class TestCliExitCodes:
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["classify", "x' = "]) == 2
+
+    def test_huge_power_exit_two_within_a_second(self, capsys):
+        start = time.perf_counter()
+        assert main(["classify", "x' = x^99999999999999999999; y' = y*x"]) == 2
+        assert main(["classify", "x' = (x+1)^3000; y' = y*x"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the degree bound" in capsys.readouterr().err
 
     def test_shape_error_exit_three(self, capsys):
         assert main(["lift", "x' = x; y' = x + y"]) == 3

@@ -8,9 +8,16 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from orthoscope import UniPoly, factor_rationals, poly_gcd, squarefree_decompose
+from orthoscope import (
+    BiPoly,
+    UniPoly,
+    bipoly_gcd,
+    factor_rationals,
+    poly_gcd,
+    squarefree_decompose,
+)
 
-X = sympy.Symbol("x")
+X, Y = sympy.symbols("x y")
 
 
 def to_sympy(p: UniPoly):
@@ -20,6 +27,15 @@ def to_sympy(p: UniPoly):
 
 def from_sympy(p) -> UniPoly:
     return UniPoly.of(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def bi_to_sympy(p: BiPoly):
+    terms = {k: sympy.Rational(c.numerator, c.denominator) for k, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, Y, domain=sympy.QQ)
+
+
+def bi_from_sympy(p) -> BiPoly:
+    return BiPoly.of({k: Fraction(int(c.p), int(c.q)) for k, c in p.as_dict().items()})
 
 
 def _rational(rng: random.Random, wide: bool) -> Fraction:
@@ -88,3 +104,44 @@ def test_factor_rationals_matches_sympy():
         monic_content = content * sympy.prod([f.LC() ** m for f, m in parts])
         assert fac.content == Fraction(int(monic_content.p), int(monic_content.q))
         assert set(fac.parts) == {(from_sympy(f.monic()), m) for f, m in parts}
+
+
+def _random_bipoly(rng: random.Random, dx: int, dy: int, wide: bool = False) -> BiPoly:
+    terms = {(rng.randint(0, dx), rng.randint(0, dy)): _rational(rng, wide)
+             for _ in range(rng.randint(1, 6))}
+    return BiPoly.of(terms)
+
+
+def test_bipoly_gcd_matches_sympy():
+    rng = random.Random(7005)
+    for n in range(120):
+        common = _random_bipoly(rng, 2, 2)
+        if n % 4 == 0:
+            common = common * BiPoly.from_unipoly_x(_random_poly(rng, 2))   # y-free content
+        a = _random_bipoly(rng, 3, 2, wide=n % 3 == 0) * common
+        b = _random_bipoly(rng, 3, 2) * common
+        if n % 10 == 0:
+            b = BiPoly.zero()
+        if a.is_zero and b.is_zero:
+            continue
+        expected = bi_from_sympy(bi_to_sympy(a).gcd(bi_to_sympy(b))).monic()
+        assert bipoly_gcd(a, b) == expected
+
+
+def test_bipoly_div_exact_matches_sympy():
+    rng = random.Random(7006)
+    for n in range(150):
+        b = _random_bipoly(rng, 3, 2, wide=n % 3 == 0)
+        if b.is_zero:
+            continue
+        a = _random_bipoly(rng, 4, 3)
+        if n % 2 == 0:
+            a = a * b                                      # exact
+        elif n % 4 == 1:
+            a = a * b + _random_bipoly(rng, 2, 2)          # usually inexact
+        q, r = bi_to_sympy(a).div(bi_to_sympy(b))
+        if r.is_zero:
+            assert a.div_exact(b) == bi_from_sympy(q)
+        else:
+            with pytest.raises(ValueError, match="inexact bivariate division"):
+                a.div_exact(b)
