@@ -1,7 +1,7 @@
 """orthoscope: exact orthogonality and internality criteria for planar
 algebraic differential systems, with verified witnesses."""
 
-from .algebra.bipoly import BiPoly, bipoly_gcd, bipoly_partial, resultant_x
+from .algebra.bipoly import BiPoly, bipoly_gcd, resultant_x
 from .algebra.factor import factor_rationals, rational_roots
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
@@ -48,16 +48,12 @@ from .planar import (
 from .ratfunc import (
     INTEGER,
     RATIONAL,
-    DlogWitness,
     DlogWitnessResult,
     HermiteDecomposition,
     PoleSpectrum,
     RatFunc,
-    derivative_witness,
-    dlog,
     dlog_witness,
     hermite_reduce,
-    normalize,
     pole_spectrum,
     ratio_all_rational,
     residue_polynomial,

@@ -1,6 +1,6 @@
 """Exact polynomial and algebraic-number arithmetic over the rationals."""
 
-from .bipoly import BiPoly, bipoly_gcd, bipoly_partial, resultant_uni, resultant_x
+from .bipoly import BiPoly, bipoly_gcd, resultant_uni, resultant_x
 from .factor import (
     factor_rationals,
     is_irreducible,

@@ -7,8 +7,8 @@ rational coefficients are formed only when read. The bivariate gcd here
 reduces the parser's rational functions. The resultant eliminates the
 primary variable from two BiPoly operands via fraction-free Bareiss
 elimination on the Sylvester matrix, returning a UniPoly in the secondary
-variable; it builds the residue polynomial and number-field
-characteristic polynomials, and no verdict goes through it.
+variable; it builds the residue polynomial, and no verdict goes through
+it.
 """
 
 from __future__ import annotations
@@ -351,10 +351,6 @@ def _canonical(content: Fraction, ints: dict[tuple[int, int], int]) -> BiPoly:
         ints = {k: v // g for k, v in ints.items()}
         content = content * g
     return BiPoly(content, ints)
-
-
-def bipoly_partial(p: BiPoly, variable: str) -> BiPoly:
-    return p.partial(variable)
 
 
 # -- resultants -------------------------------------------------------------

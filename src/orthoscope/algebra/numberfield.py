@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, resultant_x
 from .unipoly import UniPoly, _frac, poly_xgcd
 
 
@@ -112,12 +111,6 @@ class NFElement:
         return sum(
             (self.rep.coeff(j) * power_sums[j] for j in range(k)), Fraction(0)
         )
-
-    def charpoly(self, aux_var: str = "t") -> UniPoly:
-        """Characteristic polynomial of the element over Q, monic in aux_var."""
-        q = BiPoly.from_unipoly_x(self.modulus)
-        t_minus_rep = BiPoly.y() - BiPoly.from_unipoly_x(self.rep)
-        return resultant_x(q, t_minus_rep, aux_var).monic()
 
     def to_string(self) -> str:
         return f"root of {self.modulus}, component {self.rep}"

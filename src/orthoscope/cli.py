@@ -1,19 +1,19 @@
 """Command-line interface and command dispatch.
 
-Exit codes: 0 a verdict was produced (any verdict), 2 parse error,
-3 shape or hypothesis error, 4 internal inconsistency (a witness failed
-its verification identity, or a RuntimeError such as a factorization
-that did not split; must never happen).
+Exit codes: 0 a verdict was produced (any verdict), 1 a fixture failed or
+the reader closed standard output early, 2 parse error, 3 shape or
+hypothesis error, 4 internal inconsistency (a witness failed its
+verification identity, or a RuntimeError such as a factorization that did
+not split; must never happen).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .criteria import (
-    STATUS_FOUND,
-    BetaSearchResult,
     SystemVerdict,
     base_orthogonal,
     beta_search_derivative,
@@ -45,15 +45,13 @@ from .planar import (
 from .ratfunc import (
     INTEGER,
     RATIONAL,
-    DlogWitness,
-    RatFunc,
     dlog_witness,
     exact_derivative_part,
     hermite_reduce,
     pole_spectrum,
     spectrum_from_remainder,
 )
-from .report import WITNESS_DERIVATIVE, WITNESS_DLOG, Report, WitnessData, emit
+from .report import Report, emit
 
 from .algebra.bipoly import BiPoly
 
@@ -82,16 +80,14 @@ def _run_function_command(command: str, text: str, residue_class: str) -> Report
     if command == "is-dlog":
         result = dlog_witness(r, residue_class)
         if result.found:
-            wd = WitnessData(WITNESS_DLOG, result.witness.h, result.witness.scaling, r)
-            return Report("is-dlog", "dlog-witness-found", witness=wd,
+            return Report("is-dlog", "dlog-witness-found", witness=result.witness,
                           residues=result.spectrum)
         return Report("is-dlog", "dlog-witness-none", residues=result.spectrum,
                       notes=[f"reason: {result.reason}"])
     herm = hermite_reduce(r)
-    h = exact_derivative_part(r, herm)
-    if h is not None:
-        wd = WitnessData(WITNESS_DERIVATIVE, h, 1, r)
-        return Report("is-derivative", "derivative-witness-found", witness=wd)
+    witness = exact_derivative_part(r, herm)
+    if witness is not None:
+        return Report("is-derivative", "derivative-witness-found", witness=witness)
     return Report("is-derivative", "derivative-witness-none",
                   residues=spectrum_from_remainder(r, herm.remainder))
 
@@ -139,17 +135,19 @@ def _run_system_command(command: str, text: str, residue_class: str,
             sv = classify_log_family(family.f, family.g)
         else:
             sv = classify_derivative_family(family.f, family.g)
-        return _report_from_system_verdict("classify", sv, family)
+        return _report_from_system_verdict("classify", sv)
 
     if command == "beta-log":
         family = _family(source, command, KIND_LOG)
         result = beta_search_log(family.f, family.g, residue_class)
-        return _report_from_beta(command, result, family)
+        return _report_from_system_verdict(
+            command, SystemVerdict(None, result, f"beta-{result.status}", None))
 
     if command == "beta-der":
         family = _family(source, command, KIND_DERIVATIVE)
         result = beta_search_derivative(family.f, family.g)
-        return _report_from_beta(command, result, family)
+        return _report_from_system_verdict(
+            command, SystemVerdict(None, result, f"beta-{result.status}", None))
 
     v = _planar(source, command)
 
@@ -176,10 +174,7 @@ def _run_system_command(command: str, text: str, residue_class: str,
     if command == "lift":
         sv = classify_invariant_line_lift(v)
         lin = sv.linearization
-        report = _report_from_system_verdict(
-            "lift", sv, None,
-            f=RatFunc.from_poly(lin.base_f0), g=RatFunc.from_poly(lin.fiber_hZ),
-        )
+        report = _report_from_system_verdict("lift", sv)
         report.notes.append(
             f"linearized system: x' = {lin.base_f0}; y' = y*({lin.fiber_hZ})"
         )
@@ -221,56 +216,21 @@ def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
     return notes
 
 
-def _witness_data_from_beta(result: BetaSearchResult,
-                            family: UnivariateFamily | None,
-                            f: RatFunc | None = None,
-                            g: RatFunc | None = None) -> WitnessData | None:
-    if result.status != STATUS_FOUND:
-        return None
-    if family is not None:
-        f, g = family.f, family.g
-    target = (g - RatFunc.constant(result.beta, g.var)) / f
-    if isinstance(result.witness, DlogWitness):
-        return WitnessData(WITNESS_DLOG, result.witness.h, result.witness.scaling, target)
-    return WitnessData(WITNESS_DERIVATIVE, result.witness, 1, target)
-
-
-def _report_from_beta(command: str, result: BetaSearchResult,
-                      family: UnivariateFamily | None,
-                      f: RatFunc | None = None, g: RatFunc | None = None) -> Report:
-    notes = [] if result.detail is None else [result.detail]
-    return Report(
-        command,
-        f"beta-{result.status}",
-        beta=result.beta,
-        witness=_witness_data_from_beta(result, family, f, g),
-        residues=result.residue_table,
-        completeness_case=result.completeness_case,
-        notes=notes,
-    )
-
-
-def _report_from_system_verdict(command: str, sv: SystemVerdict,
-                                family: UnivariateFamily | None,
-                                f: RatFunc | None = None,
-                                g: RatFunc | None = None) -> Report:
+def _report_from_system_verdict(command: str, sv: SystemVerdict) -> Report:
     result = sv.fibration
-    witness = None
-    if result is not None and result.status == STATUS_FOUND:
-        witness = _witness_data_from_beta(result, family, f, g)
     notes = []
     if sv.internality_kind is not None:
         notes.append(f"internality kind: {sv.internality_kind}")
-    if result is not None and result.detail:
+    if result.detail:
         notes.append(result.detail)
     return Report(
         command,
         sv.conclusion,
         base=sv.base,
-        beta=None if result is None else result.beta,
-        witness=witness,
-        residues=None if result is None else result.residue_table,
-        completeness_case=None if result is None else result.completeness_case,
+        beta=result.beta,
+        witness=result.witness,
+        residues=result.residue_table,
+        completeness_case=result.completeness_case,
         notes=notes,
     )
 
@@ -322,7 +282,9 @@ def main(argv=None) -> int:
         if args.command == "fixtures":
             from .fixtures import main as fixtures_main
 
-            return fixtures_main(args.action, json_mode=args.json)
+            code = fixtures_main(args.action, json_mode=args.json)
+            sys.stdout.flush()
+            return code
         text = _read_source(args)
         residue_class = getattr(args, "residue_class", RATIONAL)
         gauge_h = getattr(args, "gauge_h", "y")
@@ -333,7 +295,13 @@ def main(argv=None) -> int:
                 line for line in output.splitlines() if not line.startswith("  identity:")
             )
         print(output)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

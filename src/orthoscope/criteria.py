@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .algebra.factor import factor_rationals
 from .algebra.numberfield import NFElement
@@ -22,9 +22,9 @@ from .errors import WitnessVerificationError
 from .ratfunc import (
     INTEGER,
     RATIONAL,
-    DlogWitness,
     PoleSpectrum,
     RatFunc,
+    WitnessData,
     dlog_witness,
     exact_derivative_part,
     hermite_reduce,
@@ -68,7 +68,7 @@ class OrthogonalityVerdict:
 class BetaSearchResult:
     status: str
     beta: Optional[Fraction]
-    witness: Union[DlogWitness, RatFunc, None]
+    witness: Optional[WitnessData]   # target (g - beta)/f
     completeness_case: Optional[str]
     residue_table: Optional[PoleSpectrum]
     detail: Optional[str] = None
@@ -81,7 +81,7 @@ class BetaSearchResult:
 @dataclass(frozen=True)
 class SystemVerdict:
     base: Optional[OrthogonalityVerdict]
-    fibration: Optional[BetaSearchResult]
+    fibration: BetaSearchResult
     conclusion: str
     internality_kind: Optional[str]
 
@@ -339,11 +339,11 @@ def beta_search_derivative(f: RatFunc, g: RatFunc) -> BetaSearchResult:
         beta = ratio.constant_value()
     r = (g - RatFunc.constant(beta, g.var)) / f
     herm = hermite_reduce(r)
-    h = exact_derivative_part(r, herm)
-    if h is None:
+    witness = exact_derivative_part(r, herm)
+    if witness is None:
         raise WitnessVerificationError("derivative witness failed its identity")
     return BetaSearchResult(
-        STATUS_FOUND, beta, h, CASE_B, spectrum_from_remainder(r, herm.remainder), None
+        STATUS_FOUND, beta, witness, CASE_B, spectrum_from_remainder(r, herm.remainder), None
     )
 
 

@@ -3,8 +3,10 @@
 Statements "x' = <expr>" and "y' = <expr>" separated by ";" or newlines;
 expressions over x, y with integer literals, + - * / ^ and parentheses
 (caret takes a nonnegative integer exponent; ratio literals such as 1/2
-fall out of division). A power whose degree would exceed MAX_DEGREE is
-refused before it is expanded. Parsed systems are shape-classified:
+fall out of division). A power, product, quotient, sum or difference whose
+degree bound would exceed MAX_DEGREE is refused before it is expanded, and
+so is an integer literal of more than MAX_LITERAL_DIGITS digits. Parsed
+systems are shape-classified:
 
   y' = y*g(x)  with y-free f, g  ->  log family
   y' = g(x)    with y-free f, g  ->  derivative family
@@ -13,7 +15,7 @@ refused before it is expanded. Parsed systems are shape-classified:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -25,10 +27,14 @@ from .ratfunc import RatFunc
 KIND_LOG = "log"
 KIND_DERIVATIVE = "derivative"
 
-# Largest degree a power may reach; a constant base counts as degree 1, so
-# the exponent itself is bounded too. The fixture corpus and the benchmark
-# workloads raise to powers of degree at most 22.
+# Largest degree bound an operation may reach; a constant base counts as
+# degree 1 in a power, so the exponent itself is bounded too. The fixture
+# corpus and the benchmark workloads stay below degree 30.
 MAX_DEGREE = 1000
+# Longest integer literal; Python's int() refuses longer digit strings.
+MAX_LITERAL_DIGITS = 4300
+
+_RESULT_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,13 @@ class _Parser:
         tok = self.peek()
         acc = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
+            op = self.next()
             rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            if not (acc.is_polynomial and rhs.is_polynomial):  # else within bound
+                a, b = acc.num.total_degree(), acc.den.total_degree()
+                c, d = rhs.num.total_degree(), rhs.den.total_degree()
+                self._bound(max(a + d, c + b, b + d), op)
+            acc = acc + rhs if op.text == "+" else acc - rhs
         if acc is None:
             raise ParseError("empty expression", tok.pos)
         return acc
@@ -142,43 +152,56 @@ class _Parser:
     def parse_term(self) -> BiRatFunc:
         acc = self.parse_factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
+            op = self.next()
             rhs = self.parse_factor()
-            if op == "*":
-                acc = acc * rhs
+            # the bound of a product or quotient is the sum of the operand degrees
+            self._bound(acc.degree + rhs.degree, op)
+            value, other = acc.expand(), rhs.expand()
+            if op.text == "*":
+                value = value * other
             else:
-                if rhs.is_zero:
+                if other.is_zero:
                     raise ParseError("division by zero", self.peek().pos)
-                acc = acc / rhs
-        return acc
+                value = value / other
+            acc = _Factor(value)
+        return acc.expand()
 
-    def parse_factor(self) -> BiRatFunc:
+    def parse_factor(self) -> "_Factor":
         tok = self.peek()
         if tok.kind == "op" and tok.text in "+-":
             self.next()
             inner = self.parse_factor()
-            return inner if tok.text == "+" else -inner
+            return inner if tok.text == "+" else replace(inner, negate=not inner.negate)
         return self.parse_power()
 
-    def parse_power(self) -> BiRatFunc:
-        base = self.parse_atom()
+    def parse_power(self) -> "_Factor":
+        base, exponent = self.parse_atom(), 1
         while self.peek().kind == "op" and self.peek().text == "^":
             self.next()
             tok = self.peek()
             if tok.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
             self.next()
+            if exponent != 1:
+                base = base ** exponent
             digits = tok.text.lstrip("0") or "0"
-            degree = max(base.num.total_degree(), base.den.total_degree(), 1)
             # lengths first: int() refuses a string of more than 4300 digits
-            if len(digits) > len(str(MAX_DEGREE)) or degree * int(digits) > MAX_DEGREE:
-                raise ParseError(f"power exceeds the degree bound {MAX_DEGREE}", tok.pos)
-            base = base ** int(digits)
-        return base
+            exponent = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
+            self._bound(max(_degree(base), 1) * exponent, tok)
+        return _Factor(base, exponent)
+
+    def _bound(self, degree: int, tok: _Token) -> None:
+        """Refuse at tok when the degree bound of its result exceeds MAX_DEGREE."""
+        if degree > MAX_DEGREE:
+            what = _RESULT_NAMES.get(tok.text, "power")
+            raise ParseError(f"{what} exceeds the degree bound {MAX_DEGREE}", tok.pos)
 
     def parse_atom(self) -> BiRatFunc:
         tok = self.peek()
         if tok.kind == "num":
+            if len(tok.text) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", tok.pos)
             self.next()
             return BiRatFunc.from_poly(BiPoly.constant(Fraction(int(tok.text))))
         if tok.kind == "name":
@@ -195,6 +218,28 @@ class _Parser:
             self.expect("op", ")")
             return inner
         raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
+
+
+def _degree(value: BiRatFunc) -> int:
+    return max(value.num.total_degree(), value.den.total_degree())
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """A parsed factor, negated or not, base**exponent, which is expanded
+    only after the operation it enters has been checked against MAX_DEGREE."""
+
+    base: BiRatFunc
+    exponent: int = 1
+    negate: bool = False
+
+    @property
+    def degree(self) -> int:
+        return _degree(self.base) * self.exponent
+
+    def expand(self) -> BiRatFunc:
+        value = self.base ** self.exponent if self.exponent != 1 else self.base
+        return -value if self.negate else value
 
 
 def parse_expression(text: str) -> BiRatFunc:

@@ -2,9 +2,11 @@
 
 Pole spectra with exact residues, the residue polynomial (resultant form),
 Hermite reduction, and logarithmic-derivative membership with verified
-witnesses. Conventions: a rational function r is analyzed as the
-differential form r*dx; the point at infinity is read through the chart
-u = 1/x, under which r*dx maps to -r(1/u)*u^(-2) du.
+witnesses. WitnessData is the one witness record: the searches build it,
+and the report carries and re-verifies it unchanged. Conventions: a
+rational function r is analyzed as the differential form r*dx; the point
+at infinity is read through the chart u = 1/x, under which r*dx maps to
+-r(1/u)*u^(-2) du.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ RATIONAL = "rational"
 REASON_MULTIPLE_POLE = "multiple pole"
 REASON_NON_CLASS_RESIDUE = "non-class residue"
 REASON_IMPROPER_AT_INFINITY = "improper-at-infinity"
+
+WITNESS_DLOG = "dlog"
+WITNESS_DERIVATIVE = "derivative"
 
 
 @dataclass(frozen=True)
@@ -214,14 +219,36 @@ def _needs_parens(p: UniPoly) -> bool:
     return not (c == 1)
 
 
-def normalize(num: UniPoly, den: UniPoly) -> RatFunc:
-    """Reduced rational function with monic denominator."""
-    return RatFunc(num, den)
+@dataclass(frozen=True)
+class WitnessData:
+    """A witness h plus the exact identity it must satisfy against target:
+    dlog(h) = scaling*target (kind dlog) or h' = target (kind derivative)."""
 
+    kind: str            # dlog | derivative
+    h: RatFunc
+    scaling: int
+    target: RatFunc      # the function being witnessed
 
-def dlog(h: RatFunc) -> RatFunc:
-    """h'/h, reduced; rejects zero."""
-    return h.dlog()
+    def verify(self) -> bool:
+        if self.kind == WITNESS_DLOG:
+            return (not self.h.is_zero) and self.h.dlog() == self.target * self.scaling
+        if self.kind == WITNESS_DERIVATIVE:
+            return self.h.derivative() == self.target
+        return False
+
+    def check(self) -> "WitnessData":
+        """self, once verify() holds; raises WitnessVerificationError otherwise."""
+        if not self.verify():
+            raise WitnessVerificationError(
+                f"witness failed its identity: {self.identity_string()}"
+            )
+        return self
+
+    def identity_string(self) -> str:
+        if self.kind == WITNESS_DLOG:
+            lhs = f"{self.scaling}*({self.target})" if self.scaling != 1 else f"{self.target}"
+            return f"dlog({self.h}) = {lhs}"
+        return f"({self.h})' = {self.target}"
 
 
 # -- pole spectra -----------------------------------------------------------------
@@ -429,19 +456,12 @@ def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
     return [(a * t) % m1] + _split_partial((a * s) % rest, moduli[1:])
 
 
-def derivative_witness(r: RatFunc) -> Optional[RatFunc]:
-    """h with h' = r when r is an exact derivative (no residues), else None."""
-    return exact_derivative_part(r, hermite_reduce(r))
-
-
-def exact_derivative_part(r: RatFunc, herm: HermiteDecomposition) -> Optional[RatFunc]:
-    """derivative_witness(r) for a caller that already holds herm = hermite_reduce(r)."""
+def exact_derivative_part(r: RatFunc, herm: HermiteDecomposition) -> Optional[WitnessData]:
+    """A verified witness h with h' = r when r is an exact derivative (no
+    residues), else None; herm is hermite_reduce(r)."""
     if not herm.remainder.is_zero:
         return None
-    h = herm.derivative_part
-    if h.derivative() != r:
-        raise WitnessVerificationError("derivative witness failed its identity")
-    return h
+    return WitnessData(WITNESS_DERIVATIVE, herm.derivative_part, 1, r).check()
 
 
 # -- residue polynomial (Rothstein-Trager form) ------------------------------------------
@@ -497,16 +517,8 @@ def _is_rational_square(q: Fraction) -> bool:
 
 
 @dataclass(frozen=True)
-class DlogWitness:
-    """h and a positive integer N with N*r = dlog(h), verified exactly."""
-
-    h: RatFunc
-    scaling: int
-
-
-@dataclass(frozen=True)
 class DlogWitnessResult:
-    witness: Optional[DlogWitness]
+    witness: Optional[WitnessData]
     reason: Optional[str]
     spectrum: PoleSpectrum   # the projective pole spectrum of r that was read
 
@@ -520,12 +532,11 @@ def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
 
     integer class: N = 1 (exact dlog image). rational class: N = lcm of the
     residue denominators. Absence carries a reason code; presence is
-    verified by recomputing dlog(h) before returning.
+    verified by recomputing dlog(h) before returning. h is the product of
+    the pole loci, each to the power N times its residue.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    if r.is_zero:
-        return _verified(r, RatFunc.one(r.var), 1, PoleSpectrum((), None))
     spectrum = pole_spectrum(r, projective=True)
     if spectrum.infinity_pole is not None and spectrum.infinity_pole.multiplicity >= 2:
         return DlogWitnessResult(None, REASON_IMPROPER_AT_INFINITY, spectrum)
@@ -542,22 +553,12 @@ def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
         scale = 1
     else:
         scale = math.lcm(*(v.denominator for v in values)) if values else 1
-    d = r.den
-    n_scaled = r.num * scale
-    h = RatFunc.one(r.var)
-    for value in sorted({v * scale for v in values}):
-        m = int(value)
-        if m == 0:
-            continue
-        g = poly_gcd(d, n_scaled - value * d.derivative())
-        h = h * RatFunc.from_poly(g) ** m
-    return _verified(r, h, scale, spectrum)
-
-
-def _verified(r: RatFunc, h: RatFunc, scale: int,
-              spectrum: PoleSpectrum) -> DlogWitnessResult:
-    if h.is_zero or h.dlog() != r * scale:
-        raise WitnessVerificationError(
-            f"dlog witness failed: dlog({h}) != {scale}*({r})"
-        )
-    return DlogWitnessResult(DlogWitness(h, scale), None, spectrum)
+    num = den = UniPoly.one(r.var)
+    for entry, value in zip(spectrum.affine_poles, values):
+        m = int(value * scale)
+        if m > 0:
+            num = num * entry.locus ** m
+        elif m < 0:
+            den = den * entry.locus ** -m
+    witness = WitnessData(WITNESS_DLOG, RatFunc(num, den), scale, r)
+    return DlogWitnessResult(witness.check(), None, spectrum)

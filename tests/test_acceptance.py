@@ -73,7 +73,7 @@ def test_criterion_2_derivative_family_classification():
         v1, t1 = timed(lambda: classify_derivative_family(P(X**2 * (X - 1)), P(X)))
         assert v1.conclusion == CONCLUSION_NONORTHOGONAL
         assert v1.fibration.beta == 1
-        h = v1.fibration.witness
+        h = v1.fibration.witness.h
         assert h == RatFunc(UniPoly.constant(-1), X)
         # exact identity: (x - 1)/(x^2 (x - 1)) = (-1/x)'
         assert h.derivative() == RatFunc(X - 1, X**2 * (X - 1))

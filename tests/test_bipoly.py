@@ -5,7 +5,7 @@ from typing import Mapping
 
 import pytest
 
-from orthoscope import BiPoly, UniPoly, bipoly_gcd, bipoly_partial, resultant_x
+from orthoscope import BiPoly, UniPoly, bipoly_gcd, resultant_x
 from orthoscope.algebra.bipoly import resultant_uni
 from orthoscope.algebra.unipoly import _frac
 
@@ -19,14 +19,14 @@ def bp(terms):
 class TestPartials:
     def test_quadratic_fiber_coefficient(self):
         g = bp({(1, 1): 1, (0, 2): Fraction(1, 2)})   # xy + y^2/2
-        assert bipoly_partial(g, "y") == bp({(1, 0): 1, (0, 1): 1})  # x + y
+        assert g.partial("y") == bp({(1, 0): 1, (0, 1): 1})  # x + y
 
     def test_partial_of_constant(self):
-        assert bipoly_partial(BiPoly.constant(7), "x").is_zero
+        assert BiPoly.constant(7).partial("x").is_zero
 
     def test_partial_without_dependence(self):
         p = BiPoly.from_unipoly_x(UniPoly.of([0, 0, 0, -1, 1]))  # x^3(x-1)
-        assert bipoly_partial(p, "y").is_zero
+        assert p.partial("y").is_zero
 
 
 class TestResultant:

@@ -143,9 +143,9 @@ class TestBetaSearchDerivative:
     def test_found_with_witness(self, x):
         r = beta_search_derivative(P(x**2 * (x - 1)), P(x))
         assert r.status == STATUS_FOUND and r.beta == 1
-        assert r.witness == RatFunc(UniPoly.constant(-1), x)
+        assert r.witness.h == RatFunc(UniPoly.constant(-1), x)
         # exact identity: (x - 1)/(x^2(x-1)) = (-1/x)'
-        assert r.witness.derivative() == RatFunc(x - 1, x**2 * (x - 1))
+        assert r.witness.h.derivative() == RatFunc(x - 1, x**2 * (x - 1))
 
     def test_none(self, x):
         r = beta_search_derivative(P(x**2 * (x - 1) * (x + 1)), P(x))
@@ -153,7 +153,7 @@ class TestBetaSearchDerivative:
 
     def test_zero_fiber_trivial(self, x):
         r = beta_search_derivative(P(x**17 - 3), RatFunc.zero())
-        assert r.status == STATUS_FOUND and r.beta == 0 and r.witness.is_zero
+        assert r.status == STATUS_FOUND and r.beta == 0 and r.witness.h.is_zero
 
 
 class TestClassifiers:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NFElement, UniPoly
+from orthoscope import NFElement
 
 from conftest import random_unipoly
 
@@ -43,11 +43,6 @@ class TestBasics:
         cbrt2 = NFElement.of(x, x**3 - 2)
         assert cbrt2.trace() == 0
         assert (cbrt2 * cbrt2 + cbrt2 + 5).trace() == 15
-
-    def test_charpoly(self, sqrt2, x):
-        assert sqrt2.charpoly() == UniPoly.of([-2, 0, 1], "t")
-        half = NFElement.of(Fraction(1, 2), x**2 - 2)
-        assert half.charpoly() == UniPoly.of([Fraction(1, 4), -1, 1], "t")
 
     def test_serialization(self, sqrt2):
         assert sqrt2.to_string() == "root of x^2 - 2, component x"

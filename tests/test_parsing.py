@@ -67,6 +67,24 @@ class TestGrammar:
                 parse_expression(text)
             assert exc.value.position == text.rindex("^") + 1, text
 
+    def test_operation_degree_bound(self):
+        for text in ("x^1000 + x^1000", "2^1000*x", "x^500*x^500", "(x^2/y)^250/y^500",
+                     "1/x^500 + 1/x^500", "x^999*(x + 1)"):
+            parse_expression(text)
+        for text, op in (("(x+1)^1000*(x+1)^1000", "*"), ("x^600*(x^600)", "*"),
+                         ("x*-x^1000", "*"), ("x^600/(x + 1)^600", "/"),
+                         ("1/x^600 + 1/x^500", "+"), ("1/x^600 - x^500", "-")):
+            with pytest.raises(ParseError) as exc:
+                parse_expression(text)
+            assert exc.value.position == text.rindex(op), text
+
+    def test_literal_length_bound(self):
+        assert parse_expression("9" * 4300).num.coeff(0, 0) == 10**4300 - 1
+        text = "x + " + "9" * 4301
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert exc.value.position == 4
+
     def test_missing_statement(self):
         with pytest.raises(ParseError):
             parse_system("x' = x")

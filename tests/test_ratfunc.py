@@ -11,12 +11,12 @@ from orthoscope import (
     NFElement,
     RatFunc,
     UniPoly,
-    derivative_witness,
-    dlog,
     dlog_witness,
     hermite_reduce,
     pole_spectrum,
+    poly_gcd,
     poly_xgcd,
+    rational_roots,
     ratio_all_rational,
     residue_polynomial,
     resultant_x,
@@ -27,8 +27,10 @@ from orthoscope.ratfunc import (
     REASON_IMPROPER_AT_INFINITY,
     REASON_MULTIPLE_POLE,
     REASON_NON_CLASS_RESIDUE,
+    WITNESS_DLOG,
     HermiteDecomposition,
     _split_partial,
+    exact_derivative_part,
 )
 from orthoscope.errors import WitnessVerificationError
 
@@ -93,6 +95,40 @@ def ratio_oracle(rho: UniPoly) -> bool:
             return False
         total += mult * nroots
     return total == n * n
+
+
+def witness_oracle(r: RatFunc, scale: int) -> RatFunc:
+    """The dlog witness by one gcd per distinct scaled residue c: the loci
+    with residue c/scale are gcd(d, scale*n - c*d') for r = n/d squarefree,
+    and h is the product of these gcds to the power c. The residues come
+    from the rational roots of the residue polynomial, not the spectrum."""
+    d, n = r.den, r.num
+    h = RatFunc.one()
+    for value in sorted(rational_roots(residue_polynomial(r))):
+        c = value * scale
+        if c != 0:
+            h = h * RatFunc.from_poly(poly_gcd(d, n * scale - c * d.derivative())) ** int(c)
+    return h
+
+
+def random_simple_pole_dlog(rng: random.Random) -> tuple[RatFunc, set[str]]:
+    """r = sum of c_i*q_i'/q_i over distinct monic irreducible loci q_i, so the
+    residue at every root of q_i is the rational c_i; also the features drawn."""
+    x = UniPoly.variable()
+    pool = [x - a for a in range(-4, 5)] + [x - Fraction(a, 3) for a in (-2, -1, 1, 2)]
+    pool += [x**2 - 2, x**2 + 1, x**2 + x + 1, x**2 - 3, x**3 - 2, x**3 - x - 1]
+    integer = rng.random() < 0.4
+    features = {"integer" if integer else "rational"}
+    r = RatFunc.zero()
+    for q in rng.sample(pool, rng.randint(1, 4)):
+        if integer:
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        else:
+            c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+        if q.degree >= 2:
+            features.add("irreducible-locus")
+        r = r + RatFunc(q.derivative() * c, q)
+    return r, features
 
 
 def random_ratfunc_with_multiple_poles(rng: random.Random) -> RatFunc:
@@ -330,17 +366,17 @@ class TestHermite:
 
 class TestDlog:
     def test_monomial(self, x):
-        assert dlog(RatFunc.from_poly(x)) == RatFunc(UniPoly.one(), x)
+        assert RatFunc.from_poly(x).dlog() == RatFunc(UniPoly.one(), x)
 
     def test_quotient(self, x):
-        assert dlog(RatFunc(x - 1, x)) == RatFunc(UniPoly.one(), x * (x - 1))
+        assert RatFunc(x - 1, x).dlog() == RatFunc(UniPoly.one(), x * (x - 1))
 
     def test_constant(self):
-        assert dlog(RatFunc.constant(7)).is_zero
+        assert RatFunc.constant(7).dlog().is_zero
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            dlog(RatFunc.zero())
+            RatFunc.zero().dlog()
 
 
 class TestDlogWitness:
@@ -372,6 +408,25 @@ class TestDlogWitness:
         res = dlog_witness(RatFunc.zero(), INTEGER)
         assert res.found and res.witness.h == RatFunc.one() and res.witness.scaling == 1
         assert res.spectrum == pole_spectrum(RatFunc.zero())
+
+    def test_irreducible_locus_with_rational_residue(self, x):
+        r = RatFunc(2 * x, x**2 - 2)
+        witness = dlog_witness(r, INTEGER).witness
+        assert witness.h == RatFunc.from_poly(x**2 - 2) and witness.target == r
+
+    def test_matches_gcd_witness_oracle(self):
+        rng = random.Random(11)
+        seen = {"integer": 0, "rational": 0, "irreducible-locus": 0, "scaled": 0}
+        for _ in range(240):
+            r, features = random_simple_pole_dlog(rng)
+            klass = INTEGER if "integer" in features else RATIONAL
+            witness = dlog_witness(r, klass).witness
+            assert witness.kind == WITNESS_DLOG and witness.target == r
+            assert witness.h == witness_oracle(r, witness.scaling), r
+            for feature in features:
+                seen[feature] += 1
+            seen["scaled"] += witness.scaling > 1
+        assert min(seen.values()) >= 40, seen
 
     def test_soundness_and_completeness_smoke(self):
         # the full 100-instance suite lives in the acceptance suite
@@ -428,8 +483,10 @@ class TestRatioAllRational:
 
 class TestDerivativeWitness:
     def test_found(self, x):
-        h = derivative_witness(RatFunc(x + 2, x**3))
-        assert h is not None and h.derivative() == RatFunc(x + 2, x**3)
+        r = RatFunc(x + 2, x**3)
+        witness = exact_derivative_part(r, hermite_reduce(r))
+        assert witness is not None and witness.h.derivative() == r
 
     def test_not_a_derivative(self, x):
-        assert derivative_witness(RatFunc(UniPoly.one(), x)) is None
+        r = RatFunc(UniPoly.one(), x)
+        assert exact_derivative_part(r, hermite_reduce(r)) is None

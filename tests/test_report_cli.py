@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import orthoscope
 from orthoscope import RatFunc, emit
 from orthoscope.cli import main, run
-from orthoscope.errors import WitnessVerificationError
+from orthoscope.errors import OrthoscopeError, WitnessVerificationError
 from orthoscope.fixtures import Fixture, load_corpus, run_corpus, run_fixture
+from orthoscope.parsing import parse_system, parse_univariate
+from orthoscope.planar import linearize_along_line
 from orthoscope.report import WITNESS_DLOG, Report, WitnessData
 
 
@@ -94,6 +101,30 @@ class TestCliExitCodes:
         assert main(["classify", "x' = (x+1)^3000; y' = y*x"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "exceeds the degree bound" in capsys.readouterr().err
+
+    def test_input_budgets_exit_two_within_a_second(self, capsys):
+        for source, message in (
+            ("x' = (x+1)^1000*(x+1)^1000; y' = y*x", "product exceeds the degree bound"),
+            ("x' = " + "9" * 5000 + "*x; y' = y*x", "integer literal longer than 4300 digits"),
+        ):
+            start = time.perf_counter()
+            assert main(["classify", source]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert message in capsys.readouterr().err
+
+    def test_closed_pipe_exits_one_quietly(self):
+        # the witness identity runs to about 170 kB, more than a pipe holds,
+        # so the writer is still writing when the reader goes away
+        env = dict(os.environ, PYTHONPATH=str(Path(orthoscope.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orthoscope.cli", "is-derivative", "--witness",
+             "(x+1)^500"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"command: is-derivative\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_shape_error_exit_three(self, capsys):
         assert main(["lift", "x' = x; y' = x + y"]) == 3
@@ -186,3 +217,36 @@ class TestCliExitCodes:
         assert main(["linearize", "x' = x^3*(x-1) + y; y' = x*y + x*y^2"]) == 0
         out = capsys.readouterr().out
         assert "x' = x^4 - x^3; y' = y*(x)" in out
+
+
+class TestWitnessTargets:
+    COMMANDS = ("classify", "beta-log", "beta-der", "lift", "is-dlog", "is-derivative")
+
+    def test_report_binds_the_ratfunc_witness_type(self):
+        assert orthoscope.report.WitnessData is orthoscope.ratfunc.WitnessData
+
+    def test_target_is_the_searched_function(self):
+        """The witness a report carries is checked against (g - beta)/f, with
+        f and g read from the input, or against the input function itself."""
+        checked = {}
+        for fx in load_corpus():
+            for command in self.COMMANDS:
+                try:
+                    report = run(command, fx.source, fx.residue_class, fx.gauge_h)
+                except OrthoscopeError:
+                    continue
+                if report.witness is None:
+                    continue
+                if command in ("is-dlog", "is-derivative"):
+                    want = parse_univariate(fx.source)
+                else:
+                    parsed = parse_system(fx.source).parsed
+                    if command == "lift":
+                        lin = linearize_along_line(parsed.v)
+                        f, g = RatFunc.from_poly(lin.base_f0), RatFunc.from_poly(lin.fiber_hZ)
+                    else:
+                        f, g = parsed.f, parsed.g
+                    want = (g - RatFunc.constant(report.beta)) / f
+                assert report.witness.target == want, (command, fx.source)
+                checked[command] = checked.get(command, 0) + 1
+        assert set(checked) == set(self.COMMANDS), checked
