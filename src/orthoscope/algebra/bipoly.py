@@ -70,10 +70,6 @@ class BiPoly:
     def from_unipoly_x(p: UniPoly) -> "BiPoly":
         return BiPoly(p.content, {(k, 0): v for k, v in enumerate(p.prim) if v})
 
-    @staticmethod
-    def from_unipoly_y(p: UniPoly) -> "BiPoly":
-        return BiPoly(p.content, {(0, k): v for k, v in enumerate(p.prim) if v})
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -122,9 +118,6 @@ class BiPoly:
 
     def is_y_free(self) -> bool:
         return all(j == 0 for _, j in self.prim)
-
-    def is_x_free(self) -> bool:
-        return all(i == 0 for i, _ in self.prim)
 
     # -- ring operations ----------------------------------------------
 

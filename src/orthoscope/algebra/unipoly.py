@@ -258,9 +258,6 @@ class UniPoly:
             return self
         return UniPoly(Fraction(1, self.prim[-1]), self.prim, self.var)
 
-    def renamed(self, var: str) -> "UniPoly":
-        return UniPoly(self.content, self.prim, var)
-
     # -- printing --------------------------------------------------------
 
     def to_string(self) -> str:

@@ -49,7 +49,6 @@ from .ratfunc import (
     exact_derivative_part,
     hermite_reduce,
     pole_spectrum,
-    spectrum_from_remainder,
 )
 from .report import Report, emit
 
@@ -89,7 +88,7 @@ def _run_function_command(command: str, text: str, residue_class: str) -> Report
     if witness is not None:
         return Report("is-derivative", "derivative-witness-found", witness=witness)
     return Report("is-derivative", "derivative-witness-none",
-                  residues=spectrum_from_remainder(r, herm.remainder))
+                  residues=herm.spectrum)
 
 
 def _family(source: SystemSource, command: str, kind: str | None = None) -> UnivariateFamily:

@@ -30,7 +30,6 @@ from .ratfunc import (
     hermite_reduce,
     pole_spectrum,
     ratio_all_rational,
-    spectrum_from_remainder,
 )
 
 EVIDENCE_MULTIPLE_AND_SIMPLE = "multiple-and-simple-pole"
@@ -93,7 +92,7 @@ def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
     """Orthogonality of the base equation x' = f(x) from the spectrum of (1/f)dx."""
     if f.is_zero:
         raise ValueError("base coefficient f must be nonzero")
-    spectrum = pole_spectrum(RatFunc.one(f.var) / f, projective=True)
+    spectrum = pole_spectrum(RatFunc.one(f.var) / f)
     if f.is_polynomial and f.num.degree <= 1:
         return OrthogonalityVerdict(False, EVIDENCE_DEGENERATE, spectrum)
     if spectrum.has_multiple_pole() and spectrum.has_simple_pole():
@@ -343,7 +342,7 @@ def beta_search_derivative(f: RatFunc, g: RatFunc) -> BetaSearchResult:
     if witness is None:
         raise WitnessVerificationError("derivative witness failed its identity")
     return BetaSearchResult(
-        STATUS_FOUND, beta, witness, CASE_B, spectrum_from_remainder(r, herm.remainder), None
+        STATUS_FOUND, beta, witness, CASE_B, herm.spectrum, None
     )
 
 

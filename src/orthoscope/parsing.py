@@ -135,7 +135,6 @@ class _Parser:
     # expression grammar: sum of products of signed powers
 
     def parse_expr(self) -> BiRatFunc:
-        tok = self.peek()
         acc = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next()
@@ -145,8 +144,6 @@ class _Parser:
                 c, d = rhs.num.total_degree(), rhs.den.total_degree()
                 self._bound(max(a + d, c + b, b + d), op)
             acc = acc + rhs if op.text == "+" else acc - rhs
-        if acc is None:
-            raise ParseError("empty expression", tok.pos)
         return acc
 
     def parse_term(self) -> BiRatFunc:

@@ -1,12 +1,12 @@
 """Rational functions on the projective line.
 
-Pole spectra with exact residues, the residue polynomial (resultant form),
-Hermite reduction, and logarithmic-derivative membership with verified
-witnesses. WitnessData is the one witness record: the searches build it,
-and the report carries and re-verifies it unchanged. Conventions: a
-rational function r is analyzed as the differential form r*dx; the point
-at infinity is read through the chart u = 1/x, under which r*dx maps to
--r(1/u)*u^(-2) du.
+Hermite reduction, which also reads off the pole spectrum with exact
+residues, the residue polynomial (resultant form), and logarithmic-derivative
+membership with verified witnesses. WitnessData is the one witness record:
+the searches build it, and the report carries and re-verifies it unchanged.
+Conventions: a rational function r is analyzed as the differential form
+r*dx; the point at infinity is read through the chart u = 1/x, under which
+r*dx maps to -r(1/u)*u^(-2) du.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .algebra.unipoly import (
     _frac,
     poly_gcd,
     poly_xgcd,
-    squarefree_decompose,
 )
 from .errors import WitnessVerificationError
 
@@ -61,19 +60,6 @@ class RatFunc:
         object.__setattr__(self, "den", den * scale)
 
     # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def of(num, den=1) -> "RatFunc":
-        var = "x"
-        if isinstance(num, UniPoly):
-            var = num.var
-        elif isinstance(den, UniPoly):
-            var = den.var
-        if not isinstance(num, UniPoly):
-            num = UniPoly.constant(_frac(num), var)
-        if not isinstance(den, UniPoly):
-            den = UniPoly.constant(_frac(den), var)
-        return RatFunc(num, den)
 
     @staticmethod
     def from_poly(p: UniPoly) -> "RatFunc":
@@ -317,37 +303,9 @@ class PoleSpectrum:
         return total
 
 
-def pole_spectrum(r: RatFunc, projective: bool = True) -> PoleSpectrum:
-    """Pole loci with multiplicities and exact order-1 residues of r*dx.
-
-    Residues at higher-order poles come from the Hermite remainder (the
-    derivative part contributes no residue anywhere).
-    """
-    remainder = hermite_reduce(r).remainder if r.den.degree >= 1 else RatFunc.zero(r.var)
-    return spectrum_from_remainder(r, remainder, projective)
-
-
-def spectrum_from_remainder(r: RatFunc, remainder: RatFunc,
-                            projective: bool = True) -> PoleSpectrum:
-    """pole_spectrum(r) for a caller that already holds hermite_reduce(r).remainder."""
-    affine: list[PoleEntry] = []
-    if r.den.degree >= 1:
-        for q, e in factor_rationals(r.den).parts:
-            affine.append(PoleEntry(q, e, _residue_of_simple(remainder, q)))
-    inf = _infinity_pole(r) if projective else None
-    return PoleSpectrum(tuple(affine), inf)
-
-
-def _residue_of_simple(rem: RatFunc, q: UniPoly) -> Residue:
-    """Residue class at the roots of q for a remainder with squarefree denominator."""
-    if rem.is_zero or not (rem.den % q).is_zero:
-        return Fraction(0)
-    bprime = rem.den.derivative()
-    inv = NFElement(bprime, q).inverse()
-    val = NFElement(rem.num, q) * inv
-    if val.is_rational:
-        return val.as_fraction()
-    return val
+def pole_spectrum(r: RatFunc) -> PoleSpectrum:
+    """Pole loci with multiplicities and exact order-1 residues of r*dx on P^1."""
+    return hermite_reduce(r).spectrum
 
 
 def _infinity_pole(r: RatFunc) -> Optional[InfinityPole]:
@@ -384,11 +342,13 @@ class HermiteDecomposition:
     """r = derivative(derivative_part) + remainder, exactly.
 
     The remainder is proper with squarefree denominator; the derivative part
-    also absorbs the antiderivative of the polynomial part of r.
+    also absorbs the antiderivative of the polynomial part of r. spectrum is
+    the projective pole spectrum of r*dx, read off on the way.
     """
 
     derivative_part: RatFunc
     remainder: RatFunc
+    spectrum: PoleSpectrum
 
     def reconstruct(self) -> RatFunc:
         return self.derivative_part.derivative() + self.remainder
@@ -397,19 +357,26 @@ class HermiteDecomposition:
 def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
     """Exact Hermite reduction by per-factor integration by parts.
 
-    For a squarefree factor p of multiplicity e, step j = e..2 splits off
-    c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
-    over p^(e-1), so each factor costs one rational-function addition
-    (Bronstein, Symbolic Integration I, section 2.2).
+    The denominator is factored once. Its irreducible loci, grouped by
+    multiplicity, give the squarefree factors. For a factor p of
+    multiplicity e, step j = e..2 splits off c_j/p^(j-1); the steps are
+    folded by Horner's rule into one numerator over p^(e-1), so each factor
+    costs one rational-function addition. What is left is a/p, and its
+    residue at the roots of a locus q | p is a/p' = a*t mod q, with
+    t = 1/p' mod p from the same gcd (Bronstein, Symbolic Integration I,
+    sections 2.2 and 2.5).
     """
     var = r.var
-    if r.is_zero:
-        return HermiteDecomposition(RatFunc.zero(var), RatFunc.zero(var))
     polypart, n0 = divmod(r.num, r.den)
     h = RatFunc.from_poly(polypart.antiderivative())
     rem = RatFunc.zero(var)
-    if r.den.degree >= 1 and not n0.is_zero:
-        parts = squarefree_decompose(r.den).parts
+    loci = factor_rationals(r.den).parts if r.den.degree >= 1 else ()
+    groups: dict[int, list[UniPoly]] = {}
+    for q, e in loci:
+        groups.setdefault(e, []).append(q)
+    parts = [(math.prod(qs[1:], start=qs[0]), e) for e, qs in sorted(groups.items())]
+    residues: dict[UniPoly, Residue] = {}
+    if loci:
         powers = [_powers(p, e) for p, e in parts]
         numerators = _split_partial(n0, [pw[-1] for pw in powers])
         for (p, e), pw, a in zip(parts, powers, numerators):
@@ -425,14 +392,20 @@ def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
                 for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
                     acc = acc * p + c
                 h = h + RatFunc(acc, pw[e - 1])
-            rem = rem + RatFunc(a % p, p)
+            a = a % p
+            for q in groups[e]:
+                value = NFElement(a * t, q)
+                residues[q] = value.as_fraction() if value.is_rational else value
+            rem = rem + RatFunc(a, p)
     # dropped polynomial quotients along the way surface here, exactly
     defect = r - h.derivative() - rem
     if defect.den.degree != 0:
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
     if not defect.is_zero:
         h = h + RatFunc.from_poly(defect.num.antiderivative())
-    return HermiteDecomposition(h, rem)
+    spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
+                            _infinity_pole(r))
+    return HermiteDecomposition(h, rem, spectrum)
 
 
 def _powers(p: UniPoly, e: int) -> list[UniPoly]:
@@ -537,7 +510,7 @@ def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    spectrum = pole_spectrum(r, projective=True)
+    spectrum = pole_spectrum(r)
     if spectrum.infinity_pole is not None and spectrum.infinity_pole.multiplicity >= 2:
         return DlogWitnessResult(None, REASON_IMPROPER_AT_INFINITY, spectrum)
     if spectrum.has_affine_multiple():

@@ -190,7 +190,7 @@ def numerical_residue_crosscheck(count: int = 200, tol: float = 1e-9) -> None:
         if den.degree < 1:
             continue
         r = random_proper_ratfunc(rng, den)
-        spectrum = pole_spectrum(r, projective=False)
+        spectrum = pole_spectrum(r)
         dprime = r.den.derivative()
         checks = []
         for entry in spectrum.affine_poles:

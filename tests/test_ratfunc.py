@@ -28,7 +28,6 @@ from orthoscope.ratfunc import (
     REASON_MULTIPLE_POLE,
     REASON_NON_CLASS_RESIDUE,
     WITNESS_DLOG,
-    HermiteDecomposition,
     _split_partial,
     exact_derivative_part,
 )
@@ -161,12 +160,13 @@ def random_ratfunc_with_multiple_poles(rng: random.Random) -> RatFunc:
             r = r + RatFunc(u, q ** (e - 1)).derivative()
 
 
-def hermite_oracle(r: RatFunc) -> HermiteDecomposition:
+def hermite_oracle(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     """Hermite reduction with one rational-function addition per step and
-    every power of p recomputed: the reference that hermite_reduce must match."""
+    every power of p recomputed: the (derivative part, remainder) that
+    hermite_reduce must match."""
     var = r.var
     if r.is_zero:
-        return HermiteDecomposition(RatFunc.zero(var), RatFunc.zero(var))
+        return RatFunc.zero(var), RatFunc.zero(var)
     polypart, n0 = divmod(r.num, r.den)
     h = RatFunc.from_poly(polypart.antiderivative())
     rem = RatFunc.zero(var)
@@ -189,7 +189,7 @@ def hermite_oracle(r: RatFunc) -> HermiteDecomposition:
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
     if not defect.is_zero:
         h = h + RatFunc.from_poly(defect.num.antiderivative())
-    return HermiteDecomposition(h, rem)
+    return h, rem
 
 
 def random_ratfunc_with_high_multiplicities(rng: random.Random) -> RatFunc:
@@ -288,6 +288,36 @@ class TestPoleSpectrum:
         (entry,) = s.affine_poles
         assert entry.multiplicity == 2 and entry.residue == 1
 
+    def test_one_factorization_per_spectrum(self, x, monkeypatch):
+        import sys
+
+        from orthoscope import ratfunc
+        from orthoscope.algebra import factor
+
+        calls = {}
+
+        def count(fn):
+            # wrap fn in every orthoscope module that binds it
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            calls[fn.__name__] = 0
+            for name, module in list(sys.modules.items()):
+                if name.startswith("orthoscope"):
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, wrapper)
+
+        count(ratfunc.factor_rationals)
+        count(factor.squarefree_decompose)
+        r = RatFunc(x**3 + 1, (x - 2) ** 3 * (x**2 + 1) * x)
+        s = pole_spectrum(r)
+        assert calls == {"factor_rationals": 1, "squarefree_decompose": 1}
+        assert [(e.locus, e.multiplicity) for e in s.affine_poles] == [
+            (x - 2, 3), (x, 1), (x**2 + 1, 1)
+        ]
+
 
 class TestResiduePolynomial:
     def test_two_simple_poles(self, x):
@@ -357,11 +387,13 @@ class TestHermite:
         for _ in range(150):
             r = random_ratfunc_with_high_multiplicities(rng)
             assert not divmod(r.num, r.den)[0].is_zero
-            assert hermite_reduce(r) == hermite_oracle(r)
+            herm = hermite_reduce(r)
+            assert (herm.derivative_part, herm.remainder) == hermite_oracle(r)
 
     def test_agrees_with_hermite_oracle_at_multiplicity_40(self, x):
         r = RatFunc(3 * x**41 - x**7 + 5 * x - 2, (x - 1) ** 40)
-        assert hermite_reduce(r) == hermite_oracle(r)
+        herm = hermite_reduce(r)
+        assert (herm.derivative_part, herm.remainder) == hermite_oracle(r)
 
 
 class TestDlog:

@@ -10,9 +10,12 @@ sympy = pytest.importorskip("sympy")
 
 from orthoscope import (
     BiPoly,
+    NFElement,
+    RatFunc,
     UniPoly,
     bipoly_gcd,
     factor_rationals,
+    pole_spectrum,
     poly_gcd,
     squarefree_decompose,
 )
@@ -145,3 +148,68 @@ def test_bipoly_div_exact_matches_sympy():
         else:
             with pytest.raises(ValueError, match="inexact bivariate division"):
                 a.div_exact(b)
+
+
+# Irreducible loci over Q: linear, quadratic and cubic.
+_LOCI = [[-3, 1], [Fraction(1, 2), 1], [2, 1], [0, 1], [1, 0, 1], [-2, 0, 1],
+         [1, 1, 1], [3, 2, 1], [-2, 0, 0, 1], [-1, -1, 0, 1], [1, -3, 0, 1]]
+
+
+def _random_pole_function(rng: random.Random) -> RatFunc:
+    """n/d with d a product of 1..3 distinct loci at multiplicities 1..4,
+    deg d <= 9 unless d is a single locus power, and n random of degree up
+    to deg d + 1."""
+    while True:
+        den = UniPoly.one()
+        loci = rng.sample(_LOCI, rng.randint(1, 3))
+        for coeffs in loci:
+            den = den * UniPoly.of(coeffs) ** rng.randint(1, 4)
+        if den.degree <= 9 or len(loci) == 1:
+            break
+    num = UniPoly.of([rng.randint(-9, 9) for _ in range(int(den.degree) + 2)])
+    return RatFunc(num if not num.is_zero else UniPoly.one(), den)
+
+
+def test_residues_match_apart():
+    """Residue classes against sympy: apart splits r over Q into local parts
+    R_q = sum of B_k/q^k. At a simple pole, or at a linear locus, the
+    residue class at the roots of q is B_1/q' mod q. Otherwise B/q^k with
+    k >= 2 has residues too (1/(x^2+1)^2 has -i/4 at i), so Horowitz-
+    Ostrogradsky (ratint_ratpart) first writes R_q = A' + N/D with D
+    squarefree, and the class is N/D' mod q.
+    """
+    from sympy.integrals.rationaltools import ratint_ratpart
+
+    rng = random.Random(7007)
+    algebraic = multiple = 0
+    for _ in range(150):
+        r = _random_pole_function(rng)
+        den = to_sympy(r.den).as_expr()
+        expected = {}
+        for base, m in sympy.factor_list(den)[1]:
+            expected[from_sympy(sympy.Poly(base, X).monic())] = m
+        local = {}      # locus -> its apart terms, as (numerator, q-power)
+        for term in sympy.Add.make_args(sympy.apart(to_sympy(r.num).as_expr() / den, X)):
+            t_num, t_den = (sympy.Poly(part, X, domain=sympy.QQ) for part in sympy.fraction(term))
+            if t_den.degree() > 0:
+                base, k = t_den.monic().sqf_list()[1][0]
+                local.setdefault(from_sympy(base), []).append((t_num * t_den.LC() ** -1, k))
+        spectrum = pole_spectrum(r)
+        assert {e.locus: e.multiplicity for e in spectrum.affine_poles} == expected
+        for entry in spectrum.affine_poles:
+            q, e = to_sympy(entry.locus), entry.multiplicity
+            terms = local[entry.locus]
+            if e >= 2 and q.degree() >= 2:
+                r_num = sum((n * q ** (e - k) for n, k in terms), sympy.Poly(0, X))
+                _, log_part = ratint_ratpart(r_num, q ** e, X)
+                n, d = (sympy.Poly(part, X, domain=sympy.QQ)
+                        for part in sympy.fraction(log_part))
+            else:   # B/(x - a)^k has no residue for k >= 2
+                n, d = sum((n for n, k in terms if k == 1), sympy.Poly(0, X)), q
+            c = n if n.is_zero else (n * d.diff(X).invert(q)).rem(q)
+            rep = entry.residue.rep if isinstance(entry.residue, NFElement) \
+                else UniPoly.constant(entry.residue)
+            assert rep.coeffs == from_sympy(c).coeffs, (r, entry.locus)
+            algebraic += isinstance(entry.residue, NFElement)
+            multiple += entry.multiplicity >= 2 and entry.locus.degree >= 2
+    assert algebraic and multiple
