@@ -144,7 +144,7 @@ def _run_system_command(command: str, text: str, residue_class: str,
 
     if command == "beta-der":
         family = _family(source, command, KIND_DERIVATIVE)
-        result = beta_search_derivative(family.f, family.g)
+        result = beta_search_derivative(family.f, family.g, base_orthogonal(family.f))
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))
 

@@ -1,6 +1,7 @@
 """Decision procedures for base orthogonality and fiber internality.
 
-base_orthogonal reads the projective pole spectrum of (1/f)dx. The beta
+base_orthogonal reads the projective pole spectrum of (1/f)dx off its
+Hermite reduction, which the derivative-family search reuses. The beta
 searches decide whether some constant shift of g makes (g - beta)/f a scaled
 logarithmic derivative (log family) or an exact derivative (derivative
 family). Both searches return verified witnesses; the log search is complete
@@ -22,13 +23,13 @@ from .errors import WitnessVerificationError
 from .ratfunc import (
     INTEGER,
     RATIONAL,
+    HermiteDecomposition,
     PoleSpectrum,
     RatFunc,
     WitnessData,
     dlog_witness,
     exact_derivative_part,
     hermite_reduce,
-    pole_spectrum,
     ratio_all_rational,
 )
 
@@ -60,7 +61,11 @@ KIND_ALMOST = "almost"
 class OrthogonalityVerdict:
     orthogonal: bool
     evidence: str
-    spectrum: PoleSpectrum
+    hermite: HermiteDecomposition   # of 1/f
+
+    @property
+    def spectrum(self) -> PoleSpectrum:
+        return self.hermite.spectrum
 
 
 @dataclass(frozen=True)
@@ -92,16 +97,17 @@ def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
     """Orthogonality of the base equation x' = f(x) from the spectrum of (1/f)dx."""
     if f.is_zero:
         raise ValueError("base coefficient f must be nonzero")
-    spectrum = pole_spectrum(RatFunc.one(f.var) / f)
+    herm = hermite_reduce(RatFunc.one(f.var) / f)
+    spectrum = herm.spectrum
     if f.is_polynomial and f.num.degree <= 1:
-        return OrthogonalityVerdict(False, EVIDENCE_DEGENERATE, spectrum)
+        return OrthogonalityVerdict(False, EVIDENCE_DEGENERATE, herm)
     if spectrum.has_multiple_pole() and spectrum.has_simple_pole():
-        return OrthogonalityVerdict(True, EVIDENCE_MULTIPLE_AND_SIMPLE, spectrum)
+        return OrthogonalityVerdict(True, EVIDENCE_MULTIPLE_AND_SIMPLE, herm)
     if spectrum.only_simple_poles():
         if ratio_all_rational(spectrum):
-            return OrthogonalityVerdict(False, EVIDENCE_RATIONAL_RATIOS, spectrum)
-        return OrthogonalityVerdict(True, EVIDENCE_IRRATIONAL_RATIO, spectrum)
-    return OrthogonalityVerdict(False, EVIDENCE_NO_SIMPLE_POLE, spectrum)
+            return OrthogonalityVerdict(False, EVIDENCE_RATIONAL_RATIOS, herm)
+        return OrthogonalityVerdict(True, EVIDENCE_IRRATIONAL_RATIO, herm)
+    return OrthogonalityVerdict(False, EVIDENCE_NO_SIMPLE_POLE, herm)
 
 
 # -- affine-in-beta condition solving ----------------------------------------
@@ -217,8 +223,7 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
     dprime = d.derivative()
     anchored = m.coeff(d_deg - 1) != 0 if d_deg >= 1 else False
     integrality: list[tuple[Fraction, Fraction]] = []
-    soft_exists = False
-    soft_status, soft_pin = _FREE, None
+    soft: list[tuple[Fraction, Fraction]] = []
     for q, _ in parts:
         inv = NFElement(dprime, q).inverse()
         a_el = NFElement(n, q) * inv
@@ -238,18 +243,10 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
                 anchored = True
             integrality.append((a0, b0))
         else:
-            soft_exists = True
-            st, pin = _solve_affine(
-                [(a_tail.coeff(k), b_tail.coeff(k)) for k in range(int(q.degree))]
-            )
-            if st == _EMPTY:
-                soft_status = _EMPTY
-            elif st == _PINNED:
-                if soft_status == _PINNED and soft_pin != pin:
-                    soft_status = _EMPTY
-                elif soft_status != _EMPTY:
-                    soft_status, soft_pin = _PINNED, pin
+            # b_tail != 0, so this locus alone pins beta or is unsatisfiable
+            soft.extend((a_tail.coeff(k), b_tail.coeff(k)) for k in range(int(q.degree)))
 
+    soft_status, soft_pin = _solve_affine(soft)
     if soft_status == _EMPTY:
         if anchored:
             return BetaSearchResult(
@@ -310,17 +307,18 @@ def _test_candidate(
 # -- the derivative-family beta search ----------------------------------------------
 
 
-def beta_search_derivative(f: RatFunc, g: RatFunc) -> BetaSearchResult:
+def beta_search_derivative(
+    f: RatFunc, g: RatFunc, base: OrthogonalityVerdict
+) -> BetaSearchResult:
     """Decide whether some beta makes (g - beta)/f an exact derivative.
 
     The Hermite remainder is linear in the input, so the remainder of
     (g - beta)/f is rem(g/f) - beta*rem(1/f); vanishing is a rational
-    linear condition and the decision is complete.
+    linear condition and the decision is complete. base is
+    base_orthogonal(f), whose reduction of 1/f supplies rem(1/f).
     """
-    if f.is_zero:
-        raise ValueError("f must be nonzero")
     rem_g = hermite_reduce(g / f).remainder
-    rem_one = hermite_reduce(RatFunc.one(f.var) / f).remainder
+    rem_one = base.hermite.remainder
     if rem_one.is_zero:
         if not rem_g.is_zero:
             return BetaSearchResult(
@@ -366,7 +364,7 @@ def classify_log_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
 def classify_derivative_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
     """Full classification of x' = f(x), y' = g(x)."""
     base = base_orthogonal(f)
-    fibration = beta_search_derivative(f, g)
+    fibration = beta_search_derivative(f, g, base)
     if not base.orthogonal:
         return SystemVerdict(base, fibration, CONCLUSION_BASE_INAPPLICABLE, None)
     if fibration.status == STATUS_FOUND:

@@ -17,6 +17,8 @@ from .report import Report, emit
 
 # The values of `expect_error` and the error each one names.
 ERROR_KINDS = {"hypothesis": HypothesisError, "parse": ParseError, "shape": ShapeError}
+# Every error the cli turns into an exit code; a record that raises one fails.
+REFUSALS = (OrthoscopeError, ValueError, ZeroDivisionError, RuntimeError)
 
 
 @dataclass
@@ -79,7 +81,7 @@ def run_fixture(fx: Fixture) -> FixtureOutcome:
         try:
             run(fx.command, fx.source, residue_class=fx.residue_class,
                 gauge_h=fx.gauge_h)
-        except (HypothesisError, ParseError, ShapeError) as exc:
+        except REFUSALS as exc:
             if isinstance(exc, ERROR_KINDS.get(want, ())):
                 return FixtureOutcome(fx, True, [], None)
             return FixtureOutcome(
@@ -89,7 +91,7 @@ def run_fixture(fx: Fixture) -> FixtureOutcome:
     try:
         report = run(fx.command, fx.source, residue_class=fx.residue_class,
                      gauge_h=fx.gauge_h)
-    except OrthoscopeError as exc:
+    except REFUSALS as exc:
         return FixtureOutcome(fx, False, [f"raised {type(exc).__name__}: {exc}"], None)
     checks = {
         "expect_verdict": lambda r: r.verdict,

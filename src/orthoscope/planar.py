@@ -1,9 +1,12 @@
 """Polynomial planar vector fields.
 
-Invariant-line detection along y = 0, first-order linearization along that
-line, Lie brackets, the system derivation and its logarithmic derivative,
-rank-one foliation linearization, and the invariant-line lifting classifier
-that combines the base and fiber criteria.
+BiRatFunc, the function field Q(x, y): a FractionField from ratfunc with
+the bivariate normalization, partial derivatives and the restriction to
+y = 0 into RatFunc. Invariant-line detection along y = 0, first-order
+linearization along that line, Lie brackets, the system derivation and its
+logarithmic derivative, rank-one foliation linearization, and the
+invariant-line lifting classifier, which runs the log-family classifier on
+the linearization.
 
 Bracket sign convention: [v, w] = (v.grad)w - (w.grad)v.
 """
@@ -17,27 +20,23 @@ from typing import Optional
 from .algebra.bipoly import BiPoly, bipoly_gcd
 from .algebra.unipoly import UniPoly, _frac
 from .criteria import (
-    CONCLUSION_BASE_INAPPLICABLE,
-    CONCLUSION_INCONCLUSIVE,
     CONCLUSION_INCONCLUSIVE_FOR_LIFT,
-    CONCLUSION_ORTHOGONAL,
-    STATUS_FOUND,
-    STATUS_NONE,
+    CONCLUSION_NONORTHOGONAL,
     SystemVerdict,
-    base_orthogonal,
-    beta_search_log,
+    classify_log_family,
 )
 from .errors import HypothesisError
-from .ratfunc import RATIONAL, RatFunc
+from .ratfunc import FractionField, RatFunc
 
 
-@dataclass(frozen=True)
-class BiRatFunc:
+@dataclass(frozen=True, repr=False)
+class BiRatFunc(FractionField):
     """Reduced bivariate rational function with a canonical denominator.
 
     The pair is reduced by the bivariate gcd and the denominator's
     lex-leading coefficient is normalized to 1; equality testing is by
     cross-multiplication, which is exact regardless of representation.
+    The field arithmetic is FractionField's.
     """
 
     num: BiPoly
@@ -76,74 +75,18 @@ class BiRatFunc:
     def one() -> "BiRatFunc":
         return BiRatFunc(BiPoly.one(), BiPoly.one())
 
-    # -- structure --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self.num.constant_value() / self.den.constant_value()
-
-    # -- field operations ----------------------------------------------------
-
     def _coerce(self, other) -> "BiRatFunc":
         if isinstance(other, BiRatFunc):
             return other
         return BiRatFunc.from_poly(_as_bipoly(other))
-
-    def __add__(self, other) -> "BiRatFunc":
-        other = self._coerce(other)
-        return BiRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiRatFunc":
-        return BiRatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "BiRatFunc":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "BiRatFunc":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "BiRatFunc":
-        other = self._coerce(other)
-        return BiRatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "BiRatFunc":
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        return BiRatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "BiRatFunc":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "BiRatFunc":
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return BiRatFunc(self.den, self.num) ** (-n)
-        return BiRatFunc(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (BiRatFunc, BiPoly, UniPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
         return self.num * other.den == other.num * self.den
+
+    # -- calculus and restriction -----------------------------------------
 
     def partial(self, variable: str) -> "BiRatFunc":
         dn = self.num.partial(variable) * self.den - self.num * self.den.partial(variable)
@@ -165,12 +108,6 @@ class BiRatFunc:
         if len(self.den.terms) > 1 or _coeff_not_unit(self.den):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"BiRatFunc({self.to_string()!r})"
 
 
 def _coeff_not_unit(p: BiPoly) -> bool:
@@ -327,22 +264,15 @@ class LiftVerdict(SystemVerdict):
 def classify_invariant_line_lift(v: PlanarVectorField) -> LiftVerdict:
     """Lifting classifier along the invariant line y = 0.
 
-    Pipeline: invariant line, linearization, base orthogonality of f(x,0),
-    then the rational-class beta search on (f(x,0), g1(x,0)). A verdict of
-    orthogonal-to-constants is asserted only when the base is orthogonal and
-    the search finds no beta; a found beta leaves the total space undecided.
+    Pipeline: invariant line, linearization, then the log-family classifier
+    on x' = f(x,0), y' = y*g1(x,0). A verdict of orthogonal-to-constants is
+    asserted only when the base is orthogonal and the search finds no beta;
+    a found beta leaves the total space undecided, so the linearization's
+    nonorthogonal verdict becomes inconclusive-for-lift, with no kind.
     """
     lin = linearize_along_line(v)
-    f = RatFunc.from_poly(lin.base_f0)
-    g = RatFunc.from_poly(lin.fiber_hZ)
-    base = base_orthogonal(f)
-    fibration = beta_search_log(f, g, RATIONAL)
-    if not base.orthogonal:
-        conclusion = CONCLUSION_BASE_INAPPLICABLE
-    elif fibration.status == STATUS_NONE:
-        conclusion = CONCLUSION_ORTHOGONAL
-    elif fibration.status == STATUS_FOUND:
+    sv = classify_log_family(RatFunc.from_poly(lin.base_f0), RatFunc.from_poly(lin.fiber_hZ))
+    conclusion = sv.conclusion
+    if conclusion == CONCLUSION_NONORTHOGONAL:
         conclusion = CONCLUSION_INCONCLUSIVE_FOR_LIFT
-    else:
-        conclusion = CONCLUSION_INCONCLUSIVE
-    return LiftVerdict(base, fibration, conclusion, None, lin)
+    return LiftVerdict(sv.base, sv.fibration, conclusion, None, lin)

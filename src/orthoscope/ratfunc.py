@@ -1,5 +1,7 @@
 """Rational functions on the projective line.
 
+FractionField holds the field arithmetic of a fraction field of polynomials,
+written once for RatFunc (Q(x), here) and BiRatFunc (Q(x, y), in planar).
 Hermite reduction, which also reads off the pole spectrum with exact
 residues, the residue polynomial (resultant form), and logarithmic-derivative
 membership with verified witnesses. WitnessData is the one witness record:
@@ -38,8 +40,79 @@ WITNESS_DLOG = "dlog"
 WITNESS_DERIVATIVE = "derivative"
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class FractionField:
+    """An element num/den of the fraction field of a polynomial ring.
+
+    The field arithmetic lives here and builds every result with
+    type(self)(num, den), so the subclass's __post_init__ reduces it. A
+    subclass is a frozen dataclass with fields num and den, declared with
+    repr=False so that the __repr__ below is kept; it supplies the
+    normalization, _coerce, its calculus and to_string.
+    """
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    @property
+    def is_constant(self) -> bool:
+        return self.num.is_constant and self.den.is_constant
+
+    @property
+    def is_polynomial(self) -> bool:
+        return self.den.is_constant
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant:
+            raise ValueError(f"not a constant: {self}")
+        return self.num.constant_value() / self.den.constant_value()
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return type(self)(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        return type(self)(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            if self.is_zero:
+                raise ZeroDivisionError("negative power of zero")
+            return type(self)(self.den, self.num) ** (-n)
+        return type(self)(self.num**n, self.den**n)
+
+    def __str__(self) -> str:
+        return self.to_string()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_string()!r})"
+
+
+@dataclass(frozen=True, repr=False)
+class RatFunc(FractionField):
     """Reduced rational function; denominator monic, zero is 0/1."""
 
     num: UniPoly
@@ -84,27 +157,8 @@ class RatFunc:
         return self.num.var if not self.num.is_zero else self.den.var
 
     @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    @property
     def proper(self) -> bool:
         return self.num.degree < self.den.degree
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self.num.coeff(0)
-
-    # -- field operations ---------------------------------------------------
 
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
@@ -112,43 +166,6 @@ class RatFunc:
         if isinstance(other, UniPoly):
             return RatFunc.from_poly(other)
         return RatFunc.constant(_frac(other), self.den.var)
-
-    def __add__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
 
     # -- calculus -------------------------------------------------------------
 
@@ -187,12 +204,6 @@ class RatFunc:
         if _needs_parens(self.den):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.to_string()!r})"
 
 
 def _needs_parens(p: UniPoly) -> bool:

@@ -176,8 +176,8 @@ def affine_invariance(count: int = 50) -> None:
             == beta_search_log(ft, gt, RATIONAL).status
         )
         assert (
-            beta_search_derivative(f, g).status
-            == beta_search_derivative(ft, gt).status
+            beta_search_derivative(f, g, base_orthogonal(f)).status
+            == beta_search_derivative(ft, gt, base_orthogonal(ft)).status
         )
         done += 1
 

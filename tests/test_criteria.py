@@ -141,18 +141,21 @@ class TestBetaSearchLog:
 
 class TestBetaSearchDerivative:
     def test_found_with_witness(self, x):
-        r = beta_search_derivative(P(x**2 * (x - 1)), P(x))
+        f = P(x**2 * (x - 1))
+        r = beta_search_derivative(f, P(x), base_orthogonal(f))
         assert r.status == STATUS_FOUND and r.beta == 1
         assert r.witness.h == RatFunc(UniPoly.constant(-1), x)
         # exact identity: (x - 1)/(x^2(x-1)) = (-1/x)'
         assert r.witness.h.derivative() == RatFunc(x - 1, x**2 * (x - 1))
 
     def test_none(self, x):
-        r = beta_search_derivative(P(x**2 * (x - 1) * (x + 1)), P(x))
+        f = P(x**2 * (x - 1) * (x + 1))
+        r = beta_search_derivative(f, P(x), base_orthogonal(f))
         assert r.status == STATUS_NONE
 
     def test_zero_fiber_trivial(self, x):
-        r = beta_search_derivative(P(x**17 - 3), RatFunc.zero())
+        f = P(x**17 - 3)
+        r = beta_search_derivative(f, RatFunc.zero(), base_orthogonal(f))
         assert r.status == STATUS_FOUND and r.beta == 0 and r.witness.h.is_zero
 
 
@@ -181,6 +184,29 @@ class TestClassifiers:
         assert v.conclusion == CONCLUSION_ORTHOGONAL
         v = classify_derivative_family(P(x**3 - 2), RatFunc.zero())
         assert v.conclusion == CONCLUSION_NONORTHOGONAL
+
+    def test_derivative_family_reduces_one_over_f_once(self, x, monkeypatch):
+        import sys
+
+        from orthoscope import ratfunc
+
+        reduced = []
+        original = ratfunc.hermite_reduce
+
+        def wrapper(r):
+            reduced.append(r)
+            return original(r)
+
+        # wrap hermite_reduce in every orthoscope module that binds it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("orthoscope"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+        f = P(x**2 * (x - 1))
+        sv = classify_derivative_family(f, P(x))
+        assert sv.conclusion == CONCLUSION_NONORTHOGONAL and sv.fibration.beta == 1
+        assert reduced.count(RatFunc.one() / f) == 1
 
     def test_verdict_invariants(self, x):
         for f, g in [(x**2 * (x - 1), x), (x**3 * (x - 1), x), (x * (x - 1), x)]:

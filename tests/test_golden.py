@@ -1,10 +1,11 @@
 """Golden outputs: every command on every corpus source, byte for byte.
 
 tests/data/golden.json maps "command | source" to the JSON report that
-`emit` produces, or to "ErrorType: message" when the command refuses the
-source. A refactor that must keep verdicts, witnesses and JSON bytes
-unchanged keeps this file unchanged. After a deliberate output change,
-regenerate it with
+`emit` produces, and tests/data/golden_text.json to the text report (with
+its `identity:` lines); either holds "ErrorType: message" when the command
+refuses the source. A refactor that must keep verdicts, witnesses and
+output bytes unchanged keeps both files unchanged. After a deliberate
+output change, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,7 +23,8 @@ from orthoscope.errors import OrthoscopeError
 from orthoscope.fixtures import load_corpus
 from orthoscope.report import emit
 
-GOLDEN = Path(__file__).parent / "data" / "golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = {"json": DATA / "golden.json", "text": DATA / "golden_text.json"}
 
 
 def sources() -> list[str]:
@@ -33,25 +35,38 @@ def key(command: str, source: str) -> str:
     return f"{command} | {source}"
 
 
-def output(command: str, source: str) -> str:
+def output(command: str, source: str, format: str = "json") -> str:
     try:
-        return emit(run(command, source), "json")
+        return emit(run(command, source), format)
     except (OrthoscopeError, ValueError, ZeroDivisionError, RuntimeError) as exc:
         # the errors the cli turns into an exit code: each refusal is golden too
         return f"{type(exc).__name__}: {exc}"
 
 
-def golden_entries() -> dict[str, str]:
-    return {key(c, s): output(c, s) for c in COMMANDS for s in sources()}
+def golden_entries(format: str) -> dict[str, str]:
+    return {key(c, s): output(c, s, format) for c in COMMANDS for s in sources()}
+
+
+def load(format: str) -> dict[str, str]:
+    return json.loads(GOLDEN[format].read_text())
 
 
 @pytest.fixture(scope="module")
 def golden() -> dict[str, str]:
-    return json.loads(GOLDEN.read_text())
+    return load("json")
+
+
+@pytest.fixture(scope="module")
+def golden_text() -> dict[str, str]:
+    return load("text")
 
 
 def test_golden_covers_every_command_and_source(golden):
     assert set(golden) == {key(c, s) for c in COMMANDS for s in sources()}
+
+
+def test_golden_text_covers_every_command_and_source(golden_text):
+    assert set(golden_text) == {key(c, s) for c in COMMANDS for s in sources()}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -60,7 +75,14 @@ def test_outputs_match_golden(golden, command):
         assert output(command, source) == golden[key(command, source)], source
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_text_outputs_match_golden(golden_text, command):
+    for source in sources():
+        assert output(command, source, "text") == golden_text[key(command, source)], source
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden_entries(), indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {GOLDEN}\n")
+    DATA.mkdir(exist_ok=True)
+    for format, path in GOLDEN.items():
+        path.write_text(json.dumps(golden_entries(format), indent=1, sort_keys=True) + "\n")
+        sys.stdout.write(f"wrote {path}\n")

@@ -27,6 +27,8 @@ from orthoscope.criteria import (
 )
 from orthoscope.errors import HypothesisError
 
+from conftest import random_unipoly
+
 
 def bp(terms):
     return BiPoly.of(terms)
@@ -57,6 +59,37 @@ class TestBiRatFunc:
         assert (h.num, h.den) == (bp({(1, 1): 1, (0, 0): 2}), BiPoly.one())
         h = BiRatFunc(BiPoly.constant(3), bp({(2, 0): 3, (0, 1): 1}))
         assert (h.num, h.den) == (BiPoly.one(), bp({(2, 0): 1, (0, 1): Fraction(1, 3)}))
+
+    def test_repr_and_str(self):
+        h = BiRatFunc(BiPoly.x(), BiPoly.y())
+        assert repr(h) == "BiRatFunc('x/y')"
+        assert str(h) == "x/y"
+
+    def test_restriction_is_a_homomorphism(self):
+        # On y-free functions restrict_y0 maps one field into the other, so
+        # the bivariate and the univariate normalizations must agree on
+        # every field operation.
+        rng = random.Random(8)
+
+        def y_free():
+            num = random_unipoly(rng, 3, lo=-4, hi=4)
+            den = random_unipoly(rng, 3, lo=-4, hi=4, nonzero=True)
+            return BiRatFunc.of(num, den)
+
+        for _ in range(40):
+            a, b = y_free(), y_free()
+            ra, rb = a.restrict_y0(), b.restrict_y0()
+            assert (a + b).restrict_y0() == ra + rb
+            assert (a - b).restrict_y0() == ra - rb
+            assert (a * b).restrict_y0() == ra * rb
+            assert (2 - a).restrict_y0() == 2 - ra
+            if not b.is_zero:
+                assert (a / b).restrict_y0() == ra / rb
+            if not a.is_zero:
+                assert (3 / a).restrict_y0() == 3 / ra
+            for k in range(-3, 4):
+                if k >= 0 or not a.is_zero:
+                    assert (a**k).restrict_y0() == ra**k
 
 
 def random_field(rng, max_deg=3, lo=-3, hi=3):

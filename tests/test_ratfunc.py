@@ -247,6 +247,11 @@ class TestNormalize:
         with pytest.raises(ZeroDivisionError):
             RatFunc(x, UniPoly.zero())
 
+    def test_repr_and_str(self, x):
+        r = RatFunc(x + 1, x)
+        assert repr(r) == "RatFunc('(x + 1)/x')"
+        assert str(r) == "(x + 1)/x"
+
 
 class TestPoleSpectrum:
     def test_two_simple_poles(self, x):

@@ -182,6 +182,18 @@ class TestCliExitCodes:
         assert outcome.details == ["expected a parse error, raised ShapeError"]
         assert run_fixture(right).passed
 
+    def test_fixture_runner_reports_refusals(self):
+        # f = 0 is refused with a ValueError: a FAIL line, not an escape
+        record = "[zero-base]\ncommand = base\nsource = 0\n"
+        (verdict,) = load_corpus(record + "expect_verdict = base-orthogonal\n")
+        outcome = run_fixture(verdict)
+        assert not outcome.passed
+        assert outcome.details == ["raised ValueError: base coefficient f must be nonzero"]
+        (error,) = load_corpus(record + "expect_error = shape\n")
+        outcome = run_fixture(error)
+        assert not outcome.passed
+        assert outcome.details == ["expected a shape error, raised ValueError"]
+
     def test_dlog_sys_command(self, capsys):
         assert main(["dlog-sys", "--h", "y", "x' = x^3*(x-1); y' = x*y + y^2/2"]) == 0
         out = capsys.readouterr().out
