@@ -2,6 +2,7 @@
 
 from .bipoly import BiPoly, bipoly_gcd, resultant_uni, resultant_x
 from .factor import (
+    factor_over,
     factor_rationals,
     is_irreducible,
     rational_roots,

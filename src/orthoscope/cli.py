@@ -138,7 +138,8 @@ def _run_system_command(command: str, text: str, residue_class: str,
 
     if command == "beta-log":
         family = _family(source, command, KIND_LOG)
-        result = beta_search_log(family.f, family.g, residue_class)
+        result = beta_search_log(family.f, family.g, base_orthogonal(family.f),
+                                 residue_class)
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))
 

@@ -1,12 +1,15 @@
 """Decision procedures for base orthogonality and fiber internality.
 
 base_orthogonal reads the projective pole spectrum of (1/f)dx off its
-Hermite reduction, which the derivative-family search reuses. The beta
-searches decide whether some constant shift of g makes (g - beta)/f a scaled
-logarithmic derivative (log family) or an exact derivative (derivative
-family). Both searches return verified witnesses; the log search is complete
-whenever a multiple pole pins beta (case A) or a rational anchor forces beta
-rational (case B), and reports case C honestly otherwise.
+Hermite reduction, which the derivative-family search reuses. Its pole
+loci are the factors of f.num; with the factors of g.den they factor every
+denominator of either beta search, so a request factors each input once.
+The beta searches decide whether some constant shift of g makes
+(g - beta)/f a scaled logarithmic derivative (log family) or an exact
+derivative (derivative family). Both searches return verified witnesses;
+the log search is complete whenever a multiple pole pins beta (case A) or a
+rational anchor forces beta rational (case B), and reports case C honestly
+otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra.factor import factor_rationals
+from .algebra.factor import factor_over, factor_rationals
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import UniPoly, poly_gcd
 from .errors import WitnessVerificationError
@@ -174,7 +177,22 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 # -- the log-family beta search ------------------------------------------------
 
 
-def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> BetaSearchResult:
+def _known_loci(base: OrthogonalityVerdict, g: RatFunc) -> tuple[UniPoly, ...]:
+    """The monic irreducible factors of f.num and g.den.
+
+    Every denominator of a beta search divides g.den*f.num. The factors of
+    f.num are the affine pole loci of 1/f that base already holds, so only
+    g.den is factored here, and only when it is nonconstant.
+    """
+    loci = tuple(e.locus for e in base.spectrum.affine_poles)
+    if g.den.degree >= 1:
+        loci += tuple(q for q, _ in factor_rationals(g.den).parts)
+    return loci
+
+
+def beta_search_log(
+    f: RatFunc, g: RatFunc, base: OrthogonalityVerdict, residue_class: str = RATIONAL
+) -> BetaSearchResult:
     """Decide whether some beta makes (g - beta)/f a scaled dlog image.
 
     The target condition: projectively only simple poles, with residues in
@@ -182,12 +200,14 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
     beta (case A); with beta free, per-factor residue data is affine in beta
     and any beta-dependent residue at a rational point anchors beta to the
     rationals (case B). Conjugate-coupled factors without an anchor are
-    reported as case C, never guessed.
+    reported as case C, never guessed. base is base_orthogonal(f); its pole
+    loci, with those of g.den, factor every denominator of the search.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
     if f.is_zero:
         raise ValueError("f must be nonzero")
+    known = _known_loci(base, g)
     n = g.num * f.den
     m = g.den * f.den
     d = g.den * f.num
@@ -198,7 +218,7 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
     n, m, d = n * scale, m * scale, d.monic()
 
     conditions: list[tuple[Fraction, Fraction]] = []
-    parts = factor_rationals(d).parts if d.degree >= 1 else ()
+    parts = factor_over(d, known).parts if d.degree >= 1 else ()
     for q, e in parts:
         if e >= 2:
             mod = q ** (e - 1)
@@ -217,7 +237,7 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
             "multiple-pole cancellation conditions are unsatisfiable",
         )
     if status == _PINNED:
-        return _test_candidate(f, g, pinned, residue_class, CASE_A)
+        return _test_candidate(f, g, pinned, residue_class, known, CASE_A)
 
     # free case: d squarefree, infinity at worst simple, for every beta
     dprime = d.derivative()
@@ -259,7 +279,7 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
             "beta is not excluded",
         )
     if soft_status == _PINNED:
-        result = _test_candidate(f, g, soft_pin, residue_class, CASE_B)
+        result = _test_candidate(f, g, soft_pin, residue_class, known, CASE_B)
         if result.found or anchored:
             return result
         return BetaSearchResult(
@@ -270,14 +290,15 @@ def beta_search_log(f: RatFunc, g: RatFunc, residue_class: str = RATIONAL) -> Be
 
     # no polynomial constraints left on beta at all
     if residue_class == RATIONAL:
-        return _test_candidate(f, g, Fraction(0), residue_class, CASE_B, assert_found=True)
+        return _test_candidate(f, g, Fraction(0), residue_class, known, CASE_B,
+                               assert_found=True)
     beta_hat = _solve_integrality(integrality)
     if beta_hat is None:
         return BetaSearchResult(
             STATUS_NONE, None, None, CASE_B, None,
             "no beta makes every residue an integer",
         )
-    return _test_candidate(f, g, beta_hat, residue_class, CASE_B, assert_found=True)
+    return _test_candidate(f, g, beta_hat, residue_class, known, CASE_B, assert_found=True)
 
 
 def _test_candidate(
@@ -285,11 +306,12 @@ def _test_candidate(
     g: RatFunc,
     beta: Fraction,
     residue_class: str,
+    known: tuple[UniPoly, ...],
     case: str,
     assert_found: bool = False,
 ) -> BetaSearchResult:
     r = (g - RatFunc.constant(beta, g.var)) / f
-    result = dlog_witness(r, residue_class)
+    result = dlog_witness(r, residue_class, known)
     if result.found:
         return BetaSearchResult(
             STATUS_FOUND, beta, result.witness, case, result.spectrum, None
@@ -315,9 +337,11 @@ def beta_search_derivative(
     The Hermite remainder is linear in the input, so the remainder of
     (g - beta)/f is rem(g/f) - beta*rem(1/f); vanishing is a rational
     linear condition and the decision is complete. base is
-    base_orthogonal(f), whose reduction of 1/f supplies rem(1/f).
+    base_orthogonal(f), whose reduction of 1/f supplies rem(1/f) and whose
+    pole loci, with those of g.den, factor both reductions made here.
     """
-    rem_g = hermite_reduce(g / f).remainder
+    known = _known_loci(base, g)
+    rem_g = hermite_reduce(g / f, known).remainder
     rem_one = base.hermite.remainder
     if rem_one.is_zero:
         if not rem_g.is_zero:
@@ -335,7 +359,7 @@ def beta_search_derivative(
             )
         beta = ratio.constant_value()
     r = (g - RatFunc.constant(beta, g.var)) / f
-    herm = hermite_reduce(r)
+    herm = hermite_reduce(r, known)
     witness = exact_derivative_part(r, herm)
     if witness is None:
         raise WitnessVerificationError("derivative witness failed its identity")
@@ -350,7 +374,7 @@ def beta_search_derivative(
 def classify_log_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
     """Full classification of x' = f(x), y' = y*g(x)."""
     base = base_orthogonal(f)
-    fibration = beta_search_log(f, g, RATIONAL)
+    fibration = beta_search_log(f, g, base, RATIONAL)
     if not base.orthogonal:
         return SystemVerdict(base, fibration, CONCLUSION_BASE_INAPPLICABLE, None)
     if fibration.status == STATUS_FOUND:

@@ -29,14 +29,15 @@ from .errors import HypothesisError
 from .ratfunc import FractionField, RatFunc
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class BiRatFunc(FractionField):
     """Reduced bivariate rational function with a canonical denominator.
 
     The pair is reduced by the bivariate gcd and the denominator's
     lex-leading coefficient is normalized to 1; equality testing is by
     cross-multiplication, which is exact regardless of representation.
-    The field arithmetic is FractionField's.
+    The field arithmetic is FractionField's. Declared with eq=False so that
+    its own __eq__ is kept and the class is unhashable: BiPoly holds a dict.
     """
 
     num: BiPoly

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
-from .algebra.factor import factor_rationals
+from .algebra.factor import factor_over, factor_rationals
 from .algebra.bipoly import BiPoly, resultant_x
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
@@ -365,27 +365,41 @@ class HermiteDecomposition:
         return self.derivative_part.derivative() + self.remainder
 
 
-def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
+def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> HermiteDecomposition:
     """Exact Hermite reduction by per-factor integration by parts.
 
-    The denominator is factored once. Its irreducible loci, grouped by
-    multiplicity, give the squarefree factors. For a factor p of
-    multiplicity e, step j = e..2 splits off c_j/p^(j-1); the steps are
-    folded by Horner's rule into one numerator over p^(e-1), so each factor
-    costs one rational-function addition. What is left is a/p, and its
-    residue at the roots of a locus q | p is a/p' = a*t mod q, with
-    t = 1/p' mod p from the same gcd (Bronstein, Symbolic Integration I,
-    sections 2.2 and 2.5).
+    The denominator is factored once: over the monic irreducibles in known
+    (factor_over) when given, else from scratch (factor_rationals). Its
+    irreducible loci, grouped by multiplicity, give the squarefree factors.
+    For a factor p of multiplicity e, step j = e..2 splits off
+    c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
+    over p^(e-1). What is left is a/p, and its residue at the roots of a
+    locus q | p is a/p' = a*t mod q, with t = 1/p' mod p from the same gcd
+    (Bronstein, Symbolic Integration I, sections 2.2 and 2.5).
+
+    The pieces are summed as polynomials over D = prod p^(e-1) and
+    P = prod p, whose product is r.den, and the identity r = h' + rem is
+    checked exactly as one polynomial division by D*P: with
+    D'/D = S/P, h = H/D and rem = A/P,
+    r.num - (H'*P - H*S) - A*D = q*D*P. The quotient q collects the
+    polynomial parts dropped along the way and joins h as its
+    antiderivative; a nonzero remainder raises WitnessVerificationError.
     """
     var = r.var
     polypart, n0 = divmod(r.num, r.den)
-    h = RatFunc.from_poly(polypart.antiderivative())
-    rem = RatFunc.zero(var)
-    loci = factor_rationals(r.den).parts if r.den.degree >= 1 else ()
+    if r.den.degree < 1:
+        loci = ()
+    elif known is None:
+        loci = factor_rationals(r.den).parts
+    else:
+        loci = factor_over(r.den, known).parts
     groups: dict[int, list[UniPoly]] = {}
     for q, e in loci:
         groups.setdefault(e, []).append(q)
     parts = [(math.prod(qs[1:], start=qs[0]), e) for e, qs in sorted(groups.items())]
+    h_num, h_den = polypart.antiderivative(), UniPoly.one(var)    # H/D
+    rem_num, rem_den = UniPoly.zero(var), UniPoly.one(var)        # A/P
+    w = UniPoly.zero(var)                                         # S: D'/D = S/P
     residues: dict[UniPoly, Residue] = {}
     if loci:
         powers = [_powers(p, e) for p, e in parts]
@@ -402,21 +416,24 @@ def hermite_reduce(r: RatFunc) -> HermiteDecomposition:
                 acc = UniPoly.zero(var)
                 for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
                     acc = acc * p + c
-                h = h + RatFunc(acc, pw[e - 1])
+                h_num = h_num * pw[e - 1] + acc * h_den
+                h_den = h_den * pw[e - 1]
+            w = w * p + p.derivative() * rem_den * (e - 1)
             a = a % p
             for q in groups[e]:
                 value = NFElement(a * t, q)
                 residues[q] = value.as_fraction() if value.is_rational else value
-            rem = rem + RatFunc(a, p)
+            rem_num = rem_num * p + a * rem_den
+            rem_den = rem_den * p
     # dropped polynomial quotients along the way surface here, exactly
-    defect = r - h.derivative() - rem
-    if defect.den.degree != 0:
+    defect = r.num - h_num.derivative() * rem_den + h_num * w - rem_num * h_den
+    quotient, left = divmod(defect, h_den * rem_den)
+    if not left.is_zero:
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
-    if not defect.is_zero:
-        h = h + RatFunc.from_poly(defect.num.antiderivative())
+    h = RatFunc(h_num + quotient.antiderivative() * h_den, h_den)
     spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
                             _infinity_pole(r))
-    return HermiteDecomposition(h, rem, spectrum)
+    return HermiteDecomposition(h, RatFunc(rem_num, rem_den), spectrum)
 
 
 def _powers(p: UniPoly, e: int) -> list[UniPoly]:
@@ -511,17 +528,20 @@ class DlogWitnessResult:
         return self.witness is not None
 
 
-def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
+def dlog_witness(
+    r: RatFunc, residue_class: str = INTEGER, known: Optional[Iterable[UniPoly]] = None
+) -> DlogWitnessResult:
     """Decide N*r = dlog(h) membership on P^1 with an exact witness.
 
     integer class: N = 1 (exact dlog image). rational class: N = lcm of the
     residue denominators. Absence carries a reason code; presence is
     verified by recomputing dlog(h) before returning. h is the product of
-    the pole loci, each to the power N times its residue.
+    the pole loci, each to the power N times its residue. known, when
+    given, holds monic irreducibles that factor r.den (see hermite_reduce).
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    spectrum = pole_spectrum(r)
+    spectrum = hermite_reduce(r, known).spectrum
     if spectrum.infinity_pole is not None and spectrum.infinity_pole.multiplicity >= 2:
         return DlogWitnessResult(None, REASON_IMPROPER_AT_INFINITY, spectrum)
     if spectrum.has_affine_multiple():

@@ -99,7 +99,8 @@ def constructed_no_false_none(count: int = 100) -> None:
         for locus, res in zip(loci, residues):
             shift = shift + res * RatFunc(locus.derivative(), locus)
         g = RatFunc.constant(beta0) + RatFunc.from_poly(f) * shift
-        result = beta_search_log(RatFunc.from_poly(f), g, RATIONAL)
+        f = RatFunc.from_poly(f)
+        result = beta_search_log(f, g, base_orthogonal(f), RATIONAL)
         assert result.status == STATUS_FOUND and result.beta == beta0
         table = sorted(
             (e.locus.to_string(), e.residue)
@@ -152,8 +153,8 @@ def scaling_invariance(count: int = 100) -> None:
                 continue
         k = rng.choice([-3, -2, -1, 2, 3, 5])
         assert (
-            beta_search_log(f, g, RATIONAL).status
-            == beta_search_log(f, g * k, RATIONAL).status
+            beta_search_log(f, g, base_orthogonal(f), RATIONAL).status
+            == beta_search_log(f, g * k, base_orthogonal(f), RATIONAL).status
         )
         done += 1
 
@@ -172,8 +173,8 @@ def affine_invariance(count: int = 50) -> None:
         gt = g.compose_affine(Fraction(1) / a, -b / a)
         assert base_orthogonal(f).orthogonal == base_orthogonal(ft).orthogonal
         assert (
-            beta_search_log(f, g, RATIONAL).status
-            == beta_search_log(ft, gt, RATIONAL).status
+            beta_search_log(f, g, base_orthogonal(f), RATIONAL).status
+            == beta_search_log(ft, gt, base_orthogonal(ft), RATIONAL).status
         )
         assert (
             beta_search_derivative(f, g, base_orthogonal(f)).status

@@ -96,7 +96,8 @@ def test_criterion_3_planar_pipeline():
         assert field.fx == BiPoly.of({(4, 0): 1, (3, 0): -1})
         assert field.fy == BiPoly.of({(1, 1): 1})
         assert base_orthogonal(P(lin.base_f0)).orthogonal
-        search = beta_search_log(P(lin.base_f0), P(lin.fiber_hZ), RATIONAL)
+        f = P(lin.base_f0)
+        search = beta_search_log(f, P(lin.fiber_hZ), base_orthogonal(f), RATIONAL)
         assert search.status == STATUS_NONE and search.completeness_case == CASE_A
         verdict = classify_invariant_line_lift(v)
         assert verdict.conclusion == CONCLUSION_ORTHOGONAL

@@ -75,39 +75,43 @@ class TestBaseOrthogonal:
 
 class TestBetaSearchLog:
     def test_pinned_found(self, x):
-        r = beta_search_log(P(x**2 * (x - 1)), P(x), RATIONAL)
+        f = P(x**2 * (x - 1))
+        r = beta_search_log(f, P(x), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_FOUND and r.beta == 0
         assert r.completeness_case == CASE_A
         assert r.witness.h == RatFunc(x - 1, x) and r.witness.scaling == 1
         residues = {e.locus.to_string(): e.residue for e in r.residue_table.affine_poles}
         assert residues == {"x": Fraction(-1), "x - 1": Fraction(1)}
         # the integer class also succeeds here
-        assert beta_search_log(P(x**2 * (x - 1)), P(x), INTEGER).status == STATUS_FOUND
+        assert beta_search_log(f, P(x), base_orthogonal(f), INTEGER).status == STATUS_FOUND
 
     def test_pinned_none(self, x):
-        r = beta_search_log(P(x**3 * (x - 1)), P(x), RATIONAL)
+        f = P(x**3 * (x - 1))
+        r = beta_search_log(f, P(x), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_NONE and r.completeness_case == CASE_A
 
     def test_zero_fiber(self, x):
-        r = beta_search_log(P(x**3 - 2), RatFunc.zero(), RATIONAL)
+        f = P(x**3 - 2)
+        r = beta_search_log(f, RatFunc.zero(), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_FOUND and r.beta == 0
         assert r.residue_table.is_empty()
 
     def test_zero_f_rejected(self, x):
         with pytest.raises(ValueError):
-            beta_search_log(RatFunc.zero(), P(x), RATIONAL)
+            f = RatFunc.zero()
+            beta_search_log(f, P(x), base_orthogonal(f), RATIONAL)
 
     def test_unknown_class_rejected(self, x):
         with pytest.raises(ValueError):
-            beta_search_log(P(x), P(x), "complex")
+            beta_search_log(P(x), P(x), base_orthogonal(P(x)), "complex")
 
     def test_integer_class_progressions(self, x):
         # residues of (g - beta)/f at 0 and 1 are g(0)-beta and beta-g(1)... both
         # must be integers; here they differ by 1/2 for every beta
         f = P(x * (x - 1))
         g = RatFunc.from_poly(UniPoly.of([0, Fraction(1, 2)]))  # x/2
-        r_int = beta_search_log(f, g, INTEGER)
-        r_rat = beta_search_log(f, g, RATIONAL)
+        r_int = beta_search_log(f, g, base_orthogonal(f), INTEGER)
+        r_rat = beta_search_log(f, g, base_orthogonal(f), RATIONAL)
         assert r_rat.status == STATUS_FOUND
         assert r_int.status == STATUS_NONE and r_int.completeness_case == CASE_B
 
@@ -115,7 +119,7 @@ class TestBetaSearchLog:
         # beta = 1/2 gives integer residues 1, 1, -1 at 0, 1, -1
         f = P(x * (x - 1) * (x + 1))
         g = RatFunc.from_poly(UniPoly.of([Fraction(-1, 2), 2, 1]))
-        r_int = beta_search_log(f, g, INTEGER)
+        r_int = beta_search_log(f, g, base_orthogonal(f), INTEGER)
         assert r_int.status == STATUS_FOUND
         assert r_int.beta == Fraction(1, 2)
         assert r_int.witness.scaling == 1
@@ -123,18 +127,20 @@ class TestBetaSearchLog:
         assert residues == [Fraction(-1), Fraction(1), Fraction(1)]
 
     def test_conjugate_coupled_single_factor(self, x):
-        r = beta_search_log(P(x**3 - 2), P(x), RATIONAL)
+        f = P(x**3 - 2)
+        r = beta_search_log(f, P(x), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_INCONCLUSIVE and r.completeness_case == CASE_C
 
     def test_conjugate_coupled_conflicting_pins(self, x):
-        r = beta_search_log(P((x**2 - 2) * (x**2 - 3)), P(x**2), RATIONAL)
+        f = P((x**2 - 2) * (x**2 - 3))
+        r = beta_search_log(f, P(x**2), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_INCONCLUSIVE and r.completeness_case == CASE_C
 
     def test_anchored_conjugate_factor_is_complete(self, x):
         # an extra rational simple pole anchors beta, so the conjugate factor
         # yields a complete verdict instead of case C
         f = P((x**3 - 2) * x)
-        r = beta_search_log(f, P(x), RATIONAL)
+        r = beta_search_log(f, P(x), base_orthogonal(f), RATIONAL)
         assert r.status in (STATUS_FOUND, STATUS_NONE)
         assert r.completeness_case in (CASE_A, CASE_B)
 
@@ -193,9 +199,9 @@ class TestClassifiers:
         reduced = []
         original = ratfunc.hermite_reduce
 
-        def wrapper(r):
+        def wrapper(r, *args, **kwargs):
             reduced.append(r)
-            return original(r)
+            return original(r, *args, **kwargs)
 
         # wrap hermite_reduce in every orthoscope module that binds it
         for name, module in list(sys.modules.items()):
@@ -207,6 +213,40 @@ class TestClassifiers:
         sv = classify_derivative_family(f, P(x))
         assert sv.conclusion == CONCLUSION_NONORTHOGONAL and sv.fibration.beta == 1
         assert reduced.count(RatFunc.one() / f) == 1
+
+    def test_one_factorization_per_request(self, x, monkeypatch):
+        import sys
+
+        from orthoscope.algebra import factor
+
+        calls = []
+        original = factor.factor_rationals
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        # wrap factor_rationals in every orthoscope module that binds it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("orthoscope"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+        def count(classify, f, g):
+            calls.clear()
+            verdict = classify(P(f), g)
+            return verdict, list(calls)
+
+        f = (x - 1) * (x + 2) * (x**2 + 1)
+        verdict, seen = count(classify_log_family, f, P(x))
+        assert verdict.fibration.found and seen == [f]
+        g = RatFunc(UniPoly.one(), (x - 1) * (x - 3) ** 2)
+        verdict, seen = count(classify_log_family, x**2 * (x - 1), g)
+        assert verdict.fibration.completeness_case == CASE_A
+        assert seen == [x**2 * (x - 1), (x - 1) * (x - 3) ** 2]
+        verdict, seen = count(classify_derivative_family, x**2 * (x - 1), P(x))
+        assert verdict.fibration.beta == 1 and seen == [x**2 * (x - 1)]
 
     def test_verdict_invariants(self, x):
         for f, g in [(x**2 * (x - 1), x), (x**3 * (x - 1), x), (x * (x - 1), x)]:
@@ -235,7 +275,7 @@ class TestGridOracleAudit:
             if fn.is_zero:
                 continue
             f, g = P(fn), P(gn)
-            result = beta_search_log(f, g, RATIONAL)
+            result = beta_search_log(f, g, base_orthogonal(f), RATIONAL)
             if result.status == STATUS_NONE:
                 for beta in grid:
                     r = (g - RatFunc.constant(beta)) / f

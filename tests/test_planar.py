@@ -9,6 +9,7 @@ from orthoscope import (
     BiRatFunc,
     PlanarVectorField,
     RatFunc,
+    base_orthogonal,
     beta_search_log,
     classify_invariant_line_lift,
     foliation_linearize,
@@ -48,6 +49,12 @@ def dy():
 
 
 class TestBiRatFunc:
+    def test_unhashable(self):
+        from orthoscope import parse_expression
+
+        with pytest.raises(TypeError, match="BiRatFunc"):
+            hash(parse_expression("x/y"))
+
     def test_constant_side_needs_no_gcd(self, monkeypatch):
         import orthoscope.planar as planar_mod
 
@@ -345,7 +352,7 @@ class TestLiftClassifier:
         lin = linearize_along_line(v)
         f = RatFunc.from_poly(lin.base_f0)
         fiber = RatFunc.from_poly(lin.fiber_hZ)
-        base_status = beta_search_log(f, a.restrict_y0(), RATIONAL).status
+        base_status = beta_search_log(f, a.restrict_y0(), base_orthogonal(f), RATIONAL).status
         y = BiRatFunc.from_poly(BiPoly.y())
         for m in range(0, 4):
             shifted = a - system_dlog(v, y**m) if m else a
@@ -353,5 +360,6 @@ class TestLiftClassifier:
             assert corrected == a.restrict_y0()
         for unit in (BiRatFunc.from_poly(bp({(2, 0): 1, (0, 0): 1})), BiRatFunc.one()):
             shifted = a - system_dlog(v, unit)
-            status = beta_search_log(f, shifted.restrict_y0(), RATIONAL).status
+            status = beta_search_log(f, shifted.restrict_y0(), base_orthogonal(f),
+                                     RATIONAL).status
             assert status == base_status

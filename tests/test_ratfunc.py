@@ -12,6 +12,7 @@ from orthoscope import (
     RatFunc,
     UniPoly,
     dlog_witness,
+    factor_rationals,
     hermite_reduce,
     pole_spectrum,
     poly_gcd,
@@ -399,6 +400,37 @@ class TestHermite:
         r = RatFunc(3 * x**41 - x**7 + 5 * x - 2, (x - 1) ** 40)
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == hermite_oracle(r)
+
+    def test_known_loci_give_the_same_reduction(self, x):
+        rng = random.Random(2027)
+        extra = [x + 7, x**2 + 3, x**3 - 5]
+        for _ in range(40):
+            r = random_ratfunc_with_high_multiplicities(rng)
+            known = [q for q, _ in factor_rationals(r.den).parts] + extra
+            rng.shuffle(known)
+            assert hermite_reduce(r, known) == hermite_reduce(r)
+        with pytest.raises(RuntimeError, match="cofactor"):
+            hermite_reduce(RatFunc(x, (x - 1) ** 2 * (x + 2)), [x - 1])
+
+    def test_perturbed_horner_term_is_caught(self, x):
+        # mutation check: a copy of hermite_reduce whose Horner fold adds 1
+        # to each step must fail its own identity check
+        import inspect
+
+        from orthoscope import ratfunc
+
+        source = inspect.getsource(ratfunc.hermite_reduce)
+        fold = "acc = acc * p + c\n"
+        assert source.count(fold) == 1
+        namespace = dict(vars(ratfunc))
+        exec(source.replace(fold, "acc = acc * p + c + 1\n"), namespace)
+        mutant = namespace["hermite_reduce"]
+        r = RatFunc(x**3 + 1, (x - 2) ** 3 * (x**2 + 1) ** 2 * x)
+        assert hermite_reduce(r).reconstruct() == r
+        with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
+            mutant(r)
+        with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
+            mutant(r, [x, x - 2, x**2 + 1])
 
 
 class TestDlog:

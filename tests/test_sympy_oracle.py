@@ -15,6 +15,7 @@ from orthoscope import (
     UniPoly,
     bipoly_gcd,
     factor_rationals,
+    hermite_reduce,
     pole_spectrum,
     poly_gcd,
     squarefree_decompose,
@@ -213,3 +214,32 @@ def test_residues_match_apart():
             algebraic += isinstance(entry.residue, NFElement)
             multiple += entry.multiplicity >= 2 and entry.locus.degree >= 2
     assert algebraic and multiple
+
+
+def test_hermite_reduce_matches_ratint_ratpart():
+    """Hermite reduction against sympy's Horowitz-Ostrogradsky reduction:
+    ratint_ratpart writes the proper part of r as A' + B with B's
+    denominator squarefree. The derivative parts may differ only by a
+    constant once the polynomial part is integrated, and the remainders
+    must be equal; with and without the known loci."""
+    from sympy.integrals.rationaltools import ratint_ratpart
+
+    rng = random.Random(7008)
+    known = [UniPoly.of(c) for c in _LOCI]
+    deepest = 0
+    for _ in range(60):
+        r = _random_pole_function(rng)
+        polypart, proper = divmod(r.num, r.den)
+        a, b = (_ratfunc_from_sympy(part)
+                for part in ratint_ratpart(to_sympy(proper), to_sympy(r.den), X))
+        rng.shuffle(known)
+        for herm in (hermite_reduce(r), hermite_reduce(r, known)):
+            assert (herm.derivative_part - a - polypart.antiderivative()).is_constant, r
+            assert herm.remainder == b, r
+        deepest = max(deepest, *(m for _, m in factor_rationals(r.den).parts))
+    assert deepest == 4
+
+
+def _ratfunc_from_sympy(expr) -> RatFunc:
+    num, den = (sympy.Poly(part, X, domain=sympy.QQ) for part in sympy.fraction(expr))
+    return RatFunc(from_sympy(num), from_sympy(den))
