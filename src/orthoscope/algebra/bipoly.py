@@ -121,15 +121,22 @@ class BiPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other) -> "BiPoly":
+    def _coerce(self, other):
+        """other as a BiPoly; NotImplemented for an operand that is neither a
+        polynomial nor a rational scalar, such as a rational function, so
+        that the operand's reflected operator runs."""
         if isinstance(other, BiPoly):
             return other
         if isinstance(other, UniPoly):
             return BiPoly.from_unipoly_x(other)
-        return BiPoly.constant(_frac(other))
+        if isinstance(other, (int, Fraction, str)):
+            return BiPoly.constant(_frac(other))
+        return NotImplemented
 
     def __add__(self, other) -> "BiPoly":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if not other.prim:
             return self
         if not self.prim:
@@ -150,10 +157,12 @@ class BiPoly:
         return BiPoly(-self.content, self.prim)
 
     def __sub__(self, other) -> "BiPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "BiPoly":
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -161,6 +170,8 @@ class BiPoly:
                 return BiPoly.zero()
             return BiPoly(self.content * other, self.prim)
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if not self.prim or not other.prim:
             return BiPoly.zero()
         # Gauss's lemma: a product of primitive polynomials is primitive, and
@@ -178,6 +189,8 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.prim) == 2:
+            return self._binomial_power(n)
         result = BiPoly.one()
         base = self
         while n:
@@ -186,6 +199,23 @@ class BiPoly:
             base = base * base
             n >>= 1
         return result
+
+    def _binomial_power(self, n: int) -> "BiPoly":
+        """(c*(a*m1 + b*m2))**n by the binomial theorem. The terms
+        C(n, k)*a**(n-k)*b**k*m1**(n-k)*m2**k have distinct monomials; by
+        Gauss's lemma they form a primitive map, whose lex-leading entry is
+        the n-th power of the base's positive one. So the content is c**n."""
+        ((i1, j1), a), ((i2, j2), b) = self.prim.items()
+        a_pows, b_pows = [1], [1]
+        for _ in range(n):
+            a_pows.append(a_pows[-1] * a)
+            b_pows.append(b_pows[-1] * b)
+        out: dict[tuple[int, int], int] = {}
+        binom = 1
+        for k in range(n + 1):
+            out[(i1 * (n - k) + i2 * k, j1 * (n - k) + j2 * k)] = binom * a_pows[n - k] * b_pows[k]
+            binom = binom * (n - k) // (k + 1)
+        return BiPoly(self.content**n, out)
 
     # -- derivatives and substitution ----------------------------------
 

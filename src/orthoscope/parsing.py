@@ -3,10 +3,14 @@
 Statements "x' = <expr>" and "y' = <expr>" separated by ";" or newlines;
 expressions over x, y with integer literals, + - * / ^ and parentheses
 (caret takes a nonnegative integer exponent; ratio literals such as 1/2
-fall out of division). A power, product, quotient, sum or difference whose
-degree bound would exceed MAX_DEGREE is refused before it is expanded, and
-so is an integer literal of more than MAX_LITERAL_DIGITS digits. Parsed
-systems are shape-classified:
+fall out of division). A value stays a BiPoly until a nonconstant
+denominator appears; only then is it a BiRatFunc, reduced by the bivariate
+gcd, and it turns back into a BiPoly when its reduced denominator is
+constant. A power, product, quotient, sum or difference whose degree bound,
+read from the reduced operands, would exceed MAX_DEGREE is refused before
+it is expanded, and so is an integer literal of more than
+MAX_LITERAL_DIGITS digits. Each expression or statement yields one reduced
+BiRatFunc. Parsed systems are shape-classified:
 
   y' = y*g(x)  with y-free f, g  ->  log family
   y' = g(x)    with y-free f, g  ->  derivative family
@@ -80,9 +84,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("sep", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("num", text[i:j], i))
             i = j
@@ -132,21 +136,21 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.pos)
         return self.next()
 
-    # expression grammar: sum of products of signed powers
+    # expression grammar: sum of products of signed powers; a parse value is
+    # a BiPoly while its reduced denominator is constant, else a BiRatFunc
 
-    def parse_expr(self) -> BiRatFunc:
+    def parse_expr(self) -> BiPoly | BiRatFunc:
         acc = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next()
             rhs = self.parse_term()
-            if not (acc.is_polynomial and rhs.is_polynomial):  # else within bound
-                a, b = acc.num.total_degree(), acc.den.total_degree()
-                c, d = rhs.num.total_degree(), rhs.den.total_degree()
+            if isinstance(acc, BiRatFunc) or isinstance(rhs, BiRatFunc):  # else within bound
+                (a, b), (c, d) = _degrees(acc), _degrees(rhs)
                 self._bound(max(a + d, c + b, b + d), op)
-            acc = acc + rhs if op.text == "+" else acc - rhs
+            acc = _lower(acc + rhs if op.text == "+" else acc - rhs)
         return acc
 
-    def parse_term(self) -> BiRatFunc:
+    def parse_term(self) -> BiPoly | BiRatFunc:
         acc = self.parse_factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next()
@@ -156,11 +160,13 @@ class _Parser:
             value, other = acc.expand(), rhs.expand()
             if op.text == "*":
                 value = value * other
+            elif other.is_zero:
+                raise ParseError("division by zero", self.peek().pos)
+            elif isinstance(other, BiPoly) and other.is_constant:
+                value = value * (1 / other.constant_value())
             else:
-                if other.is_zero:
-                    raise ParseError("division by zero", self.peek().pos)
-                value = value / other
-            acc = _Factor(value)
+                value = _as_ratfunc(value) / other
+            acc = _Factor(_lower(value))
         return acc.expand()
 
     def parse_factor(self) -> "_Factor":
@@ -180,7 +186,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
             self.next()
             if exponent != 1:
-                base = base ** exponent
+                base = _lower(base ** exponent)
             digits = tok.text.lstrip("0") or "0"
             # lengths first: int() refuses a string of more than 4300 digits
             exponent = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
@@ -193,21 +199,21 @@ class _Parser:
             what = _RESULT_NAMES.get(tok.text, "power")
             raise ParseError(f"{what} exceeds the degree bound {MAX_DEGREE}", tok.pos)
 
-    def parse_atom(self) -> BiRatFunc:
+    def parse_atom(self) -> BiPoly | BiRatFunc:
         tok = self.peek()
         if tok.kind == "num":
             if len(tok.text) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", tok.pos)
             self.next()
-            return BiRatFunc.from_poly(BiPoly.constant(Fraction(int(tok.text))))
+            return BiPoly.constant(Fraction(int(tok.text)))
         if tok.kind == "name":
             if tok.text == "x":
                 self.next()
-                return BiRatFunc.from_poly(BiPoly.x())
+                return BiPoly.x()
             if tok.text == "y":
                 self.next()
-                return BiRatFunc.from_poly(BiPoly.y())
+                return BiPoly.y()
             raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.next()
@@ -217,8 +223,26 @@ class _Parser:
         raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
 
 
-def _degree(value: BiRatFunc) -> int:
-    return max(value.num.total_degree(), value.den.total_degree())
+def _lower(value: BiPoly | BiRatFunc) -> BiPoly | BiRatFunc:
+    """value as a BiPoly when its reduced denominator, which is monic, is 1."""
+    if isinstance(value, BiRatFunc) and value.den.is_constant:
+        return value.num
+    return value
+
+
+def _degrees(value: BiPoly | BiRatFunc) -> tuple[int, int]:
+    """Total degrees of the reduced numerator and denominator."""
+    if isinstance(value, BiPoly):
+        return value.total_degree(), 0
+    return value.num.total_degree(), value.den.total_degree()
+
+
+def _degree(value: BiPoly | BiRatFunc) -> int:
+    return max(_degrees(value))
+
+
+def _as_ratfunc(value: BiPoly | BiRatFunc) -> BiRatFunc:
+    return value if isinstance(value, BiRatFunc) else BiRatFunc.from_poly(value)
 
 
 @dataclass(frozen=True)
@@ -226,7 +250,7 @@ class _Factor:
     """A parsed factor, negated or not, base**exponent, which is expanded
     only after the operation it enters has been checked against MAX_DEGREE."""
 
-    base: BiRatFunc
+    base: BiPoly | BiRatFunc
     exponent: int = 1
     negate: bool = False
 
@@ -234,8 +258,8 @@ class _Factor:
     def degree(self) -> int:
         return _degree(self.base) * self.exponent
 
-    def expand(self) -> BiRatFunc:
-        value = self.base ** self.exponent if self.exponent != 1 else self.base
+    def expand(self) -> BiPoly | BiRatFunc:
+        value = _lower(self.base ** self.exponent) if self.exponent != 1 else self.base
         return -value if self.negate else value
 
 
@@ -246,7 +270,7 @@ def parse_expression(text: str) -> BiRatFunc:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return value
+    return _as_ratfunc(value)
 
 
 def parse_univariate(text: str) -> RatFunc:
@@ -256,16 +280,16 @@ def parse_univariate(text: str) -> RatFunc:
 
 
 def _to_univariate(value: BiRatFunc, text: str) -> RatFunc:
-    f = _y_free(value)
+    f = _y_free(value.num, value.den)
     if f is None:
         raise ShapeError(f"expression is not univariate in x: {text!r}")
     return f
 
 
-def _y_free(value: BiRatFunc) -> Optional[RatFunc]:
-    """value as a rational function of x, or None if it involves y."""
-    if value.num.is_y_free() and value.den.is_y_free():
-        return RatFunc(value.num.subst_y(0), value.den.subst_y(0))
+def _y_free(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
+    """num/den as a rational function of x, or None if it involves y."""
+    if num.is_y_free() and den.is_y_free():
+        return RatFunc(num.subst_y(0), den.subst_y(0))
     return None
 
 
@@ -289,7 +313,7 @@ def parse_system(text: str) -> SystemSource:
         value = parser.parse_expr()
         if name_tok.text in slots:
             raise ParseError(f"duplicate statement for {name_tok.text}'", name_tok.pos)
-        slots[name_tok.text] = value
+        slots[name_tok.text] = _as_ratfunc(value)
         tok = parser.peek()
         if tok.kind == "sep":
             parser.next()
@@ -302,12 +326,15 @@ def parse_system(text: str) -> SystemSource:
 
 
 def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, Planar]:
-    f = _y_free(fx)
+    f = _y_free(fx.num, fx.den)
     if f is not None:
-        g = None if fy.is_zero else _y_free(fy / BiRatFunc.from_poly(BiPoly.y()))
-        if g is not None:
-            return UnivariateFamily(f, g, KIND_LOG)
-        g = _y_free(fy)
+        # fy is reduced, so fy/y is y-free exactly when y divides every term
+        # of fy.num once and fy.den is y-free
+        if not fy.is_zero and all(j == 1 for _, j in fy.num.prim):
+            g = _y_free(fy.num.div_exact_y(), fy.den)
+            if g is not None:
+                return UnivariateFamily(f, g, KIND_LOG)
+        g = _y_free(fy.num, fy.den)
         if g is not None:
             return UnivariateFamily(f, g, KIND_DERIVATIVE)
     if fx.is_polynomial and fy.is_polynomial:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -39,3 +40,23 @@ def random_proper_ratfunc(rng: random.Random, den: UniPoly) -> RatFunc:
     if num.is_zero:
         num = UniPoly.one()
     return RatFunc(num, den)
+
+
+def record_calls(monkeypatch, fn) -> list:
+    """Wrap fn in every orthoscope module and class that binds it, for the
+    rest of the test; the returned list receives the first argument of each
+    call (self, for a method)."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orthoscope"):
+            owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+            for owner in owners:
+                for attr, value in list(vars(owner).items()):
+                    if value is fn:
+                        monkeypatch.setattr(owner, attr, wrapper)
+    return calls

@@ -402,3 +402,34 @@ class TestFractionOracle:
         for p, q in zip(polys, polys[1:]):
             assert (p == q) == (p.terms == q.terms)
         assert BiPoly.of({(1, 0): 2}) != BiPoly.of({(0, 1): 2})
+
+
+def _repeated_squaring(p: BiPoly, n: int) -> BiPoly:
+    result, base = BiPoly.one(), p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class TestBinomialPower:
+    def test_two_term_powers_match_repeated_squaring(self):
+        rng = random.Random(5053)
+        cases = [(BiPoly.of({(1, 0): 1, (0, 0): Fraction(-9, 4)}), 1000),
+                 (BiPoly.of({(1, 0): -3, (0, 0): 2}), 1000)]
+        for _ in range(60):
+            if rng.random() < 0.5:  # x-only
+                keys = rng.sample([(i, 0) for i in range(6)], 2)
+            else:
+                keys = rng.sample([(i, j) for i in range(4) for j in range(3)], 2)
+            coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 8))
+                      for _ in keys]
+            cases.append((BiPoly.of(dict(zip(keys, coeffs))), rng.randint(0, 40)))
+        for p, n in cases:
+            assert len(p.prim) == 2
+            got = p**n
+            assert got == _repeated_squaring(p, n), (p, n)
+            assert got.prim[max(got.prim)] > 0
+        assert {p.lc < 0 for p, _ in cases} == {True, False}

@@ -31,6 +31,7 @@ from orthoscope.criteria import (
     STATUS_INCONCLUSIVE,
     STATUS_NONE,
 )
+from conftest import record_calls
 
 P = RatFunc.from_poly
 
@@ -192,46 +193,18 @@ class TestClassifiers:
         assert v.conclusion == CONCLUSION_NONORTHOGONAL
 
     def test_derivative_family_reduces_one_over_f_once(self, x, monkeypatch):
-        import sys
-
         from orthoscope import ratfunc
 
-        reduced = []
-        original = ratfunc.hermite_reduce
-
-        def wrapper(r, *args, **kwargs):
-            reduced.append(r)
-            return original(r, *args, **kwargs)
-
-        # wrap hermite_reduce in every orthoscope module that binds it
-        for name, module in list(sys.modules.items()):
-            if name.startswith("orthoscope"):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
+        reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
         f = P(x**2 * (x - 1))
         sv = classify_derivative_family(f, P(x))
         assert sv.conclusion == CONCLUSION_NONORTHOGONAL and sv.fibration.beta == 1
         assert reduced.count(RatFunc.one() / f) == 1
 
     def test_one_factorization_per_request(self, x, monkeypatch):
-        import sys
-
         from orthoscope.algebra import factor
 
-        calls = []
-        original = factor.factor_rationals
-
-        def wrapper(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        # wrap factor_rationals in every orthoscope module that binds it
-        for name, module in list(sys.modules.items()):
-            if name.startswith("orthoscope"):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
+        calls = record_calls(monkeypatch, factor.factor_rationals)
 
         def count(classify, f, g):
             calls.clear()

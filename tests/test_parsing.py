@@ -1,9 +1,18 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from orthoscope import RatFunc, UniPoly, parse_expression, parse_system, parse_univariate
+from orthoscope import (
+    BiRatFunc,
+    RatFunc,
+    UniPoly,
+    bipoly_gcd,
+    parse_expression,
+    parse_system,
+    parse_univariate,
+)
 from orthoscope.errors import ParseError, ShapeError
 from orthoscope.parsing import (
     KIND_DERIVATIVE,
@@ -12,6 +21,7 @@ from orthoscope.parsing import (
     Planar,
     UnivariateFamily,
 )
+from conftest import record_calls
 
 
 class TestGrammar:
@@ -68,12 +78,14 @@ class TestGrammar:
             assert exc.value.position == text.rindex("^") + 1, text
 
     def test_operation_degree_bound(self):
+        # the bounds read reduced operands: (x^2-1)/(x-1) enters as x + 1
         for text in ("x^1000 + x^1000", "2^1000*x", "x^500*x^500", "(x^2/y)^250/y^500",
-                     "1/x^500 + 1/x^500", "x^999*(x + 1)"):
+                     "1/x^500 + 1/x^500", "x^999*(x + 1)", "(x^2-1)/(x-1) * x^999"):
             parse_expression(text)
         for text, op in (("(x+1)^1000*(x+1)^1000", "*"), ("x^600*(x^600)", "*"),
                          ("x*-x^1000", "*"), ("x^600/(x + 1)^600", "/"),
-                         ("1/x^600 + 1/x^500", "+"), ("1/x^600 - x^500", "-")):
+                         ("1/x^600 + 1/x^500", "+"), ("1/x^600 - x^500", "-"),
+                         ("x^999*(x^2-1)/(x-1)", "*")):
             with pytest.raises(ParseError) as exc:
                 parse_expression(text)
             assert exc.value.position == text.rindex(op), text
@@ -84,6 +96,25 @@ class TestGrammar:
         with pytest.raises(ParseError) as exc:
             parse_expression(text)
         assert exc.value.position == 4
+
+    def test_non_decimal_digit_refused(self):
+        with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+            parse_expression("x^²")
+        assert exc.value.position == 2
+        assert parse_expression("x^３") == parse_expression("x^3")
+
+    def test_binomial_power_within_100_ms(self):
+        start = time.perf_counter()
+        value = parse_expression("(x - 9/4)^1000")
+        assert time.perf_counter() - start < 0.1
+        assert value.num.degree_x() == 1000 and value.num.coeff(0, 0) == Fraction(9, 4) ** 1000
+
+    def test_polynomial_statements_reduce_once_each(self, monkeypatch):
+        built = record_calls(monkeypatch, BiRatFunc.__post_init__)
+        gcds = record_calls(monkeypatch, bipoly_gcd)
+        src = parse_system("x' = (x-1)^3*(x+2); y' = y*(2*x - 1/3)")
+        assert src.parsed.kind == KIND_LOG
+        assert (len(built), len(gcds)) == (2, 0)
 
     def test_missing_statement(self):
         with pytest.raises(ParseError):

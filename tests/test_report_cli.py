@@ -94,6 +94,8 @@ class TestCliExitCodes:
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["classify", "x' = "]) == 2
+        assert main(["classify", "x' = x^²; y' = y"]) == 2
+        assert "unexpected character '²'" in capsys.readouterr().err
 
     def test_huge_power_exit_two_within_a_second(self, capsys):
         start = time.perf_counter()

@@ -16,10 +16,12 @@ from orthoscope import (
     bipoly_gcd,
     factor_rationals,
     hermite_reduce,
+    parse_expression,
     pole_spectrum,
     poly_gcd,
     squarefree_decompose,
 )
+from orthoscope.errors import ParseError
 
 X, Y = sympy.symbols("x y")
 
@@ -154,6 +156,42 @@ def test_bipoly_div_exact_matches_sympy():
 # Irreducible loci over Q: linear, quadratic and cubic.
 _LOCI = [[-3, 1], [Fraction(1, 2), 1], [2, 1], [0, 1], [1, 0, 1], [-2, 0, 1],
          [1, 1, 1], [3, 2, 1], [-2, 0, 0, 1], [-1, -1, 0, 1], [1, -3, 0, 1]]
+
+
+def _random_source(rng: random.Random, depth: int) -> str:
+    """Source text over x and y with + - * / ^ and unary minus; every power
+    has a parenthesized base, so the caret reads the same in Python."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["x", "y", str(rng.randint(0, 9))])
+    a, b = _random_source(rng, depth - 1), _random_source(rng, depth - 1)
+    op = rng.choice(["+", "-", "*", "/", "^", "neg"])
+    if op == "^":
+        return f"({a})^{rng.randint(0, 3)}"
+    if op == "neg":
+        return f"-({a})"
+    return f"({a}) {op} ({b})"
+
+
+def test_parser_matches_cancel():
+    rng = random.Random(7009)
+    seen, done = set(), 0
+    while done < 300:
+        text = _random_source(rng, rng.randint(1, 3))
+        try:
+            value = parse_expression(text)
+        except ParseError as exc:
+            assert "division by zero" in str(exc), text
+            continue
+        p, q = sympy.fraction(sympy.cancel(
+            sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y})))
+        num, den = bi_to_sympy(value.num), bi_to_sympy(value.den)
+        assert (num * sympy.Poly(q, X, Y, domain=sympy.QQ)
+                - sympy.Poly(p, X, Y, domain=sympy.QQ) * den).is_zero, text
+        assert value.den.lc == 1, text
+        assert bipoly_gcd(value.num, value.den).is_constant, text
+        seen.add("polynomial" if value.den.is_constant else "rational")
+        done += 1
+    assert seen == {"polynomial", "rational"}
 
 
 def _random_pole_function(rng: random.Random) -> RatFunc:
