@@ -241,6 +241,23 @@ class UniPoly:
         """Evaluate at ``a*var + b`` exactly."""
         return self.compose(UniPoly.of((b, a), self.var))
 
+    def taylor_shift(self, c) -> "UniPoly":
+        """Evaluate at ``var + c`` exactly, by Horner's rule on the integers.
+
+        With c = n/d, m = deg p and P = sum(prim[k] * x**k), d**m * P(x + n/d)
+        is Q(y + n) at y = d*x, where Q = sum(prim[k] * d**(m-k) * y**k).
+        """
+        c = _frac(c)
+        m = len(self.prim) - 1
+        if m < 1 or not c:
+            return self
+        n, d = c.numerator, c.denominator
+        b = [v * d ** (m - k) for k, v in enumerate(self.prim)]
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                b[j] += n * b[j + 1]
+        return _canonical(self.content / d**m, [v * d**k for k, v in enumerate(b)], self.var)
+
     def reverse(self) -> "UniPoly":
         """Coefficient reversal: x^deg * p(1/x)."""
         return _canonical(self.content, list(reversed(self.prim)), self.var)
@@ -408,16 +425,16 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
     parts: list[tuple[UniPoly, int]] = []
     g = poly_gcd(f, f.derivative())
     b = f.exact_div(g)
-    c = f.derivative().exact_div(g)
-    d = c - b.derivative()
+    db = b.derivative()
+    d = f.derivative().exact_div(g) - db
     i = 1
     while b.degree > 0:
         a = poly_gcd(b, d)
         if a.degree > 0:
             parts.append((a, i))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative()
+            b, d = b.exact_div(a), d.exact_div(a)
+            db = b.derivative()
+        d = d - db      # a = 1 leaves b, and so b', as they were
         i += 1
     parts.sort(key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
     return SquarefreeFactorization(content, tuple(parts))

@@ -47,14 +47,17 @@ class BiRatFunc(FractionField):
         num, den = self.num, self.den
         if den.is_zero:
             raise ZeroDivisionError("bivariate rational function with zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", BiPoly.zero())
-            object.__setattr__(self, "den", BiPoly.one())
-            return
         if not (num.is_constant or den.is_constant):
             g = bipoly_gcd(num, den)
             if not g.is_constant:
                 num, den = num.div_exact(g), den.div_exact(g)
+        self._normalize(num, den)
+
+    def _normalize(self, num: BiPoly, den: BiPoly) -> None:
+        if num.is_zero:
+            object.__setattr__(self, "num", BiPoly.zero())
+            object.__setattr__(self, "den", BiPoly.one())
+            return
         object.__setattr__(self, "num", num * (1 / den.lc))
         object.__setattr__(self, "den", den.monic())
 

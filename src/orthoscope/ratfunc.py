@@ -43,12 +43,22 @@ WITNESS_DERIVATIVE = "derivative"
 class FractionField:
     """An element num/den of the fraction field of a polynomial ring.
 
-    The field arithmetic lives here and builds every result with
-    type(self)(num, den), so the subclass's __post_init__ reduces it. A
+    The field arithmetic lives here and builds a result with
+    type(self)(num, den), so the subclass's __post_init__ reduces it by a
+    gcd, or with _coprime when the pair is coprime by construction. A
     subclass is a frozen dataclass with fields num and den, declared with
-    repr=False so that the __repr__ below is kept; it supplies the
-    normalization, _coerce, its calculus and to_string.
+    repr=False so that the __repr__ below is kept; it supplies
+    _normalize, which stores a coprime pair in normal form, _coerce, its
+    calculus and to_string.
     """
+
+    @classmethod
+    def _coprime(cls, num, den):
+        """num/den for a pair with no common factor: the subclass's
+        normalization without its gcd; den must be nonzero."""
+        self = object.__new__(cls)
+        self._normalize(num, den)
+        return self
 
     @property
     def is_zero(self) -> bool:
@@ -98,11 +108,12 @@ class FractionField:
         return self._coerce(other) / self
 
     def __pow__(self, n: int):
+        # powers of a reduced pair, swapped or not, stay coprime
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return type(self)(self.den, self.num) ** (-n)
-        return type(self)(self.num**n, self.den**n)
+            return self._coprime(self.den ** -n, self.num ** -n)
+        return self._coprime(self.num**n, self.den**n)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -122,12 +133,15 @@ class RatFunc(FractionField):
         num, den = self.num, self.den
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = UniPoly.one(den.var)
-        elif not (num.is_constant or den.is_constant):
+        if not (num.is_constant or den.is_constant):
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
+        self._normalize(num, den)
+
+    def _normalize(self, num: UniPoly, den: UniPoly) -> None:
+        if num.is_zero:
+            den = UniPoly.one(den.var)
         scale = 1 / den.lc
         object.__setattr__(self, "num", num * scale)
         object.__setattr__(self, "den", den * scale)
@@ -227,10 +241,16 @@ class WitnessData:
     target: RatFunc      # the function being witnessed
 
     def verify(self) -> bool:
+        """The identity, cross-multiplied so that no gcd is taken: with
+        h = n/d, h' = (n'd - nd')/d^2 and target = T.num/T.den, it is
+        (n'd - nd')*T.den = scaling*T.num*n*d for dlog (h nonzero) and
+        (n'd - nd')*T.den = T.num*d^2 for derivative."""
+        n, d, target = self.h.num, self.h.den, self.target
+        lhs = (n.derivative() * d - n * d.derivative()) * target.den
         if self.kind == WITNESS_DLOG:
-            return (not self.h.is_zero) and self.h.dlog() == self.target * self.scaling
+            return (not n.is_zero) and lhs == target.num * n * d * self.scaling
         if self.kind == WITNESS_DERIVATIVE:
-            return self.h.derivative() == self.target
+            return lhs == target.num * d * d
         return False
 
     def check(self) -> "WitnessData":
@@ -377,6 +397,14 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     locus q | p is a/p' = a*t mod q, with t = 1/p' mod p from the same gcd
     (Bronstein, Symbolic Integration I, sections 2.2 and 2.5).
 
+    When p is a single linear locus x - c and e >= 2, the e - 1 steps are
+    one Taylor shift each way (_linear_laurent): the Laurent coefficients
+    alpha_k of a/(x - c)^e are read off a(u + c), the residue is
+    alpha_{e-1}, and the derivative part is integrated term by term. The
+    steps leave the constant -alpha_{e-1}*H_{e-1} in h, with
+    H_{e-1} = 1 + 1/2 + ... + 1/(e-1); the shift adds it too, so both
+    give the same h. No gcd and only p^(e-1) and p^e are needed.
+
     The pieces are summed as polynomials over D = prod p^(e-1) and
     P = prod p, whose product is r.den, and the identity r = h' + rem is
     checked exactly as one polynomial division by D*P: with
@@ -384,6 +412,12 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     r.num - (H'*P - H*S) - A*D = q*D*P. The quotient q collects the
     polynomial parts dropped along the way and joins h as its
     antiderivative; a nonzero remainder raises WitnessVerificationError.
+
+    Once the identity holds, h's numerator and D are coprime, so h is
+    built without a gcd. r is reduced, so it has a pole of order exactly e
+    at each root of a p with e >= 2; rem has simple poles at most, so
+    h' = r - rem has order e there and h order e - 1, the full power of p
+    in D. Hence no root of D is a root of h's numerator.
     """
     var = r.var
     polypart, n0 = divmod(r.num, r.den)
@@ -402,22 +436,27 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     w = UniPoly.zero(var)                                         # S: D'/D = S/P
     residues: dict[UniPoly, Residue] = {}
     if loci:
-        powers = [_powers(p, e) for p, e in parts]
+        # [p^(e-1), p^e] at a linear multiple part, every power up to p^e elsewhere
+        powers = [_powers(p, e, e - 1 if _is_linear_multiple(p, e) else 0) for p, e in parts]
         numerators = _split_partial(n0, [pw[-1] for pw in powers])
         for (p, e), pw, a in zip(parts, powers, numerators):
-            _, s, t = poly_xgcd(p, p.derivative())
-            terms = []
-            for j in range(e, 1, -1):
-                a = a % pw[j]
-                b = a * t
-                terms.append(b * Fraction(-1, j - 1))
-                a = a * s + b.derivative() * Fraction(1, j - 1)
-            if terms:
+            if _is_linear_multiple(p, e):
+                acc, a = _linear_laurent(a, -p.coeff(0), e)
+                t = UniPoly.one(var)
+            else:
+                _, s, t = poly_xgcd(p, p.derivative())
+                terms = []
+                for j in range(e, 1, -1):
+                    a = a % pw[j]
+                    b = a * t
+                    terms.append(b * Fraction(-1, j - 1))
+                    a = a * s + b.derivative() * Fraction(1, j - 1)
                 acc = UniPoly.zero(var)
                 for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
                     acc = acc * p + c
-                h_num = h_num * pw[e - 1] + acc * h_den
-                h_den = h_den * pw[e - 1]
+            if e >= 2:
+                h_num = h_num * pw[-2] + acc * h_den
+                h_den = h_den * pw[-2]
             w = w * p + p.derivative() * rem_den * (e - 1)
             a = a % p
             for q in groups[e]:
@@ -430,18 +469,39 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     quotient, left = divmod(defect, h_den * rem_den)
     if not left.is_zero:
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
-    h = RatFunc(h_num + quotient.antiderivative() * h_den, h_den)
+    h = RatFunc._coprime(h_num + quotient.antiderivative() * h_den, h_den)
     spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
                             _infinity_pole(r))
     return HermiteDecomposition(h, RatFunc(rem_num, rem_den), spectrum)
 
 
-def _powers(p: UniPoly, e: int) -> list[UniPoly]:
-    """[p**0, p**1, ..., p**e], one multiplication each."""
-    powers = [UniPoly.one(p.var)]
-    for _ in range(e):
+def _powers(p: UniPoly, e: int, start: int = 0) -> list[UniPoly]:
+    """[p**start, ..., p**e], one multiplication each after the first."""
+    powers = [p**start]
+    for _ in range(e - start):
         powers.append(powers[-1] * p)
     return powers
+
+
+def _is_linear_multiple(p: UniPoly, e: int) -> bool:
+    return e >= 2 and p.degree == 1
+
+
+def _linear_laurent(a: UniPoly, c: Fraction, e: int) -> tuple[UniPoly, UniPoly]:
+    """For a/(x - c)^e with deg a < e: the numerator of its derivative part
+    over (x - c)^(e-1), and its residue as a constant polynomial.
+
+    With a(u + c) = sum alpha_k u^k, the derivative part is
+    sum_{k <= e-2} alpha_k/(k-e+1) u^(k-e+1) - alpha_{e-1}*H_{e-1}, where
+    the constant, with H_{e-1} = 1 + 1/2 + ... + 1/(e-1), is the one the
+    step-by-step reduction leaves; the residue is alpha_{e-1}.
+    """
+    alpha = a.taylor_shift(c).coeffs
+    alpha += (Fraction(0),) * (e - len(alpha))
+    residue = alpha[e - 1]
+    harmonic = sum(Fraction(1, j) for j in range(1, e))
+    beta = [alpha[k] / (k - e + 1) for k in range(e - 1)] + [-residue * harmonic]
+    return UniPoly.of(beta, a.var).taylor_shift(-c), UniPoly.constant(residue, a.var)
 
 
 def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:

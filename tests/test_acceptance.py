@@ -170,3 +170,19 @@ def test_criterion_6_honesty_guard():
             assert cli_mod.main(["classify", "x' = x; y' = y*x"]) == 4
         finally:
             cli_mod.run = original
+
+
+def test_multiple_pole_of_order_80_within_200_ms():
+    # the Taylor-shift path of hermite_reduce: one linear locus of multiplicity 80
+    from orthoscope.report import emit
+
+    def classify_and_emit():
+        report = run("classify", "x' = (x - 3/2)^80*(x + 2); y' = 1/2 - 79/2*(x + 2)")
+        emit(report, "json")
+        return report
+
+    report, elapsed = timed(classify_and_emit)
+    assert report.verdict == "nonorthogonal-uniformly-almost-internal"
+    assert report.beta == Fraction(1, 2) and report.witness.kind == "derivative"
+    assert report.witness.h == RatFunc(UniPoly.constant(Fraction(1, 2)), (X - Fraction(3, 2)) ** 79)
+    assert elapsed < 0.2, elapsed

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orthoscope import (
+    BiPoly,
     BiRatFunc,
     RatFunc,
     UniPoly,
@@ -108,6 +109,14 @@ class TestGrammar:
         value = parse_expression("(x - 9/4)^1000")
         assert time.perf_counter() - start < 0.1
         assert value.num.degree_x() == 1000 and value.num.coeff(0, 0) == Fraction(9, 4) ** 1000
+
+    def test_power_of_a_fraction_within_1_s(self):
+        # a power of a reduced pair is reduced: no gcd of the two powers
+        start = time.perf_counter()
+        value = parse_expression("(4/y - 8)^501")
+        assert time.perf_counter() - start < 1.0
+        assert value.den == BiPoly.y() ** 501
+        assert value.num.coeff(0, 0) == 4**501 and value.num.coeff(0, 501) == (-8) ** 501
 
     def test_polynomial_statements_reduce_once_each(self, monkeypatch):
         built = record_calls(monkeypatch, BiRatFunc.__post_init__)

@@ -28,7 +28,9 @@ from orthoscope.ratfunc import (
     REASON_IMPROPER_AT_INFINITY,
     REASON_MULTIPLE_POLE,
     REASON_NON_CLASS_RESIDUE,
+    WITNESS_DERIVATIVE,
     WITNESS_DLOG,
+    WitnessData,
     _split_partial,
     exact_derivative_part,
 )
@@ -198,6 +200,45 @@ def hermite_oracle(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     return h, rem
 
 
+def random_linear_multiple_pole(rng: random.Random) -> tuple[RatFunc, set]:
+    """r = a/(x - c)^e + b/R + s: one linear locus of multiplicity
+    2 <= e <= 40, c short or tall, and deg a often below e - 1 (a zero
+    residue at c). The cofactor R is 1, a linear or quadratic locus, or
+    (x - c2)^e (two linear loci of one multiplicity, the general path);
+    s is an optional polynomial part. Returns r and the features drawn."""
+    x = UniPoly.variable()
+    features = set()
+    e = rng.choice([2, 3, 5, 8, 13, 21, 40]) if rng.random() < 0.3 else rng.randint(2, 12)
+    if rng.random() < 0.4:
+        c = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+        features.add("tall")
+    else:
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    if c < 0:
+        features.add("negative")
+    top = e - 1 if rng.random() < 0.5 else rng.randint(0, e - 2)
+    if top < e - 1:
+        features.add("deg a < e - 1")
+    # a = sum of u^k over k <= top in u = x - c, so deg a = top
+    a = random_unipoly(rng, top, -9, 9, nonzero=True)
+    a = (a + UniPoly.monomial(top, rng.choice([-3, 1, 2]))).compose_affine(1, -c)
+    r = RatFunc(a, (x - c) ** e)
+    kind = rng.choice(["none", "linear", "quadratic", "equal"])
+    if kind == "linear":
+        r = r + RatFunc(UniPoly.constant(rng.randint(1, 5)), x - c - rng.randint(1, 9))
+    elif kind == "quadratic":
+        r = r + RatFunc(x - 1, x**2 + rng.randint(1, 5))
+    elif kind == "equal":
+        c2 = c + Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        r = r + RatFunc(random_unipoly(rng, e - 1, -9, 9, nonzero=True), (x - c2) ** e)
+        features.add("equal multiplicities")
+    if rng.random() < 0.3:
+        r = r + random_unipoly(rng, 3, -9, 9)
+    if e >= 30:
+        features.add("e >= 30")
+    return r, features
+
+
 def random_ratfunc_with_high_multiplicities(rng: random.Random) -> RatFunc:
     """r with a nonzero polynomial part over 2..4 distinct linear or
     irreducible quadratic factors of multiplicity 1..8, at least two of
@@ -228,6 +269,15 @@ def random_ratfunc_with_high_multiplicities(rng: random.Random) -> RatFunc:
 class TestNormalize:
     def test_cancel_common_factor(self, x):
         assert RatFunc(x, x**2 * (x - 1)) == RatFunc(UniPoly.one(), x * (x - 1))
+
+    def test_powers_match_the_gcd_reduced_pair(self):
+        rng = random.Random(2033)
+        for _ in range(60):
+            r = RatFunc(random_unipoly(rng, 3, -6, 6), random_unipoly(rng, 3, -6, 6, nonzero=True))
+            n = rng.randint(-4, 5) if not r.is_zero else rng.randint(0, 5)
+            num, den = (r.num, r.den) if n >= 0 else (r.den, r.num)
+            # dataclass equality: the same normalized fields, not just the same value
+            assert r**n == RatFunc(num ** abs(n), den ** abs(n))
 
     def test_zero_numerator(self, x):
         r = RatFunc(UniPoly.zero(), x)
@@ -389,6 +439,48 @@ class TestHermite:
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == hermite_oracle(r)
 
+    def test_linear_multiple_poles_agree_with_hermite_oracle(self):
+        # the Taylor-shift path against the step-by-step reduction, bytes included
+        rng = random.Random(2031)
+        drawn = set()
+        for _ in range(60):
+            r, features = random_linear_multiple_pole(rng)
+            drawn |= features
+            herm = hermite_reduce(r)
+            h, rem = hermite_oracle(r)
+            assert (herm.derivative_part, herm.remainder) == (h, rem)
+            for entry in herm.spectrum.affine_poles:
+                if entry.locus.degree == 1:
+                    root = -entry.locus.coeff(0)
+                    simple = rem.den.eval(root) == 0
+                    expected = rem.num.eval(root) / rem.den.derivative().eval(root) if simple else 0
+                    assert entry.residue == expected
+        assert drawn >= {"tall", "negative", "deg a < e - 1", "equal multiplicities",
+                         "e >= 30"}
+
+    def test_exact_derivative_at_a_linear_multiple_pole(self, x):
+        # zero remainder: r = (b/(x + 7/3)^5)'
+        b = 2 * x**4 - x + 5
+        r = RatFunc(b, (x + Fraction(7, 3)) ** 5).derivative()
+        herm = hermite_reduce(r)
+        assert herm.remainder.is_zero
+        assert herm.derivative_part.derivative() == r
+        assert (herm.derivative_part, herm.remainder) == hermite_oracle(r)
+
+    def test_no_xgcd_per_linear_multiple_part(self, x, monkeypatch):
+        from orthoscope.algebra import unipoly
+
+        r = RatFunc(x**2 + 3, (x - 1) ** 2 * (x - 2) ** 3 * (x - Fraction(3, 7)) ** 5
+                    * (x**2 + 1))
+        expected = hermite_oracle(r)
+        calls = record_calls(monkeypatch, unipoly.poly_xgcd)
+        herm = hermite_reduce(r)
+        assert (herm.derivative_part, herm.remainder) == expected
+        # three for the partial-fraction split of four parts, one for the
+        # simple quadratic part; none for the three linear multiple parts
+        assert len(calls) == 4
+        assert all(first.degree != 1 for first in calls)
+
     def test_known_loci_give_the_same_reduction(self, x):
         rng = random.Random(2027)
         extra = [x + 7, x**2 + 3, x**3 - 5]
@@ -547,3 +639,45 @@ class TestDerivativeWitness:
     def test_not_a_derivative(self, x):
         r = RatFunc(UniPoly.one(), x)
         assert exact_derivative_part(r, hermite_reduce(r)) is None
+
+
+class TestWitnessVerify:
+    @staticmethod
+    def reduced_form(w: WitnessData) -> bool:
+        """The identity through reduced dlog() and derivative()."""
+        if w.kind == WITNESS_DLOG:
+            return (not w.h.is_zero) and w.h.dlog() == w.target * w.scaling
+        return w.h.derivative() == w.target
+
+    def test_cross_multiplied_identity_decides_as_the_reduced_form(self):
+        rng = random.Random(2032)
+        outcomes = {True: 0, False: 0}
+        for _ in range(150):
+            h = RatFunc(random_unipoly(rng, 4, -9, 9, nonzero=True),
+                        random_unipoly(rng, 3, -5, 5, nonzero=True))
+            kind = rng.choice([WITNESS_DLOG, WITNESS_DERIVATIVE])
+            if kind == WITNESS_DLOG:
+                if h.is_constant:
+                    h = h + UniPoly.variable()
+                scaling = rng.randint(1, 6)
+                target = h.dlog() * Fraction(1, scaling)
+            else:
+                scaling, target = 1, h.derivative()
+            true = WitnessData(kind, h, scaling, target)
+            assert true.verify() and self.reduced_form(true)
+            x = UniPoly.variable()
+            bump = rng.choice([UniPoly.constant(rng.choice([-2, 1, 3])), x, x**2 - 1])
+            perturbed = [
+                WitnessData(kind, h + bump, scaling, target),
+                WitnessData(kind, h * rng.choice([-1, 2, Fraction(1, 3)]), scaling, target),
+                WitnessData(kind, RatFunc.zero(), scaling, target),
+                WitnessData(kind, h, scaling, target + RatFunc(UniPoly.one(), x - 5)),
+                WitnessData(kind, h, scaling, target * 2),
+                WitnessData(kind, h, scaling + 1, target),
+            ]
+            for w in perturbed:
+                decided = self.reduced_form(w)
+                assert w.verify() == decided, w.identity_string()
+                outcomes[decided] += 1
+        # constants added under derivative and scalings under dlog keep it true
+        assert outcomes[True] > 100 and outcomes[False] > 500

@@ -76,6 +76,16 @@ class TestGcd:
             assert (g % r.monic()).is_zero
 
 
+class TestTaylorShift:
+    def test_matches_composition(self):
+        rng = random.Random(2034)
+        for _ in range(200):
+            p = random_unipoly(rng, 12, -50, 50) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            assert p.taylor_shift(c) == p.compose_affine(1, c)
+            assert p.taylor_shift(c).taylor_shift(-c) == p
+
+
 class TestSquarefree:
     def test_factored_input(self, x):
         sf = squarefree_decompose(x**3 * (x - 1))
@@ -93,6 +103,13 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_decompose(UniPoly.zero())
+
+    def test_multiplicity_gaps(self, x):
+        # Yun's loop meets gcd 1 at every multiplicity without a factor
+        p = 3 * (x - 2) * (x**2 + 1) ** 4 * (x + Fraction(1, 3)) ** 9
+        sf = squarefree_decompose(p)
+        assert sf.parts == ((x - 2, 1), (x**2 + 1, 4), (x + Fraction(1, 3), 9))
+        assert sf.expand() == p
 
     def test_roundtrip_bit_exact_500(self):
         rng = random.Random(2024)
