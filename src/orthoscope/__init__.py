@@ -2,7 +2,7 @@
 algebraic differential systems, with verified witnesses."""
 
 from .algebra.bipoly import BiPoly, bipoly_gcd, resultant_x
-from .algebra.factor import factor_rationals, rational_roots
+from .algebra.factor import factor_rationals
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
     NEG_INF,
@@ -43,7 +43,6 @@ from .planar import (
     linearize_along_line,
     system_derivative,
     system_dlog,
-    verify_gauge_identity,
 )
 from .ratfunc import (
     INTEGER,

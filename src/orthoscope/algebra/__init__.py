@@ -1,13 +1,7 @@
 """Exact polynomial and algebraic-number arithmetic over the rationals."""
 
-from .bipoly import BiPoly, bipoly_gcd, resultant_uni, resultant_x
-from .factor import (
-    factor_over,
-    factor_rationals,
-    is_irreducible,
-    rational_roots,
-    rational_roots_squarefree,
-)
+from .bipoly import BiPoly, bipoly_gcd, resultant_x
+from .factor import factor_over, factor_rationals, rational_roots_squarefree
 from .numberfield import NFElement
 from .unipoly import (
     NEG_INF,

@@ -3,8 +3,10 @@
 A BiPoly is a rational content times a sparse primitive integer term map
 (i, j) -> coefficient of x^i * y^j, in the same canonical form as UniPoly,
 so products, exact quotients and derivatives run on Python ints and the
-rational coefficients are formed only when read. The bivariate gcd here
-reduces the parser's rational functions. The resultant eliminates the
+rational coefficients are formed only when read. Exact division is
+exact_div and the printed terms come from signed_terms, as in UniPoly, so
+one fraction-field class reduces and prints over either ring; the
+bivariate gcd here reduces BiRatFunc. The resultant eliminates the
 primary variable from two BiPoly operands via fraction-free Bareiss
 elimination on the Sylvester matrix, returning a UniPoly in the secondary
 variable; it builds the residue polynomial, and no verdict goes through
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import _ONE, _ZERO, UniPoly, _frac, poly_gcd
+from .unipoly import _ONE, _ZERO, UniPoly, _frac, _join_terms, _power, poly_gcd
 from .unipoly import _canonical as _uni_canonical
 
 
@@ -104,12 +106,6 @@ class BiPoly:
             raise ValueError(f"not a constant: {self}")
         return self.coeff(0, 0)
 
-    def degree_x(self) -> int:
-        return max((i for i, _ in self.prim), default=-1)
-
-    def degree_y(self) -> int:
-        return max((j for _, j in self.prim), default=-1)
-
     def total_degree(self) -> int:
         return max((i + j for i, j in self.prim), default=-1)
 
@@ -187,18 +183,9 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        if len(self.prim) == 2:
+        if len(self.prim) == 2 and n >= 0:
             return self._binomial_power(n)
-        result = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.one())
 
     def _binomial_power(self, n: int) -> "BiPoly":
         """(c*(a*m1 + b*m2))**n by the binomial theorem. The terms
@@ -230,28 +217,18 @@ class BiPoly:
         return _canonical(self.content, ints)
 
     def subst_y(self, value) -> "UniPoly":
-        """Substitute a rational constant for y; result is univariate in x."""
-        return self._subst(value, 1, "x")
-
-    def subst_x(self, value) -> "UniPoly":
-        """Substitute a rational constant for x; result is univariate in y."""
-        return self._subst(value, 0, "y")
-
-    def _subst(self, value, axis: int, var: str) -> "UniPoly":
-        """Substitute p/q for x (axis 0) or y (axis 1). Over the common
-        denominator q**d, d the degree in that variable, a term v * (p/q)**e
-        contributes v * p**e * q**(d - e)."""
+        """Substitute a rational constant p/q for y; result is univariate in
+        x. Over the common denominator q**d, d the degree in y, a term
+        v * x**i * (p/q)**j contributes v * p**j * q**(d - j) to x**i."""
         if not self.prim:
-            return UniPoly.zero(var)
+            return UniPoly.zero()
         value = _frac(value)
         p, q = value.numerator, value.denominator
-        keep = 1 - axis
-        d = max(k[axis] for k in self.prim)
-        ints = [0] * (max(k[keep] for k in self.prim) + 1)
-        for k, v in self.prim.items():
-            e = k[axis]
-            ints[k[keep]] += v * p**e * q ** (d - e)
-        return _uni_canonical(self.content / q**d, ints, var)
+        d = max(j for _, j in self.prim)
+        ints = [0] * (max(i for i, _ in self.prim) + 1)
+        for (i, j), v in self.prim.items():
+            ints[i] += v * p**j * q ** (d - j)
+        return _uni_canonical(self.content / q**d, ints, "x")
 
     def eval(self, xval, yval) -> Fraction:
         xval, yval = _frac(xval), _frac(yval)
@@ -274,7 +251,7 @@ class BiPoly:
             raise ValueError("y does not divide this polynomial")
         return BiPoly(self.content, {(i, j - 1): v for (i, j), v in self.prim.items()})
 
-    def div_exact(self, other: "BiPoly") -> "BiPoly":
+    def exact_div(self, other: "BiPoly") -> "BiPoly":
         """Exact division via lex-ordered long division; raises if inexact.
 
         By Gauss's lemma the quotient of two primitive integer polynomials,
@@ -329,31 +306,18 @@ class BiPoly:
 
     # -- printing ---------------------------------------------------------
 
+    def signed_terms(self) -> list[tuple[Fraction, str]]:
+        """(coefficient, monomial) for each term, by descending total degree
+        and then degree in x; the monomial of the constant term is ""."""
+        c = self.content
+        out = []
+        for i, j in sorted(self.prim, key=lambda k: (-(k[0] + k[1]), -k[0])):
+            powers = [f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e]
+            out.append((c * self.prim[(i, j)], "*".join(powers)))
+        return out
+
     def to_string(self) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
-        keys = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
-        parts: list[str] = []
-        for i, j in keys:
-            c = terms[(i, j)]
-            mag = abs(c)
-            factors = []
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            if not factors:
-                body = str(mag)
-            else:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_terms(self.signed_terms())
 
     def __str__(self) -> str:
         return self.to_string()
@@ -429,12 +393,6 @@ def resultant_x(a: BiPoly, b: BiPoly, aux_var: str = "t") -> UniPoly:
     for r in range(m):
         rows.append([zero] * r + b_desc + [zero] * (size - r - n - 1))
     return _bareiss_det(rows, aux_var)
-
-
-def resultant_uni(a: UniPoly, b: UniPoly) -> Fraction:
-    """Resultant of two univariate polynomials, as an exact rational."""
-    res = resultant_x(BiPoly.from_unipoly_x(a), BiPoly.from_unipoly_x(b))
-    return res.constant_value()
 
 
 # -- bivariate gcd -----------------------------------------------------------

@@ -393,15 +393,6 @@ def rational_roots_squarefree(f: UniPoly) -> list[Fraction]:
     return sorted(set(roots))
 
 
-def rational_roots(p: UniPoly) -> dict[Fraction, int]:
-    """Rational roots with multiplicities."""
-    out: dict[Fraction, int] = {}
-    for part, mult in squarefree_decompose(p).parts:
-        for r in rational_roots_squarefree(part):
-            out[r] = out.get(r, 0) + mult
-    return out
-
-
 # -- top-level factorization ---------------------------------------------------------
 
 
@@ -469,10 +460,3 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     for g_int in _factor_squarefree_monic_int(monic_ints):
         factors.append(_from_monic_factor(g_int, l, f.var))
     return factors
-
-
-def is_irreducible(p: UniPoly) -> bool:
-    if p.degree < 1:
-        return False
-    fac = factor_rationals(p)
-    return len(fac.parts) == 1 and fac.parts[0][1] == 1

@@ -73,12 +73,6 @@ class UniPoly:
     def variable(var: str = "x") -> "UniPoly":
         return UniPoly(_ONE, (0, 1), var)
 
-    @staticmethod
-    def monomial(k: int, c=1, var: str = "x") -> "UniPoly":
-        if k < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return UniPoly.constant(c, var).shift_up(k)
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -167,16 +161,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly.one(self.var))
 
     def __divmod__(self, other) -> tuple["UniPoly", "UniPoly"]:
         other = self._coerce(other)
@@ -262,12 +247,6 @@ class UniPoly:
         """Coefficient reversal: x^deg * p(1/x)."""
         return _canonical(self.content, list(reversed(self.prim)), self.var)
 
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by var**k."""
-        if self.is_zero:
-            return self
-        return UniPoly(self.content, (0,) * k + self.prim, self.var)
-
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "UniPoly":
@@ -277,32 +256,47 @@ class UniPoly:
 
     # -- printing --------------------------------------------------------
 
+    def signed_terms(self) -> list[tuple[Fraction, str]]:
+        """(coefficient, monomial) for each nonzero term, highest first;
+        the monomial of the constant term is ""."""
+        var, c = self.var, self.content
+        return [(c * v, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+                for k, v in reversed(list(enumerate(self.prim))) if v]
+
     def to_string(self) -> str:
-        if self.is_zero:
-            return "0"
-        coeffs = self.coeffs
-        parts: list[str] = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                pw = self.var if k == 1 else f"{self.var}^{k}"
-                body = pw if mag == 1 else f"{mag}*{pw}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_terms(self.signed_terms())
 
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"UniPoly({self.to_string()!r})"
+
+
+def _power(base, n: int, one):
+    """base**n by repeated squaring from one, the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
+    """The printed sum of signed terms, as signed_terms gives them."""
+    parts: list[str] = []
+    for c, monomial in terms:
+        mag = abs(c)
+        body = str(mag) if not monomial else monomial if mag == 1 else f"{mag}*{monomial}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 # -- integer polynomial kernels ---------------------------------------------

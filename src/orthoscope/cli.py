@@ -33,7 +33,6 @@ from .parsing import (
     parse_univariate,
 )
 from .planar import (
-    BiRatFunc,
     PlanarVectorField,
     classify_invariant_line_lift,
     foliation_linearize,
@@ -119,7 +118,7 @@ def _run_system_command(command: str, text: str, residue_class: str,
     if command == "base":
         try:
             f = parse_univariate(text)
-        except (ParseError, ShapeError):
+        except ParseError:
             source = parse_system(text)
             f = _family(source, command).f
         verdict = base_orthogonal(f)
@@ -182,17 +181,12 @@ def _run_system_command(command: str, text: str, residue_class: str,
         return report
 
     if command == "dlog-sys":
-        h = BiRatFunc(*_parse_birat(gauge_h))
+        h = parse_expression(gauge_h)
         value = system_dlog(v, h)
         return Report("dlog-sys", "system-dlog-computed",
                       notes=[f"dlog({h}) = {value}"])
 
     raise ShapeError(f"unknown command {command!r}")
-
-
-def _parse_birat(text: str):
-    value = parse_expression(text)
-    return value.num, value.den
 
 
 def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
@@ -204,14 +198,14 @@ def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
     cofactor = fol.cofactor_c
     notes.append(f"tangent-fiber cofactor along d/dy: {cofactor}")
     try:
-        h = BiRatFunc(*_parse_birat(gauge_h))
+        h = parse_expression(gauge_h)
         if not h.is_zero:
-            shifted = cofactor - system_dlog(v, h)
+            dlog = system_dlog(v, h)
             notes.append(
-                f"gauge transform by h = {h} leaves cofactor {shifted} "
-                f"(dlog({h}) = {system_dlog(v, h)} under this system)"
+                f"gauge transform by h = {h} leaves cofactor {cofactor - dlog} "
+                f"(dlog({h}) = {dlog} under this system)"
             )
-    except (ParseError, ShapeError, ZeroDivisionError):
+    except (ParseError, ZeroDivisionError):
         pass
     return notes
 

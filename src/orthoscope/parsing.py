@@ -10,7 +10,8 @@ constant. A power, product, quotient, sum or difference whose degree bound,
 read from the reduced operands, would exceed MAX_DEGREE is refused before
 it is expanded, and so is an integer literal of more than
 MAX_LITERAL_DIGITS digits. Each expression or statement yields one reduced
-BiRatFunc. Parsed systems are shape-classified:
+BiRatFunc, and str of a parsed value is text that parses back to it.
+Parsed systems are shape-classified:
 
   y' = y*g(x)  with y-free f, g  ->  log family
   y' = g(x)    with y-free f, g  ->  derivative family
@@ -57,9 +58,6 @@ class Planar:
 class SystemSource:
     raw_text: str
     parsed: Union[UnivariateFamily, Planar]
-
-    def serialize(self) -> str:
-        return serialize_system(self.parsed)
 
 
 # -- tokenizer ------------------------------------------------------------
@@ -345,11 +343,3 @@ def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, Pla
         "or polynomial in x and y (a denominator containing y is not allowed "
         "in a univariate-family slot)"
     )
-
-
-def serialize_system(parsed: Union[UnivariateFamily, Planar]) -> str:
-    if isinstance(parsed, Planar):
-        return f"x' = {parsed.v.fx}; y' = {parsed.v.fy}"
-    if parsed.kind == KIND_LOG:
-        return f"x' = {parsed.f}; y' = y*({parsed.g})"
-    return f"x' = {parsed.f}; y' = {parsed.g}"

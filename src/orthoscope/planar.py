@@ -1,8 +1,8 @@
 """Polynomial planar vector fields.
 
-BiRatFunc, the function field Q(x, y): a FractionField from ratfunc with
-the bivariate normalization, partial derivatives and the restriction to
-y = 0 into RatFunc. Invariant-line detection along y = 0, first-order
+BiRatFunc, the function field Q(x, y): a FractionField from ratfunc reduced
+by the bivariate gcd, with partial derivatives and the restriction to y = 0
+into RatFunc. Invariant-line detection along y = 0, first-order
 linearization along that line, Lie brackets, the system derivation and its
 logarithmic derivative, rank-one foliation linearization, and the
 invariant-line lifting classifier, which runs the log-family classifier on
@@ -31,35 +31,20 @@ from .ratfunc import FractionField, RatFunc
 
 @dataclass(frozen=True, repr=False, eq=False)
 class BiRatFunc(FractionField):
-    """Reduced bivariate rational function with a canonical denominator.
+    """Reduced bivariate rational function, by FractionField's normal form
+    with the bivariate gcd: the denominator's lex-leading coefficient is 1.
 
-    The pair is reduced by the bivariate gcd and the denominator's
-    lex-leading coefficient is normalized to 1; equality testing is by
-    cross-multiplication, which is exact regardless of representation.
-    The field arithmetic is FractionField's. Declared with eq=False so that
-    its own __eq__ is kept and the class is unhashable: BiPoly holds a dict.
+    Equality testing is by cross-multiplication, which is exact regardless
+    of representation. Declared with eq=False so that its own __eq__ is
+    kept and the class is unhashable: BiPoly holds a dict.
     """
 
     num: BiPoly
     den: BiPoly
 
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero:
-            raise ZeroDivisionError("bivariate rational function with zero denominator")
-        if not (num.is_constant or den.is_constant):
-            g = bipoly_gcd(num, den)
-            if not g.is_constant:
-                num, den = num.div_exact(g), den.div_exact(g)
-        self._normalize(num, den)
-
-    def _normalize(self, num: BiPoly, den: BiPoly) -> None:
-        if num.is_zero:
-            object.__setattr__(self, "num", BiPoly.zero())
-            object.__setattr__(self, "den", BiPoly.one())
-            return
-        object.__setattr__(self, "num", num * (1 / den.lc))
-        object.__setattr__(self, "den", den.monic())
+    @staticmethod
+    def _gcd(a: BiPoly, b: BiPoly) -> BiPoly:
+        return bipoly_gcd(a, b)
 
     # -- constructors ---------------------------------------------------
 
@@ -102,23 +87,6 @@ class BiRatFunc(FractionField):
         if den0.is_zero:
             raise ZeroDivisionError("denominator vanishes identically on y = 0")
         return RatFunc(self.num.subst_y(0), den0)
-
-    def to_string(self) -> str:
-        if self.den.is_constant and self.den.constant_value() == 1:
-            return self.num.to_string()
-        num_s, den_s = self.num.to_string(), self.den.to_string()
-        if len(self.num.terms) > 1 or not self.num.is_constant and _coeff_not_unit(self.num):
-            num_s = f"({num_s})"
-        if len(self.den.terms) > 1 or _coeff_not_unit(self.den):
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
-
-
-def _coeff_not_unit(p: BiPoly) -> bool:
-    if len(p.terms) != 1:
-        return True
-    ((key, c),) = p.terms.items()
-    return key != (0, 0) and c != 1
 
 
 def _as_bipoly(v) -> BiPoly:
@@ -163,13 +131,6 @@ class InvariantLineReport:
 class LinearizedSystem:
     base_f0: UniPoly    # f(x, 0)
     fiber_hZ: UniPoly   # g1(x, 0)
-
-    @property
-    def as_vector_field(self) -> PlanarVectorField:
-        return PlanarVectorField(
-            BiPoly.from_unipoly_x(self.base_f0),
-            BiPoly.y() * BiPoly.from_unipoly_x(self.fiber_hZ),
-        )
 
 
 @dataclass(frozen=True)
@@ -243,19 +204,6 @@ def foliation_linearize(v: PlanarVectorField, w: PlanarVectorField) -> Foliation
             and c * BiRatFunc.from_poly(w.fy) == BiRatFunc.from_poly(br.fy)):
         raise HypothesisError("[w, v] is not a rational multiple of w")
     return FoliationLinearization(c)
-
-
-def verify_gauge_identity(
-    v: PlanarVectorField, a: BiRatFunc, h: BiRatFunc, c, k: int
-) -> bool:
-    """Check k*a = c + dlog_delta(h) as an exact identity."""
-    if h.is_zero:
-        raise ZeroDivisionError("gauge by zero")
-    if k == 0:
-        raise ValueError("the integer multiplier k must be nonzero")
-    lhs = a * k
-    rhs = system_dlog(v, h) + BiRatFunc.from_poly(BiPoly.constant(_frac(c)))
-    return lhs == rhs
 
 
 @dataclass(frozen=True)

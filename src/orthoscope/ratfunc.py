@@ -1,7 +1,8 @@
 """Rational functions on the projective line.
 
-FractionField holds the field arithmetic of a fraction field of polynomials,
-written once for RatFunc (Q(x), here) and BiRatFunc (Q(x, y), in planar).
+FractionField holds the reduction, normal form, field arithmetic and
+printing of a fraction field of polynomials, written once for RatFunc
+(Q(x), here) and BiRatFunc (Q(x, y), in planar); each names only its gcd.
 Hermite reduction, which also reads off the pole spectrum with exact
 residues, the residue polynomial (resultant form), and logarithmic-derivative
 membership with verified witnesses. WitnessData is the one witness record:
@@ -24,6 +25,7 @@ from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
     UniPoly,
     _frac,
+    _join_terms,
     poly_gcd,
     poly_xgcd,
 )
@@ -43,19 +45,38 @@ WITNESS_DERIVATIVE = "derivative"
 class FractionField:
     """An element num/den of the fraction field of a polynomial ring.
 
-    The field arithmetic lives here and builds a result with
-    type(self)(num, den), so the subclass's __post_init__ reduces it by a
-    gcd, or with _coprime when the pair is coprime by construction. A
-    subclass is a frozen dataclass with fields num and den, declared with
-    repr=False so that the __repr__ below is kept; it supplies
-    _normalize, which stores a coprime pair in normal form, _coerce, its
-    calculus and to_string.
+    Reduction, normal form, field arithmetic and printing live here. A
+    result is built with type(self)(num, den), which __post_init__ reduces
+    by a gcd, or with _coprime when the pair is coprime by construction.
+    The normal form stores zero as 0/1 and scales the pair so that the
+    denominator's leading coefficient is 1. A subclass is a frozen
+    dataclass with fields num and den, declared with repr=False so that the
+    __repr__ below is kept; it supplies _gcd, the gcd of its polynomial
+    ring, _coerce and its calculus. The polynomials supply is_zero,
+    is_constant, lc, exact_div and signed_terms.
     """
+
+    def __post_init__(self):
+        num, den = self.num, self.den
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if not (num.is_constant or den.is_constant):
+            g = self._gcd(num, den)
+            if not g.is_constant:
+                num, den = num.exact_div(g), den.exact_div(g)
+        self._normalize(num, den)
+
+    def _normalize(self, num, den) -> None:
+        if num.is_zero:
+            den = den**0    # 1 in den's ring
+        scale = 1 / den.lc
+        object.__setattr__(self, "num", num * scale)
+        object.__setattr__(self, "den", den * scale)
 
     @classmethod
     def _coprime(cls, num, den):
-        """num/den for a pair with no common factor: the subclass's
-        normalization without its gcd; den must be nonzero."""
+        """num/den for a pair with no common factor: the normal form without
+        the gcd; den must be nonzero."""
         self = object.__new__(cls)
         self._normalize(num, den)
         return self
@@ -115,11 +136,31 @@ class FractionField:
             return self._coprime(self.den ** -n, self.num ** -n)
         return self._coprime(self.num**n, self.den**n)
 
+    def to_string(self) -> str:
+        """num/den, each side in parentheses when it is a sum or a
+        nonconstant term whose coefficient is not 1; the denominator also
+        when it is a product of variables, since a/x*y reads (a/x)*y."""
+        num = self.num.signed_terms()
+        num_s = _join_terms(num)
+        if self.den.is_constant:    # 1 in normal form
+            return num_s
+        den = self.den.signed_terms()
+        den_s = _join_terms(den)
+        if _compound(num):
+            num_s = f"({num_s})"
+        if _compound(den) or "*" in den_s:
+            den_s = f"({den_s})"
+        return f"{num_s}/{den_s}"
+
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_string()!r})"
+
+
+def _compound(terms: list[tuple[Fraction, str]]) -> bool:
+    return len(terms) > 1 or (terms[0][1] != "" and terms[0][0] != 1)
 
 
 @dataclass(frozen=True, repr=False)
@@ -129,22 +170,9 @@ class RatFunc(FractionField):
     num: UniPoly
     den: UniPoly
 
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not (num.is_constant or den.is_constant):
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-        self._normalize(num, den)
-
-    def _normalize(self, num: UniPoly, den: UniPoly) -> None:
-        if num.is_zero:
-            den = UniPoly.one(den.var)
-        scale = 1 / den.lc
-        object.__setattr__(self, "num", num * scale)
-        object.__setattr__(self, "den", den * scale)
+    @staticmethod
+    def _gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+        return poly_gcd(a, b)
 
     # -- constructors --------------------------------------------------
 
@@ -206,28 +234,6 @@ class RatFunc(FractionField):
     def compose_affine(self, a, b) -> "RatFunc":
         return RatFunc(self.num.compose_affine(a, b), self.den.compose_affine(a, b))
 
-    # -- printing ----------------------------------------------------------------
-
-    def to_string(self) -> str:
-        if self.den.degree == 0:
-            return self.num.to_string()
-        num_s = self.num.to_string()
-        den_s = self.den.to_string()
-        if _needs_parens(self.num):
-            num_s = f"({num_s})"
-        if _needs_parens(self.den):
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
-
-
-def _needs_parens(p: UniPoly) -> bool:
-    nonzero = [c for c in p.coeffs if c != 0]
-    if len(nonzero) != 1:
-        return True
-    c = nonzero[0]
-    if p.degree == 0:
-        return False  # plain number, possibly negative
-    return not (c == 1)
 
 
 @dataclass(frozen=True)
@@ -323,9 +329,6 @@ class PoleSpectrum:
     def only_simple_poles(self) -> bool:
         return not self.has_multiple_pole()
 
-    def is_empty(self) -> bool:
-        return not self.affine_poles and self.infinity_pole is None
-
     def residue_sum(self) -> Fraction:
         """Sum of all residues over P^1 (traces of algebraic residues)."""
         total = sum((e.trace() for e in self.affine_poles), Fraction(0))
@@ -380,9 +383,6 @@ class HermiteDecomposition:
     derivative_part: RatFunc
     remainder: RatFunc
     spectrum: PoleSpectrum
-
-    def reconstruct(self) -> RatFunc:
-        return self.derivative_part.derivative() + self.remainder
 
 
 def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> HermiteDecomposition:

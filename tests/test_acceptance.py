@@ -92,9 +92,6 @@ def test_criterion_3_planar_pipeline():
         assert invariant_line(v).invariant
         lin = linearize_along_line(v)
         assert lin.base_f0 == X**3 * (X - 1) and lin.fiber_hZ == X
-        field = lin.as_vector_field
-        assert field.fx == BiPoly.of({(4, 0): 1, (3, 0): -1})
-        assert field.fy == BiPoly.of({(1, 1): 1})
         assert base_orthogonal(P(lin.base_f0)).orthogonal
         f = P(lin.base_f0)
         search = beta_search_log(f, P(lin.fiber_hZ), base_orthogonal(f), RATIONAL)

@@ -95,7 +95,7 @@ class TestBetaSearchLog:
         f = P(x**3 - 2)
         r = beta_search_log(f, RatFunc.zero(), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_FOUND and r.beta == 0
-        assert r.residue_table.is_empty()
+        assert r.residue_table.affine_poles == () and r.residue_table.infinity_pole is None
 
     def test_zero_f_rejected(self, x):
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from orthoscope.parsing import parse_system, parse_univariate
 from orthoscope.planar import linearize_along_line
 from orthoscope.report import WITNESS_DLOG, Report, WitnessData
 
+from conftest import record_calls
+
 
 @pytest.fixture(scope="module")
 def schema():
@@ -209,6 +211,24 @@ class TestCliExitCodes:
     def test_base_accepts_bare_expression(self, capsys):
         assert main(["base", "x^3 - 2"]) == 0
         assert "base-orthogonal" in capsys.readouterr().out
+
+    def test_base_of_a_bivariate_expression_exits_three(self, capsys):
+        assert main(["base", "x*y"]) == 3
+        assert "expression is not univariate in x" in capsys.readouterr().err
+        assert main(["base", "x' = x^3 - 2; y' = y*x"]) == 0
+
+    def test_gauge_notes_take_one_system_dlog(self, monkeypatch):
+        from orthoscope import planar
+
+        calls = record_calls(monkeypatch, planar.system_dlog)
+        report = run("lift", "x' = x^3*(x-1); y' = x*y + y^2/2", gauge_h="1/(x*y)")
+        assert len(calls) == 1
+        assert any(note.startswith("gauge transform by h = 1/(x*y) leaves cofactor ")
+                   for note in report.notes)
+
+    def test_dlog_sys_prints_a_monomial_denominator_in_parentheses(self, capsys):
+        assert main(["dlog-sys", "--h", "1/(x*y)", "x' = y; y' = x"]) == 0
+        assert "dlog(1/(x*y)) = (-x^2 - y^2)/(x*y)" in capsys.readouterr().out
 
     def test_beta_log_integer_class(self, capsys):
         assert main(["beta-log", "--class", "integer",

@@ -134,7 +134,7 @@ def test_bipoly_gcd_matches_sympy():
         assert bipoly_gcd(a, b) == expected
 
 
-def test_bipoly_div_exact_matches_sympy():
+def test_bipoly_exact_div_matches_sympy():
     rng = random.Random(7006)
     for n in range(150):
         b = _random_bipoly(rng, 3, 2, wide=n % 3 == 0)
@@ -147,10 +147,10 @@ def test_bipoly_div_exact_matches_sympy():
             a = a * b + _random_bipoly(rng, 2, 2)          # usually inexact
         q, r = bi_to_sympy(a).div(bi_to_sympy(b))
         if r.is_zero:
-            assert a.div_exact(b) == bi_from_sympy(q)
+            assert a.exact_div(b) == bi_from_sympy(q)
         else:
             with pytest.raises(ValueError, match="inexact bivariate division"):
-                a.div_exact(b)
+                a.exact_div(b)
 
 
 # Irreducible loci over Q: linear, quadratic and cubic.

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NEG_INF, UniPoly, poly_gcd, poly_xgcd, squarefree_decompose
-from orthoscope.algebra.bipoly import resultant_uni
+from orthoscope import NEG_INF, BiPoly, UniPoly, poly_gcd, poly_xgcd, resultant_x, squarefree_decompose
 
 from conftest import random_unipoly
 
@@ -56,7 +55,8 @@ class TestGcd:
 
     def test_coprime_cubic_quadratic(self, x):
         # no common root: the resultant is nonzero (independent check)
-        assert resultant_uni(x**3 - 2, x**2 - 2) != 0
+        res = resultant_x(BiPoly.from_unipoly_x(x**3 - 2), BiPoly.from_unipoly_x(x**2 - 2))
+        assert res.constant_value() != 0
         assert poly_gcd(x**3 - 2, x**2 - 2) == UniPoly.one()
 
     def test_xgcd_identity(self, x):
@@ -380,7 +380,7 @@ class TestFractionOracle:
                 p * 3 * Fraction(1, 3),
                 p + UniPoly.zero() if not p.is_zero else UniPoly.zero(),
                 UniPoly.of(list(p.coeffs) + [0, 0]),
-                sum((UniPoly.monomial(k, c) for k, c in enumerate(p.coeffs)),
+                sum((UniPoly.variable() ** k * c for k, c in enumerate(p.coeffs)),
                     UniPoly.zero()),
             ]
             if not p.is_zero:
