@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     WitnessVerificationError,
 )
-from .parsing import SystemSource, parse_expression, parse_system, parse_univariate
+from .parsing import parse_expression, parse_system, parse_univariate
 from .planar import (
     BiRatFunc,
     FoliationLinearization,

@@ -26,7 +26,6 @@ from .parsing import (
     KIND_DERIVATIVE,
     KIND_LOG,
     Planar,
-    SystemSource,
     UnivariateFamily,
     parse_expression,
     parse_system,
@@ -38,7 +37,7 @@ from .planar import (
     foliation_linearize,
     invariant_line,
     lie_bracket,
-    linearize_along_line,
+    linearization,
     system_dlog,
 )
 from .ratfunc import (
@@ -90,27 +89,27 @@ def _run_function_command(command: str, text: str, residue_class: str) -> Report
                   residues=herm.spectrum)
 
 
-def _family(source: SystemSource, command: str, kind: str | None = None) -> UnivariateFamily:
-    if not isinstance(source.parsed, UnivariateFamily):
+def _family(family: UnivariateFamily | Planar, command: str,
+            kind: str | None = None) -> UnivariateFamily:
+    if not isinstance(family, UnivariateFamily):
         raise ShapeError(
             f"'{command}' needs a univariate family (x' = f(x) with y' = y*g(x) "
             f"or y' = g(x)); for a general planar field use 'lift', 'bracket', "
             f"'linearize', or 'dlog-sys'"
         )
-    family = source.parsed
     if kind is not None and family.kind != kind:
         want = "y' = y*g(x)" if kind == KIND_LOG else "y' = g(x)"
         raise ShapeError(f"'{command}' needs the shape {want}")
     return family
 
 
-def _planar(source: SystemSource, command: str) -> PlanarVectorField:
-    if not isinstance(source.parsed, Planar):
+def _planar(planar: UnivariateFamily | Planar, command: str) -> PlanarVectorField:
+    if not isinstance(planar, Planar):
         raise ShapeError(
             f"'{command}' needs a polynomial planar vector field; univariate "
             f"families are handled by 'classify', 'base', 'beta-log', 'beta-der'"
         )
-    return source.parsed.v
+    return planar.v
 
 
 def _run_system_command(command: str, text: str, residue_class: str,
@@ -165,7 +164,7 @@ def _run_system_command(command: str, text: str, residue_class: str,
         line = invariant_line(v)
         if not line.invariant:
             raise HypothesisError("the line y = 0 is not invariant under this field")
-        lin = linearize_along_line(v)
+        lin = linearization(v, line)
         notes = [f"invariant line y = 0 with cofactor g1 = {line.cofactor_g1}",
                  f"linearized system: x' = {lin.base_f0}; y' = y*({lin.fiber_hZ})"]
         return Report("linearize", "linearized", notes=notes)

@@ -9,7 +9,9 @@ The beta searches decide whether some constant shift of g makes
 derivative (derivative family). Both searches return verified witnesses;
 the log search is complete whenever a multiple pole pins beta (case A) or a
 rational anchor forces beta rational (case B), and reports case C honestly
-otherwise.
+otherwise. The log search tests its candidate beta on residues read off
+the data it solved for beta with, so it never factors or Hermite-reduces
+(g - beta)/f; the derivative search reduces it in full.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ from .ratfunc import (
     INTEGER,
     RATIONAL,
     HermiteDecomposition,
+    PoleEntry,
     PoleSpectrum,
     RatFunc,
+    Residue,
     WitnessData,
-    dlog_witness,
+    _infinity_pole,
+    dlog_from_spectrum,
     exact_derivative_part,
     hermite_reduce,
     ratio_all_rational,
@@ -202,6 +207,17 @@ def beta_search_log(
     rationals (case B). Conjugate-coupled factors without an anchor are
     reported as case C, never guessed. base is base_orthogonal(f); its pole
     loci, with those of g.den, factor every denominator of the search.
+
+    With (g - beta)/f = (n - beta*m)/d, d monic, every candidate has simple
+    poles only: a pinned beta clears q^(e-1) at each multiple locus q and
+    every coefficient of degree >= deg d, and in the free and soft-pinned
+    cases d is squarefree and n, m are proper. So the candidate's residues
+    are read off the search's own data (Bronstein, Symbolic Integration I,
+    section 2.5): a pinned beta divides n - beta*m by D = prod q^(e-1) and
+    reads the residue at q as the quotient over (d/D)' mod q; a free or
+    soft-pinned beta gives a_el - beta*b_el from the per-locus values that
+    the free case computes anyway. dlog_from_spectrum then builds and
+    checks the witness.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
@@ -237,17 +253,20 @@ def beta_search_log(
             "multiple-pole cancellation conditions are unsatisfiable",
         )
     if status == _PINNED:
-        return _test_candidate(f, g, pinned, residue_class, known, CASE_A)
+        num, den, residues = _pinned_residues(n - m * pinned, d, parts)
+        return _test_candidate(pinned, num, den, residues, residue_class, CASE_A)
 
     # free case: d squarefree, infinity at worst simple, for every beta
     dprime = d.derivative()
     anchored = m.coeff(d_deg - 1) != 0 if d_deg >= 1 else False
     integrality: list[tuple[Fraction, Fraction]] = []
     soft: list[tuple[Fraction, Fraction]] = []
+    affine: list[tuple[UniPoly, NFElement, NFElement]] = []   # residue a_el - beta*b_el
     for q, _ in parts:
         inv = NFElement(dprime, q).inverse()
         a_el = NFElement(n, q) * inv
         b_el = NFElement(m, q) * inv
+        affine.append((q, a_el, b_el))
         a0, b0 = a_el.rep.coeff(0), b_el.rep.coeff(0)
         a_tail = a_el.rep - UniPoly.constant(a0, q.var)
         b_tail = b_el.rep - UniPoly.constant(b0, q.var)
@@ -278,8 +297,14 @@ def beta_search_log(
             "conjugate-coupled residues admit no rational beta; an irrational "
             "beta is not excluded",
         )
+
+    def test_free(beta: Fraction, assert_found: bool = False) -> BetaSearchResult:
+        residues = [(q, _residue(a_el - b_el * beta)) for q, a_el, b_el in affine]
+        return _test_candidate(beta, n - m * beta, d, residues, residue_class, CASE_B,
+                               assert_found)
+
     if soft_status == _PINNED:
-        result = _test_candidate(f, g, soft_pin, residue_class, known, CASE_B)
+        result = test_free(soft_pin)
         if result.found or anchored:
             return result
         return BetaSearchResult(
@@ -290,28 +315,78 @@ def beta_search_log(
 
     # no polynomial constraints left on beta at all
     if residue_class == RATIONAL:
-        return _test_candidate(f, g, Fraction(0), residue_class, known, CASE_B,
-                               assert_found=True)
+        return test_free(Fraction(0), assert_found=True)
     beta_hat = _solve_integrality(integrality)
     if beta_hat is None:
         return BetaSearchResult(
             STATUS_NONE, None, None, CASE_B, None,
             "no beta makes every residue an integer",
         )
-    return _test_candidate(f, g, beta_hat, residue_class, known, CASE_B, assert_found=True)
+    return test_free(beta_hat, assert_found=True)
+
+
+def _residue(value: NFElement) -> Residue:
+    """value in the form a PoleEntry stores: a Fraction when rational."""
+    return value.as_fraction() if value.is_rational else value
+
+
+def _divide(a: UniPoly, b: UniPoly) -> UniPoly:
+    quotient, left = divmod(a, b)
+    if not left.is_zero:
+        raise WitnessVerificationError(f"the candidate numerator {a} is not divisible by {b}")
+    return quotient
+
+
+def _pinned_residues(
+    c: UniPoly, d: UniPoly, parts: tuple[tuple[UniPoly, int], ...]
+) -> tuple[UniPoly, UniPoly, list[tuple[UniPoly, Residue]]]:
+    """c/d as num/P, with P = d/D squarefree for D = prod q^(e-1), and the
+    pairs (q, residue) at each locus q of d.
+
+    A pinned beta makes D divide c = n - beta*m and c proper, so c/d has
+    simple poles only; the residue at a root alpha of q is
+    num(alpha)/P'(alpha), read at a linear locus x - c0 as
+    num(c0)/P'(c0) and elsewhere as num*(P')^-1 mod q.
+    """
+    big_d = math.prod((q ** (e - 1) for q, e in parts if e >= 2), start=UniPoly.one(d.var))
+    num, den = _divide(c, big_d), d.exact_div(big_d)
+    dprime = den.derivative()
+    residues = []
+    for q, _ in parts:
+        if q.degree == 1:
+            root = -q.coeff(0)
+            residues.append((q, num.eval(root) / dprime.eval(root)))
+        else:
+            residues.append((q, _residue(NFElement(num, q) * NFElement(dprime, q).inverse())))
+    return num, den, residues
 
 
 def _test_candidate(
-    f: RatFunc,
-    g: RatFunc,
     beta: Fraction,
+    num: UniPoly,
+    den: UniPoly,
+    residues: list[tuple[UniPoly, Residue]],
     residue_class: str,
-    known: tuple[UniPoly, ...],
     case: str,
     assert_found: bool = False,
 ) -> BetaSearchResult:
-    r = (g - RatFunc.constant(beta, g.var)) / f
-    result = dlog_witness(r, residue_class, known)
+    """Test beta on (g - beta)/f = num/den, where den is monic and
+    squarefree, num is proper, and residues gives the residue at each locus
+    of den in factor order.
+
+    A locus with residue zero divides num and is not a pole; the other
+    loci are coprime to num, so the reduced target is built without a gcd.
+    Its spectrum goes to dlog_from_spectrum, which builds and checks the
+    witness: nothing here factors or Hermite-reduces the target again.
+    """
+    poles = []
+    for q, value in residues:
+        if value == 0:
+            num, den = _divide(num, q), den.exact_div(q)
+        else:
+            poles.append(PoleEntry(q, 1, value))
+    r = RatFunc._coprime(num, den)
+    result = dlog_from_spectrum(r, PoleSpectrum(tuple(poles), _infinity_pole(r)), residue_class)
     if result.found:
         return BetaSearchResult(
             STATUS_FOUND, beta, result.witness, case, result.spectrum, None

@@ -54,12 +54,6 @@ class Planar:
     v: PlanarVectorField
 
 
-@dataclass(frozen=True)
-class SystemSource:
-    raw_text: str
-    parsed: Union[UnivariateFamily, Planar]
-
-
 # -- tokenizer ------------------------------------------------------------
 
 
@@ -294,7 +288,7 @@ def _y_free(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
 # -- systems -----------------------------------------------------------------
 
 
-def parse_system(text: str) -> SystemSource:
+def parse_system(text: str) -> Union[UnivariateFamily, Planar]:
     """Parse "x' = ...; y' = ..." and classify its shape."""
     parser = _Parser(text)
     slots: dict[str, BiRatFunc] = {}
@@ -320,7 +314,7 @@ def parse_system(text: str) -> SystemSource:
     if "x" not in slots or "y" not in slots:
         missing = "x'" if "x" not in slots else "y'"
         raise ParseError(f"missing statement for {missing}", len(text))
-    return SystemSource(text, _classify_shape(slots["x"], slots["y"]))
+    return _classify_shape(slots["x"], slots["y"])
 
 
 def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, Planar]:

@@ -165,13 +165,19 @@ def linearize_along_line(v: PlanarVectorField) -> LinearizedSystem:
     Requires the line to be invariant and f(x, 0) nonzero; the result is
     the system x' = f(x, 0), y' = y * g1(x, 0).
     """
-    report = invariant_line(v)
-    if not report.invariant:
+    line = invariant_line(v)
+    if not line.invariant:
         raise HypothesisError("the line y = 0 is not invariant under the field")
+    return linearization(v, line)
+
+
+def linearization(v: PlanarVectorField, line: InvariantLineReport) -> LinearizedSystem:
+    """The system x' = f(x, 0), y' = y * g1(x, 0), where line is
+    invariant_line(v) and found the line invariant; f(x, 0) must be nonzero."""
     base = v.fx.subst_y(0)
     if base.is_zero:
         raise HypothesisError("f(x, 0) is identically zero; the base degenerates")
-    return LinearizedSystem(base, report.cofactor_g1.subst_y(0))
+    return LinearizedSystem(base, line.cofactor_g1.subst_y(0))
 
 
 def system_derivative(v: PlanarVectorField, h: BiRatFunc) -> BiRatFunc:

@@ -591,17 +591,27 @@ class DlogWitnessResult:
 def dlog_witness(
     r: RatFunc, residue_class: str = INTEGER, known: Optional[Iterable[UniPoly]] = None
 ) -> DlogWitnessResult:
-    """Decide N*r = dlog(h) membership on P^1 with an exact witness.
-
-    integer class: N = 1 (exact dlog image). rational class: N = lcm of the
-    residue denominators. Absence carries a reason code; presence is
-    verified by recomputing dlog(h) before returning. h is the product of
-    the pole loci, each to the power N times its residue. known, when
-    given, holds monic irreducibles that factor r.den (see hermite_reduce).
+    """Decide N*r = dlog(h) membership on P^1 with an exact witness, from
+    the spectrum of r's Hermite reduction (see dlog_from_spectrum). known,
+    when given, holds monic irreducibles that factor r.den (see
+    hermite_reduce).
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    spectrum = hermite_reduce(r, known).spectrum
+    return dlog_from_spectrum(r, hermite_reduce(r, known).spectrum, residue_class)
+
+
+def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -> DlogWitnessResult:
+    """Decide N*r = dlog(h) membership given spectrum, the projective pole
+    spectrum of r*dx.
+
+    integer class: N = 1 (exact dlog image). rational class: N = lcm of the
+    residue denominators. Absence carries a reason code. h is the product
+    of the pole loci, each to the power N times its residue, and the
+    witness is checked (WitnessData.verify, cross-multiplied) before it is
+    returned, so a wrong spectrum raises WitnessVerificationError rather
+    than yield a witness.
+    """
     if spectrum.infinity_pole is not None and spectrum.infinity_pole.multiplicity >= 2:
         return DlogWitnessResult(None, REASON_IMPROPER_AT_INFINITY, spectrum)
     if spectrum.has_affine_multiple():

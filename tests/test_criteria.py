@@ -230,6 +230,108 @@ class TestClassifiers:
                 assert v.fibration.status == STATUS_FOUND
 
 
+class TestCandidateResidues:
+    """The search tests its beta on residues read off its own data; the
+    oracle is dlog_witness on (g - beta)/f, which Hermite-reduces it."""
+
+    LOCI = ("x - 2", "x + 1", "x", "x - 1/2", "x^2 + 1", "x^2 - 2", "x^2 + x + 1",
+            "x^3 - 2", "x^3 - x - 1")
+
+    def _input(self, rng, x):
+        """(f, g, residue class): g - beta0 = f*dlog(h)/N for h a product of
+        loci to small powers, sometimes perturbed so that no beta works."""
+        from orthoscope import parse_expression
+
+        loci = [parse_expression(t).restrict_y0().num
+                for t in rng.sample(self.LOCI, rng.randint(1, 3))]
+        exponents = [Fraction(rng.choice([0, 1, -1, 2, -3]), rng.choice([1, 1, 2]))
+                     for _ in loci]
+        lam = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+        f = RatFunc.from_poly(lam * UniPoly.one())
+        for q in loci:
+            f = f * P(q)
+        dlog_h = RatFunc.zero()
+        for q, c in zip(loci, exponents):
+            dlog_h = dlog_h + RatFunc(q.derivative(), q) * c
+        shape = rng.choice(["simple", "multiple", "denominator"])
+        if shape == "multiple":
+            a = x - rng.choice([3, -2, Fraction(5, 2)])
+            f = f * P(a) ** rng.randint(2, 3)
+            dlog_h = dlog_h + RatFunc(UniPoly.one(), a) * rng.choice([1, -1, Fraction(1, 2)])
+        elif shape == "denominator":
+            p = rng.choice([x + 3, x**2 + 3])
+            dlog_h = dlog_h + RatFunc(p.derivative(), p) * rng.choice([1, -2])
+        beta0 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        g = dlog_h * f + beta0
+        if rng.random() < 0.3:
+            g = g + P(x ** rng.randint(0, 2)) * rng.choice([1, Fraction(-1, 3)])
+        return f, g, rng.choice([RATIONAL, INTEGER])
+
+    def test_candidates_match_the_hermite_path(self, x, monkeypatch):
+        import random
+
+        from orthoscope import criteria, dlog_witness
+
+        tested = []
+        real = criteria._test_candidate
+
+        def spy(beta, num, den, residues, residue_class, case, assert_found=False):
+            result = real(beta, num, den, residues, residue_class, case, assert_found)
+            tested.append((beta, residues, case, assert_found, result))
+            return result
+
+        monkeypatch.setattr(criteria, "_test_candidate", spy)
+        rng = random.Random(13013)
+        features = set()
+        for _ in range(160):
+            f, g, residue_class = self._input(rng, x)
+            base = base_orthogonal(f)
+            tested.clear()
+            beta_search_log(f, g, base, residue_class)
+            for beta, residues, case, assert_found, result in tested:
+                oracle = dlog_witness((g - RatFunc.constant(beta)) / f, residue_class,
+                                      criteria._known_loci(base, g))
+                if oracle.found:
+                    assert (result.status, result.beta, result.witness, result.residue_table) \
+                        == (STATUS_FOUND, beta, oracle.witness, oracle.spectrum), (f, g)
+                else:
+                    assert (result.status, result.beta, result.witness, result.detail) == (
+                        STATUS_NONE, None, None, f"at the pinned beta = {beta}: {oracle.reason}"
+                    ), (f, g)
+                if case == CASE_A and base.spectrum.has_affine_multiple():
+                    features.add("A, pinned by a multiple pole")
+                if case == CASE_B:
+                    features.add(f"B, free, {residue_class}" if assert_found else "B, soft-pinned")
+                if not g.den.is_constant:
+                    features.add("g with a denominator")
+                features.update(f"locus of degree {q.degree}" for q, _ in residues)
+                if any(value == 0 for _, value in residues):
+                    features.add("vanishing residue")
+        assert features >= {
+            "A, pinned by a multiple pole", "B, soft-pinned", "B, free, rational",
+            "B, free, integer", "g with a denominator", "locus of degree 2",
+            "locus of degree 3", "vanishing residue",
+        }, features
+
+    def test_candidate_is_not_reduced_again(self, x, monkeypatch):
+        from orthoscope import ratfunc
+        from orthoscope.algebra import factor
+
+        reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
+        factored = record_calls(monkeypatch, factor.factor_over)
+        dlogs = record_calls(monkeypatch, ratfunc.dlog_witness)
+        case_b = ((x - 1) * (x + 2) * (x**2 + 1), P(x))
+        case_a = ((x - 1) ** 3 * (x + 2),
+                  P(Fraction(1, 2) + (x - 1) ** 2 * (2 * (x + 2) - (x - 1)) * Fraction(1, 3)))
+        for (f, g), case, beta in ((case_b, CASE_B, Fraction(-1, 3)),
+                                   (case_a, CASE_A, Fraction(1, 2))):
+            reduced.clear(), factored.clear(), dlogs.clear()
+            sv = classify_log_family(P(f), g)
+            assert sv.fibration.found and (sv.fibration.completeness_case, sv.fibration.beta) \
+                == (case, beta)
+            assert (len(reduced), len(factored), len(dlogs)) == (1, 1, 0)
+
+
 class TestGridOracleAudit:
     def test_none_verdicts_against_grid_oracle(self):
         # every 'none' is cross-checked against a brute-force grid of beta

@@ -27,27 +27,25 @@ from conftest import record_calls
 
 class TestGrammar:
     def test_log_family(self, x):
-        src = parse_system("x' = x^3*(x-1); y' = y*x")
-        family = src.parsed
+        family = parse_system("x' = x^3*(x-1); y' = y*x")
         assert isinstance(family, UnivariateFamily) and family.kind == KIND_LOG
         assert family.f == RatFunc.from_poly(x**3 * (x - 1))
         assert family.g == RatFunc.from_poly(x)
 
     def test_planar(self):
-        src = parse_system("x' = x^3*(x-1); y' = x*y + y^2/2")
-        assert isinstance(src.parsed, Planar)
-        v = src.parsed.v
+        planar = parse_system("x' = x^3*(x-1); y' = x*y + y^2/2")
+        assert isinstance(planar, Planar)
+        v = planar.v
         assert v.fy.coeff(0, 2) == Fraction(1, 2)
 
     def test_derivative_family(self, x):
-        src = parse_system("x' = x^2*(x-1)*(x+1); y' = x")
-        assert src.parsed.kind == KIND_DERIVATIVE
+        assert parse_system("x' = x^2*(x-1)*(x+1); y' = x").kind == KIND_DERIVATIVE
 
     def test_rational_slots(self, x):
-        src = parse_system("x' = 1/x\ny' = y/x")
-        assert src.parsed.kind == KIND_LOG
-        assert src.parsed.f == RatFunc(UniPoly.one(), x)
-        assert src.parsed.g == RatFunc(UniPoly.one(), x)
+        family = parse_system("x' = 1/x\ny' = y/x")
+        assert family.kind == KIND_LOG
+        assert family.f == RatFunc(UniPoly.one(), x)
+        assert family.g == RatFunc(UniPoly.one(), x)
 
     def test_ratio_literals(self):
         value = parse_expression("1/2 + 3/4")
@@ -121,8 +119,8 @@ class TestGrammar:
     def test_polynomial_statements_reduce_once_each(self, monkeypatch):
         built = record_calls(monkeypatch, BiRatFunc.__post_init__)
         gcds = record_calls(monkeypatch, bipoly_gcd)
-        src = parse_system("x' = (x-1)^3*(x+2); y' = y*(2*x - 1/3)")
-        assert src.parsed.kind == KIND_LOG
+        family = parse_system("x' = (x-1)^3*(x+2); y' = y*(2*x - 1/3)")
+        assert family.kind == KIND_LOG
         # __post_init__ is FractionField's, so the RatFuncs f and g pass too
         assert sum(isinstance(v, BiRatFunc) for v in built) == 2 and not gcds
 
@@ -171,7 +169,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("source", FIXTURE_SOURCES)
     def test_fixture_sources(self, source):
-        assert_printed_components_parse_back(parse_system(source).parsed)
+        assert_printed_components_parse_back(parse_system(source))
 
     def test_fuzzed_expressions_200(self):
         rng = random.Random(5150)
@@ -199,5 +197,5 @@ class TestRoundTrip:
                 first = parse_system(text)
             except (ParseError, ShapeError):
                 continue  # fuzz may build zero denominators or odd shapes
-            assert_printed_components_parse_back(first.parsed)
+            assert_printed_components_parse_back(first)
             done += 1

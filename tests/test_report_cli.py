@@ -252,6 +252,14 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "x' = x^4 - x^3; y' = y*(x)" in out
 
+    def test_linearize_finds_the_invariant_line_once(self, monkeypatch):
+        from orthoscope import planar
+
+        calls = record_calls(monkeypatch, planar.invariant_line)
+        report = run("linearize", "x' = x^3*(x-1) + y; y' = x*y + x*y^2")
+        assert len(calls) == 1
+        assert report.notes[0] == "invariant line y = 0 with cofactor g1 = x*y + x"
+
 
 class TestWitnessTargets:
     COMMANDS = ("classify", "beta-log", "beta-der", "lift", "is-dlog", "is-derivative")
@@ -274,7 +282,7 @@ class TestWitnessTargets:
                 if command in ("is-dlog", "is-derivative"):
                     want = parse_univariate(fx.source)
                 else:
-                    parsed = parse_system(fx.source).parsed
+                    parsed = parse_system(fx.source)
                     if command == "lift":
                         lin = linearize_along_line(parsed.v)
                         f, g = RatFunc.from_poly(lin.base_f0), RatFunc.from_poly(lin.fiber_hZ)
