@@ -409,7 +409,15 @@ class SquarefreeFactorization:
 
 
 def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
-    """Yun's algorithm over the rationals; rejects the zero polynomial."""
+    """Yun's algorithm over the rationals; rejects the zero polynomial.
+
+    At the top of pass i, b is the product of the monic squarefree parts
+    a_j of multiplicity j >= i and d = b*sum((j - i)*a_j'/a_j). So d is a
+    multiple k*b' exactly when every remaining root has multiplicity
+    i + k (compare both sides mod each a_j), and the loop then ends
+    without the gcds of the passes in between: a single pass for a
+    squarefree p (d = 0), two gcds in all for (x - a)^e*(x - b).
+    """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
     content = p.lc
@@ -423,6 +431,9 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
     d = f.derivative().exact_div(g) - db
     i = 1
     while b.degree > 0:
+        if d.prim in ((), db.prim):
+            parts.append((b, i + int(d.content / db.content)))
+            break
         a = poly_gcd(b, d)
         if a.degree > 0:
             parts.append((a, i))

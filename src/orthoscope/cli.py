@@ -262,8 +262,11 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def _read_source(args) -> str:
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except OSError as exc:
+            raise ShapeError(f"cannot read input file {args.input}: {exc.strerror}") from None
     if args.source:
         return args.source
     raise ShapeError("no input: pass an inline source or --input FILE")

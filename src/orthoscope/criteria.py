@@ -1,9 +1,10 @@
 """Decision procedures for base orthogonality and fiber internality.
 
 base_orthogonal reads the projective pole spectrum of (1/f)dx off its
-Hermite reduction, which the derivative-family search reuses. Its pole
-loci are the factors of f.num; with the factors of g.den they factor every
-denominator of either beta search, so a request factors each input once.
+Hermite reduction, whose residues the derivative-family search reuses.
+Its pole loci are the factors of f.num; with the factors of g.den they
+factor every denominator of either beta search, so a request factors each
+input once.
 The beta searches decide whether some constant shift of g makes
 (g - beta)/f a scaled logarithmic derivative (log family) or an exact
 derivative (derivative family). Both searches return verified witnesses;
@@ -11,7 +12,8 @@ the log search is complete whenever a multiple pole pins beta (case A) or a
 rational anchor forces beta rational (case B), and reports case C honestly
 otherwise. The log search tests its candidate beta on residues read off
 the data it solved for beta with, so it never factors or Hermite-reduces
-(g - beta)/f; the derivative search reduces it in full.
+(g - beta)/f. The derivative search pins beta with a residue of 1/f (at a
+simple pole where g is regular) and reduces only (g - beta)/f, once.
 """
 
 from __future__ import annotations
@@ -409,37 +411,58 @@ def beta_search_derivative(
 ) -> BetaSearchResult:
     """Decide whether some beta makes (g - beta)/f an exact derivative.
 
-    The Hermite remainder is linear in the input, so the remainder of
-    (g - beta)/f is rem(g/f) - beta*rem(1/f); vanishing is a rational
-    linear condition and the decision is complete. base is
-    base_orthogonal(f), whose reduction of 1/f supplies rem(1/f) and whose
-    pole loci, with those of g.den, factor both reductions made here.
+    (g - beta)/f is an exact derivative in Q(x) exactly when each of its
+    residues vanishes (Bronstein, Symbolic Integration I, sections
+    2.2-2.5), and each residue is affine in beta: Res((g - beta)/f) =
+    Res(g/f) - beta*Res(1/f). So a single nonzero residue of 1/f pins
+    beta, and any valid beta equals the pinned one; the search is
+    complete once the pinned beta is tested. base is base_orthogonal(f),
+    whose reduction of 1/f supplies its residues.
+
+    - rem(1/f) = 0: no residue depends on beta, so beta = 0.
+    - Else, at the first simple pole alpha of 1/f (locus q) where g is
+      regular, Res(g/f) = g(alpha)*Res(1/f) with Res(1/f) != 0, so beta
+      must be g mod q; when that is irrational, no beta works.
+    - Else (every pole of 1/f with a nonzero residue is multiple or a pole
+      of g) beta is pinned by the linearity of the Hermite remainder:
+      rem(g/f) = beta*rem(1/f).
+
+    (g - beta)/f is then reduced once, over the loci of f.num and g.den;
+    a zero remainder gives the verified witness and a nonzero one the
+    answer none.
     """
     known = _known_loci(base, g)
-    rem_g = hermite_reduce(g / f, known).remainder
     rem_one = base.hermite.remainder
+
+    def none(detail: str) -> BetaSearchResult:
+        return BetaSearchResult(STATUS_NONE, None, None, CASE_B, None, detail)
+
     if rem_one.is_zero:
-        if not rem_g.is_zero:
-            return BetaSearchResult(
-                STATUS_NONE, None, None, CASE_B, None,
-                "the remainder is beta-independent and nonzero",
-            )
+        detail = "the remainder is beta-independent and nonzero"
         beta = Fraction(0)
     else:
-        ratio = rem_g / rem_one
-        if not ratio.is_constant:
-            return BetaSearchResult(
-                STATUS_NONE, None, None, CASE_B, None,
-                "remainder vanishing admits no constant solution",
-            )
-        beta = ratio.constant_value()
+        detail = "remainder vanishing admits no constant solution"
+        beta = None
+        for entry in base.spectrum.affine_poles:
+            if entry.multiplicity == 1:
+                den = NFElement(g.den, entry.locus)
+                if not den.is_zero:
+                    value = NFElement(g.num, entry.locus) * den.inverse()
+                    if not value.is_rational:
+                        return none(detail)
+                    beta = value.as_fraction()
+                    break
+        if beta is None:
+            ratio = hermite_reduce(g / f, known).remainder / rem_one
+            if not ratio.is_constant:
+                return none(detail)
+            beta = ratio.constant_value()
     r = (g - RatFunc.constant(beta, g.var)) / f
     herm = hermite_reduce(r, known)
-    witness = exact_derivative_part(r, herm)
-    if witness is None:
-        raise WitnessVerificationError("derivative witness failed its identity")
+    if not herm.remainder.is_zero:
+        return none(detail)
     return BetaSearchResult(
-        STATUS_FOUND, beta, witness, CASE_B, herm.spectrum, None
+        STATUS_FOUND, beta, exact_derivative_part(r, herm), CASE_B, herm.spectrum, None
     )
 
 

@@ -166,6 +166,128 @@ class TestBetaSearchDerivative:
         assert r.status == STATUS_FOUND and r.beta == 0 and r.witness.h.is_zero
 
 
+class TestDerivativePin:
+    """beta_search_derivative pins beta with a residue of 1/f; the
+    reference is the rule that reduces g/f and divides the remainders,
+    beta = rem(g/f)/rem(1/f), kept here."""
+
+    LOCI = ("x - 2", "x + 1", "x", "x - 1/2", "x^2 + 1", "x^2 - 2", "x^2 + x + 1",
+            "x^3 - 2", "x^3 - x - 1")
+
+    @staticmethod
+    def _reference(f, g, base):
+        from orthoscope import criteria, hermite_reduce
+        from orthoscope.ratfunc import exact_derivative_part
+        from orthoscope.criteria import BetaSearchResult
+
+        known = criteria._known_loci(base, g)
+        rem_g = hermite_reduce(g / f, known).remainder
+        rem_one = base.hermite.remainder
+        if rem_one.is_zero:
+            if not rem_g.is_zero:
+                return BetaSearchResult(STATUS_NONE, None, None, CASE_B, None,
+                                        "the remainder is beta-independent and nonzero")
+            beta = Fraction(0)
+        else:
+            ratio = rem_g / rem_one
+            if not ratio.is_constant:
+                return BetaSearchResult(STATUS_NONE, None, None, CASE_B, None,
+                                        "remainder vanishing admits no constant solution")
+            beta = ratio.constant_value()
+        r = (g - RatFunc.constant(beta)) / f
+        herm = hermite_reduce(r, known)
+        witness = exact_derivative_part(r, herm)
+        assert witness is not None
+        return BetaSearchResult(STATUS_FOUND, beta, witness, CASE_B, herm.spectrum, None)
+
+    @staticmethod
+    def _branch(g, base):
+        """The route the pin takes for (f, g), read from 1/f's spectrum."""
+        from orthoscope import NFElement
+
+        if base.hermite.remainder.is_zero:
+            return "rem(1/f) = 0"
+        for entry in base.spectrum.affine_poles:
+            if entry.multiplicity == 1 and not (g.den % entry.locus).is_zero:
+                value = NFElement(g.num, entry.locus) / NFElement(g.den, entry.locus)
+                return "simple pole, rational" if value.is_rational \
+                    else "simple pole, irrational"
+        if base.spectrum.has_simple_pole():
+            return "fallback, simple loci shared with g.den"
+        return "fallback, only multiple poles"
+
+    def _input(self, rng, x):
+        """(f, g): g - beta0 = f*h' for a rational h, sometimes perturbed so
+        that no beta works; f is a product of loci to powers 1..4 and may
+        have a denominator, or is a single multiple linear pole."""
+        from orthoscope import parse_expression
+
+        loci = [parse_expression(t).restrict_y0().num
+                for t in rng.sample(self.LOCI, rng.randint(1, 3))]
+        lam = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+        if rng.random() < 0.15:
+            f = P(loci[0] if loci[0].degree == 1 else x) ** rng.randint(2, 4) * lam
+        else:
+            f = RatFunc.constant(lam)
+            for q in loci:
+                f = f * P(q) ** rng.choice([1, 1, 2, 3, 4])
+        if rng.random() < 0.2:
+            f = f / P(rng.choice([x + 3, x**2 + 3]))
+        h = P(x ** rng.randint(0, 2)) * Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        for q in rng.sample(loci + [x + 5], rng.randint(0, 2)):
+            h = h + RatFunc(UniPoly.one(), q ** rng.randint(1, 3)) * rng.choice([1, -2])
+        beta0 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        g = h.derivative() * f + beta0
+        if rng.random() < 0.3:
+            g = g + rng.choice([P(x ** rng.randint(0, 2)), RatFunc(UniPoly.one(), loci[0])]) \
+                * rng.choice([1, Fraction(-1, 3)])
+        return f, g
+
+    def test_pinned_beta_matches_the_remainder_ratio(self, x):
+        import random
+
+        rng = random.Random(14014)
+        cases = [(P(x**2 * (x - 1)), RatFunc(UniPoly.one(), x - 1)),
+                 (P(x**2), P(x))]
+        cases += [self._input(rng, x) for _ in range(240)]
+        drawn = set()
+        for f, g in cases:
+            base = base_orthogonal(f)
+            got = beta_search_derivative(f, g, base)
+            assert got == self._reference(f, g, base), (f, g)
+            branch = self._branch(g, base)
+            drawn.add(f"{branch}, {got.status}" if branch == "simple pole, rational" else branch)
+            if any(e.multiplicity == 1 and (g.den % e.locus).is_zero
+                   for e in base.spectrum.affine_poles):
+                drawn.add("simple locus shared with g.den")
+        assert drawn == {
+            "rem(1/f) = 0", "simple pole, rational, found", "simple pole, rational, none",
+            "simple pole, irrational", "simple locus shared with g.den",
+            "fallback, simple loci shared with g.den", "fallback, only multiple poles",
+        }, drawn
+
+    def test_pinned_beta_reduces_only_the_target(self, x, monkeypatch):
+        from orthoscope import ratfunc
+
+        reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
+        for e, beta, c in ((2, Fraction(1), Fraction(1)), (6, Fraction(-1, 2), Fraction(3)),
+                           (22, Fraction(7, 3), Fraction(-2, 5))):
+            reduced.clear()
+            a = x - Fraction(3, 2)
+            f = P(a**e * (x + 2))
+            sv = classify_derivative_family(f, P(beta - c * (e - 1) * (x + 2)))
+            assert sv.fibration.found and sv.fibration.beta == beta
+            assert sv.fibration.witness.h == RatFunc(UniPoly.constant(c), a ** (e - 1))
+            assert len(reduced) == 2, e
+        # rem(1/f) = 0 takes beta = 0 and also reduces twice; a pole of 1/f
+        # that g shares leaves the remainder ratio, one reduction more
+        for f, g, count in ((P(x**2), P(x), 2),
+                            (P(x**2 * (x - 1)), RatFunc(UniPoly.one(), x - 1), 3)):
+            reduced.clear()
+            classify_derivative_family(f, g)
+            assert len(reduced) == count, (f, g)
+
+
 class TestClassifiers:
     def test_log_family_examples(self, x):
         v = classify_log_family(P(x**2 * (x - 1)), P(x))

@@ -167,6 +167,14 @@ class TestCliExitCodes:
     def test_missing_input_exit_three(self, capsys):
         assert main(["classify"]) == 3
 
+    def test_unreadable_input_file_exits_three(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-file.txt"
+        for path, reason in ((missing, "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            assert main(["classify", "--input", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err == f"input error: cannot read input file {path}: {reason}\n"
+
     def test_fixture_runner_passes(self, capsys):
         assert main(["fixtures", "run"]) == 0
         out = capsys.readouterr().out

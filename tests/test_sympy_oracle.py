@@ -99,6 +99,23 @@ def test_squarefree_decompose_matches_sympy():
         assert set(sf.parts) == {(from_sympy(f), m) for f, m in parts}
 
 
+def test_squarefree_multiplicity_gaps_match_sympy():
+    """Factors to multiplicities with gaps between them, and powers of a
+    single factor, where Yun's loop ends on d = k*b' before the gcds of
+    the passes in between."""
+    rng = random.Random(7013)
+    for _ in range(80):
+        p = UniPoly.constant(_rational(rng, False) or 1)
+        for m in rng.sample(range(1, 13), rng.randint(1, 3)):
+            base = _random_poly(rng, 3)
+            if base.degree >= 1:
+                p = p * base ** m
+        sf = squarefree_decompose(p)
+        content, parts = to_sympy(p).sqf_list()
+        assert sf.content == Fraction(int(content.p), int(content.q))
+        assert set(sf.parts) == {(from_sympy(f), m) for f, m in parts}
+
+
 def test_factor_rationals_matches_sympy():
     rng = random.Random(7004)
     cases = [_structured_poly(rng) for _ in range(100)]

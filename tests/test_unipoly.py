@@ -7,7 +7,7 @@ import pytest
 
 from orthoscope import NEG_INF, BiPoly, UniPoly, poly_gcd, poly_xgcd, resultant_x, squarefree_decompose
 
-from conftest import random_unipoly
+from conftest import random_unipoly, record_calls
 
 
 class TestArithmetic:
@@ -110,6 +110,23 @@ class TestSquarefree:
         sf = squarefree_decompose(p)
         assert sf.parts == ((x - 2, 1), (x**2 + 1, 4), (x + Fraction(1, 3), 9))
         assert sf.expand() == p
+
+    def test_gap_ends_the_loop_without_more_gcds(self, x, monkeypatch):
+        # once every remaining root has one multiplicity m, d = (m - i)*b'
+        # at pass i, so the passes up to m take no gcd
+        from orthoscope.algebra import unipoly
+
+        calls = record_calls(monkeypatch, unipoly.poly_gcd)
+        for e in range(2, 23):
+            calls.clear()
+            p = (x - Fraction(3, 2)) ** e * (x + 2)
+            assert squarefree_decompose(p).parts == ((x + 2, 1), (x - Fraction(3, 2), e))
+            assert len(calls) == 2, e
+        for p, parts in (((x**2 + 1) * (x - 1), ((x**3 - x**2 + x - 1, 1),)),
+                         ((x**2 - 2) ** 7, ((x**2 - 2, 7),))):
+            calls.clear()
+            assert squarefree_decompose(p).parts == parts
+            assert len(calls) == 1
 
     def test_roundtrip_bit_exact_500(self):
         rng = random.Random(2024)
