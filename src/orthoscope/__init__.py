@@ -32,8 +32,6 @@ from .errors import (
 from .parsing import parse_expression, parse_system, parse_univariate
 from .planar import (
     BiRatFunc,
-    FoliationLinearization,
-    InvariantLineReport,
     LinearizedSystem,
     PlanarVectorField,
     classify_invariant_line_lift,

@@ -6,11 +6,13 @@ so products, exact quotients and derivatives run on Python ints and the
 rational coefficients are formed only when read. Exact division is
 exact_div and the printed terms come from signed_terms, as in UniPoly, so
 one fraction-field class reduces and prints over either ring; the
-bivariate gcd here reduces BiRatFunc. The resultant eliminates the
-primary variable from two BiPoly operands via fraction-free Bareiss
-elimination on the Sylvester matrix, returning a UniPoly in the secondary
-variable; it builds the residue polynomial, and no verdict goes through
-it.
+bivariate gcd here reduces BiRatFunc. The univariate views and results
+are UniPolys, which are polynomials in x: y_coefficients gives
+polynomials in x, while x_coefficients and the resultant give polynomials
+in y, stored and printed as UniPolys in x. The resultant eliminates x from
+two BiPoly operands via fraction-free Bareiss elimination on the
+Sylvester matrix; it builds the residue polynomial, and no verdict goes
+through it.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ class BiPoly:
         ints = [0] * (max(i for i, _ in self.prim) + 1)
         for (i, j), v in self.prim.items():
             ints[i] += v * p**j * q ** (d - j)
-        return _uni_canonical(self.content / q**d, ints, "x")
+        return _uni_canonical(self.content / q**d, ints)
 
     def eval(self, xval, yval) -> Fraction:
         xval, yval = _frac(xval), _frac(yval)
@@ -286,13 +288,14 @@ class BiPoly:
 
     def y_coefficients(self) -> list[UniPoly]:
         """Coefficients as polynomials in x, indexed by the power of y."""
-        return self._rows(1, "x")
+        return self._rows(1)
 
-    def x_coefficients(self, aux_var: str = "t") -> list[UniPoly]:
-        """Coefficients as polynomials in the secondary variable, indexed by x power."""
-        return self._rows(0, aux_var)
+    def x_coefficients(self) -> list[UniPoly]:
+        """Coefficients as polynomials in y, indexed by the power of x; each
+        UniPoly holds a polynomial in y and prints it in x."""
+        return self._rows(0)
 
-    def _rows(self, axis: int, var: str) -> list[UniPoly]:
+    def _rows(self, axis: int) -> list[UniPoly]:
         keep = 1 - axis
         size = max((k[axis] for k in self.prim), default=-1) + 1
         rows: list[dict[int, int]] = [dict() for _ in range(size)]
@@ -301,7 +304,7 @@ class BiPoly:
         out = []
         for row in rows:
             ints = [row.get(e, 0) for e in range(max(row, default=-1) + 1)]
-            out.append(_uni_canonical(self.content, ints, var))
+            out.append(_uni_canonical(self.content, ints))
         return out
 
     # -- printing ---------------------------------------------------------
@@ -343,48 +346,48 @@ def _canonical(content: Fraction, ints: dict[tuple[int, int], int]) -> BiPoly:
 # -- resultants -------------------------------------------------------------
 
 
-def _bareiss_det(mat: list[list[UniPoly]], var: str) -> UniPoly:
+def _bareiss_det(mat: list[list[UniPoly]]) -> UniPoly:
     """Fraction-free determinant of a matrix with polynomial entries."""
     n = len(mat)
     if n == 0:
-        return UniPoly.one(var)
+        return UniPoly.one()
     sign = 1
-    prev = UniPoly.one(var)
+    prev = UniPoly.one()
     for k in range(n - 1):
         if mat[k][k].is_zero:
             pivot_row = next(
                 (i for i in range(k + 1, n) if not mat[i][k].is_zero), None
             )
             if pivot_row is None:
-                return UniPoly.zero(var)
+                return UniPoly.zero()
             mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
                 mat[i][j] = num.exact_div(prev)
-            mat[i][k] = UniPoly.zero(var)
+            mat[i][k] = UniPoly.zero()
         prev = mat[k][k]
     det = mat[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
-def resultant_x(a: BiPoly, b: BiPoly, aux_var: str = "t") -> UniPoly:
-    """Resultant eliminating the primary variable.
+def resultant_x(a: BiPoly, b: BiPoly) -> UniPoly:
+    """Resultant eliminating x.
 
     Inputs are read as polynomials in x whose coefficients are polynomials
-    in the secondary variable; the result is a UniPoly in that variable.
+    in y; the result is the polynomial in y, as a UniPoly that prints in x.
     Both operands of x-degree zero yield 1 (empty Sylvester determinant).
     """
     if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial")
-    ac = a.x_coefficients(aux_var)
-    bc = b.x_coefficients(aux_var)
+    ac = a.x_coefficients()
+    bc = b.x_coefficients()
     m, n = len(ac) - 1, len(bc) - 1
     size = m + n
     if size == 0:
-        return UniPoly.one(aux_var)
-    zero = UniPoly.zero(aux_var)
+        return UniPoly.one()
+    zero = UniPoly.zero()
     rows: list[list[UniPoly]] = []
     a_desc = list(reversed(ac))
     b_desc = list(reversed(bc))
@@ -392,7 +395,7 @@ def resultant_x(a: BiPoly, b: BiPoly, aux_var: str = "t") -> UniPoly:
         rows.append([zero] * r + a_desc + [zero] * (size - r - m - 1))
     for r in range(m):
         rows.append([zero] * r + b_desc + [zero] * (size - r - n - 1))
-    return _bareiss_det(rows, aux_var)
+    return _bareiss_det(rows)
 
 
 # -- bivariate gcd -----------------------------------------------------------

@@ -370,9 +370,9 @@ def _to_monic_transform(f_int: tuple[int, ...]) -> tuple[list[int], int]:
     return [f_int[i] * l ** (n - 1 - i) for i in range(n)] + [1], l
 
 
-def _from_monic_factor(g_int: list[int], l: int, var: str) -> UniPoly:
+def _from_monic_factor(g_int: list[int], l: int) -> UniPoly:
     """Map a monic factor G of the transform back to monic G(l*x) over Q."""
-    return UniPoly.of([g * l**i for i, g in enumerate(g_int)], var).monic()
+    return UniPoly.of([g * l**i for i, g in enumerate(g_int)]).monic()
 
 
 def rational_roots_squarefree(f: UniPoly) -> list[Fraction]:
@@ -384,7 +384,7 @@ def rational_roots_squarefree(f: UniPoly) -> list[Fraction]:
     roots = []
     if f.coeff(0) == 0:
         roots.append(Fraction(0))
-        f = f.exact_div(UniPoly.variable(f.var))
+        f = f.exact_div(UniPoly.variable())
         if f.degree < 1:
             return roots
     monic_ints, l = _to_monic_transform(f.prim)
@@ -449,7 +449,7 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     factors: list[UniPoly] = []
     # rational-root extraction first
     for root in rational_roots_squarefree(f):
-        lin = UniPoly.of((-root, 1), f.var)
+        lin = UniPoly.of((-root, 1))
         factors.append(lin)
         f = f.exact_div(lin)
     if f.degree == 0:
@@ -458,5 +458,5 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
         return factors + [f.monic()]
     monic_ints, l = _to_monic_transform(f.prim)
     for g_int in _factor_squarefree_monic_int(monic_ints):
-        factors.append(_from_monic_factor(g_int, l, f.var))
+        factors.append(_from_monic_factor(g_int, l))
     return factors

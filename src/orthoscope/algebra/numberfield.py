@@ -30,7 +30,7 @@ class NFElement:
     @staticmethod
     def of(rep, modulus: UniPoly) -> "NFElement":
         if isinstance(rep, (int, Fraction)):
-            rep = UniPoly.constant(_frac(rep), modulus.var)
+            rep = UniPoly.constant(rep)
         return NFElement(rep, modulus)
 
     def _check(self, other: "NFElement"):

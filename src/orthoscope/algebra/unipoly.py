@@ -1,10 +1,13 @@
-"""Exact univariate polynomials over the rationals.
+"""Exact univariate polynomials over the rationals, in the variable x.
 
-A polynomial is stored as a rational content times a primitive integer
-polynomial with a positive leading coefficient. That form is canonical, so
-equality and hashing are exact, and products, quotients and gcds run on
-Python ints; the rational coefficients are formed only when read. Every
-operation is pure and exact. The degree of the zero polynomial is the
+A UniPoly is a polynomial in x, the coordinate of the base line, and
+prints in x; there is no variable to choose. (The few polynomials in
+another variable, such as the residue polynomial, are stored the same way,
+and the functions that return them say so.) A polynomial is stored as a
+rational content times a primitive integer polynomial with a positive
+leading coefficient. That form is canonical, so equality and hashing are
+exact, and products, quotients and gcds run on Python ints; the rational
+coefficients are formed only when read. Every operation is pure and exact. The degree of the zero polynomial is the
 distinguished value ``NEG_INF`` so that degree comparisons are total.
 """
 
@@ -35,43 +38,42 @@ def _frac(v) -> Fraction:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense polynomial ``content * sum(prim[k] * var**k)``.
+    """Dense polynomial ``content * sum(prim[k] * x**k)``.
 
     Canonical form: ``prim`` is a tuple of ints with gcd 1 and a positive
     last entry, and ``content`` is a nonzero Fraction; the zero polynomial
     has ``content == 0`` and ``prim == ()``. Build from rational
-    coefficients with `UniPoly.of`; ``coeffs[k]`` multiplies ``var ** k``.
+    coefficients with `UniPoly.of`; ``coeffs[k]`` multiplies ``x ** k``.
     """
 
     content: Fraction
     prim: tuple[int, ...]
-    var: str = "x"
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def of(values: Iterable, var: str = "x") -> "UniPoly":
+    def of(values: Iterable) -> "UniPoly":
         fracs = [_frac(v) for v in values]
         den = math.lcm(*(c.denominator for c in fracs))
         ints = [c.numerator * (den // c.denominator) for c in fracs]
-        return _canonical(Fraction(1, den), ints, var)
+        return _canonical(Fraction(1, den), ints)
 
     @staticmethod
-    def zero(var: str = "x") -> "UniPoly":
-        return UniPoly(_ZERO, (), var)
+    def zero() -> "UniPoly":
+        return UniPoly(_ZERO, ())
 
     @staticmethod
-    def one(var: str = "x") -> "UniPoly":
-        return UniPoly(_ONE, (1,), var)
+    def one() -> "UniPoly":
+        return UniPoly(_ONE, (1,))
 
     @staticmethod
-    def constant(c, var: str = "x") -> "UniPoly":
+    def constant(c) -> "UniPoly":
         c = _frac(c)
-        return UniPoly(c, (1,), var) if c else UniPoly(_ZERO, (), var)
+        return UniPoly(c, (1,)) if c else UniPoly(_ZERO, ())
 
     @staticmethod
-    def variable(var: str = "x") -> "UniPoly":
-        return UniPoly(_ONE, (0, 1), var)
+    def variable() -> "UniPoly":
+        return UniPoly(_ONE, (0, 1))
 
     # -- structure ----------------------------------------------------
 
@@ -116,7 +118,7 @@ class UniPoly:
         if not other.prim:
             return self
         if not self.prim:
-            return UniPoly(other.content, other.prim, self.var)
+            return other
         # over the common denominator den, self + other = (fa*A + fb*B) / den
         ca, cb = self.content, other.content
         den = math.lcm(ca.denominator, cb.denominator)
@@ -128,12 +130,12 @@ class UniPoly:
             out, rest = rest, out
         for k, v in enumerate(rest):
             out[k] += v
-        return _canonical(Fraction(1, den), out, self.var)
+        return _canonical(Fraction(1, den), out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-self.content, self.prim, self.var)
+        return UniPoly(-self.content, self.prim)
 
     def __sub__(self, other) -> "UniPoly":
         return self + (-self._coerce(other))
@@ -144,11 +146,11 @@ class UniPoly:
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return UniPoly(_ZERO, (), self.var)
-            return UniPoly(self.content * other, self.prim, self.var)
+                return UniPoly(_ZERO, ())
+            return UniPoly(self.content * other, self.prim)
         other = self._coerce(other)
         if not self.prim or not other.prim:
-            return UniPoly(_ZERO, (), self.var)
+            return UniPoly(_ZERO, ())
         # Gauss's lemma: a product of primitive polynomials is primitive
         b = other.prim
         out = [0] * (len(self.prim) + len(b) - 1)
@@ -156,24 +158,24 @@ class UniPoly:
             if av:
                 for j, bv in enumerate(b):
                     out[i + j] += av * bv
-        return UniPoly(self.content * other.content, tuple(out), self.var)
+        return UniPoly(self.content * other.content, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        return _power(self, n, UniPoly.one(self.var))
+        return _power(self, n, UniPoly.one())
 
     def __divmod__(self, other) -> tuple["UniPoly", "UniPoly"]:
         other = self._coerce(other)
         if not other.prim:
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.prim) < len(other.prim):
-            return UniPoly(_ZERO, (), self.var), self
+            return UniPoly(_ZERO, ()), self
         # s * A = Q * B + R on the primitive parts
         s, q, r = _int_divmod(self.prim, other.prim)
         ca = self.content
-        return (_canonical(ca / (other.content * s), q, self.var),
-                _canonical(ca / s, r, self.var))
+        return (_canonical(ca / (other.content * s), q),
+                _canonical(ca / s, r))
 
     def __floordiv__(self, other) -> "UniPoly":
         return divmod(self, other)[0]
@@ -190,19 +192,17 @@ class UniPoly:
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
             return other
-        return UniPoly.constant(other, self.var)
+        return UniPoly.constant(other)
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return _canonical(
-            self.content, [k * v for k, v in enumerate(self.prim)][1:], self.var
-        )
+        return _canonical(self.content, [k * v for k, v in enumerate(self.prim)][1:])
 
     def antiderivative(self) -> "UniPoly":
         den = math.lcm(*range(1, len(self.prim) + 1))
         ints = [0] + [v * (den // (k + 1)) for k, v in enumerate(self.prim)]
-        return _canonical(self.content / den, ints, self.var)
+        return _canonical(self.content / den, ints)
 
     def eval(self, value):
         acc = Fraction(0) if isinstance(value, (int, Fraction)) else 0.0
@@ -217,17 +217,17 @@ class UniPoly:
         return acc
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero(inner.var)
+        acc = UniPoly.zero()
         for v in reversed(self.prim):
             acc = acc * inner + v
         return acc * self.content
 
     def compose_affine(self, a, b) -> "UniPoly":
-        """Evaluate at ``a*var + b`` exactly."""
-        return self.compose(UniPoly.of((b, a), self.var))
+        """Evaluate at ``a*x + b`` exactly."""
+        return self.compose(UniPoly.of((b, a)))
 
     def taylor_shift(self, c) -> "UniPoly":
-        """Evaluate at ``var + c`` exactly, by Horner's rule on the integers.
+        """Evaluate at ``x + c`` exactly, by Horner's rule on the integers.
 
         With c = n/d, m = deg p and P = sum(prim[k] * x**k), d**m * P(x + n/d)
         is Q(y + n) at y = d*x, where Q = sum(prim[k] * d**(m-k) * y**k).
@@ -241,26 +241,26 @@ class UniPoly:
         for i in range(m):
             for j in range(m - 1, i - 1, -1):
                 b[j] += n * b[j + 1]
-        return _canonical(self.content / d**m, [v * d**k for k, v in enumerate(b)], self.var)
+        return _canonical(self.content / d**m, [v * d**k for k, v in enumerate(b)])
 
     def reverse(self) -> "UniPoly":
         """Coefficient reversal: x^deg * p(1/x)."""
-        return _canonical(self.content, list(reversed(self.prim)), self.var)
+        return _canonical(self.content, list(reversed(self.prim)))
 
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
-        return UniPoly(Fraction(1, self.prim[-1]), self.prim, self.var)
+        return UniPoly(Fraction(1, self.prim[-1]), self.prim)
 
     # -- printing --------------------------------------------------------
 
     def signed_terms(self) -> list[tuple[Fraction, str]]:
         """(coefficient, monomial) for each nonzero term, highest first;
         the monomial of the constant term is ""."""
-        var, c = self.var, self.content
-        return [(c * v, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+        c = self.content
+        return [(c * v, "" if k == 0 else "x" if k == 1 else f"x^{k}")
                 for k, v in reversed(list(enumerate(self.prim))) if v]
 
     def to_string(self) -> str:
@@ -302,19 +302,19 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
 # -- integer polynomial kernels ---------------------------------------------
 
 
-def _canonical(content: Fraction, ints: list[int], var: str) -> UniPoly:
+def _canonical(content: Fraction, ints: list[int]) -> UniPoly:
     """content * ints in canonical form; ints is consumed."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints or not content:
-        return UniPoly(_ZERO, (), var)
+        return UniPoly(_ZERO, ())
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
         content = content * g
-    return UniPoly(content, tuple(ints), var)
+    return UniPoly(content, tuple(ints))
 
 
 def _int_divmod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
@@ -354,7 +354,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     gcd(0, 0) = 0 by convention.
     """
     if a.is_zero and b.is_zero:
-        return UniPoly.zero(a.var)
+        return UniPoly.zero()
     if a.is_zero:
         return b.monic()
     if b.is_zero:
@@ -363,18 +363,17 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while len(pb) > 1:
-        pa, pb = pb, _canonical(_ONE, _int_divmod(pa, pb)[2], a.var).prim
+        pa, pb = pb, _canonical(_ONE, _int_divmod(pa, pb)[2]).prim
     if pb:
-        return UniPoly.one(a.var)
-    return UniPoly(Fraction(1, pa[-1]), pa, a.var)
+        return UniPoly.one()
+    return UniPoly(Fraction(1, pa[-1]), pa)
 
 
 def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     """Extended Euclid over the rationals: returns monic g and s, t with s*a + t*b = g."""
-    var = a.var
     r0, r1 = a, b
-    s0, s1 = UniPoly.one(var), UniPoly.zero(var)
-    t0, t1 = UniPoly.zero(var), UniPoly.one(var)
+    s0, s1 = UniPoly.one(), UniPoly.zero()
+    t0, t1 = UniPoly.zero(), UniPoly.one()
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -401,8 +400,7 @@ class SquarefreeFactorization:
     parts: tuple[tuple[UniPoly, int], ...]
 
     def expand(self) -> UniPoly:
-        var = self.parts[0][0].var if self.parts else "x"
-        acc = UniPoly.constant(self.content, var)
+        acc = UniPoly.constant(self.content)
         for f, m in self.parts:
             acc = acc * f**m
         return acc

@@ -25,7 +25,6 @@ from .errors import HypothesisError, ParseError, ShapeError, WitnessVerification
 from .parsing import (
     KIND_DERIVATIVE,
     KIND_LOG,
-    Planar,
     UnivariateFamily,
     parse_expression,
     parse_system,
@@ -89,7 +88,7 @@ def _run_function_command(command: str, text: str, residue_class: str) -> Report
                   residues=herm.spectrum)
 
 
-def _family(family: UnivariateFamily | Planar, command: str,
+def _family(family: UnivariateFamily | PlanarVectorField, command: str,
             kind: str | None = None) -> UnivariateFamily:
     if not isinstance(family, UnivariateFamily):
         raise ShapeError(
@@ -103,13 +102,13 @@ def _family(family: UnivariateFamily | Planar, command: str,
     return family
 
 
-def _planar(planar: UnivariateFamily | Planar, command: str) -> PlanarVectorField:
-    if not isinstance(planar, Planar):
+def _planar(planar: UnivariateFamily | PlanarVectorField, command: str) -> PlanarVectorField:
+    if not isinstance(planar, PlanarVectorField):
         raise ShapeError(
             f"'{command}' needs a polynomial planar vector field; univariate "
             f"families are handled by 'classify', 'base', 'beta-log', 'beta-der'"
         )
-    return planar.v
+    return planar
 
 
 def _run_system_command(command: str, text: str, residue_class: str,
@@ -154,18 +153,18 @@ def _run_system_command(command: str, text: str, residue_class: str,
         notes = [f"[v, d/dy] = ({br.fx}) d/dx + ({br.fy}) d/dy",
                  "sign convention: [v, w] = (v.grad)w - (w.grad)v"]
         try:
-            fol = foliation_linearize(v, _DY)
-            notes.append(f"[d/dy, v] = c * d/dy with cofactor c = {fol.cofactor_c}")
+            cofactor = foliation_linearize(v, _DY)
+            notes.append(f"[d/dy, v] = c * d/dy with cofactor c = {cofactor}")
         except HypothesisError:
             notes.append("[d/dy, v] is not proportional to d/dy")
         return Report("bracket", "bracket-computed", notes=notes)
 
     if command == "linearize":
-        line = invariant_line(v)
-        if not line.invariant:
+        cofactor = invariant_line(v)
+        if cofactor is None:
             raise HypothesisError("the line y = 0 is not invariant under this field")
-        lin = linearization(v, line)
-        notes = [f"invariant line y = 0 with cofactor g1 = {line.cofactor_g1}",
+        lin = linearization(v, cofactor)
+        notes = [f"invariant line y = 0 with cofactor g1 = {cofactor}",
                  f"linearized system: x' = {lin.base_f0}; y' = y*({lin.fiber_hZ})"]
         return Report("linearize", "linearized", notes=notes)
 
@@ -191,10 +190,9 @@ def _run_system_command(command: str, text: str, residue_class: str,
 def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
     notes = []
     try:
-        fol = foliation_linearize(v, _DY)
+        cofactor = foliation_linearize(v, _DY)
     except (HypothesisError, ValueError):
         return notes
-    cofactor = fol.cofactor_c
     notes.append(f"tangent-fiber cofactor along d/dy: {cofactor}")
     try:
         h = parse_expression(gauge_h)
@@ -267,6 +265,8 @@ def _read_source(args) -> str:
                 return fh.read().strip()
         except OSError as exc:
             raise ShapeError(f"cannot read input file {args.input}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ShapeError(f"cannot read input file {args.input}: {exc}") from None
     if args.source:
         return args.source
     raise ShapeError("no input: pass an inline source or --input FILE")

@@ -37,6 +37,7 @@ from .ratfunc import (
     Residue,
     WitnessData,
     _infinity_pole,
+    _residue,
     dlog_from_spectrum,
     exact_derivative_part,
     hermite_reduce,
@@ -107,13 +108,13 @@ def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
     """Orthogonality of the base equation x' = f(x) from the spectrum of (1/f)dx."""
     if f.is_zero:
         raise ValueError("base coefficient f must be nonzero")
-    herm = hermite_reduce(RatFunc.one(f.var) / f)
+    herm = hermite_reduce(RatFunc.one() / f)
     spectrum = herm.spectrum
     if f.is_polynomial and f.num.degree <= 1:
         return OrthogonalityVerdict(False, EVIDENCE_DEGENERATE, herm)
     if spectrum.has_multiple_pole() and spectrum.has_simple_pole():
         return OrthogonalityVerdict(True, EVIDENCE_MULTIPLE_AND_SIMPLE, herm)
-    if spectrum.only_simple_poles():
+    if not spectrum.has_multiple_pole():
         if ratio_all_rational(spectrum):
             return OrthogonalityVerdict(False, EVIDENCE_RATIONAL_RATIOS, herm)
         return OrthogonalityVerdict(True, EVIDENCE_IRRATIONAL_RATIO, herm)
@@ -270,8 +271,8 @@ def beta_search_log(
         b_el = NFElement(m, q) * inv
         affine.append((q, a_el, b_el))
         a0, b0 = a_el.rep.coeff(0), b_el.rep.coeff(0)
-        a_tail = a_el.rep - UniPoly.constant(a0, q.var)
-        b_tail = b_el.rep - UniPoly.constant(b0, q.var)
+        a_tail = a_el.rep - UniPoly.constant(a0)
+        b_tail = b_el.rep - UniPoly.constant(b0)
         if b_tail.is_zero:
             if not a_tail.is_zero:
                 # residue values at conjugate roots would have to differ by
@@ -327,11 +328,6 @@ def beta_search_log(
     return test_free(beta_hat, assert_found=True)
 
 
-def _residue(value: NFElement) -> Residue:
-    """value in the form a PoleEntry stores: a Fraction when rational."""
-    return value.as_fraction() if value.is_rational else value
-
-
 def _divide(a: UniPoly, b: UniPoly) -> UniPoly:
     quotient, left = divmod(a, b)
     if not left.is_zero:
@@ -350,7 +346,7 @@ def _pinned_residues(
     num(alpha)/P'(alpha), read at a linear locus x - c0 as
     num(c0)/P'(c0) and elsewhere as num*(P')^-1 mod q.
     """
-    big_d = math.prod((q ** (e - 1) for q, e in parts if e >= 2), start=UniPoly.one(d.var))
+    big_d = math.prod((q ** (e - 1) for q, e in parts if e >= 2), start=UniPoly.one())
     num, den = _divide(c, big_d), d.exact_div(big_d)
     dprime = den.derivative()
     residues = []
@@ -457,7 +453,7 @@ def beta_search_derivative(
             if not ratio.is_constant:
                 return none(detail)
             beta = ratio.constant_value()
-    r = (g - RatFunc.constant(beta, g.var)) / f
+    r = (g - RatFunc.constant(beta)) / f
     herm = hermite_reduce(r, known)
     if not herm.remainder.is_zero:
         return none(detail)

@@ -9,8 +9,10 @@ gcd, and it turns back into a BiPoly when its reduced denominator is
 constant. A power, product, quotient, sum or difference whose degree bound,
 read from the reduced operands, would exceed MAX_DEGREE is refused before
 it is expanded, and so is an integer literal of more than
-MAX_LITERAL_DIGITS digits. Each expression or statement yields one reduced
-BiRatFunc, and str of a parsed value is text that parses back to it.
+MAX_LITERAL_DIGITS digits and a parenthesis nested more than MAX_NESTING
+deep. Leading signs are read in a loop, so a run of any length parses.
+Each expression or statement yields one reduced BiRatFunc, and str of a
+parsed value is text that parses back to it.
 Parsed systems are shape-classified:
 
   y' = y*g(x)  with y-free f, g  ->  log family
@@ -38,6 +40,9 @@ KIND_DERIVATIVE = "derivative"
 MAX_DEGREE = 1000
 # Longest integer literal; Python's int() refuses longer digit strings.
 MAX_LITERAL_DIGITS = 4300
+# Deepest parenthesis nesting; each level is a few frames of recursion, so
+# this keeps the parser far from the interpreter's recursion limit.
+MAX_NESTING = 100
 
 _RESULT_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
 
@@ -47,11 +52,6 @@ class UnivariateFamily:
     f: RatFunc
     g: RatFunc
     kind: str  # log | derivative
-
-
-@dataclass(frozen=True)
-class Planar:
-    v: PlanarVectorField
 
 
 # -- tokenizer ------------------------------------------------------------
@@ -112,6 +112,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0      # open parentheses around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -162,12 +163,11 @@ class _Parser:
         return acc.expand()
 
     def parse_factor(self) -> "_Factor":
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.next()
-            inner = self.parse_factor()
-            return inner if tok.text == "+" else replace(inner, negate=not inner.negate)
-        return self.parse_power()
+        negate = False
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            negate ^= self.next().text == "-"
+        inner = self.parse_power()
+        return replace(inner, negate=True) if negate else inner
 
     def parse_power(self) -> "_Factor":
         base, exponent = self.parse_atom(), 1
@@ -208,9 +208,13 @@ class _Parser:
                 return BiPoly.y()
             raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
             self.next()
+            self.depth += 1
             inner = self.parse_expr()
             self.expect("op", ")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
 
@@ -288,7 +292,7 @@ def _y_free(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
 # -- systems -----------------------------------------------------------------
 
 
-def parse_system(text: str) -> Union[UnivariateFamily, Planar]:
+def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
     """Parse "x' = ...; y' = ..." and classify its shape."""
     parser = _Parser(text)
     slots: dict[str, BiRatFunc] = {}
@@ -317,7 +321,7 @@ def parse_system(text: str) -> Union[UnivariateFamily, Planar]:
     return _classify_shape(slots["x"], slots["y"])
 
 
-def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, Planar]:
+def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, PlanarVectorField]:
     f = _y_free(fx.num, fx.den)
     if f is not None:
         # fy is reduced, so fy/y is y-free exactly when y divides every term
@@ -330,8 +334,8 @@ def _classify_shape(fx: BiRatFunc, fy: BiRatFunc) -> Union[UnivariateFamily, Pla
         if g is not None:
             return UnivariateFamily(f, g, KIND_DERIVATIVE)
     if fx.is_polynomial and fy.is_polynomial:
-        return Planar(PlanarVectorField(fx.num * (1 / fx.den.constant_value()),
-                                        fy.num * (1 / fy.den.constant_value())))
+        return PlanarVectorField(fx.num * (1 / fx.den.constant_value()),
+                                 fy.num * (1 / fy.den.constant_value()))
     raise ShapeError(
         "unsupported system shape: components must be y' = y*g(x), y' = g(x), "
         "or polynomial in x and y (a denominator containing y is not allowed "

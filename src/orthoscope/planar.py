@@ -122,22 +122,9 @@ class PlanarVectorField:
 
 
 @dataclass(frozen=True)
-class InvariantLineReport:
-    invariant: bool
-    cofactor_g1: Optional[BiPoly]
-
-
-@dataclass(frozen=True)
 class LinearizedSystem:
     base_f0: UniPoly    # f(x, 0)
     fiber_hZ: UniPoly   # g1(x, 0)
-
-
-@dataclass(frozen=True)
-class FoliationLinearization:
-    """Cofactor c with [w, v] = c * w, exactly."""
-
-    cofactor_c: BiRatFunc
 
 
 # -- operations ---------------------------------------------------------------------
@@ -150,13 +137,13 @@ def lie_bracket(v: PlanarVectorField, w: PlanarVectorField) -> PlanarVectorField
     return PlanarVectorField(bx, by)
 
 
-def invariant_line(v: PlanarVectorField) -> InvariantLineReport:
-    """The line y = 0 is invariant iff y divides the y-component."""
+def invariant_line(v: PlanarVectorField) -> Optional[BiPoly]:
+    """The cofactor g1 with fy = y*g1 when the line y = 0 is invariant,
+    that is when y divides the y-component; None when it is not."""
     try:
-        cofactor = v.fy.div_exact_y()
+        return v.fy.div_exact_y()
     except ValueError:
-        return InvariantLineReport(False, None)
-    return InvariantLineReport(True, cofactor)
+        return None
 
 
 def linearize_along_line(v: PlanarVectorField) -> LinearizedSystem:
@@ -165,19 +152,19 @@ def linearize_along_line(v: PlanarVectorField) -> LinearizedSystem:
     Requires the line to be invariant and f(x, 0) nonzero; the result is
     the system x' = f(x, 0), y' = y * g1(x, 0).
     """
-    line = invariant_line(v)
-    if not line.invariant:
+    cofactor = invariant_line(v)
+    if cofactor is None:
         raise HypothesisError("the line y = 0 is not invariant under the field")
-    return linearization(v, line)
+    return linearization(v, cofactor)
 
 
-def linearization(v: PlanarVectorField, line: InvariantLineReport) -> LinearizedSystem:
-    """The system x' = f(x, 0), y' = y * g1(x, 0), where line is
-    invariant_line(v) and found the line invariant; f(x, 0) must be nonzero."""
+def linearization(v: PlanarVectorField, cofactor: BiPoly) -> LinearizedSystem:
+    """The system x' = f(x, 0), y' = y * g1(x, 0), where the cofactor g1 is
+    invariant_line(v) and not None; f(x, 0) must be nonzero."""
     base = v.fx.subst_y(0)
     if base.is_zero:
         raise HypothesisError("f(x, 0) is identically zero; the base degenerates")
-    return LinearizedSystem(base, line.cofactor_g1.subst_y(0))
+    return LinearizedSystem(base, cofactor.subst_y(0))
 
 
 def system_derivative(v: PlanarVectorField, h: BiRatFunc) -> BiRatFunc:
@@ -194,8 +181,9 @@ def system_dlog(v: PlanarVectorField, h: BiRatFunc) -> BiRatFunc:
     return system_derivative(v, h) / h
 
 
-def foliation_linearize(v: PlanarVectorField, w: PlanarVectorField) -> FoliationLinearization:
-    """Cofactor c with [w, v] = c*w; fails if the bracket is not proportional."""
+def foliation_linearize(v: PlanarVectorField, w: PlanarVectorField) -> BiRatFunc:
+    """The cofactor c with [w, v] = c*w, exactly; fails if the bracket is
+    not proportional."""
     if w.is_zero():
         raise ValueError("the foliation direction w must be nonzero")
     br = lie_bracket(w, v)
@@ -209,7 +197,7 @@ def foliation_linearize(v: PlanarVectorField, w: PlanarVectorField) -> Foliation
     if not (c * BiRatFunc.from_poly(w.fx) == BiRatFunc.from_poly(br.fx)
             and c * BiRatFunc.from_poly(w.fy) == BiRatFunc.from_poly(br.fy)):
         raise HypothesisError("[w, v] is not a rational multiple of w")
-    return FoliationLinearization(c)
+    return c
 
 
 @dataclass(frozen=True)

@@ -178,25 +178,21 @@ class RatFunc(FractionField):
 
     @staticmethod
     def from_poly(p: UniPoly) -> "RatFunc":
-        return RatFunc(p, UniPoly.one(p.var))
+        return RatFunc(p, UniPoly.one())
 
     @staticmethod
-    def zero(var: str = "x") -> "RatFunc":
-        return RatFunc(UniPoly.zero(var), UniPoly.one(var))
+    def zero() -> "RatFunc":
+        return RatFunc(UniPoly.zero(), UniPoly.one())
 
     @staticmethod
-    def one(var: str = "x") -> "RatFunc":
-        return RatFunc(UniPoly.one(var), UniPoly.one(var))
+    def one() -> "RatFunc":
+        return RatFunc(UniPoly.one(), UniPoly.one())
 
     @staticmethod
-    def constant(c, var: str = "x") -> "RatFunc":
-        return RatFunc(UniPoly.constant(_frac(c), var), UniPoly.one(var))
+    def constant(c) -> "RatFunc":
+        return RatFunc(UniPoly.constant(c), UniPoly.one())
 
     # -- structure --------------------------------------------------------
-
-    @property
-    def var(self) -> str:
-        return self.num.var if not self.num.is_zero else self.den.var
 
     @property
     def proper(self) -> bool:
@@ -207,7 +203,7 @@ class RatFunc(FractionField):
             return other
         if isinstance(other, UniPoly):
             return RatFunc.from_poly(other)
-        return RatFunc.constant(_frac(other), self.den.var)
+        return RatFunc.constant(other)
 
     # -- calculus -------------------------------------------------------------
 
@@ -280,6 +276,11 @@ class WitnessData:
 Residue = Union[Fraction, NFElement]
 
 
+def _residue(value: NFElement) -> Residue:
+    """value in the form a PoleEntry stores: a Fraction when rational."""
+    return value.as_fraction() if value.is_rational else value
+
+
 @dataclass(frozen=True)
 class PoleEntry:
     locus: UniPoly           # monic irreducible
@@ -325,9 +326,6 @@ class PoleSpectrum:
         if any(e.multiplicity == 1 for e in self.affine_poles):
             return True
         return self.infinity_pole is not None and self.infinity_pole.multiplicity == 1
-
-    def only_simple_poles(self) -> bool:
-        return not self.has_multiple_pole()
 
     def residue_sum(self) -> Fraction:
         """Sum of all residues over P^1 (traces of algebraic residues)."""
@@ -419,7 +417,6 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     h' = r - rem has order e there and h order e - 1, the full power of p
     in D. Hence no root of D is a root of h's numerator.
     """
-    var = r.var
     polypart, n0 = divmod(r.num, r.den)
     if r.den.degree < 1:
         loci = ()
@@ -431,9 +428,9 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     for q, e in loci:
         groups.setdefault(e, []).append(q)
     parts = [(math.prod(qs[1:], start=qs[0]), e) for e, qs in sorted(groups.items())]
-    h_num, h_den = polypart.antiderivative(), UniPoly.one(var)    # H/D
-    rem_num, rem_den = UniPoly.zero(var), UniPoly.one(var)        # A/P
-    w = UniPoly.zero(var)                                         # S: D'/D = S/P
+    h_num, h_den = polypart.antiderivative(), UniPoly.one()    # H/D
+    rem_num, rem_den = UniPoly.zero(), UniPoly.one()        # A/P
+    w = UniPoly.zero()                                         # S: D'/D = S/P
     residues: dict[UniPoly, Residue] = {}
     if loci:
         # [p^(e-1), p^e] at a linear multiple part, every power up to p^e elsewhere
@@ -442,7 +439,7 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
         for (p, e), pw, a in zip(parts, powers, numerators):
             if _is_linear_multiple(p, e):
                 acc, a = _linear_laurent(a, -p.coeff(0), e)
-                t = UniPoly.one(var)
+                t = UniPoly.one()
             else:
                 _, s, t = poly_xgcd(p, p.derivative())
                 terms = []
@@ -451,7 +448,7 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
                     b = a * t
                     terms.append(b * Fraction(-1, j - 1))
                     a = a * s + b.derivative() * Fraction(1, j - 1)
-                acc = UniPoly.zero(var)
+                acc = UniPoly.zero()
                 for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
                     acc = acc * p + c
             if e >= 2:
@@ -460,8 +457,7 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
             w = w * p + p.derivative() * rem_den * (e - 1)
             a = a % p
             for q in groups[e]:
-                value = NFElement(a * t, q)
-                residues[q] = value.as_fraction() if value.is_rational else value
+                residues[q] = _residue(NFElement(a * t, q))
             rem_num = rem_num * p + a * rem_den
             rem_den = rem_den * p
     # dropped polynomial quotients along the way surface here, exactly
@@ -501,7 +497,7 @@ def _linear_laurent(a: UniPoly, c: Fraction, e: int) -> tuple[UniPoly, UniPoly]:
     residue = alpha[e - 1]
     harmonic = sum(Fraction(1, j) for j in range(1, e))
     beta = [alpha[k] / (k - e + 1) for k in range(e - 1)] + [-residue * harmonic]
-    return UniPoly.of(beta, a.var).taylor_shift(-c), UniPoly.constant(residue, a.var)
+    return UniPoly.of(beta).taylor_shift(-c), UniPoly.constant(residue)
 
 
 def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
@@ -509,7 +505,7 @@ def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
     if len(moduli) == 1:
         return [a % moduli[0]]
     m1 = moduli[0]
-    rest = UniPoly.one(m1.var)
+    rest = UniPoly.one()
     for m in moduli[1:]:
         rest = rest * m
     _, s, t = poly_xgcd(m1, rest)
@@ -533,15 +529,17 @@ def residue_polynomial(r: RatFunc) -> UniPoly:
 
     The roots of rho, with multiplicity, are the residues of r at the roots
     of d. The simple-pole part is the Hermite remainder; for a remainder of
-    zero the residue polynomial is 1 (no residues).
+    zero the residue polynomial is 1 (no residues). rho comes back as a
+    UniPoly, so it prints in x: its roots are residues, not points of the
+    x-line.
     """
     rem = hermite_reduce(r).remainder
     if rem.is_zero:
-        return UniPoly.one("t")
+        return UniPoly.one()
     d, n = rem.den, rem.num
     a = BiPoly.from_unipoly_x(d)
     b = BiPoly.from_unipoly_x(n) - BiPoly.y() * BiPoly.from_unipoly_x(d.derivative())
-    rho = resultant_x(a, b, "t")
+    rho = resultant_x(a, b)
     if rho.is_zero:
         raise WitnessVerificationError("residue polynomial vanished identically")
     return rho.monic()
@@ -627,7 +625,7 @@ def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -
         scale = 1
     else:
         scale = math.lcm(*(v.denominator for v in values)) if values else 1
-    num = den = UniPoly.one(r.var)
+    num = den = UniPoly.one()
     for entry, value in zip(spectrum.affine_poles, values):
         m = int(value * scale)
         if m > 0:

@@ -89,7 +89,7 @@ def test_criterion_3_planar_pipeline():
             BiPoly.of({(4, 0): 1, (3, 0): -1}),
             BiPoly.of({(1, 1): 1, (0, 2): Fraction(1, 2)}),
         )
-        assert invariant_line(v).invariant
+        assert invariant_line(v) is not None
         lin = linearize_along_line(v)
         assert lin.base_f0 == X**3 * (X - 1) and lin.fiber_hZ == X
         assert base_orthogonal(P(lin.base_f0)).orthogonal
@@ -99,7 +99,7 @@ def test_criterion_3_planar_pipeline():
         verdict = classify_invariant_line_lift(v)
         assert verdict.conclusion == CONCLUSION_ORTHOGONAL
         dy = PlanarVectorField(BiPoly.zero(), BiPoly.one())
-        cofactor = foliation_linearize(v, dy).cofactor_c
+        cofactor = foliation_linearize(v, dy)
         assert cofactor == BiRatFunc.from_poly(BiPoly.of({(1, 0): 1, (0, 1): 1}))
         y = BiRatFunc.from_poly(BiPoly.y())
         transformed = cofactor - system_dlog(v, y)

@@ -43,8 +43,8 @@ class TestResultant:
         # Res_x(x(x-1), 1 - t(2x-1)) has roots at the residues -1, 1
         a = BiPoly.from_unipoly_x(x * (x - 1))
         b = bp({(0, 0): 1}) - bp({(0, 1): 1}) * BiPoly.from_unipoly_x(2 * x - 1)
-        rho = resultant_x(a, b, "t")
-        assert rho.monic() == UniPoly.of([-1, 0, 1], "t")
+        rho = resultant_x(a, b)
+        assert rho.monic() == UniPoly.of([-1, 0, 1])
 
     def test_constant_convention(self):
         assert resultant_x(BiPoly.constant(3), BiPoly.constant(5)).constant_value() == 1
@@ -86,7 +86,7 @@ class TestResultant:
 
             a, b = rand_bi(), rand_bi()
             shared = rand_bi()
-            res = resultant_x(a, b, "t")
+            res = resultant_x(a, b)
             for t0 in (F(0), F(1), F(-2), F(1, 2), F(3)):
                 a0, b0 = a.subst_y(t0), b.subst_y(t0)
                 if (a0.degree != len(a.x_coefficients()) - 1
@@ -97,7 +97,7 @@ class TestResultant:
                 assert (res.eval(t0) == 0) == (poly_gcd(a0, b0).degree > 0)
             # a planted common factor makes the resultant vanish identically
             if len(shared.x_coefficients()) > 1:
-                assert resultant_x(a * shared, b * shared, "t").is_zero
+                assert resultant_x(a * shared, b * shared).is_zero
 
 
 class TestExactDivision:
@@ -160,8 +160,6 @@ class FracBiPoly:
     """The Fraction-dict BiPoly that the integer core is checked against."""
 
     terms: dict[tuple[int, int], Fraction]
-    xvar: str = "x"
-    yvar: str = "y"
 
     def __post_init__(self):
         clean = {}
@@ -234,9 +232,9 @@ class FracBiPoly:
 
     def partial(self, variable: str) -> "FracBiPoly":
         """Formal partial derivative with respect to 'x' or 'y'."""
-        if variable == self.xvar or variable == "x":
+        if variable == "x":
             return FracBiPoly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
-        if variable == self.yvar or variable == "y":
+        if variable == "y":
             return FracBiPoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
         raise ValueError(f"unknown variable {variable!r}")
 
@@ -247,7 +245,7 @@ class FracBiPoly:
         for (i, j), c in self.terms.items():
             out[i] = out.get(i, Fraction(0)) + c * value**j
         n = max(out, default=-1) + 1
-        return UniPoly.of((out.get(k, 0) for k in range(n)), self.xvar)
+        return UniPoly.of((out.get(k, 0) for k in range(n)))
 
     def exact_div(self, other: "FracBiPoly") -> "FracBiPoly":
         """Exact division via lex-ordered long division; raises if inexact."""
@@ -282,7 +280,7 @@ class FracBiPoly:
         out = []
         for row in rows:
             n = max(row, default=-1) + 1
-            out.append(UniPoly.of((row.get(k, 0) for k in range(n)), self.xvar))
+            out.append(UniPoly.of((row.get(k, 0) for k in range(n))))
         return out
 
 

@@ -71,7 +71,7 @@ class TestBaseOrthogonal:
             elif v.evidence == EVIDENCE_NO_SIMPLE_POLE:
                 assert not v.spectrum.has_simple_pole()
             elif v.evidence in (EVIDENCE_IRRATIONAL_RATIO, EVIDENCE_RATIONAL_RATIOS):
-                assert v.spectrum.only_simple_poles()
+                assert not v.spectrum.has_multiple_pole()
 
 
 class TestBetaSearchLog:

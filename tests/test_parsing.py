@@ -7,6 +7,7 @@ import pytest
 from orthoscope import (
     BiPoly,
     BiRatFunc,
+    PlanarVectorField,
     RatFunc,
     UniPoly,
     bipoly_gcd,
@@ -19,7 +20,7 @@ from orthoscope.parsing import (
     KIND_DERIVATIVE,
     KIND_LOG,
     MAX_DEGREE,
-    Planar,
+    MAX_NESTING,
     UnivariateFamily,
 )
 from conftest import record_calls
@@ -33,9 +34,8 @@ class TestGrammar:
         assert family.g == RatFunc.from_poly(x)
 
     def test_planar(self):
-        planar = parse_system("x' = x^3*(x-1); y' = x*y + y^2/2")
-        assert isinstance(planar, Planar)
-        v = planar.v
+        v = parse_system("x' = x^3*(x-1); y' = x*y + y^2/2")
+        assert isinstance(v, PlanarVectorField)
         assert v.fy.coeff(0, 2) == Fraction(1, 2)
 
     def test_derivative_family(self, x):
@@ -96,6 +96,21 @@ class TestGrammar:
             parse_expression(text)
         assert exc.value.position == 4
 
+    def test_nesting_bound(self):
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(nested) == parse_expression("x")
+        text = "y + " + nested.replace("x", "(x)", 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as exc:
+            parse_expression(text)
+        assert exc.value.position == text.index("(x)")
+
+    def test_leading_signs_in_a_loop(self):
+        x = parse_expression("x")
+        assert parse_expression("-" * 5000 + "x") == x
+        assert parse_expression("-" * 5001 + "x") == -x
+        assert parse_expression("+-" * 2500 + "x^2") == parse_expression("x^2")
+        assert parse_expression("-+" * 2500 + "-x^2") == -parse_expression("x^2")
+
     def test_non_decimal_digit_refused(self):
         with pytest.raises(ParseError, match="unexpected character '²'") as exc:
             parse_expression("x^²")
@@ -148,8 +163,8 @@ class TestGrammar:
 
 def assert_printed_components_parse_back(parsed) -> None:
     """Each component of a parsed system, printed, parses back to itself."""
-    if isinstance(parsed, Planar):
-        for p in (parsed.v.fx, parsed.v.fy):
+    if isinstance(parsed, PlanarVectorField):
+        for p in (parsed.fx, parsed.fy):
             assert parse_expression(str(p)) == p, str(p)
     else:
         for r in (parsed.f, parsed.g):

@@ -49,12 +49,12 @@ def charpoly_oracle(elem, degree: int) -> UniPoly:
     from fractions import Fraction as F
 
     if isinstance(elem, F):
-        return (UniPoly.variable("t") - UniPoly.constant(elem, "t")) ** degree
+        return (UniPoly.variable() - UniPoly.constant(elem)) ** degree
     q, rep = elem.modulus, elem.rep
     k = int(q.degree)
     cols = []
     for j in range(k):
-        col = (rep * UniPoly.variable(q.var) ** j) % q
+        col = (rep * UniPoly.variable() ** j) % q
         cols.append([col.coeff(i) for i in range(k)])
     m = [[cols[j][i] for j in range(k)] for i in range(k)]  # m[i][j]
 
@@ -80,7 +80,7 @@ def charpoly_oracle(elem, degree: int) -> UniPoly:
             ]
             a_cur = mat_mul(m, shifted)
         coeffs.append(-trace(a_cur) / step)
-    return UniPoly.of(list(reversed(coeffs)), "t")
+    return UniPoly.of(list(reversed(coeffs)))
 
 
 def ratio_oracle(rho: UniPoly) -> bool:
@@ -93,7 +93,7 @@ def ratio_oracle(rho: UniPoly) -> bool:
         return True
     a = BiPoly.of({(k, 0): c for k, c in enumerate(rho.coeffs)})
     b = BiPoly.of({(k, n - k): c for k, c in enumerate(rho.coeffs)})
-    phi = resultant_x(a, b, "s")
+    phi = resultant_x(a, b)
     total = 0
     for part, mult in squarefree_decompose(phi).parts:
         nroots = len(rational_roots_squarefree(part))
@@ -173,12 +173,11 @@ def hermite_oracle(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     """Hermite reduction with one rational-function addition per step and
     every power of p recomputed: the (derivative part, remainder) that
     hermite_reduce must match."""
-    var = r.var
     if r.is_zero:
-        return RatFunc.zero(var), RatFunc.zero(var)
+        return RatFunc.zero(), RatFunc.zero()
     polypart, n0 = divmod(r.num, r.den)
     h = RatFunc.from_poly(polypart.antiderivative())
-    rem = RatFunc.zero(var)
+    rem = RatFunc.zero()
     if r.den.degree >= 1 and not n0.is_zero:
         parts = squarefree_decompose(r.den).parts
         moduli = [p**e for p, e in parts]
@@ -367,11 +366,11 @@ class TestPoleSpectrum:
 class TestResiduePolynomial:
     def test_two_simple_poles(self, x):
         rho = residue_polynomial(RatFunc(UniPoly.one(), x * (x - 1)))
-        assert rho == UniPoly.of([-1, 0, 1], "t")
+        assert rho == UniPoly.of([-1, 0, 1])
 
     def test_cube_root_residues(self, x):
         rho = residue_polynomial(RatFunc(UniPoly.one(), x**3 - 2))
-        assert rho == UniPoly.of([Fraction(-1, 108), 0, 0, 1], "t")
+        assert rho == UniPoly.of([Fraction(-1, 108), 0, 0, 1])
         # numerical cross-check: roots should be alpha/6 with alpha^3 = 2
         roots = np.roots([1, 0, 0, -1 / 108])
         expected = np.roots([1, 0, 0, -2]) / 6
@@ -381,7 +380,7 @@ class TestResiduePolynomial:
 
     def test_single_pole(self, x):
         rho = residue_polynomial(RatFunc(UniPoly.one(), x))
-        assert rho == UniPoly.of([-1, 1], "t")
+        assert rho == UniPoly.of([-1, 1])
 
     def test_oracle_equivalence_200(self, x):
         # rho equals the product of the characteristic polynomials of the
@@ -391,7 +390,7 @@ class TestResiduePolynomial:
         while done < 200:
             den = random_squarefree_denominator(rng)
             r = random_proper_ratfunc(rng, den)
-            product = UniPoly.one("t")
+            product = UniPoly.one()
             for entry in pole_spectrum(r).affine_poles:
                 assert entry.multiplicity == 1
                 product = product * charpoly_oracle(entry.residue, int(entry.locus.degree))
@@ -595,7 +594,7 @@ class TestRatioAllRational:
 
     def test_rational_residues(self, x):
         r = RatFunc(5 * x - 12, (x - 2) * (x - 3))
-        assert residue_polynomial(r) == UniPoly.of([6, -5, 1], "t")  # residues 2 and 3
+        assert residue_polynomial(r) == UniPoly.of([6, -5, 1])  # residues 2 and 3
         assert ratio_all_rational(pole_spectrum(r)) is True
 
     def test_square_roots_with_rational_ratio(self, x):

@@ -110,6 +110,8 @@ class TestCliExitCodes:
         for source, message in (
             ("x' = (x+1)^1000*(x+1)^1000; y' = y*x", "product exceeds the degree bound"),
             ("x' = " + "9" * 5000 + "*x; y' = y*x", "integer literal longer than 4300 digits"),
+            ("x' = " + "(" * 5000 + "x" + ")" * 5000 + "; y' = y",
+             "parentheses nested deeper than 100"),
         ):
             start = time.perf_counter()
             assert main(["classify", source]) == 2
@@ -169,8 +171,12 @@ class TestCliExitCodes:
 
     def test_unreadable_input_file_exits_three(self, tmp_path, capsys):
         missing = tmp_path / "no-such-file.txt"
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"\xffx' = x; y' = y\n")
         for path, reason in ((missing, "No such file or directory"),
-                             (tmp_path, "Is a directory")):
+                             (tmp_path, "Is a directory"),
+                             (undecodable, "'utf-8' codec can't decode byte 0xff in position 0: "
+                                           "invalid start byte")):
             assert main(["classify", "--input", str(path)]) == 3
             err = capsys.readouterr().err
             assert err == f"input error: cannot read input file {path}: {reason}\n"
@@ -292,7 +298,7 @@ class TestWitnessTargets:
                 else:
                     parsed = parse_system(fx.source)
                     if command == "lift":
-                        lin = linearize_along_line(parsed.v)
+                        lin = linearize_along_line(parsed)
                         f, g = RatFunc.from_poly(lin.base_f0), RatFunc.from_poly(lin.fiber_hZ)
                     else:
                         f, g = parsed.f, parsed.g

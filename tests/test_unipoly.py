@@ -169,23 +169,22 @@ def _trim(coeffs) -> tuple:
 @dataclass(frozen=True)
 class FracPoly:
     coeffs: tuple
-    var: str = "x"
 
     def __post_init__(self):
         trimmed = _trim([_frac(c) for c in self.coeffs])
         object.__setattr__(self, "coeffs", trimmed)
 
     @staticmethod
-    def of(values, var: str = "x") -> "FracPoly":
-        return FracPoly(tuple(_frac(v) for v in values), var)
+    def of(values) -> "FracPoly":
+        return FracPoly(tuple(_frac(v) for v in values))
 
     @staticmethod
-    def zero(var: str = "x") -> "FracPoly":
-        return FracPoly((), var)
+    def zero() -> "FracPoly":
+        return FracPoly(())
 
     @staticmethod
-    def constant(c, var: str = "x") -> "FracPoly":
-        return FracPoly((_frac(c),), var)
+    def constant(c) -> "FracPoly":
+        return FracPoly((_frac(c),))
 
     @property
     def is_zero(self) -> bool:
@@ -199,28 +198,26 @@ class FracPoly:
     def _coerce(self, other) -> "FracPoly":
         if isinstance(other, FracPoly):
             return other
-        return FracPoly.constant(_frac(other), self.var)
+        return FracPoly.constant(_frac(other))
 
     def __add__(self, other) -> "FracPoly":
         other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return FracPoly(
-            tuple(self.coeff(k) + other.coeff(k) for k in range(n)), self.var
-        )
+        return FracPoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
 
     def __mul__(self, other) -> "FracPoly":
         if isinstance(other, (int, Fraction)):
-            return FracPoly(tuple(c * other for c in self.coeffs), self.var)
+            return FracPoly(tuple(c * other for c in self.coeffs))
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
-            return FracPoly.zero(self.var)
+            return FracPoly.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return FracPoly(tuple(out), self.var)
+        return FracPoly(tuple(out))
 
     def __divmod__(self, other) -> tuple:
         other = self._coerce(other)
@@ -237,18 +234,16 @@ class FracPoly:
             q[k] = c
             for j, b in enumerate(other.coeffs):
                 rem[k + j] -= c * b
-        return FracPoly(tuple(q), self.var), FracPoly(tuple(rem), self.var)
+        return FracPoly(tuple(q)), FracPoly(tuple(rem))
 
     def derivative(self) -> "FracPoly":
-        return FracPoly(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var
-        )
+        return FracPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def monic(self) -> "FracPoly":
         if self.is_zero:
             return self
         inv = 1 / self.coeffs[-1]
-        return FracPoly(tuple(c * inv for c in self.coeffs), self.var)
+        return FracPoly(tuple(c * inv for c in self.coeffs))
 
     def primitive_int(self) -> tuple:
         if self.is_zero:
@@ -302,7 +297,7 @@ def _int_pseudo_rem(a: list, b: list) -> list:
 
 def frac_gcd(a: FracPoly, b: FracPoly) -> FracPoly:
     if a.is_zero and b.is_zero:
-        return FracPoly.zero(a.var)
+        return FracPoly.zero()
     if a.is_zero:
         return b.monic()
     if b.is_zero:
@@ -314,7 +309,7 @@ def frac_gcd(a: FracPoly, b: FracPoly) -> FracPoly:
     while pb:
         r = _int_primitive(_int_pseudo_rem(pa, pb))
         pa, pb = pb, r
-    return FracPoly.of(pa, a.var).monic()
+    return FracPoly.of(pa).monic()
 
 
 def _random_coeffs(rng: random.Random) -> list:
@@ -411,4 +406,3 @@ class TestFractionOracle:
             assert (p == q) == (p.coeffs == q.coeffs)
             if p == q:
                 assert hash(p) == hash(q)
-        assert UniPoly.of([1, 2]) != UniPoly.of([1, 2], "t")
