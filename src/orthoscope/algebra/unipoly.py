@@ -205,10 +205,24 @@ class UniPoly:
         return _canonical(self.content / den, ints)
 
     def eval(self, value):
-        acc = Fraction(0) if isinstance(value, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """self(value): a Fraction at an int or Fraction point, by Horner's
+        rule on the integers; with value = a/b and m = deg self,
+        b**m * P(a/b) = sum(prim[k] * a**k * b**(m-k)). A float point takes
+        the float path."""
+        if not isinstance(value, (int, Fraction)):
+            acc = 0.0
+            for c in reversed(self.coeffs):
+                acc = acc * value + c
+            return acc
+        if not self.prim:
+            return _ZERO
+        a, b = value.numerator, value.denominator
+        acc, scale = self.prim[-1], 1
+        for v in reversed(self.prim[:-1]):
+            scale *= b
+            acc = acc * a + v * scale
+        c = self.content
+        return Fraction(c.numerator * acc, c.denominator * scale)
 
     def eval_complex(self, value: complex) -> complex:
         acc = complex(0)

@@ -1,19 +1,22 @@
 """Decision procedures for base orthogonality and fiber internality.
 
 base_orthogonal reads the projective pole spectrum of (1/f)dx off its
-Hermite reduction, whose residues the derivative-family search reuses.
-Its pole loci are the factors of f.num; with the factors of g.den they
-factor every denominator of either beta search, so a request factors each
-input once.
+Hermite reduction, whose residues both beta searches reuse. Its pole
+loci, with their multiplicities, are the factors of f.num; with the
+factors of g.den they factor every denominator of either beta search, so a
+request factors each input once.
 The beta searches decide whether some constant shift of g makes
 (g - beta)/f a scaled logarithmic derivative (log family) or an exact
 derivative (derivative family). Both searches return verified witnesses;
 the log search is complete whenever a multiple pole pins beta (case A) or a
 rational anchor forces beta rational (case B), and reports case C honestly
-otherwise. The log search tests its candidate beta on residues read off
-the data it solved for beta with, so it never factors or Hermite-reduces
-(g - beta)/f. The derivative search pins beta with a residue of 1/f (at a
-simple pole where g is regular) and reduces only (g - beta)/f, once.
+otherwise. The log search reads its denominator's factorization off those
+of f.num and g.den, takes the residue of (g - beta)/f at a simple pole of
+1/f where g is regular as (g - beta)*Res(1/f), and tests its candidate
+beta on residues read off the data it solved for beta with, so it never
+factors or Hermite-reduces (g - beta)/f. The derivative search pins beta
+with a residue of 1/f (at a simple pole where g is regular) and reduces
+only (g - beta)/f, once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra.factor import factor_over, factor_rationals
-from .algebra.numberfield import NFElement
+from .algebra.factor import factor_rationals
 from .algebra.unipoly import UniPoly, poly_gcd
 from .errors import WitnessVerificationError
 from .ratfunc import (
@@ -38,6 +40,7 @@ from .ratfunc import (
     WitnessData,
     _infinity_pole,
     _residue,
+    _value_at,
     dlog_from_spectrum,
     exact_derivative_part,
     hermite_reduce,
@@ -185,17 +188,48 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 # -- the log-family beta search ------------------------------------------------
 
 
-def _known_loci(base: OrthogonalityVerdict, g: RatFunc) -> tuple[UniPoly, ...]:
-    """The monic irreducible factors of f.num and g.den.
+def _known_loci(base: OrthogonalityVerdict, g: RatFunc) -> tuple[tuple[UniPoly, int], ...]:
+    """The monic irreducible factors of f.num, then those of g.den, each
+    with its multiplicity.
 
     Every denominator of a beta search divides g.den*f.num. The factors of
     f.num are the affine pole loci of 1/f that base already holds, so only
     g.den is factored here, and only when it is nonconstant.
     """
-    loci = tuple(e.locus for e in base.spectrum.affine_poles)
+    parts = tuple((e.locus, e.multiplicity) for e in base.spectrum.affine_poles)
     if g.den.degree >= 1:
-        loci += tuple(q for q, _ in factor_rationals(g.den).parts)
-    return loci
+        parts += factor_rationals(g.den).parts
+    return parts
+
+
+def _multiplicity(p: UniPoly, q: UniPoly) -> int:
+    """The exponent of q in the nonzero polynomial p, by exact division."""
+    e = 0
+    while True:
+        p, left = divmod(p, q)
+        if not left.is_zero:
+            return e
+        e += 1
+
+
+def _search_parts(
+    base: OrthogonalityVerdict, g: RatFunc, common: UniPoly
+) -> tuple[tuple[UniPoly, int], ...]:
+    """The factorization of d = g.den*f.num/common, in factor order.
+
+    mult_q(d) = mult_q(f.num) + mult_q(g.den) - mult_q(common), with both
+    factorizations from _known_loci. common = gcd(f.den, g.den) has no
+    root of f.num, so only the loci of g.den can divide it; it is divided
+    only when nonconstant.
+    """
+    mult: dict[UniPoly, int] = {}
+    for q, e in _known_loci(base, g):
+        mult[q] = mult.get(q, 0) + e
+    if common.degree > 0:
+        for q in mult:
+            mult[q] -= _multiplicity(common, q)
+    return tuple(sorted(((q, e) for q, e in mult.items() if e),
+                        key=lambda qe: (qe[0].degree, qe[0].coeffs)))
 
 
 def beta_search_log(
@@ -211,6 +245,10 @@ def beta_search_log(
     reported as case C, never guessed. base is base_orthogonal(f); its pole
     loci, with those of g.den, factor every denominator of the search.
 
+    With f and g reduced, n = g.num*f.den, m = g.den*f.den and
+    d = g.den*f.num have gcd(n, m, d) = gcd(f.den, g.den), and d's
+    factorization is read off those of f.num and g.den (_search_parts).
+
     With (g - beta)/f = (n - beta*m)/d, d monic, every candidate has simple
     poles only: a pinned beta clears q^(e-1) at each multiple locus q and
     every coefficient of degree >= deg d, and in the free and soft-pinned
@@ -219,25 +257,27 @@ def beta_search_log(
     section 2.5): a pinned beta divides n - beta*m by D = prod q^(e-1) and
     reads the residue at q as the quotient over (d/D)' mod q; a free or
     soft-pinned beta gives a_el - beta*b_el from the per-locus values that
-    the free case computes anyway. dlog_from_spectrum then builds and
+    the free case computes anyway. Those values are n/d' and m/d' at the
+    roots of q, except at a simple pole of 1/f where g is regular: there
+    Res((g - beta)/f) = (g - beta)*Res(1/f), so b_el is base's residue
+    rho_q and a_el = (g mod q)*rho_q. dlog_from_spectrum then builds and
     checks the witness.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
     if f.is_zero:
         raise ValueError("f must be nonzero")
-    known = _known_loci(base, g)
     n = g.num * f.den
     m = g.den * f.den
     d = g.den * f.num
-    common = poly_gcd(poly_gcd(n, m), d)
+    common = poly_gcd(f.den, g.den)    # gcd(n, m, d), as f and g are reduced
     if common.degree > 0:
         n, m, d = n.exact_div(common), m.exact_div(common), d.exact_div(common)
     scale = 1 / d.lc
     n, m, d = n * scale, m * scale, d.monic()
 
     conditions: list[tuple[Fraction, Fraction]] = []
-    parts = factor_over(d, known).parts if d.degree >= 1 else ()
+    parts = _search_parts(base, g, common)
     for q, e in parts:
         if e >= 2:
             mod = q ** (e - 1)
@@ -261,32 +301,33 @@ def beta_search_log(
 
     # free case: d squarefree, infinity at worst simple, for every beta
     dprime = d.derivative()
+    rho = {e.locus: e.residue for e in base.spectrum.affine_poles if e.multiplicity == 1}
     anchored = m.coeff(d_deg - 1) != 0 if d_deg >= 1 else False
     integrality: list[tuple[Fraction, Fraction]] = []
     soft: list[tuple[Fraction, Fraction]] = []
-    affine: list[tuple[UniPoly, NFElement, NFElement]] = []   # residue a_el - beta*b_el
+    affine: list[tuple[UniPoly, Residue, Residue]] = []   # residue a_el - beta*b_el
     for q, _ in parts:
-        inv = NFElement(dprime, q).inverse()
-        a_el = NFElement(n, q) * inv
-        b_el = NFElement(m, q) * inv
+        if q in rho:    # d is squarefree, so g.den misses q
+            b_el = rho[q]
+            a_el = _residue(_value_at(g.num, g.den, q) * b_el)
+        else:
+            a_el, b_el = _value_at(n, dprime, q), _value_at(m, dprime, q)
         affine.append((q, a_el, b_el))
-        a0, b0 = a_el.rep.coeff(0), b_el.rep.coeff(0)
-        a_tail = a_el.rep - UniPoly.constant(a0)
-        b_tail = b_el.rep - UniPoly.constant(b0)
-        if b_tail.is_zero:
-            if not a_tail.is_zero:
+        if isinstance(b_el, Fraction):
+            if not isinstance(a_el, Fraction):
                 # residue values at conjugate roots would have to differ by
                 # rationals, impossible for a nonconstant class: complete none
                 return BetaSearchResult(
                     STATUS_NONE, None, None, CASE_B, None,
                     f"residue at {q} is irrational for every beta",
                 )
-            if b0 != 0:
+            if b_el != 0:
                 anchored = True
-            integrality.append((a0, b0))
+            integrality.append((a_el, b_el))
         else:
-            # b_tail != 0, so this locus alone pins beta or is unsatisfiable
-            soft.extend((a_tail.coeff(k), b_tail.coeff(k)) for k in range(int(q.degree)))
+            # b_el is irrational, so this locus alone pins beta or is unsatisfiable
+            a_rep = UniPoly.constant(a_el) if isinstance(a_el, Fraction) else a_el.rep
+            soft.extend((a_rep.coeff(k), b_el.rep.coeff(k)) for k in range(1, int(q.degree)))
 
     soft_status, soft_pin = _solve_affine(soft)
     if soft_status == _EMPTY:
@@ -342,21 +383,13 @@ def _pinned_residues(
     pairs (q, residue) at each locus q of d.
 
     A pinned beta makes D divide c = n - beta*m and c proper, so c/d has
-    simple poles only; the residue at a root alpha of q is
-    num(alpha)/P'(alpha), read at a linear locus x - c0 as
-    num(c0)/P'(c0) and elsewhere as num*(P')^-1 mod q.
+    simple poles only; the residue at the roots of q is
+    _value_at(num, P', q).
     """
     big_d = math.prod((q ** (e - 1) for q, e in parts if e >= 2), start=UniPoly.one())
     num, den = _divide(c, big_d), d.exact_div(big_d)
     dprime = den.derivative()
-    residues = []
-    for q, _ in parts:
-        if q.degree == 1:
-            root = -q.coeff(0)
-            residues.append((q, num.eval(root) / dprime.eval(root)))
-        else:
-            residues.append((q, _residue(NFElement(num, q) * NFElement(dprime, q).inverse())))
-    return num, den, residues
+    return num, den, [(q, _value_at(num, dprime, q)) for q, _ in parts]
 
 
 def _test_candidate(
@@ -427,7 +460,7 @@ def beta_search_derivative(
     a zero remainder gives the verified witness and a nonzero one the
     answer none.
     """
-    known = _known_loci(base, g)
+    known = [q for q, _ in _known_loci(base, g)]
     rem_one = base.hermite.remainder
 
     def none(detail: str) -> BetaSearchResult:
@@ -440,14 +473,11 @@ def beta_search_derivative(
         detail = "remainder vanishing admits no constant solution"
         beta = None
         for entry in base.spectrum.affine_poles:
-            if entry.multiplicity == 1:
-                den = NFElement(g.den, entry.locus)
-                if not den.is_zero:
-                    value = NFElement(g.num, entry.locus) * den.inverse()
-                    if not value.is_rational:
-                        return none(detail)
-                    beta = value.as_fraction()
-                    break
+            if entry.multiplicity == 1 and not (g.den % entry.locus).is_zero:
+                beta = _value_at(g.num, g.den, entry.locus)
+                if not isinstance(beta, Fraction):
+                    return none(detail)
+                break
         if beta is None:
             ratio = hermite_reduce(g / f, known).remainder / rem_one
             if not ratio.is_constant:

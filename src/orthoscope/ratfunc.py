@@ -276,9 +276,24 @@ class WitnessData:
 Residue = Union[Fraction, NFElement]
 
 
-def _residue(value: NFElement) -> Residue:
+def _residue(value: Residue) -> Residue:
     """value in the form a PoleEntry stores: a Fraction when rational."""
-    return value.as_fraction() if value.is_rational else value
+    if isinstance(value, NFElement) and value.is_rational:
+        return value.as_fraction()
+    return value
+
+
+def _value_at(a: UniPoly, b: UniPoly, q: UniPoly) -> Residue:
+    """a/b at the roots of the monic irreducible q, which does not divide b.
+
+    At q = x - c it is a(c)/b(c), by evaluation; elsewhere a*b^-1 mod q,
+    with one inverse. The residue of a/d at a simple pole on q is
+    _value_at(a, d', q) (Bronstein, Symbolic Integration I, section 2.5).
+    """
+    if q.degree == 1:
+        c = -q.coeff(0)
+        return a.eval(c) / b.eval(c)
+    return _residue(NFElement(a, q) * NFElement(b, q).inverse())
 
 
 @dataclass(frozen=True)
@@ -289,12 +304,7 @@ class PoleEntry:
 
     @property
     def residue_is_rational(self) -> bool:
-        return isinstance(self.residue, Fraction) or self.residue.is_rational
-
-    def residue_as_fraction(self) -> Fraction:
-        if isinstance(self.residue, Fraction):
-            return self.residue
-        return self.residue.as_fraction()
+        return isinstance(self.residue, Fraction)
 
     def trace(self) -> Fraction:
         """Sum of the residue over the conjugate roots of the locus."""
@@ -392,8 +402,10 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     For a factor p of multiplicity e, step j = e..2 splits off
     c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
     over p^(e-1). What is left is a/p, and its residue at the roots of a
-    locus q | p is a/p' = a*t mod q, with t = 1/p' mod p from the same gcd
-    (Bronstein, Symbolic Integration I, sections 2.2 and 2.5).
+    locus q | p is a/p' there, read by _value_at: a(c)/p'(c) at q = x - c,
+    and one inverse of p' mod q elsewhere (Bronstein, Symbolic Integration
+    I, sections 2.2 and 2.5). Only the steps j = e..2 take the extended gcd
+    s*p + t*p' = 1, so a squarefree part (e = 1) takes none.
 
     When p is a single linear locus x - c and e >= 2, the e - 1 steps are
     one Taylor shift each way (_linear_laurent): the Laurent coefficients
@@ -437,11 +449,11 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
         powers = [_powers(p, e, e - 1 if _is_linear_multiple(p, e) else 0) for p, e in parts]
         numerators = _split_partial(n0, [pw[-1] for pw in powers])
         for (p, e), pw, a in zip(parts, powers, numerators):
+            dp = p.derivative()
             if _is_linear_multiple(p, e):
                 acc, a = _linear_laurent(a, -p.coeff(0), e)
-                t = UniPoly.one()
-            else:
-                _, s, t = poly_xgcd(p, p.derivative())
+            elif e >= 2:
+                _, s, t = poly_xgcd(p, dp)
                 terms = []
                 for j in range(e, 1, -1):
                     a = a % pw[j]
@@ -454,10 +466,10 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
             if e >= 2:
                 h_num = h_num * pw[-2] + acc * h_den
                 h_den = h_den * pw[-2]
-            w = w * p + p.derivative() * rem_den * (e - 1)
+            w = w * p + dp * rem_den * (e - 1)
             a = a % p
             for q in groups[e]:
-                residues[q] = _residue(NFElement(a * t, q))
+                residues[q] = _value_at(a, dp, q)
             rem_num = rem_num * p + a * rem_den
             rem_den = rem_den * p
     # dropped polynomial quotients along the way surface here, exactly
@@ -618,7 +630,7 @@ def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -
     for entry in spectrum.affine_poles:
         if not entry.residue_is_rational:
             return DlogWitnessResult(None, REASON_NON_CLASS_RESIDUE, spectrum)
-        values.append(entry.residue_as_fraction())
+        values.append(entry.residue)
     if residue_class == INTEGER:
         if any(v.denominator != 1 for v in values):
             return DlogWitnessResult(None, REASON_NON_CLASS_RESIDUE, spectrum)
@@ -632,5 +644,6 @@ def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -
             num = num * entry.locus ** m
         elif m < 0:
             den = den * entry.locus ** -m
-    witness = WitnessData(WITNESS_DLOG, RatFunc(num, den), scale, r)
+    # distinct monic irreducible loci: num and den are coprime
+    witness = WitnessData(WITNESS_DLOG, RatFunc._coprime(num, den), scale, r)
     return DlogWitnessResult(witness.check(), None, spectrum)

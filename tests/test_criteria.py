@@ -180,7 +180,7 @@ class TestDerivativePin:
         from orthoscope.ratfunc import exact_derivative_part
         from orthoscope.criteria import BetaSearchResult
 
-        known = criteria._known_loci(base, g)
+        known = [q for q, _ in criteria._known_loci(base, g)]
         rem_g = hermite_reduce(g / f, known).remainder
         rem_one = base.hermite.remainder
         if rem_one.is_zero:
@@ -412,7 +412,7 @@ class TestCandidateResidues:
             beta_search_log(f, g, base, residue_class)
             for beta, residues, case, assert_found, result in tested:
                 oracle = dlog_witness((g - RatFunc.constant(beta)) / f, residue_class,
-                                      criteria._known_loci(base, g))
+                                      [q for q, _ in criteria._known_loci(base, g)])
                 if oracle.found:
                     assert (result.status, result.beta, result.witness, result.residue_table) \
                         == (STATUS_FOUND, beta, oracle.witness, oracle.spectrum), (f, g)
@@ -451,7 +451,135 @@ class TestCandidateResidues:
             sv = classify_log_family(P(f), g)
             assert sv.fibration.found and (sv.fibration.completeness_case, sv.fibration.beta) \
                 == (case, beta)
-            assert (len(reduced), len(factored), len(dlogs)) == (1, 1, 0)
+            assert (len(reduced), len(factored), len(dlogs)) == (1, 0, 0)
+
+
+class TestSearchFactorization:
+    """The log search reads d's factorization off those of f.num (base's
+    spectrum) and g.den, and the residue at a simple pole of 1/f where g is
+    regular off base's residue. The oracles factor d from scratch and
+    Hermite-reduce (g - beta)/f from scratch."""
+
+    @staticmethod
+    def _input(rng, x):
+        """Rational f and g over loci of degree 1 to 3, where g.den may
+        share loci with f.num and with f.den."""
+        pool = [x - 2, x + 1, x, x - Fraction(1, 2), x**2 + 1, x**2 - 2, x**2 + x + 1,
+                x**3 - 2, x**3 - x - 1]
+        picks = rng.sample(pool, rng.randint(2, 4))
+        split = rng.randint(1, len(picks) - 1)
+        num_loci, den_loci = picks[:split], picks[split:] if rng.random() < 0.6 else []
+        f = RatFunc.constant(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])))
+        for q in num_loci:
+            f = f * P(q) ** rng.choice([1, 1, 2, 3])
+        for q in den_loci:
+            f = f / P(q) ** rng.choice([1, 2])
+        shape = rng.choice(["dlog", "dlog", "f.num", "f.den", "polynomial"])
+        if shape == "dlog":
+            # g - beta0 = f*t with simple poles only: a candidate is tested
+            t = RatFunc.zero()
+            for q in rng.sample(pool, rng.randint(1, 3)):
+                t = t + RatFunc(q.derivative(), q) * Fraction(rng.choice([1, -1, 2, -3]),
+                                                               rng.choice([1, 1, 2]))
+            g = t * f + Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        else:
+            g = P(UniPoly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]))
+            if shape != "polynomial":
+                shared = rng.choice(num_loci if shape == "f.num" else den_loci or num_loci)
+                g = g / P(shared) ** rng.choice([1, 2, 3])
+        return f, g
+
+    def test_factorization_matches_factoring_from_scratch(self, x):
+        import random
+
+        from orthoscope import criteria, factor_rationals, poly_gcd
+
+        rng = random.Random(16016)
+        features = set()
+        for _ in range(150):
+            f, g = self._input(rng, x)
+            n, m, d = g.num * f.den, g.den * f.den, g.den * f.num
+            common = poly_gcd(poly_gcd(n, m), d)
+            assert common == poly_gcd(f.den, g.den), (f, g)
+            d = d.exact_div(common).monic()
+            parts = criteria._search_parts(base_orthogonal(f), g, common)
+            assert parts == (factor_rationals(d).parts if d.degree >= 1 else ()), (f, g)
+            if poly_gcd(f.num, g.den).degree > 0:
+                features.add("f.num shares with g.den")
+            if common.degree > 0:
+                features.add("f.den shares with g.den")
+                if any(q not in dict(parts) for q, _ in factor_rationals(g.den).parts):
+                    features.add("a locus of g.den cancels")
+            features.update(f"locus of degree {q.degree}" for q, _ in parts)
+        assert features >= {"f.num shares with g.den", "f.den shares with g.den",
+                            "a locus of g.den cancels", "locus of degree 2",
+                            "locus of degree 3"}, features
+
+    def test_candidate_residues_match_hermite_reduction(self, x, monkeypatch):
+        import random
+
+        from orthoscope import criteria, hermite_reduce, poly_gcd
+
+        tested = []
+        real = criteria._test_candidate
+
+        def spy(beta, num, den, residues, residue_class, case, assert_found=False):
+            tested.append((beta, residues, case, assert_found))
+            return real(beta, num, den, residues, residue_class, case, assert_found)
+
+        monkeypatch.setattr(criteria, "_test_candidate", spy)
+        rng = random.Random(16017)
+        features = set()
+        for _ in range(150):
+            f, g = self._input(rng, x)
+            base = base_orthogonal(f)
+            simple = {e.locus for e in base.spectrum.affine_poles if e.multiplicity == 1}
+            for residue_class in (RATIONAL, INTEGER):
+                tested.clear()
+                result = beta_search_log(f, g, base, residue_class)
+                if poly_gcd(f.num, g.den).degree > 0:
+                    # g/f has a pole there of higher order than beta/f has
+                    assert (result.status, result.completeness_case) == (STATUS_NONE, CASE_A)
+                    assert hermite_reduce(g / f).spectrum.has_affine_multiple()
+                    features.add("f.num shares with g.den")
+                for beta, residues, case, assert_found in tested:
+                    oracle = hermite_reduce((g - RatFunc.constant(beta)) / f).spectrum
+                    assert not oracle.has_affine_multiple(), (f, g, beta)
+                    assert {q: v for q, v in residues if v != 0} == \
+                        {e.locus: e.residue for e in oracle.affine_poles}, (f, g, beta)
+                    features.add("A, pinned" if case == CASE_A
+                                 else "B, free" if assert_found else "B, soft-pinned")
+                    if poly_gcd(f.den, g.den).degree > 0:
+                        features.add("f.den shares with g.den")
+                    features.update(f"simple pole of 1/f of degree {q.degree}"
+                                    for q, _ in residues
+                                    if q in simple and not (g.den % q).is_zero)
+        assert features >= {
+            "A, pinned", "B, free", "B, soft-pinned", "f.num shares with g.den",
+            "f.den shares with g.den", "simple pole of 1/f of degree 1",
+            "simple pole of 1/f of degree 2", "simple pole of 1/f of degree 3",
+        }, features
+
+
+class TestResidueForm:
+    def test_residue_is_a_fraction_exactly_when_rational(self, x):
+        import random
+
+        from orthoscope import NFElement
+
+        rng = random.Random(16018)
+        seen = set()
+        for _ in range(60):
+            f, g = TestSearchFactorization._input(rng, x)
+            for sv in (classify_log_family(f, g), classify_derivative_family(f, g)):
+                for spectrum in (sv.base.spectrum, sv.fibration.residue_table):
+                    for e in spectrum.affine_poles if spectrum is not None else ():
+                        assert isinstance(e.residue, (Fraction, NFElement))
+                        rational = isinstance(e.residue, Fraction) or e.residue.is_rational
+                        assert isinstance(e.residue, Fraction) == rational == \
+                            e.residue_is_rational, (f, g, e)
+                        seen.add(rational)
+        assert seen == {True, False}
 
 
 class TestGridOracleAudit:

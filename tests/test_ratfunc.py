@@ -476,10 +476,21 @@ class TestHermite:
         calls = record_calls(monkeypatch, unipoly.poly_xgcd)
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == expected
-        # three for the partial-fraction split of four parts, one for the
-        # simple quadratic part; none for the three linear multiple parts
-        assert len(calls) == 4
-        assert all(first.degree != 1 for first in calls)
+        # three for the partial-fraction split of four parts and one
+        # inverse of p' = 2x mod the simple quadratic locus p; none takes
+        # (p, p'), and none serves the three linear multiple parts
+        assert calls == [x**2 + 1, (x - 1) ** 2, (x - 2) ** 3, 2 * x]
+
+    def test_no_xgcd_at_linear_simple_loci(self, x, monkeypatch):
+        from orthoscope.algebra import unipoly
+
+        r = RatFunc(x**4 - 3 * x + 2, x * (x - 1) * (x + 2) * (x - Fraction(3, 7)) * (x + 5))
+        expected = hermite_oracle(r)
+        calls = record_calls(monkeypatch, unipoly.poly_xgcd)
+        herm = hermite_reduce(r)
+        assert (herm.derivative_part, herm.remainder) == expected
+        assert calls == []
+        assert all(isinstance(e.residue, Fraction) for e in herm.spectrum.affine_poles)
 
     def test_known_loci_give_the_same_reduction(self, x):
         rng = random.Random(2027)

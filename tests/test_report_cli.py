@@ -118,6 +118,19 @@ class TestCliExitCodes:
             assert time.perf_counter() - start < 1.0
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", [
+        "x' = 1/3*x^4 + 5/3*x^3 + x^2 - 3*x; y' = y*(-4*x^3 + x^2 + 3*x + 2)",
+        "x' = (1/2*x^4 - 5/6*x^3 + 1/6*x^2 - 5/6*x - 1/3)/x^2; "
+        "y' = y*((2*x^3 - 4*x^2 - 4*x - 3)/x^3)",
+    ])
+    def test_dlog_witness_of_high_degree_exits_zero_within_a_second(self, source, capsys):
+        # h is a product of loci to powers in the hundreds; its numerator and
+        # denominator are coprime by construction, so no gcd of them is taken
+        start = time.perf_counter()
+        assert main(["classify", source]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert "verdict: nonorthogonal-uniformly-almost-internal" in capsys.readouterr().out
+
     def test_closed_pipe_exits_one_quietly(self):
         # the witness identity runs to about 170 kB, more than a pipe holds,
         # so the writer is still writing when the reader goes away

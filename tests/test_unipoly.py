@@ -36,6 +36,31 @@ class TestArithmetic:
         p = x**2 - x
         assert p.compose_affine(2, 3) == (2 * x + 3) ** 2 - (2 * x + 3)
 
+    def test_eval_matches_horner_over_coeffs(self):
+        # oracle: Horner's rule on the rational coefficients, the float
+        # path with the loop eval has always run
+        def horner(p, value, start):
+            acc = start
+            for c in reversed(p.coeffs):
+                acc = acc * value + c
+            return acc
+
+        rng = random.Random(4041)
+        polys = [UniPoly.zero(), UniPoly.one(), UniPoly.constant(Fraction(-7, 3))]
+        for _ in range(60):
+            deg = rng.randint(0, 9)
+            polys.append(UniPoly.of(Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                                    for _ in range(deg + 1)))
+        points = [0, 1, -1, 5, -12, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 9),
+                  Fraction(-1, 1000)]
+        for p in polys:
+            for point in points:
+                got = p.eval(point)
+                assert type(got) is Fraction and got == horner(p, point, Fraction(0)), (p, point)
+            for point in (0.0, -1.5, 0.3, 2.75):
+                got = p.eval(point)
+                assert type(got) is float and got == horner(p, point, 0.0), (p, point)
+
     def test_antiderivative_inverts_derivative(self, x):
         p = Fraction(1, 3) * x**4 - 2 * x + 5
         assert p.antiderivative().derivative() == p
