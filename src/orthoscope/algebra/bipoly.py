@@ -1,8 +1,9 @@
 """Exact bivariate polynomials over the rationals, plus resultants.
 
-A BiPoly is a rational content times a sparse primitive integer term map
-(i, j) -> coefficient of x^i * y^j, in the same canonical form as UniPoly,
-so products, exact quotients and derivatives run on Python ints and the
+A BiPoly is a rational content, a reduced pair of ints cnum/cden, times a
+sparse primitive integer term map (i, j) -> coefficient of x^i * y^j, in
+the same canonical form as UniPoly, so every ring operation (products,
+exact quotients, derivatives, substitution) runs on Python ints and the
 rational coefficients are formed only when read. Exact division is
 exact_div and the printed terms come from signed_terms, as in UniPoly, so
 one fraction-field class reduces and prints over either ring; the
@@ -22,65 +23,72 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import _ONE, _ZERO, UniPoly, _frac, _join_terms, _power, poly_gcd
+from .unipoly import (_ZERO, UniPoly, _div_pair, _frac, _join_terms, _mul_pair, _pair, _power,
+                      poly_gcd)
 from .unipoly import _canonical as _uni_canonical
 
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Sparse polynomial ``content * sum(prim[i, j] * x**i * y**j)``.
+    """Sparse polynomial ``cnum/cden * sum(prim[i, j] * x**i * y**j)``.
 
     Canonical form: ``prim`` maps exponent pairs to nonzero ints with gcd 1
-    whose lex-leading entry (at the ``max`` key) is positive, and
-    ``content`` is a nonzero Fraction; the zero polynomial has
-    ``content == 0`` and ``prim == {}``. Build from rational coefficients
-    with `BiPoly.of`. ``prim`` is never mutated once built.
+    whose lex-leading entry (at the ``max`` key) is positive, and the
+    content cnum/cden is a nonzero pair of ints in lowest terms with
+    ``cden > 0``; the zero polynomial has ``cnum == 0``, ``cden == 1`` and
+    ``prim == {}``. Build from rational coefficients with `BiPoly.of`.
+    ``prim`` is never mutated once built.
     """
 
-    content: Fraction
+    cnum: int
+    cden: int
     prim: dict[tuple[int, int], int]
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "BiPoly":
-        return BiPoly(_ZERO, {})
+        return BiPoly(0, 1, {})
 
     @staticmethod
     def one() -> "BiPoly":
-        return BiPoly(_ONE, {(0, 0): 1})
+        return BiPoly(1, 1, {(0, 0): 1})
 
     @staticmethod
     def constant(c) -> "BiPoly":
-        c = _frac(c)
-        return BiPoly(c, {(0, 0): 1}) if c else BiPoly.zero()
+        n, d = _pair(c)
+        return BiPoly(n, d, {(0, 0): 1}) if n else BiPoly.zero()
 
     @staticmethod
     def x() -> "BiPoly":
-        return BiPoly(_ONE, {(1, 0): 1})
+        return BiPoly(1, 1, {(1, 0): 1})
 
     @staticmethod
     def y() -> "BiPoly":
-        return BiPoly(_ONE, {(0, 1): 1})
+        return BiPoly(1, 1, {(0, 1): 1})
 
     @staticmethod
     def of(terms: Mapping[tuple[int, int], object]) -> "BiPoly":
-        fracs = {(int(i), int(j)): _frac(v) for (i, j), v in terms.items()}
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        ints = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
-        return _canonical(Fraction(1, den), ints)
+        pairs = {(int(i), int(j)): _pair(v) for (i, j), v in terms.items()}
+        den = math.lcm(*(d for _, d in pairs.values()))
+        return _canonical(1, den, {k: n * (den // d) for k, (n, d) in pairs.items()})
 
     @staticmethod
     def from_unipoly_x(p: UniPoly) -> "BiPoly":
-        return BiPoly(p.content, {(k, 0): v for k, v in enumerate(p.prim) if v})
+        return BiPoly(p.cnum, p.cden, {(k, 0): v for k, v in enumerate(p.prim) if v})
 
     # -- structure ---------------------------------------------------
 
     @property
+    def content(self) -> Fraction:
+        """The rational content cnum/cden, formed on each read."""
+        return Fraction(self.cnum, self.cden)
+
+    @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """Rational coefficients by exponent pair, formed on each read."""
-        c = self.content
-        return {k: c * v for k, v in self.prim.items()}
+        n, d = self.cnum, self.cden
+        return {k: Fraction(n * v, d) for k, v in self.prim.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -95,13 +103,13 @@ class BiPoly:
         """The lex-leading coefficient; 0 for the zero polynomial."""
         if not self.prim:
             return _ZERO
-        return self.content * self.prim[max(self.prim)]
+        return Fraction(self.cnum * self.prim[max(self.prim)], self.cden)
 
     def monic(self) -> "BiPoly":
         """Scale by a rational unit so the lex-leading coefficient is 1."""
         if not self.prim:
             return self
-        return BiPoly(Fraction(1, self.prim[max(self.prim)]), self.prim)
+        return BiPoly(1, self.prim[max(self.prim)], self.prim)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -112,7 +120,7 @@ class BiPoly:
         return max((i + j for i, j in self.prim), default=-1)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.content * self.prim.get((i, j), 0)
+        return Fraction(self.cnum * self.prim.get((i, j), 0), self.cden)
 
     def is_y_free(self) -> bool:
         return all(j == 0 for _, j in self.prim)
@@ -128,7 +136,7 @@ class BiPoly:
         if isinstance(other, UniPoly):
             return BiPoly.from_unipoly_x(other)
         if isinstance(other, (int, Fraction, str)):
-            return BiPoly.constant(_frac(other))
+            return BiPoly.constant(other)
         return NotImplemented
 
     def __add__(self, other) -> "BiPoly":
@@ -140,19 +148,18 @@ class BiPoly:
         if not self.prim:
             return other
         # over the common denominator den, self + other = (fa*A + fb*B) / den
-        ca, cb = self.content, other.content
-        den = math.lcm(ca.denominator, cb.denominator)
-        fa = ca.numerator * (den // ca.denominator)
-        fb = cb.numerator * (den // cb.denominator)
+        den = math.lcm(self.cden, other.cden)
+        fa = self.cnum * (den // self.cden)
+        fb = other.cnum * (den // other.cden)
         out = {k: fa * v for k, v in self.prim.items()}
         for k, v in other.prim.items():
             out[k] = out.get(k, 0) + fb * v
-        return _canonical(Fraction(1, den), out)
+        return _canonical(1, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly(-self.content, self.prim)
+        return BiPoly(-self.cnum, self.cden, self.prim)
 
     def __sub__(self, other) -> "BiPoly":
         other = self._coerce(other)
@@ -166,7 +173,8 @@ class BiPoly:
         if isinstance(other, (int, Fraction)):
             if not other or not self.prim:
                 return BiPoly.zero()
-            return BiPoly(self.content * other, self.prim)
+            return BiPoly(*_mul_pair(self.cnum, self.cden, other.numerator, other.denominator),
+                          self.prim)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -180,7 +188,8 @@ class BiPoly:
             for (i2, j2), bv in b:
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, 0) + av * bv
-        return BiPoly(self.content * other.content, {k: v for k, v in out.items() if v})
+        return BiPoly(*_mul_pair(self.cnum, self.cden, other.cnum, other.cden),
+                      {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -193,7 +202,8 @@ class BiPoly:
         """(c*(a*m1 + b*m2))**n by the binomial theorem. The terms
         C(n, k)*a**(n-k)*b**k*m1**(n-k)*m2**k have distinct monomials; by
         Gauss's lemma they form a primitive map, whose lex-leading entry is
-        the n-th power of the base's positive one. So the content is c**n."""
+        the n-th power of the base's positive one. So the content is c**n,
+        and the n-th powers of a coprime pair are coprime."""
         ((i1, j1), a), ((i2, j2), b) = self.prim.items()
         a_pows, b_pows = [1], [1]
         for _ in range(n):
@@ -204,7 +214,7 @@ class BiPoly:
         for k in range(n + 1):
             out[(i1 * (n - k) + i2 * k, j1 * (n - k) + j2 * k)] = binom * a_pows[n - k] * b_pows[k]
             binom = binom * (n - k) // (k + 1)
-        return BiPoly(self.content**n, out)
+        return BiPoly(self.cnum**n, self.cden**n, out)
 
     # -- derivatives and substitution ----------------------------------
 
@@ -216,7 +226,7 @@ class BiPoly:
             ints = {(i, j - 1): v * j for (i, j), v in self.prim.items() if j}
         else:
             raise ValueError(f"unknown variable {variable!r}")
-        return _canonical(self.content, ints)
+        return _canonical(self.cnum, self.cden, ints)
 
     def subst_y(self, value) -> "UniPoly":
         """Substitute a rational constant p/q for y; result is univariate in
@@ -224,13 +234,12 @@ class BiPoly:
         v * x**i * (p/q)**j contributes v * p**j * q**(d - j) to x**i."""
         if not self.prim:
             return UniPoly.zero()
-        value = _frac(value)
-        p, q = value.numerator, value.denominator
+        p, q = _pair(value)
         d = max(j for _, j in self.prim)
         ints = [0] * (max(i for i, _ in self.prim) + 1)
         for (i, j), v in self.prim.items():
             ints[i] += v * p**j * q ** (d - j)
-        return _uni_canonical(self.content / q**d, ints)
+        return _uni_canonical(*_mul_pair(self.cnum, self.cden, 1, q**d), ints)
 
     def eval(self, xval, yval) -> Fraction:
         xval, yval = _frac(xval), _frac(yval)
@@ -251,7 +260,7 @@ class BiPoly:
         """Exact division by y; raises if y does not divide self."""
         if any(j == 0 for _, j in self.prim):
             raise ValueError("y does not divide this polynomial")
-        return BiPoly(self.content, {(i, j - 1): v for (i, j), v in self.prim.items()})
+        return BiPoly(self.cnum, self.cden, {(i, j - 1): v for (i, j), v in self.prim.items()})
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
         """Exact division via lex-ordered long division; raises if inexact.
@@ -282,7 +291,7 @@ class BiPoly:
                     del rem[kk]
         if not quo:
             return BiPoly.zero()
-        return BiPoly(self.content / other.content, quo)
+        return BiPoly(*_div_pair(self.cnum, self.cden, other.cnum, other.cden), quo)
 
     # -- views ----------------------------------------------------------
 
@@ -304,7 +313,7 @@ class BiPoly:
         out = []
         for row in rows:
             ints = [row.get(e, 0) for e in range(max(row, default=-1) + 1)]
-            out.append(_uni_canonical(self.content, ints))
+            out.append(_uni_canonical(self.cnum, self.cden, ints))
         return out
 
     # -- printing ---------------------------------------------------------
@@ -312,11 +321,11 @@ class BiPoly:
     def signed_terms(self) -> list[tuple[Fraction, str]]:
         """(coefficient, monomial) for each term, by descending total degree
         and then degree in x; the monomial of the constant term is ""."""
-        c = self.content
+        n, d = self.cnum, self.cden
         out = []
         for i, j in sorted(self.prim, key=lambda k: (-(k[0] + k[1]), -k[0])):
             powers = [f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e]
-            out.append((c * self.prim[(i, j)], "*".join(powers)))
+            out.append((Fraction(n * self.prim[(i, j)], d), "*".join(powers)))
         return out
 
     def to_string(self) -> str:
@@ -329,18 +338,19 @@ class BiPoly:
         return f"BiPoly({self.to_string()!r})"
 
 
-def _canonical(content: Fraction, ints: dict[tuple[int, int], int]) -> BiPoly:
-    """content * ints in canonical form; ints may hold zero entries."""
+def _canonical(cnum: int, cden: int, ints: dict[tuple[int, int], int]) -> BiPoly:
+    """cnum/cden * ints in canonical form, for cnum/cden in lowest terms
+    with cden > 0; ints may hold zero entries."""
     ints = {k: v for k, v in ints.items() if v}
-    if not ints or not content:
+    if not ints or not cnum:
         return BiPoly.zero()
     g = math.gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
     if g != 1:
         ints = {k: v // g for k, v in ints.items()}
-        content = content * g
-    return BiPoly(content, ints)
+        cnum, cden = _mul_pair(cnum, cden, g, 1)
+    return BiPoly(cnum, cden, ints)
 
 
 # -- resultants -------------------------------------------------------------

@@ -80,6 +80,8 @@ class NFElement:
     def inverse(self) -> "NFElement":
         if self.rep.is_zero:
             raise ZeroDivisionError("inverse of zero in a number field")
+        if self.rep.is_constant:
+            return NFElement(UniPoly.constant(1 / self.rep.lc), self.modulus)
         g, s, _ = poly_xgcd(self.rep, self.modulus)
         if g.degree != 0:
             raise ValueError("modulus is not irreducible: nontrivial gcd found")

@@ -4,10 +4,13 @@ A UniPoly is a polynomial in x, the coordinate of the base line, and
 prints in x; there is no variable to choose. (The few polynomials in
 another variable, such as the residue polynomial, are stored the same way,
 and the functions that return them say so.) A polynomial is stored as a
-rational content times a primitive integer polynomial with a positive
-leading coefficient. That form is canonical, so equality and hashing are
-exact, and products, quotients and gcds run on Python ints; the rational
-coefficients are formed only when read. Every operation is pure and exact. The degree of the zero polynomial is the
+rational content, held as a reduced pair of ints cnum/cden, times a
+primitive integer polynomial with a positive leading coefficient. That form
+is canonical, so equality and hashing are exact. Every ring operation runs
+on Python ints: products, quotients and gcds on the primitive parts, and
+the contents as int pairs with cross-cancelled gcds (Knuth, TAOCP vol. 2,
+§4.5.1). A Fraction is formed only where a coefficient is read. Every
+operation is pure and exact. The degree of the zero polynomial is the
 distinguished value ``NEG_INF`` so that degree comparisons are total.
 """
 
@@ -23,7 +26,6 @@ NEG_INF = float("-inf")
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(v) -> Fraction:
@@ -36,52 +38,81 @@ def _frac(v) -> Fraction:
     raise TypeError(f"not an exact rational scalar: {v!r}")
 
 
+def _pair(v) -> tuple[int, int]:
+    """The numerator and positive denominator of an exact rational scalar,
+    in lowest terms; an int or a Fraction is read without forming one."""
+    if not isinstance(v, (int, Fraction)):
+        v = _frac(v)
+    return v.numerator, v.denominator
+
+
+def _mul_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b) * (c/d) in lowest terms, for pairs in lowest terms with b, d > 0.
+
+    Cancelling gcd(a, d) and gcd(c, b) is enough, as a/b and c/d are
+    already reduced (Knuth, TAOCP vol. 2, §4.5.1)."""
+    g1 = math.gcd(a, d)
+    g2 = math.gcd(c, b)
+    return (a // g1) * (c // g2), (b // g2) * (d // g1)
+
+
+def _div_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b) / (c/d) in lowest terms, for pairs as in _mul_pair and c != 0."""
+    return _mul_pair(a, b, d, c) if c > 0 else _mul_pair(a, b, -d, -c)
+
+
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense polynomial ``content * sum(prim[k] * x**k)``.
+    """Dense polynomial ``cnum/cden * sum(prim[k] * x**k)``.
 
     Canonical form: ``prim`` is a tuple of ints with gcd 1 and a positive
-    last entry, and ``content`` is a nonzero Fraction; the zero polynomial
-    has ``content == 0`` and ``prim == ()``. Build from rational
-    coefficients with `UniPoly.of`; ``coeffs[k]`` multiplies ``x ** k``.
+    last entry, and the content cnum/cden is a nonzero pair of ints in
+    lowest terms with ``cden > 0``; the zero polynomial has ``cnum == 0``,
+    ``cden == 1`` and ``prim == ()``. Build from rational coefficients with
+    `UniPoly.of`; ``coeffs[k]`` multiplies ``x ** k``.
     """
 
-    content: Fraction
+    cnum: int
+    cden: int
     prim: tuple[int, ...]
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(values: Iterable) -> "UniPoly":
-        fracs = [_frac(v) for v in values]
-        den = math.lcm(*(c.denominator for c in fracs))
-        ints = [c.numerator * (den // c.denominator) for c in fracs]
-        return _canonical(Fraction(1, den), ints)
+        pairs = [_pair(v) for v in values]
+        den = math.lcm(*(d for _, d in pairs))
+        return _canonical(1, den, [n * (den // d) for n, d in pairs])
 
     @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly(_ZERO, ())
+        return UniPoly(0, 1, ())
 
     @staticmethod
     def one() -> "UniPoly":
-        return UniPoly(_ONE, (1,))
+        return UniPoly(1, 1, (1,))
 
     @staticmethod
     def constant(c) -> "UniPoly":
-        c = _frac(c)
-        return UniPoly(c, (1,)) if c else UniPoly(_ZERO, ())
+        n, d = _pair(c)
+        return UniPoly(n, d, (1,)) if n else UniPoly.zero()
 
     @staticmethod
     def variable() -> "UniPoly":
-        return UniPoly(_ONE, (0, 1))
+        return UniPoly(1, 1, (0, 1))
 
     # -- structure ----------------------------------------------------
 
     @property
+    def content(self) -> Fraction:
+        """The rational content cnum/cden, formed on each read."""
+        return Fraction(self.cnum, self.cden)
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational coefficients, lowest degree first, no trailing zeros."""
-        c = self.content
-        return tuple(c * v for v in self.prim)
+        n, d = self.cnum, self.cden
+        return tuple(Fraction(n * v, d) for v in self.prim)
 
     @property
     def degree(self):
@@ -99,11 +130,11 @@ class UniPoly:
     def lc(self) -> Fraction:
         if not self.prim:
             return _ZERO
-        return self.content * self.prim[-1]
+        return Fraction(self.cnum * self.prim[-1], self.cden)
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.prim):
-            return self.content * self.prim[k]
+            return Fraction(self.cnum * self.prim[k], self.cden)
         return _ZERO
 
     def constant_value(self) -> Fraction:
@@ -120,22 +151,21 @@ class UniPoly:
         if not self.prim:
             return other
         # over the common denominator den, self + other = (fa*A + fb*B) / den
-        ca, cb = self.content, other.content
-        den = math.lcm(ca.denominator, cb.denominator)
-        fa = ca.numerator * (den // ca.denominator)
-        fb = cb.numerator * (den // cb.denominator)
+        den = math.lcm(self.cden, other.cden)
+        fa = self.cnum * (den // self.cden)
+        fb = other.cnum * (den // other.cden)
         out = [fa * v for v in self.prim]
         rest = [fb * v for v in other.prim]
         if len(out) < len(rest):
             out, rest = rest, out
         for k, v in enumerate(rest):
             out[k] += v
-        return _canonical(Fraction(1, den), out)
+        return _canonical(1, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-self.content, self.prim)
+        return UniPoly(-self.cnum, self.cden, self.prim)
 
     def __sub__(self, other) -> "UniPoly":
         return self + (-self._coerce(other))
@@ -146,11 +176,12 @@ class UniPoly:
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return UniPoly(_ZERO, ())
-            return UniPoly(self.content * other, self.prim)
+                return UniPoly.zero()
+            return UniPoly(*_mul_pair(self.cnum, self.cden, other.numerator, other.denominator),
+                           self.prim)
         other = self._coerce(other)
         if not self.prim or not other.prim:
-            return UniPoly(_ZERO, ())
+            return UniPoly.zero()
         # Gauss's lemma: a product of primitive polynomials is primitive
         b = other.prim
         out = [0] * (len(self.prim) + len(b) - 1)
@@ -158,7 +189,7 @@ class UniPoly:
             if av:
                 for j, bv in enumerate(b):
                     out[i + j] += av * bv
-        return UniPoly(self.content * other.content, tuple(out))
+        return UniPoly(*_mul_pair(self.cnum, self.cden, other.cnum, other.cden), tuple(out))
 
     __rmul__ = __mul__
 
@@ -170,12 +201,13 @@ class UniPoly:
         if not other.prim:
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.prim) < len(other.prim):
-            return UniPoly(_ZERO, ()), self
-        # s * A = Q * B + R on the primitive parts
+            return UniPoly.zero(), self
+        # s * A = Q * B + R on the primitive parts, so self = c/s * (Q*B + R)
+        # for self's content c; s may share a prime with c's numerator
         s, q, r = _int_divmod(self.prim, other.prim)
-        ca = self.content
-        return (_canonical(ca / (other.content * s), q),
-                _canonical(ca / s, r))
+        rn, rd = _mul_pair(self.cnum, self.cden, 1, s)
+        return (_canonical(*_div_pair(rn, rd, other.cnum, other.cden), q),
+                _canonical(rn, rd, r))
 
     def __floordiv__(self, other) -> "UniPoly":
         return divmod(self, other)[0]
@@ -197,12 +229,12 @@ class UniPoly:
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return _canonical(self.content, [k * v for k, v in enumerate(self.prim)][1:])
+        return _canonical(self.cnum, self.cden, [k * v for k, v in enumerate(self.prim)][1:])
 
     def antiderivative(self) -> "UniPoly":
         den = math.lcm(*range(1, len(self.prim) + 1))
         ints = [0] + [v * (den // (k + 1)) for k, v in enumerate(self.prim)]
-        return _canonical(self.content / den, ints)
+        return _canonical(*_mul_pair(self.cnum, self.cden, 1, den), ints)
 
     def eval(self, value):
         """self(value): a Fraction at an int or Fraction point, by Horner's
@@ -221,8 +253,7 @@ class UniPoly:
         for v in reversed(self.prim[:-1]):
             scale *= b
             acc = acc * a + v * scale
-        c = self.content
-        return Fraction(c.numerator * acc, c.denominator * scale)
+        return Fraction(self.cnum * acc, self.cden * scale)
 
     def eval_complex(self, value: complex) -> complex:
         acc = complex(0)
@@ -246,35 +277,35 @@ class UniPoly:
         With c = n/d, m = deg p and P = sum(prim[k] * x**k), d**m * P(x + n/d)
         is Q(y + n) at y = d*x, where Q = sum(prim[k] * d**(m-k) * y**k).
         """
-        c = _frac(c)
+        n, d = _pair(c)
         m = len(self.prim) - 1
-        if m < 1 or not c:
+        if m < 1 or not n:
             return self
-        n, d = c.numerator, c.denominator
         b = [v * d ** (m - k) for k, v in enumerate(self.prim)]
         for i in range(m):
             for j in range(m - 1, i - 1, -1):
                 b[j] += n * b[j + 1]
-        return _canonical(self.content / d**m, [v * d**k for k, v in enumerate(b)])
+        return _canonical(*_mul_pair(self.cnum, self.cden, 1, d**m),
+                          [v * d**k for k, v in enumerate(b)])
 
     def reverse(self) -> "UniPoly":
         """Coefficient reversal: x^deg * p(1/x)."""
-        return _canonical(self.content, list(reversed(self.prim)))
+        return _canonical(self.cnum, self.cden, list(reversed(self.prim)))
 
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
-        return UniPoly(Fraction(1, self.prim[-1]), self.prim)
+        return UniPoly(1, self.prim[-1], self.prim)
 
     # -- printing --------------------------------------------------------
 
     def signed_terms(self) -> list[tuple[Fraction, str]]:
         """(coefficient, monomial) for each nonzero term, highest first;
         the monomial of the constant term is ""."""
-        c = self.content
-        return [(c * v, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+        n, d = self.cnum, self.cden
+        return [(Fraction(n * v, d), "" if k == 0 else "x" if k == 1 else f"x^{k}")
                 for k, v in reversed(list(enumerate(self.prim))) if v]
 
     def to_string(self) -> str:
@@ -316,19 +347,20 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
 # -- integer polynomial kernels ---------------------------------------------
 
 
-def _canonical(content: Fraction, ints: list[int]) -> UniPoly:
-    """content * ints in canonical form; ints is consumed."""
+def _canonical(cnum: int, cden: int, ints: list[int]) -> UniPoly:
+    """cnum/cden * ints in canonical form, for cnum/cden in lowest terms
+    with cden > 0; ints is consumed."""
     while ints and not ints[-1]:
         ints.pop()
-    if not ints or not content:
-        return UniPoly(_ZERO, ())
+    if not ints or not cnum:
+        return UniPoly.zero()
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-        content = content * g
-    return UniPoly(content, tuple(ints))
+        cnum, cden = _mul_pair(cnum, cden, g, 1)
+    return UniPoly(cnum, cden, tuple(ints))
 
 
 def _int_divmod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
@@ -377,10 +409,10 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while len(pb) > 1:
-        pa, pb = pb, _canonical(_ONE, _int_divmod(pa, pb)[2]).prim
+        pa, pb = pb, _canonical(1, 1, _int_divmod(pa, pb)[2]).prim
     if pb:
         return UniPoly.one()
-    return UniPoly(Fraction(1, pa[-1]), pa)
+    return UniPoly(1, pa[-1], pa)
 
 
 def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:

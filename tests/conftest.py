@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -19,6 +20,22 @@ def random_unipoly(rng: random.Random, max_degree: int, lo: int = -9, hi: int = 
     p = UniPoly.of(coeffs + [lead])
     if nonzero and p.is_zero:
         return UniPoly.one()
+    return p
+
+
+def assert_canonical(p: UniPoly) -> UniPoly:
+    """p is in canonical form: an int content pair in lowest terms with a
+    positive denominator, and a primitive int part with a positive leading
+    entry, or 0/1 and () for zero; so p equals, and hashes as, the
+    polynomial built afresh from its coefficients."""
+    assert all(type(v) is int for v in (p.cnum, p.cden, *p.prim)), p
+    if p.prim:
+        assert p.cnum and p.cden > 0 and math.gcd(p.cnum, p.cden) == 1, p
+        assert math.gcd(*p.prim) == 1 and p.prim[-1] > 0, p
+    else:
+        assert (p.cnum, p.cden) == (0, 1)
+    fresh = UniPoly.of(p.coeffs)
+    assert fresh == p and hash(fresh) == hash(p)
     return p
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from orthoscope import BiPoly, UniPoly, bipoly_gcd, resultant_x
 from orthoscope.algebra.unipoly import _frac
 
-from conftest import random_unipoly
+from conftest import assert_canonical as uni_canonical, random_unipoly
 
 
 def bp(terms):
@@ -327,12 +328,31 @@ def _outcome(f):
         return str(exc)
 
 
+def assert_bi_canonical(p: BiPoly) -> BiPoly:
+    """p is in canonical form: an int content pair in lowest terms with a
+    positive denominator, and a primitive map of nonzero ints with a
+    positive lex-leading entry, or 0/1 and {} for zero; so p equals the
+    polynomial built afresh from its terms."""
+    assert all(type(v) is int for v in (p.cnum, p.cden, *p.prim.values())), p
+    if p.prim:
+        assert p.cnum and p.cden > 0 and math.gcd(p.cnum, p.cden) == 1, p
+        assert math.gcd(*p.prim.values()) == 1 and p.prim[max(p.prim)] > 0, p
+        assert all(p.prim.values()), p
+    else:
+        assert (p.cnum, p.cden) == (0, 1)
+    assert BiPoly.of(p.terms) == p
+    return p
+
+
 class TestFractionOracle:
     def test_core_matches_fraction_loops(self):
-        pairs = list(_seeded_pairs())
+        # the content quotient 2/2 of (2*(x + y)*(x + 1)) / (2*(x + y)) reduces
+        pairs = list(_seeded_pairs()) + [
+            ({(2, 0): 2, (1, 0): 2, (1, 1): 2, (0, 1): 2}, {(1, 0): 2, (0, 1): 2})]
         assert len(pairs) >= 300
         rng = random.Random(5051)
         seen = set()
+        canon = assert_bi_canonical
         for a, b in pairs:
             pa, pb = BiPoly.of(a), BiPoly.of(b)
             fa, fb = FracBiPoly.of(a), FracBiPoly.of(b)
@@ -351,25 +371,25 @@ class TestFractionOracle:
             if len(prod.terms) < len({(i1 + i2, j1 + j2) for i1, j1 in fa.terms
                                       for i2, j2 in fb.terms}):
                 seen.add("product cancels")
-            assert pa.terms == fa.terms
-            assert (pa + pb).terms == sum_ab.terms
-            assert (-pa).terms == (-fa).terms
-            assert (pa * pb).terms == prod.terms
+            assert canon(pa).terms == fa.terms
+            assert canon(pa + pb).terms == sum_ab.terms
+            assert canon(-pa).terms == (-fa).terms
+            assert canon(pa * pb).terms == prod.terms
             scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            assert (pa * scalar).terms == (fa * scalar).terms
+            assert canon(pa * scalar).terms == (fa * scalar).terms
             if len(fa.terms) <= 6:
                 k = rng.randint(0, 3)
-                assert (pa**k).terms == (fa**k).terms
+                assert canon(pa**k).terms == (fa**k).terms
             for var in "xy":
-                assert pa.partial(var).terms == fa.partial(var).terms
+                assert canon(pa.partial(var)).terms == fa.partial(var).terms
             value = rng.choice([Fraction(0), Fraction(1), Fraction(-2, 3),
                                 Fraction(rng.getrandbits(40) - 2**39, rng.getrandbits(40) | 1)])
-            assert pa.subst_y(value) == fa.subst_y(value)
-            assert pa.y_coefficients() == fa.y_coefficients()
+            assert uni_canonical(pa.subst_y(value)) == fa.subst_y(value)
+            assert [uni_canonical(c) for c in pa.y_coefficients()] == fa.y_coefficients()
             if not fb.is_zero:
-                assert (pa * pb).exact_div(pb).terms == prod.exact_div(fb).terms
+                assert canon((pa * pb).exact_div(pb)).terms == prod.exact_div(fb).terms
                 for num, fnum in ((pa, fa), (pa * pb + pa, prod + fa)):
-                    got = _outcome(lambda: num.exact_div(pb).terms)
+                    got = _outcome(lambda: canon(num.exact_div(pb)).terms)
                     assert got == _outcome(lambda: fnum.exact_div(fb).terms)
         assert seen == {"zero", "constant", "negative lc", "positive lc", "100-bit",
                         "sum cancels", "product cancels"}
@@ -396,6 +416,46 @@ class TestFractionOracle:
             assert (p == q) == (p.terms == q.terms)
         assert BiPoly.of({(1, 0): 2}) != BiPoly.of({(0, 1): 2})
 
+
+
+class TestIntContent:
+    def test_ring_operations_form_no_fraction(self, monkeypatch):
+        """Contents combine as int pairs: seeded sums, differences,
+        products (with int and Fraction scalars too), quotients,
+        derivatives, Taylor shifts, substitutions and powers of UniPolys and
+        BiPolys construct no Fraction. Up to Python 3.11, Fraction
+        arithmetic builds every result through Fraction.__new__, so the
+        count sees it."""
+        rng = random.Random(5054)
+        unis = [UniPoly.of([Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                            for _ in range(rng.randint(1, 8))]) for _ in range(30)]
+        binomial = BiPoly.of({(1, 0): Fraction(2, 3), (0, 1): -4})
+        bis = [binomial] + [BiPoly.of(a) for a, _ in _seeded_pairs(60)]
+        scalars = [0, 3, -7, Fraction(5, 6), Fraction(-4, 9)]
+        assert any(p.cden > 1 for p in unis) and any(p.cden > 1 for p in bis)
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        for a, b in zip(unis, unis[1:]):
+            c = rng.choice(scalars)
+            a + b, a - b, a * b, -a, a * c, c * a, a + c, c - a
+            a ** rng.randint(2, 3), a.derivative(), a.taylor_shift(c)
+            if not b.is_zero:
+                divmod(a, b), (a * b).exact_div(b)
+        for a, b in zip(bis, bis[1:]):
+            c = rng.choice(scalars)
+            a + b, a - b, a * b, -a, a * c, c * a, a + c, c - a, a + unis[0]
+            a ** rng.randint(2, 3), a.partial("x"), a.partial("y"), a.subst_y(c)
+            a.y_coefficients()
+            if not b.is_zero:
+                (a * b).exact_div(b)
+        monkeypatch.undo()
+        assert made == []
 
 def _repeated_squaring(p: BiPoly, n: int) -> BiPoly:
     result, base = BiPoly.one(), p

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NFElement
+from orthoscope import NFElement, UniPoly, poly_xgcd
 
-from conftest import random_unipoly
+from conftest import random_unipoly, record_calls
 
 
 @pytest.fixture
@@ -61,3 +61,22 @@ class TestInverseProperty:
             e = NFElement(rep, q)
             assert (e * e.inverse()).as_fraction() == 1
             count += 1
+
+    def test_constant_inverse_skips_euclid(self, monkeypatch):
+        """A constant c inverts to 1/c with no extended gcd, and equals the
+        inverse that Euclid's algorithm gives."""
+        rng = random.Random(32)
+        cases = []
+        for _ in range(40):
+            q = UniPoly.one()
+            while q.degree < 2:
+                q = random_unipoly(rng, 3, monic=True)
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 12))
+            cases.append((c, q, poly_xgcd(UniPoly.constant(c), q)[1]))
+        calls = record_calls(monkeypatch, poly_xgcd)
+        for c, q, euclid in cases:
+            inv = NFElement.of(c, q).inverse()
+            assert inv == NFElement(euclid, q)
+            assert inv.as_fraction() == 1 / c
+        assert calls == []
+        assert {int(q.degree) for _, q, _ in cases} == {2, 3}

@@ -227,12 +227,14 @@ def _random_pole_function(rng: random.Random) -> RatFunc:
 
 
 def test_residues_match_apart():
-    """Residue classes against sympy: apart splits r over Q into local parts
-    R_q = sum of B_k/q^k. At a simple pole, or at a linear locus, the
-    residue class at the roots of q is B_1/q' mod q. Otherwise B/q^k with
-    k >= 2 has residues too (1/(x^2+1)^2 has -i/4 at i), so Horowitz-
-    Ostrogradsky (ratint_ratpart) first writes R_q = A' + N/D with D
-    squarefree, and the class is N/D' mod q.
+    """Residue classes against sympy's QQ polynomial arithmetic. r = N/D
+    splits over Q into local parts R_q = sum of B_k/q^k, one per locus q of
+    multiplicity m: with D = q^m*C, R_q = A/q^m for A = N*C^-1 mod q^m, and
+    the B_k are the q-adic digits of A. At a simple pole, or at a linear
+    locus, the residue class at the roots of q is B_1/q' mod q. Otherwise
+    B/q^k with k >= 2 has residues too (1/(x^2+1)^2 has -i/4 at i), so
+    Horowitz-Ostrogradsky (ratint_ratpart) first writes R_q = A' + N/D with
+    D squarefree, and the class is N/D' mod q.
     """
     from sympy.integrals.rationaltools import ratint_ratpart
 
@@ -240,16 +242,19 @@ def test_residues_match_apart():
     algebraic = multiple = 0
     for _ in range(150):
         r = _random_pole_function(rng)
-        den = to_sympy(r.den).as_expr()
+        num, den = to_sympy(r.num), to_sympy(r.den)
         expected = {}
-        for base, m in sympy.factor_list(den)[1]:
-            expected[from_sympy(sympy.Poly(base, X).monic())] = m
-        local = {}      # locus -> its apart terms, as (numerator, q-power)
-        for term in sympy.Add.make_args(sympy.apart(to_sympy(r.num).as_expr() / den, X)):
-            t_num, t_den = (sympy.Poly(part, X, domain=sympy.QQ) for part in sympy.fraction(term))
-            if t_den.degree() > 0:
-                base, k = t_den.monic().sqf_list()[1][0]
-                local.setdefault(from_sympy(base), []).append((t_num * t_den.LC() ** -1, k))
+        local = {}      # locus -> its nonzero digits, as (B_k, k)
+        for base, m in sympy.factor_list(den.as_expr())[1]:
+            q = sympy.Poly(base, X, domain=sympy.QQ).monic()
+            expected[from_sympy(q)] = m
+            a = (num * den.exquo(q**m).invert(q**m)).rem(q**m)
+            digits = []
+            for k in range(m, 0, -1):
+                a, b = a.div(q)
+                if not b.is_zero:
+                    digits.append((b, k))
+            local[from_sympy(q)] = digits
         spectrum = pole_spectrum(r)
         assert {e.locus: e.multiplicity for e in spectrum.affine_poles} == expected
         for entry in spectrum.affine_poles:
