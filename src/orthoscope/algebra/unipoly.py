@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 NEG_INF = float("-inf")
-
-Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 

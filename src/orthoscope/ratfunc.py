@@ -48,6 +48,9 @@ class FractionField:
     Reduction, normal form, field arithmetic and printing live here. A
     result is built with type(self)(num, den), which __post_init__ reduces
     by a gcd, or with _coprime when the pair is coprime by construction.
+    The arithmetic follows Henrici (Knuth, TAOCP vol. 2, §4.5.1): the
+    operands are reduced, so a sum, product or quotient takes gcds only of
+    factors from opposite sides, and none against a constant.
     The normal form stores zero as 0/1 and scales the pair so that the
     denominator's leading coefficient is 1. A subclass is a frozen
     dataclass with fields num and den, declared with repr=False so that the
@@ -57,21 +60,26 @@ class FractionField:
     """
 
     def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero:
+        if self.den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not (num.is_constant or den.is_constant):
-            g = self._gcd(num, den)
+        self._normalize(*self._cancel(self.num, self.den))
+
+    def _cancel(self, a, b):
+        """a/g and b/g for g = gcd(a, b); no gcd runs when a or b is constant."""
+        if not (a.is_constant or b.is_constant):
+            g = self._gcd(a, b)
             if not g.is_constant:
-                num, den = num.exact_div(g), den.exact_div(g)
-        self._normalize(num, den)
+                return a.exact_div(g), b.exact_div(g)
+        return a, b
 
     def _normalize(self, num, den) -> None:
         if num.is_zero:
             den = den**0    # 1 in den's ring
-        scale = 1 / den.lc
-        object.__setattr__(self, "num", num * scale)
-        object.__setattr__(self, "den", den * scale)
+        lc = den.lc
+        if lc != 1:
+            num, den = num * (1 / lc), den * (1 / lc)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _coprime(cls, num, den):
@@ -100,12 +108,21 @@ class FractionField:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not (b.is_constant or d.is_constant):
+            g = self._gcd(b, d)
+            if not g.is_constant:
+                # b = b'g and d = d'g: the sum is t/(b'd'g) for t = ad' + cb',
+                # and only a common factor of t and g can cancel
+                b, d = b.exact_div(g), d.exact_div(g)
+                t, g = self._cancel(a * d + c * b, g)
+                return self._coprime(t, b * d * g)
+        return self._coprime(a * d + c * b, b * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(-self.num, self.den)
+        return self._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -115,7 +132,9 @@ class FractionField:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return type(self)(self.num * other.num, self.den * other.den)
+        a, d = self._cancel(self.num, other.den)
+        c, b = self._cancel(other.num, self.den)
+        return self._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -123,7 +142,9 @@ class FractionField:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return type(self)(self.num * other.den, self.den * other.num)
+        a, c = self._cancel(self.num, other.num)
+        d, b = self._cancel(other.den, self.den)
+        return self._coprime(a * d, b * c)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -14,6 +14,8 @@ from orthoscope import (
     parse_expression,
     parse_system,
     parse_univariate,
+    poly_gcd,
+    ratfunc,
 )
 from orthoscope.errors import ParseError, ShapeError
 from orthoscope.parsing import (
@@ -131,13 +133,72 @@ class TestGrammar:
         assert value.den == BiPoly.y() ** 501
         assert value.num.coeff(0, 0) == 4**501 and value.num.coeff(0, 501) == (-8) ** 501
 
+    def test_sum_of_high_powers_within_1_s(self):
+        # a Henrici sum takes gcd(x^600, (x + 1)^400), not the gcd of the
+        # expanded numerator and denominator
+        start = time.perf_counter()
+        value = parse_expression("1/x^600 + 1/(x+1)^400")
+        assert time.perf_counter() - start < 1.0
+        assert value.den == BiPoly.x() ** 600 * (BiPoly.x() + 1) ** 400
+        assert value.num == BiPoly.x() ** 600 + (BiPoly.x() + 1) ** 400
+
     def test_polynomial_statements_reduce_once_each(self, monkeypatch):
         built = record_calls(monkeypatch, BiRatFunc.__post_init__)
         gcds = record_calls(monkeypatch, bipoly_gcd)
+        # RatFunc's own gcd, apart from the poly_gcd calls inside bipoly_gcd
+        ratfunc_gcds = []
+        monkeypatch.setattr(ratfunc, "poly_gcd",
+                            lambda a, b: ratfunc_gcds.append(a) or poly_gcd(a, b))
         family = parse_system("x' = (x-1)^3*(x+2); y' = y*(2*x - 1/3)")
         assert family.kind == KIND_LOG
-        # __post_init__ is FractionField's, so the RatFuncs f and g pass too
-        assert sum(isinstance(v, BiRatFunc) for v in built) == 2 and not gcds
+        # polynomial statements build no BiRatFunc and take no gcd
+        assert not built and not gcds and not ratfunc_gcds
+        # one bivariate gcd per quotient; f and g of the family are read off
+        # the reduced pairs without a second gcd in Q[x]
+        family = parse_system("x' = (x + 1)/(x^2 - 2); y' = y*(x + 3)/(x - 1)")
+        assert len(gcds) == 2 and not ratfunc_gcds
+        assert family.kind == KIND_LOG
+        assert (str(family.f), str(family.g)) == ("(x + 1)/(x^2 - 2)", "(x + 3)/(x - 1)")
+
+    NESTED = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+
+    # one input per place the parser refuses, with its exact message and offset
+    @pytest.mark.parametrize("parse, text, message, position", [
+        (parse_expression, "x + $", "unexpected character '$'", 4),
+        (parse_expression, "x^²", "unexpected character '²'", 2),
+        (parse_expression, "x + z", "unknown symbol 'z'", 4),
+        (parse_expression, "x*(1 + ", "expected an expression, found 'end of input'", 7),
+        (parse_expression, "x*)", "expected an expression, found ')'", 2),
+        (parse_expression, "x y", "trailing input 'y'", 2),
+        (parse_expression, "(x + 1", "expected ')', found ''", 6),
+        (parse_expression, "x^y", "exponent must be a nonnegative integer", 2),
+        (parse_expression, "x^-2", "exponent must be a nonnegative integer", 2),
+        (parse_expression, "1/(x - x)", "division by zero", 9),
+        (parse_expression, "y/(2 - 2)*x", "division by zero", 9),
+        (parse_expression, "x/0", "division by zero", 3),
+        (parse_expression, "x^1001", "power exceeds the degree bound 1000", 2),
+        (parse_expression, "2^1001", "power exceeds the degree bound 1000", 2),
+        (parse_expression, "x^600*x^401", "product exceeds the degree bound 1000", 5),
+        (parse_expression, "x^600/(x + 1)^401", "quotient exceeds the degree bound 1000", 5),
+        (parse_expression, "1/x^600 + 1/x^401", "sum exceeds the degree bound 1000", 8),
+        (parse_expression, "1/x^600 - x^401", "difference exceeds the degree bound 1000", 8),
+        (parse_expression, "x + " + "9" * 4301, "integer literal longer than 4300 digits", 4),
+        (parse_expression, "y + (" + NESTED + ")", "parentheses nested deeper than 100", 104),
+        (parse_system, "z' = x; y' = y", "statements must assign x' or y', found 'z'", 0),
+        (parse_system, "3' = x; y' = y", "expected 'name', found '3'", 0),
+        (parse_system, "x = x; y' = y", "expected 'prime', found '='", 2),
+        (parse_system, "x' x; y' = y", "expected 'eq', found 'x'", 3),
+        (parse_system, "x' = \ny' = y", "expected an expression, found '\\n'", 5),
+        (parse_system, "x' = x y' = y", "expected ';' or end of input, found 'y'", 7),
+        (parse_system, "x' = x; x' = x; y' = y*x", "duplicate statement for x'", 8),
+        (parse_system, "x' = x", "missing statement for y'", 6),
+        (parse_system, "y' = y\n", "missing statement for x'", 7),
+    ], ids=lambda v: v[:24] if isinstance(v, str) else None)
+    def test_error_table(self, parse, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at offset {position})"
+        assert exc.value.position == position
 
     def test_missing_statement(self):
         with pytest.raises(ParseError):
@@ -188,25 +249,10 @@ class TestRoundTrip:
 
     def test_fuzzed_expressions_200(self):
         rng = random.Random(5150)
-
-        def gen_expr(depth=0):
-            choice = rng.randint(0, 5 if depth < 3 else 2)
-            if choice == 0:
-                return str(rng.randint(0, 9))
-            if choice == 1:
-                return "x"
-            if choice == 2:
-                return "y"
-            if choice == 3:
-                return f"({gen_expr(depth + 1)} + {gen_expr(depth + 1)})"
-            if choice == 4:
-                return f"({gen_expr(depth + 1)})*({gen_expr(depth + 1)})"
-            return f"({gen_expr(depth + 1)})^{rng.randint(0, 3)}"
-
         done = 0
         while done < 200:
-            fx = gen_expr()
-            fy = f"y*({gen_expr()})" if rng.random() < 0.5 else gen_expr()
+            fx = fuzz_expression(rng)
+            fy = f"y*({fuzz_expression(rng)})" if rng.random() < 0.5 else fuzz_expression(rng)
             text = f"x' = {fx}; y' = {fy}"
             try:
                 first = parse_system(text)
@@ -214,3 +260,57 @@ class TestRoundTrip:
                 continue  # fuzz may build zero denominators or odd shapes
             assert_printed_components_parse_back(first)
             done += 1
+
+    def test_fuzzed_expressions_match_sympy(self):
+        # sympy reads the same text, with ** for ^, and cancels it on its own
+        sympy = pytest.importorskip("sympy")
+        X, Y = sympy.symbols("x y")
+
+        def terms(poly, scale) -> dict:
+            return {k: Fraction(int(c.p), int(c.q)) for k, c in poly.quo_ground(scale).as_dict().items()}
+
+        rng = random.Random(6104)
+        seen, done = set(), 0
+        while done < 120:
+            text = fuzz_expression(rng)
+            try:
+                value = parse_expression(text)
+            except ParseError as exc:
+                assert str(exc).startswith("division by zero"), text
+                continue
+            p, q = sympy.fraction(sympy.cancel(
+                sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y})))
+            p, q = sympy.Poly(p, X, Y, domain=sympy.QQ), sympy.Poly(q, X, Y, domain=sympy.QQ)
+            # both denominators are scaled to a lex-leading coefficient of 1
+            assert value.num.terms == terms(p, q.LC()), text
+            assert value.den.terms == terms(q, q.LC()), text
+            seen.add("polynomial" if value.den.is_constant else "rational")
+            done += 1
+        assert seen == {"polynomial", "rational"}
+
+
+def fuzz_expression(rng: random.Random, depth: int = 0) -> str:
+    """Source text with + - * / ^, ratio literals and runs of unary signs.
+    Every power has a parenthesized base, so the text reads the same with **
+    for ^ in Python, whose ** groups from the right."""
+    choice = rng.randint(4 if depth == 0 else 0, 8 if depth < 3 else 3)
+    sub = (lambda: fuzz_expression(rng, depth + 1))
+    if choice == 0:
+        return str(rng.randint(0, 9))
+    if choice == 1:
+        return "x"
+    if choice == 2:
+        return "y"
+    if choice == 3:
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
+    if choice == 4:
+        return f"({sub()} + {sub()})" if rng.random() < 0.5 else f"{sub()} - {sub()}"
+    if choice == 5:
+        return f"({sub()})*({sub()})" if rng.random() < 0.5 else f"{sub()}*{sub()}"
+    if choice == 6:
+        return f"({sub()})/({sub()})" if rng.random() < 0.5 else f"{sub()}/{sub()}"
+    if choice == 7:
+        return rng.choice(["-", "+", "--", "-+-", "+-"]) + sub()
+    if rng.random() < 0.5:
+        return f"(({sub()})/({sub()}))^{rng.randint(0, 3)}"
+    return f"({sub()})^{rng.randint(0, 3)}"

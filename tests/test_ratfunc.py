@@ -8,6 +8,7 @@ from orthoscope import (
     INTEGER,
     RATIONAL,
     BiPoly,
+    BiRatFunc,
     NFElement,
     RatFunc,
     UniPoly,
@@ -278,6 +279,47 @@ class TestNormalize:
             num, den = (r.num, r.den) if n >= 0 else (r.den, r.num)
             # dataclass equality: the same normalized fields, not just the same value
             assert r**n == RatFunc(num ** abs(n), den ** abs(n))
+
+    @pytest.mark.parametrize("field", [RatFunc, BiRatFunc])
+    def test_henrici_arithmetic_matches_the_gcd_reduced_pair(self, field):
+        # operands share factors from a small pool; some denominators are 1,
+        # and some sums cancel to zero
+        x = BiPoly.x()
+        pool = [x, x + 1, x - 2, x**2 + 1, 2 * x - 3]
+        if field is BiRatFunc:
+            y = BiPoly.y()
+            pool += [y, x + y, x * y + 1]
+        else:
+            pool = [p.subst_y(0) for p in pool]
+        rng = random.Random(4511)
+
+        def product(k):
+            p = pool[0] ** 0
+            for q in rng.sample(pool, k):
+                p = p * q
+            return p
+
+        def operand():
+            num = product(rng.randint(0, 3)) * Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            if rng.random() < 0.3:
+                num = num + product(1)
+            return field(num, product(rng.randint(0, 3)))
+
+        # 1/(x(x + 1)) + 1/(x(x - 1)) = 2/((x + 1)(x - 1)): t = 2x and g = x share x
+        x = pool[0]
+        pairs = [(field(x**0, x * (x + 1)), field(x**0, x * (x - 1)))]
+        for _ in range(120):
+            a = operand()
+            pairs.append((a, -a if rng.random() < 0.15 else operand()))
+        for a, b in pairs:
+            for got, num, den in ((a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+                                  (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+                                  (a * b, a.num * b.num, a.den * b.den)):
+                want = field(num, den)      # reduced by a full gcd
+                assert (got.num, got.den) == (want.num, want.den), (a, b)
+            if not b.is_zero:
+                got, want = a / b, field(a.num * b.den, a.den * b.num)
+                assert (got.num, got.den) == (want.num, want.den), (a, b)
 
     def test_zero_numerator(self, x):
         r = RatFunc(UniPoly.zero(), x)

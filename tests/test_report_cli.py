@@ -112,6 +112,9 @@ class TestCliExitCodes:
             ("x' = " + "9" * 5000 + "*x; y' = y*x", "integer literal longer than 4300 digits"),
             ("x' = " + "(" * 5000 + "x" + ")" * 5000 + "; y' = y",
              "parentheses nested deeper than 100"),
+            # the sum parses by Henrici's rule; the product with y then exceeds the bound
+            ("x' = x; y' = y*(1/x^600 + 1/(x+1)^400)",
+             "product exceeds the degree bound 1000 (at offset 14)"),
         ):
             start = time.perf_counter()
             assert main(["classify", source]) == 2
