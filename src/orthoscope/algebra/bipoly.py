@@ -411,23 +411,14 @@ def resultant_x(a: BiPoly, b: BiPoly) -> UniPoly:
 # -- bivariate gcd -----------------------------------------------------------
 
 
-def _content_x(p: BiPoly) -> UniPoly:
-    """gcd over Q[x] of the y-coefficients."""
-    g = UniPoly.zero()
-    for c in p.y_coefficients():
-        g = poly_gcd(g, c)
-        if g.degree == 0:
-            break
-    return g
-
-
-def _primitive_y(coeffs: list[UniPoly]) -> list[UniPoly]:
-    """Divide out the UniPoly gcd of the y-coefficients."""
+def _primitive_y(coeffs: list[UniPoly]) -> tuple[list[UniPoly], UniPoly]:
+    """The y-coefficients with their UniPoly gcd divided out and the last
+    one monic, and that gcd."""
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
-    if not coeffs:
-        return coeffs
     g = UniPoly.zero()
+    if not coeffs:
+        return coeffs, g
     for c in coeffs:
         g = poly_gcd(g, c)
         if g.degree == 0:
@@ -435,7 +426,7 @@ def _primitive_y(coeffs: list[UniPoly]) -> list[UniPoly]:
     if g.degree > 0:
         coeffs = [c.exact_div(g) for c in coeffs]
     lc_scale = 1 / coeffs[-1].lc
-    return [c * lc_scale for c in coeffs]
+    return [c * lc_scale for c in coeffs], g
 
 
 def _pseudo_rem_y(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
@@ -465,15 +456,13 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    cp, cq = _content_x(p), _content_x(q)
+    a, cp = _primitive_y(p.y_coefficients())
+    b, cq = _primitive_y(q.y_coefficients())
     cg = poly_gcd(cp, cq)
-    a = _primitive_y([c.exact_div(cp) for c in p.y_coefficients()])
-    b = _primitive_y([c.exact_div(cq) for c in q.y_coefficients()])
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        r = _primitive_y(_pseudo_rem_y(a, b))
-        a, b = b, r
+        a, b = b, _primitive_y(_pseudo_rem_y(a, b))[0]
     if len(b) == 1:
         g_prim = BiPoly.one()
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from .unipoly import SquarefreeFactorization, UniPoly, squarefree_decompose
 
@@ -411,35 +410,6 @@ def factor_rationals(p: UniPoly) -> SquarefreeFactorization:
             parts[factor] = parts.get(factor, 0) + mult
     ordered = sorted(parts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return SquarefreeFactorization(sf.content, tuple(ordered))
-
-
-def factor_over(p: UniPoly, loci: Iterable[UniPoly]) -> SquarefreeFactorization:
-    """The factorization of p over known monic irreducibles, by repeated
-    exact division; the same record factor_rationals(p) gives.
-
-    loci may repeat and may hold irreducibles that do not divide p. A
-    nonconstant cofactor left after every locus is divided out raises
-    RuntimeError.
-    """
-    if p.is_zero:
-        raise ValueError("factorization of the zero polynomial")
-    rest = p.monic()
-    parts: list[tuple[UniPoly, int]] = []
-    for q in dict.fromkeys(loci):
-        if q.degree < 1:
-            raise ValueError(f"a locus must be nonconstant, not {q}")
-        e = 0
-        while rest.degree >= q.degree:
-            quotient, remainder = divmod(rest, q)
-            if not remainder.is_zero:
-                break
-            rest, e = quotient, e + 1
-        if e:
-            parts.append((q, e))
-    if rest.degree > 0:
-        raise RuntimeError(f"the known loci leave the cofactor {rest} of {p}")
-    parts.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeFactorization(p.lc, tuple(parts))
 
 
 def _factor_squarefree(f: UniPoly) -> list[UniPoly]:

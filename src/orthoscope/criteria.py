@@ -16,7 +16,10 @@ of f.num and g.den, takes the residue of (g - beta)/f at a simple pole of
 beta on residues read off the data it solved for beta with, so it never
 factors or Hermite-reduces (g - beta)/f. The derivative search pins beta
 with a residue of 1/f (at a simple pole where g is regular) and reduces
-only (g - beta)/f, once.
+only (g - beta)/f, once. Both searches write (g - beta)/f as
+(n - beta*m)/d over one factorization of d (_search_data); the derivative
+search divides the loci that n - beta*m shares with d out of both sides
+and hands what is left of the factorization to hermite_reduce.
 """
 
 from __future__ import annotations
@@ -188,20 +191,6 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 # -- the log-family beta search ------------------------------------------------
 
 
-def _known_loci(base: OrthogonalityVerdict, g: RatFunc) -> tuple[tuple[UniPoly, int], ...]:
-    """The monic irreducible factors of f.num, then those of g.den, each
-    with its multiplicity.
-
-    Every denominator of a beta search divides g.den*f.num. The factors of
-    f.num are the affine pole loci of 1/f that base already holds, so only
-    g.den is factored here, and only when it is nonconstant.
-    """
-    parts = tuple((e.locus, e.multiplicity) for e in base.spectrum.affine_poles)
-    if g.den.degree >= 1:
-        parts += factor_rationals(g.den).parts
-    return parts
-
-
 def _multiplicity(p: UniPoly, q: UniPoly) -> int:
     """The exponent of q in the nonzero polynomial p, by exact division."""
     e = 0
@@ -217,19 +206,42 @@ def _search_parts(
 ) -> tuple[tuple[UniPoly, int], ...]:
     """The factorization of d = g.den*f.num/common, in factor order.
 
-    mult_q(d) = mult_q(f.num) + mult_q(g.den) - mult_q(common), with both
-    factorizations from _known_loci. common = gcd(f.den, g.den) has no
-    root of f.num, so only the loci of g.den can divide it; it is divided
-    only when nonconstant.
+    mult_q(d) = mult_q(f.num) + mult_q(g.den) - mult_q(common). The factors
+    of f.num are the affine pole loci of 1/f that base already holds, so
+    only g.den is factored here, and only when it is nonconstant.
+    common = gcd(f.den, g.den) has no root of f.num, so only the loci of
+    g.den can divide it; it is divided only when nonconstant.
     """
-    mult: dict[UniPoly, int] = {}
-    for q, e in _known_loci(base, g):
-        mult[q] = mult.get(q, 0) + e
+    mult = {e.locus: e.multiplicity for e in base.spectrum.affine_poles}
+    if g.den.degree >= 1:
+        for q, e in factor_rationals(g.den).parts:
+            mult[q] = mult.get(q, 0) + e
     if common.degree > 0:
         for q in mult:
             mult[q] -= _multiplicity(common, q)
     return tuple(sorted(((q, e) for q, e in mult.items() if e),
                         key=lambda qe: (qe[0].degree, qe[0].coeffs)))
+
+
+def _search_data(
+    f: RatFunc, g: RatFunc, base: OrthogonalityVerdict
+) -> tuple[UniPoly, UniPoly, UniPoly, tuple[tuple[UniPoly, int], ...]]:
+    """n, m, d and d's factorization, with (g - beta)/f = (n - beta*m)/d
+    for every beta and d monic.
+
+    With f and g reduced, n = g.num*f.den, m = g.den*f.den and
+    d = g.den*f.num have gcd(n, m, d) = gcd(f.den, g.den), which is
+    divided out; d's factorization is read off those of f.num and g.den
+    (_search_parts).
+    """
+    n = g.num * f.den
+    m = g.den * f.den
+    d = g.den * f.num
+    common = poly_gcd(f.den, g.den)    # gcd(n, m, d), as f and g are reduced
+    if common.degree > 0:
+        n, m, d = n.exact_div(common), m.exact_div(common), d.exact_div(common)
+    scale = 1 / d.lc
+    return n * scale, m * scale, d.monic(), _search_parts(base, g, common)
 
 
 def beta_search_log(
@@ -245,14 +257,10 @@ def beta_search_log(
     reported as case C, never guessed. base is base_orthogonal(f); its pole
     loci, with those of g.den, factor every denominator of the search.
 
-    With f and g reduced, n = g.num*f.den, m = g.den*f.den and
-    d = g.den*f.num have gcd(n, m, d) = gcd(f.den, g.den), and d's
-    factorization is read off those of f.num and g.den (_search_parts).
-
-    With (g - beta)/f = (n - beta*m)/d, d monic, every candidate has simple
-    poles only: a pinned beta clears q^(e-1) at each multiple locus q and
-    every coefficient of degree >= deg d, and in the free and soft-pinned
-    cases d is squarefree and n, m are proper. So the candidate's residues
+    With (g - beta)/f = (n - beta*m)/d, d monic (_search_data), every
+    candidate has simple poles only: a pinned beta clears q^(e-1) at each
+    multiple locus q and every coefficient of degree >= deg d, and in the
+    free and soft-pinned cases d is squarefree and n, m are proper. So the candidate's residues
     are read off the search's own data (Bronstein, Symbolic Integration I,
     section 2.5): a pinned beta divides n - beta*m by D = prod q^(e-1) and
     reads the residue at q as the quotient over (d/D)' mod q; a free or
@@ -267,17 +275,9 @@ def beta_search_log(
         raise ValueError(f"unknown residue class {residue_class!r}")
     if f.is_zero:
         raise ValueError("f must be nonzero")
-    n = g.num * f.den
-    m = g.den * f.den
-    d = g.den * f.num
-    common = poly_gcd(f.den, g.den)    # gcd(n, m, d), as f and g are reduced
-    if common.degree > 0:
-        n, m, d = n.exact_div(common), m.exact_div(common), d.exact_div(common)
-    scale = 1 / d.lc
-    n, m, d = n * scale, m * scale, d.monic()
+    n, m, d, parts = _search_data(f, g, base)
 
     conditions: list[tuple[Fraction, Fraction]] = []
-    parts = _search_parts(base, g, common)
     for q, e in parts:
         if e >= 2:
             mod = q ** (e - 1)
@@ -456,11 +456,14 @@ def beta_search_derivative(
       of g) beta is pinned by the linearity of the Hermite remainder:
       rem(g/f) = beta*rem(1/f).
 
-    (g - beta)/f is then reduced once, over the loci of f.num and g.den;
-    a zero remainder gives the verified witness and a nonzero one the
-    answer none.
+    (g - beta)/f = (n - beta*m)/d, with d's factorization, comes from
+    _search_data, as in the log search. It is brought to lowest terms over
+    that factorization (_reduce_over) and Hermite-reduced once, so no gcd
+    or factorization runs on it again; a zero remainder gives the verified
+    witness and a nonzero one the answer none. The fallback reduces
+    g/f = n/d the same way.
     """
-    known = [q for q, _ in _known_loci(base, g)]
+    n, m, d, parts = _search_data(f, g, base)
     rem_one = base.hermite.remainder
 
     def none(detail: str) -> BetaSearchResult:
@@ -479,17 +482,39 @@ def beta_search_derivative(
                     return none(detail)
                 break
         if beta is None:
-            ratio = hermite_reduce(g / f, known).remainder / rem_one
+            ratio = hermite_reduce(*_reduce_over(n, d, parts)).remainder / rem_one
             if not ratio.is_constant:
                 return none(detail)
             beta = ratio.constant_value()
-    r = (g - RatFunc.constant(beta)) / f
-    herm = hermite_reduce(r, known)
+    r, loci = _reduce_over(n - m * beta, d, parts)
+    herm = hermite_reduce(r, loci)
     if not herm.remainder.is_zero:
         return none(detail)
     return BetaSearchResult(
         STATUS_FOUND, beta, exact_derivative_part(r, herm), CASE_B, herm.spectrum, None
     )
+
+
+def _reduce_over(
+    c: UniPoly, d: UniPoly, parts: tuple[tuple[UniPoly, int], ...]
+) -> tuple[RatFunc, tuple[tuple[UniPoly, int], ...]]:
+    """c/d in lowest terms and its denominator's factorization, for d monic
+    with factorization parts.
+
+    Each locus q of d, of multiplicity e, divides c to some power k, and
+    q^min(k, e) is divided out of both sides exactly. What is left is
+    coprime, so the result is built without a gcd.
+    """
+    if c.is_zero:    # _multiplicity never returns on zero
+        return RatFunc.zero(), ()
+    loci = []
+    for q, e in parts:
+        k = min(_multiplicity(c, q), e)
+        if k:
+            c, d = c.exact_div(q**k), d.exact_div(q**k)
+        if k < e:
+            loci.append((q, e - k))
+    return RatFunc._coprime(c, d), tuple(loci)
 
 
 # -- family classifiers ------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional
 
-from .algebra.factor import factor_over, factor_rationals
+from .algebra.factor import factor_rationals
 from .algebra.bipoly import BiPoly, resultant_x
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
@@ -294,7 +294,8 @@ class WitnessData:
 # -- pole spectra -----------------------------------------------------------------
 
 
-Residue = Union[Fraction, NFElement]
+# not typing.Union, whose cache would keep these classes alive across reloads
+Residue = Fraction | NFElement
 
 
 def _residue(value: Residue) -> Residue:
@@ -414,12 +415,15 @@ class HermiteDecomposition:
     spectrum: PoleSpectrum
 
 
-def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> HermiteDecomposition:
+def hermite_reduce(
+    r: RatFunc, loci: Optional[tuple[tuple[UniPoly, int], ...]] = None
+) -> HermiteDecomposition:
     """Exact Hermite reduction by per-factor integration by parts.
 
-    The denominator is factored once: over the monic irreducibles in known
-    (factor_over) when given, else from scratch (factor_rationals). Its
-    irreducible loci, grouped by multiplicity, give the squarefree factors.
+    loci is r.den's factorization, as (monic irreducible locus,
+    multiplicity) pairs in factor order; without it, r.den is factored
+    from scratch (factor_rationals). The loci, grouped by multiplicity,
+    give the squarefree factors.
     For a factor p of multiplicity e, step j = e..2 splits off
     c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
     over p^(e-1). What is left is a/p, and its residue at the roots of a
@@ -437,12 +441,13 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     give the same h. No gcd and only p^(e-1) and p^e are needed.
 
     The pieces are summed as polynomials over D = prod p^(e-1) and
-    P = prod p, whose product is r.den, and the identity r = h' + rem is
-    checked exactly as one polynomial division by D*P: with
-    D'/D = S/P, h = H/D and rem = A/P,
+    P = prod p. D*P must equal r.den, which catches a wrong factorization,
+    and the identity r = h' + rem is checked exactly as one polynomial
+    division by D*P: with D'/D = S/P, h = H/D and rem = A/P,
     r.num - (H'*P - H*S) - A*D = q*D*P. The quotient q collects the
     polynomial parts dropped along the way and joins h as its
-    antiderivative; a nonzero remainder raises WitnessVerificationError.
+    antiderivative. A nonzero remainder, or D*P != r.den, raises
+    WitnessVerificationError.
 
     Once the identity holds, h's numerator and D are coprime, so h is
     built without a gcd. r is reduced, so it has a pole of order exactly e
@@ -451,12 +456,8 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
     in D. Hence no root of D is a root of h's numerator.
     """
     polypart, n0 = divmod(r.num, r.den)
-    if r.den.degree < 1:
-        loci = ()
-    elif known is None:
-        loci = factor_rationals(r.den).parts
-    else:
-        loci = factor_over(r.den, known).parts
+    if loci is None:
+        loci = factor_rationals(r.den).parts if r.den.degree >= 1 else ()
     groups: dict[int, list[UniPoly]] = {}
     for q, e in loci:
         groups.setdefault(e, []).append(q)
@@ -494,8 +495,11 @@ def hermite_reduce(r: RatFunc, known: Optional[Iterable[UniPoly]] = None) -> Her
             rem_num = rem_num * p + a * rem_den
             rem_den = rem_den * p
     # dropped polynomial quotients along the way surface here, exactly
+    full = h_den * rem_den
+    if full != r.den:
+        raise WitnessVerificationError(f"the loci of {r.den} multiply to {full}")
     defect = r.num - h_num.derivative() * rem_den + h_num * w - rem_num * h_den
-    quotient, left = divmod(defect, h_den * rem_den)
+    quotient, left = divmod(defect, full)
     if not left.is_zero:
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
     h = RatFunc._coprime(h_num + quotient.antiderivative() * h_den, h_den)
@@ -619,17 +623,13 @@ class DlogWitnessResult:
         return self.witness is not None
 
 
-def dlog_witness(
-    r: RatFunc, residue_class: str = INTEGER, known: Optional[Iterable[UniPoly]] = None
-) -> DlogWitnessResult:
+def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
     """Decide N*r = dlog(h) membership on P^1 with an exact witness, from
-    the spectrum of r's Hermite reduction (see dlog_from_spectrum). known,
-    when given, holds monic irreducibles that factor r.den (see
-    hermite_reduce).
+    the spectrum of r's Hermite reduction (see dlog_from_spectrum).
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    return dlog_from_spectrum(r, hermite_reduce(r, known).spectrum, residue_class)
+    return dlog_from_spectrum(r, hermite_reduce(r).spectrum, residue_class)
 
 
 def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -> DlogWitnessResult:

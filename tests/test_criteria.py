@@ -176,12 +176,11 @@ class TestDerivativePin:
 
     @staticmethod
     def _reference(f, g, base):
-        from orthoscope import criteria, hermite_reduce
+        from orthoscope import hermite_reduce
         from orthoscope.ratfunc import exact_derivative_part
         from orthoscope.criteria import BetaSearchResult
 
-        known = [q for q, _ in criteria._known_loci(base, g)]
-        rem_g = hermite_reduce(g / f, known).remainder
+        rem_g = hermite_reduce(g / f).remainder
         rem_one = base.hermite.remainder
         if rem_one.is_zero:
             if not rem_g.is_zero:
@@ -195,7 +194,7 @@ class TestDerivativePin:
                                         "remainder vanishing admits no constant solution")
             beta = ratio.constant_value()
         r = (g - RatFunc.constant(beta)) / f
-        herm = hermite_reduce(r, known)
+        herm = hermite_reduce(r)
         witness = exact_derivative_part(r, herm)
         assert witness is not None
         return BetaSearchResult(STATUS_FOUND, beta, witness, CASE_B, herm.spectrum, None)
@@ -246,15 +245,27 @@ class TestDerivativePin:
     def test_pinned_beta_matches_the_remainder_ratio(self, x):
         import random
 
+        from orthoscope import poly_gcd
+
         rng = random.Random(14014)
         cases = [(P(x**2 * (x - 1)), RatFunc(UniPoly.one(), x - 1)),
                  (P(x**2), P(x))]
         cases += [self._input(rng, x) for _ in range(240)]
-        drawn = set()
+        drawn, cancels = set(), set()
         for f, g in cases:
             base = base_orthogonal(f)
             got = beta_search_derivative(f, g, base)
             assert got == self._reference(f, g, base), (f, g)
+            # what the search divides out of (g - beta)/f before reducing it
+            if got.found:
+                target = g - RatFunc.constant(got.beta)
+                if target.is_zero:
+                    cancels.add("zero target")
+                elif any(e.multiplicity >= 2 and (target.num % e.locus**2).is_zero
+                         for e in base.spectrum.affine_poles):
+                    cancels.add("g - beta divisible by q^2 for a multiple locus q of f.num")
+            if poly_gcd(f.den, g.den).degree > 0:
+                cancels.add("g.den shares a locus with f.den")
             branch = self._branch(g, base)
             drawn.add(f"{branch}, {got.status}" if branch == "simple pole, rational" else branch)
             if any(e.multiplicity == 1 and (g.den % e.locus).is_zero
@@ -265,6 +276,10 @@ class TestDerivativePin:
             "simple pole, irrational", "simple locus shared with g.den",
             "fallback, simple loci shared with g.den", "fallback, only multiple poles",
         }, drawn
+        assert cancels == {
+            "zero target", "g - beta divisible by q^2 for a multiple locus q of f.num",
+            "g.den shares a locus with f.den",
+        }, cancels
 
     def test_pinned_beta_reduces_only_the_target(self, x, monkeypatch):
         from orthoscope import ratfunc
@@ -411,8 +426,7 @@ class TestCandidateResidues:
             tested.clear()
             beta_search_log(f, g, base, residue_class)
             for beta, residues, case, assert_found, result in tested:
-                oracle = dlog_witness((g - RatFunc.constant(beta)) / f, residue_class,
-                                      [q for q, _ in criteria._known_loci(base, g)])
+                oracle = dlog_witness((g - RatFunc.constant(beta)) / f, residue_class)
                 if oracle.found:
                     assert (result.status, result.beta, result.witness, result.residue_table) \
                         == (STATUS_FOUND, beta, oracle.witness, oracle.spectrum), (f, g)
@@ -440,7 +454,7 @@ class TestCandidateResidues:
         from orthoscope.algebra import factor
 
         reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
-        factored = record_calls(monkeypatch, factor.factor_over)
+        factored = record_calls(monkeypatch, factor.factor_rationals)
         dlogs = record_calls(monkeypatch, ratfunc.dlog_witness)
         case_b = ((x - 1) * (x + 2) * (x**2 + 1), P(x))
         case_a = ((x - 1) ** 3 * (x + 2),
@@ -451,7 +465,8 @@ class TestCandidateResidues:
             sv = classify_log_family(P(f), g)
             assert sv.fibration.found and (sv.fibration.completeness_case, sv.fibration.beta) \
                 == (case, beta)
-            assert (len(reduced), len(factored), len(dlogs)) == (1, 0, 0)
+            # the one reduction and the one factorization are those of 1/f
+            assert (reduced, factored, len(dlogs)) == ([RatFunc.one() / P(f)], [f], 0)
 
 
 class TestSearchFactorization:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orthoscope import UniPoly, factor_rationals, squarefree_decompose
-from orthoscope.algebra.factor import factor_over, rational_roots_squarefree
+from orthoscope.algebra.factor import rational_roots_squarefree
 
 from conftest import random_unipoly
 
@@ -106,41 +106,3 @@ class TestFactorProperties:
 
     def test_squarefree_roots_with_zero_root(self, x):
         assert rational_roots_squarefree(x * (x - 2)) == [Fraction(0), Fraction(2)]
-
-
-# Monic irreducibles over Q of degrees 1 to 4.
-_LOCI = [UniPoly.of(c) for c in (
-    [-3, 1], [Fraction(1, 2), 1], [2, 1], [0, 1], [Fraction(-5, 3), 1],
-    [1, 0, 1], [-2, 0, 1], [1, 1, 1], [3, 2, 1], [Fraction(1, 4), 0, 1],
-    [-2, 0, 0, 1], [-1, -1, 0, 1], [1, -3, 0, 1], [1, 0, -10, 0, 1],
-)]
-
-
-class TestFactorOver:
-    def test_matches_factor_rationals_over_supersets(self):
-        rng = random.Random(4401)
-        for _ in range(80):
-            loci = rng.sample(_LOCI, rng.randint(1, 4))
-            lead = Fraction(rng.choice([-7, -3, -2, 2, 5]), rng.choice([1, 3, 4]))
-            p = UniPoly.constant(lead)
-            for q in loci:
-                p = p * q ** rng.randint(1, 5)
-            extra = rng.sample([q for q in _LOCI if q not in loci], rng.randint(1, 4))
-            known = loci + extra + rng.sample(loci, 1)      # a strict superset, one repeat
-            rng.shuffle(known)
-            assert factor_over(p, known) == factor_rationals(p)
-
-    def test_missing_factor_raises(self, x):
-        p = 3 * (x - 2) ** 2 * (x**2 + 1)
-        with pytest.raises(RuntimeError, match="cofactor"):
-            factor_over(p, [x - 2, x + 5])
-        with pytest.raises(RuntimeError, match="cofactor"):
-            factor_over(p, [])
-
-    def test_constants_and_zero(self, x):
-        assert factor_over(UniPoly.constant(Fraction(-2, 3)), [x]) == \
-            factor_rationals(UniPoly.constant(Fraction(-2, 3)))
-        with pytest.raises(ValueError):
-            factor_over(UniPoly.zero(), [x])
-        with pytest.raises(ValueError, match="nonconstant"):
-            factor_over(x, [UniPoly.one()])

@@ -281,19 +281,21 @@ def test_hermite_reduce_matches_ratint_ratpart():
     ratint_ratpart writes the proper part of r as A' + B with B's
     denominator squarefree. The derivative parts may differ only by a
     constant once the polynomial part is integrated, and the remainders
-    must be equal; with and without the known loci."""
+    must be equal; with and without r.den's factorization, taken from
+    sympy's factor_list."""
     from sympy.integrals.rationaltools import ratint_ratpart
 
     rng = random.Random(7008)
-    known = [UniPoly.of(c) for c in _LOCI]
     deepest = 0
     for _ in range(60):
         r = _random_pole_function(rng)
         polypart, proper = divmod(r.num, r.den)
         a, b = (_ratfunc_from_sympy(part)
                 for part in ratint_ratpart(to_sympy(proper), to_sympy(r.den), X))
-        rng.shuffle(known)
-        for herm in (hermite_reduce(r), hermite_reduce(r, known)):
+        loci = sorted(((from_sympy(sympy.Poly(q, X, domain=sympy.QQ).monic()), int(m))
+                       for q, m in sympy.factor_list(to_sympy(r.den).as_expr())[1]),
+                      key=lambda qm: (qm[0].degree, qm[0].coeffs))
+        for herm in (hermite_reduce(r), hermite_reduce(r, tuple(loci))):
             assert (herm.derivative_part - a - polypart.antiderivative()).is_constant, r
             assert herm.remainder == b, r
         deepest = max(deepest, *(m for _, m in factor_rationals(r.den).parts))
