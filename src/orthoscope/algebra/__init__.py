@@ -1,7 +1,7 @@
 """Exact polynomial and algebraic-number arithmetic over the rationals."""
 
 from .bipoly import BiPoly, bipoly_gcd, resultant_x
-from .factor import factor_rationals, rational_roots_squarefree
+from .factor import factor_rationals
 from .numberfield import NFElement
 from .unipoly import (
     NEG_INF,

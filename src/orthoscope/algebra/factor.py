@@ -1,17 +1,18 @@
 """Irreducible factorization over the rationals at desk scale.
 
-Pipeline: squarefree decomposition, rational-root extraction (Newton-lifted
-p-adic roots, no big-integer divisor enumeration), then a Berlekamp/Hensel
-lift with subset recombination for the residual squarefree factors. Intended
-for degrees up to a few dozen with moderate coefficients.
+Pipeline: squarefree decomposition, then for each squarefree part one monic
+integer transform and one good prime p. The transform's integer roots are
+Newton-lifted from its roots mod p (no big-integer divisor enumeration) and
+divided out over Z; the cofactor gets a Berlekamp factorization mod the same
+p, a Hensel lift and subset recombination. Intended for degrees up to a few
+dozen with moderate coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .unipoly import SquarefreeFactorization, UniPoly, squarefree_decompose
+from .unipoly import SquarefreeFactorization, UniPoly, _int_divmod, squarefree_decompose
 
 
 # -- arithmetic mod p on integer coefficient lists ---------------------------
@@ -257,21 +258,6 @@ def _mignotte_target(f_int: list[int]) -> int:
     return 2 * (2 ** (len(f_int) - 1)) * norm2 + 1
 
 
-def _factor_squarefree_monic_int(f_int: list[int]) -> list[list[int]]:
-    """Irreducible factors over Z of a monic squarefree integer polynomial."""
-    n = len(f_int) - 1
-    if n <= 1:
-        return [f_int] if n == 1 else []
-    p = _good_prime(f_int)
-    fp = [v % p for v in f_int]
-    modular = _berlekamp(fp, p)
-    if len(modular) == 1:
-        return [f_int]
-    target = _mignotte_target(f_int)
-    lifted, modulus = _lift_factors(f_int, modular, p, target)
-    return _recombine(f_int, lifted, modulus)
-
-
 def _recombine(f_int: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
     from itertools import combinations
 
@@ -289,8 +275,8 @@ def _recombine(f_int: list[int], lifted: list[list[int]], modulus: int) -> list[
             # cheap filter: constant terms must divide
             if f_cur[0] != 0 and cand[0] != 0 and f_cur[0] % cand[0] != 0:
                 continue
-            q, ok = _int_exact_div(f_cur, cand)
-            if ok:
+            _, q, r = _int_divmod(f_cur, cand)
+            if not any(r):
                 result.append(cand)
                 f_cur = q
                 remaining = [i for i in remaining if i not in subset]
@@ -302,50 +288,34 @@ def _recombine(f_int: list[int], lifted: list[list[int]], modulus: int) -> list[
     return result
 
 
-def _int_exact_div(a: list[int], b: list[int]):
-    """Exact division of integer polynomials with monic divisor b."""
-    if len(b) > len(a):
-        return [], False
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1]
-        q[k] = c
-        if c:
-            for j, bv in enumerate(b):
-                r[k + j] -= c * bv
-    if any(r[: len(b) - 1]):
-        return [], False
-    return q, True
+# -- integer roots by Newton lifting --------------------------------------------
 
 
-# -- rational roots via scalar Newton lifting --------------------------------------
+def _split_integer_roots(f_int: list[int], p: int) -> tuple[list[list[int]], list[int]]:
+    """The factors y - r of a monic integer polynomial f that is squarefree
+    mod p, one per integer root r, and the cofactor of their product.
 
-
-def _integer_roots_squarefree_monic(f_int: list[int]) -> list[int]:
-    """All integer roots of a monic squarefree integer polynomial."""
-    if not f_int:
-        return []
-    bound = 1 + max(abs(v) for v in f_int[:-1]) if len(f_int) > 1 else 0
-    target = 2 * bound + 1
-    p = _good_prime(f_int)
+    Each root mod p is Newton-lifted past the root bound; the exact division
+    of the cofactor by y - r over Z is the root test.
+    """
+    target = 2 * (1 + max(abs(v) for v in f_int[:-1])) + 1
     fp = [v % p for v in f_int]
-    dfp = _pz_deriv(fp, p)
-    roots_mod_p = [r for r in range(p) if _pz_eval_mod(fp, r, p) == 0]
-    roots = []
-    for r0 in roots_mod_p:
+    df = [k * f_int[k] for k in range(1, len(f_int))]
+    linear = []
+    cofactor = f_int
+    for r in range(p):
+        if _pz_eval_mod(fp, r, p):
+            continue
         m = p
-        r = r0
         while m < target:
-            m2 = m * m
-            fr = _pz_eval_mod(f_int, r, m2)
-            dfr = _pz_eval_mod([k * f_int[k] for k in range(1, len(f_int))], r, m2)
-            r = (r - fr * pow(dfr, -1, m2)) % m2
-            m = m2
-        cand = _symmetric(r, m)
-        if _eval_int(f_int, cand) == 0:
-            roots.append(cand)
-    return sorted(set(roots))
+            m *= m
+            r = (r - _pz_eval_mod(f_int, r, m) * pow(_pz_eval_mod(df, r, m), -1, m)) % m
+        lin = [-_symmetric(r, m), 1]
+        _, q, rem = _int_divmod(cofactor, lin)
+        if not any(rem):
+            linear.append(lin)
+            cofactor = q
+    return linear, cofactor
 
 
 def _pz_eval_mod(f, v, m):
@@ -353,43 +323,6 @@ def _pz_eval_mod(f, v, m):
     for c in reversed(f):
         acc = (acc * v + c) % m
     return acc
-
-
-def _eval_int(f, v):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * v + c
-    return acc
-
-
-def _to_monic_transform(f_int: tuple[int, ...]) -> tuple[list[int], int]:
-    """Map primitive f with lc = l to the monic F(y) = l^(n-1) f(y/l)."""
-    n = len(f_int) - 1
-    l = f_int[-1]
-    return [f_int[i] * l ** (n - 1 - i) for i in range(n)] + [1], l
-
-
-def _from_monic_factor(g_int: list[int], l: int) -> UniPoly:
-    """Map a monic factor G of the transform back to monic G(l*x) over Q."""
-    return UniPoly.of([g * l**i for i, g in enumerate(g_int)]).monic()
-
-
-def rational_roots_squarefree(f: UniPoly) -> list[Fraction]:
-    """All rational roots of a squarefree polynomial, exactly."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if f.degree < 1:
-        return []
-    roots = []
-    if f.coeff(0) == 0:
-        roots.append(Fraction(0))
-        f = f.exact_div(UniPoly.variable())
-        if f.degree < 1:
-            return roots
-    monic_ints, l = _to_monic_transform(f.prim)
-    for r in _integer_roots_squarefree_monic(monic_ints):
-        roots.append(Fraction(r, l))
-    return sorted(set(roots))
 
 
 # -- top-level factorization ---------------------------------------------------------
@@ -413,20 +346,25 @@ def factor_rationals(p: UniPoly) -> SquarefreeFactorization:
 
 
 def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
-    """Monic irreducible factors of a monic squarefree polynomial."""
+    """Monic irreducible factors of a squarefree polynomial.
+
+    The primitive f with leading coefficient l maps to the monic integer
+    F(y) = l^(n-1) f(y/l), and one good prime p serves F throughout: F's
+    integer roots are split off first, and the cofactor G goes to Berlekamp,
+    Hensel lifting and recombination mod p, since G mod p divides F mod p and
+    so stays squarefree. Each factor G_i of F maps back to G_i(l*x) made monic.
+    """
     if f.degree <= 1:
         return [f.monic()] if f.degree == 1 else []
-    factors: list[UniPoly] = []
-    # rational-root extraction first
-    for root in rational_roots_squarefree(f):
-        lin = UniPoly.of((-root, 1))
-        factors.append(lin)
-        f = f.exact_div(lin)
-    if f.degree == 0:
-        return factors
-    if f.degree == 1:
-        return factors + [f.monic()]
-    monic_ints, l = _to_monic_transform(f.prim)
-    for g_int in _factor_squarefree_monic_int(monic_ints):
-        factors.append(_from_monic_factor(g_int, l))
-    return factors
+    n, l = len(f.prim) - 1, f.prim[-1]
+    f_int = [c * l ** (n - 1 - i) for i, c in enumerate(f.prim[:-1])] + [1]
+    p = _good_prime(f_int)
+    factors, g_int = _split_integer_roots(f_int, p)
+    if len(g_int) > 1:
+        modular = _berlekamp([v % p for v in g_int], p)
+        if len(modular) == 1:
+            factors.append(g_int)
+        else:
+            lifted, modulus = _lift_factors(g_int, modular, p, _mignotte_target(g_int))
+            factors += _recombine(g_int, lifted, modulus)
+    return [UniPoly.of([c * l**i for i, c in enumerate(h)]).monic() for h in factors]

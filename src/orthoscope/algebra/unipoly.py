@@ -324,8 +324,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 

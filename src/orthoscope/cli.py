@@ -2,9 +2,9 @@
 
 Exit codes: 0 a verdict was produced (any verdict), 1 a fixture failed or
 the reader closed standard output early, 2 parse error, 3 shape or
-hypothesis error, 4 internal inconsistency (a witness failed its
-verification identity, or a RuntimeError such as a factorization that did
-not split; must never happen).
+hypothesis error (a refused input), 4 internal inconsistency: any other
+exception, such as a witness that failed its verification identity or a
+factorization that did not split; must never happen.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .criteria import (
     classify_derivative_family,
     classify_log_family,
 )
-from .errors import HypothesisError, ParseError, ShapeError, WitnessVerificationError
+from .errors import HypothesisError, ParseError, ShapeError
 from .parsing import (
     KIND_DERIVATIVE,
     KIND_LOG,
@@ -191,7 +191,7 @@ def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
     notes = []
     try:
         cofactor = foliation_linearize(v, _DY)
-    except (HypothesisError, ValueError):
+    except HypothesisError:
         return notes
     notes.append(f"tangent-fiber cofactor along d/dy: {cofactor}")
     try:
@@ -202,7 +202,7 @@ def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
                 f"gauge transform by h = {h} leaves cofactor {cofactor - dlog} "
                 f"(dlog({h}) = {dlog} under this system)"
             )
-    except (ParseError, ZeroDivisionError):
+    except ParseError:
         pass
     return notes
 
@@ -301,10 +301,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, HypothesisError, ValueError, ZeroDivisionError) as exc:
+    except (ShapeError, HypothesisError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except (WitnessVerificationError, RuntimeError) as exc:
+    except Exception as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .algebra.factor import factor_rationals
 from .algebra.unipoly import UniPoly, poly_gcd
-from .errors import WitnessVerificationError
+from .errors import HypothesisError, WitnessVerificationError
 from .ratfunc import (
     INTEGER,
     RATIONAL,
@@ -113,7 +113,7 @@ class SystemVerdict:
 def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
     """Orthogonality of the base equation x' = f(x) from the spectrum of (1/f)dx."""
     if f.is_zero:
-        raise ValueError("base coefficient f must be nonzero")
+        raise HypothesisError("base coefficient f must be nonzero")
     herm = hermite_reduce(RatFunc.one() / f)
     spectrum = herm.spectrum
     if f.is_polynomial and f.num.degree <= 1:
@@ -273,8 +273,6 @@ def beta_search_log(
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    if f.is_zero:
-        raise ValueError("f must be nonzero")
     n, m, d, parts = _search_data(f, g, base)
 
     conditions: list[tuple[Fraction, Fraction]] = []

@@ -17,8 +17,9 @@ from .report import Report, emit
 
 # The values of `expect_error` and the error each one names.
 ERROR_KINDS = {"hypothesis": HypothesisError, "parse": ParseError, "shape": ShapeError}
-# Every error the cli turns into an exit code; a record that raises one fails.
-REFUSALS = (OrthoscopeError, ValueError, ZeroDivisionError, RuntimeError)
+# The package's own errors; a record that raises one fails. Any other
+# exception is an internal fault, which the cli reports with exit code 4.
+REFUSALS = OrthoscopeError
 
 
 @dataclass

@@ -177,7 +177,7 @@ def system_derivative(v: PlanarVectorField, h: BiRatFunc) -> BiRatFunc:
 def system_dlog(v: PlanarVectorField, h: BiRatFunc) -> BiRatFunc:
     """delta(h)/h for the system derivation."""
     if h.is_zero:
-        raise ZeroDivisionError("logarithmic derivative of zero")
+        raise HypothesisError("logarithmic derivative of zero")
     return system_derivative(v, h) / h
 
 

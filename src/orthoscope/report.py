@@ -58,6 +58,8 @@ def residue_string(residue) -> str:
 
 
 def spectrum_entries(spectrum: Optional[PoleSpectrum]) -> list[dict]:
+    """The spectrum's entries as it holds them: every spectrum is made in
+    factor order."""
     if spectrum is None:
         return []
     entries = [
@@ -66,9 +68,7 @@ def spectrum_entries(spectrum: Optional[PoleSpectrum]) -> list[dict]:
             "multiplicity": entry.multiplicity,
             "residue": residue_string(entry.residue),
         }
-        for entry in sorted(
-            spectrum.affine_poles, key=lambda e: (e.locus.degree, e.locus.coeffs)
-        )
+        for entry in spectrum.affine_poles
     ]
     if spectrum.infinity_pole is not None:
         entries.append(

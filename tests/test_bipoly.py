@@ -462,8 +462,9 @@ def _repeated_squaring(p: BiPoly, n: int) -> BiPoly:
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 

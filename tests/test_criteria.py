@@ -31,6 +31,7 @@ from orthoscope.criteria import (
     STATUS_INCONCLUSIVE,
     STATUS_NONE,
 )
+from orthoscope.errors import HypothesisError
 from conftest import record_calls
 
 P = RatFunc.from_poly
@@ -59,7 +60,7 @@ class TestBaseOrthogonal:
             assert not v.orthogonal and v.evidence == EVIDENCE_DEGENERATE
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError, match="base coefficient f must be nonzero"):
             base_orthogonal(RatFunc.zero())
 
     def test_evidence_consistent_with_spectrum(self, x):
@@ -98,7 +99,7 @@ class TestBetaSearchLog:
         assert r.residue_table.affine_poles == () and r.residue_table.infinity_pole is None
 
     def test_zero_f_rejected(self, x):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError, match="base coefficient f must be nonzero"):
             f = RatFunc.zero()
             beta_search_log(f, P(x), base_orthogonal(f), RATIONAL)
 
@@ -652,3 +653,41 @@ class TestFixtureHonesty:
             if outcome.report is not None:
                 assert "inconclusive" != outcome.report.verdict
                 assert outcome.report.completeness_case != CASE_C
+
+
+class TestSpectrumOrder:
+    """Every spectrum is made in factor order, by degree and then
+    coefficients as factor_rationals sorts its parts, so the report prints
+    the entries in the order they come."""
+
+    @staticmethod
+    def _keys(spectrum) -> list:
+        return [(e.locus.degree, e.locus.coeffs) for e in spectrum.affine_poles]
+
+    def test_spectra_are_made_in_factor_order(self, x):
+        import random
+
+        from orthoscope import factor_rationals, hermite_reduce
+
+        rng = random.Random(20020)
+        pool = [x - 2, x + 1, x, x - Fraction(1, 2), x**2 + 1, x**2 - 2, x**3 - 2]
+        tables = {"log": 0, "derivative": 0}
+        for _ in range(100):
+            f, g = TestSearchFactorization._input(rng, x)
+            r = g / f
+            for loci in (None, factor_rationals(r.den).parts):
+                keys = self._keys(hermite_reduce(r, loci).spectrum)
+                assert keys == sorted(keys), (r, loci)
+            # g_der = beta + f*h' makes the derivative search find h
+            h = RatFunc.zero()
+            for q in rng.sample(pool, rng.randint(2, 3)):
+                h = h + RatFunc(UniPoly.constant(rng.choice([1, -2, 3])), q ** rng.randint(1, 2))
+            g_der = f * h.derivative() + Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+            base = base_orthogonal(f)
+            for kind, result in (("log", beta_search_log(f, g, base, RATIONAL)),
+                                 ("derivative", beta_search_derivative(f, g_der, base))):
+                if result.residue_table is not None:
+                    keys = self._keys(result.residue_table)
+                    assert keys == sorted(keys), (kind, f, g)
+                    tables[kind] += len(keys) >= 2
+        assert min(tables.values()) >= 10, tables

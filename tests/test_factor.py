@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import UniPoly, factor_rationals, squarefree_decompose
-from orthoscope.algebra.factor import rational_roots_squarefree
+from orthoscope import UniPoly, factor_rationals
 
-from conftest import random_unipoly
+from conftest import random_unipoly, record_calls
+
+
+def linear_factor_roots(p: UniPoly) -> set[Fraction]:
+    """The roots of the linear factors that factor_rationals finds."""
+    return {-q.coeff(0) for q, _ in factor_rationals(p).parts if q.degree == 1}
 
 
 def brute_force_rational_roots(p: UniPoly) -> set[Fraction]:
@@ -90,9 +94,7 @@ class TestFactorProperties:
             p = random_unipoly(rng, 5, lo=-6, hi=6, nonzero=True)
             if p.degree < 1:
                 continue
-            got = {r for part, _ in squarefree_decompose(p).parts
-                   for r in rational_roots_squarefree(part)}
-            assert got == brute_force_rational_roots(p)
+            assert linear_factor_roots(p) == brute_force_rational_roots(p)
 
     def test_multiplicities(self, x):
         parts = factor_rationals((2 * x - 1) ** 2 * (x + 3) * (x**2 + 1)).parts
@@ -105,4 +107,21 @@ class TestFactorProperties:
         assert factor_rationals(UniPoly.constant(5)).parts == ()
 
     def test_squarefree_roots_with_zero_root(self, x):
-        assert rational_roots_squarefree(x * (x - 2)) == [Fraction(0), Fraction(2)]
+        for p in (x * (x - 2), x * (4 * x**2 - 3), x * (3 * x - 2) * (x**2 + 1)):
+            assert linear_factor_roots(p) == brute_force_rational_roots(p)
+        assert linear_factor_roots(x * (x - 2)) == {Fraction(0), Fraction(2)}
+
+    def test_one_prime_search_per_part(self, x, monkeypatch):
+        from orthoscope.algebra import factor
+
+        searched = record_calls(monkeypatch, factor._good_prime)
+        cases = [((3 * x - 2) * (x**2 + 1), [(x - Fraction(2, 3), 1), (x**2 + 1, 1)]),
+                 (x**6 - 3, [(x**6 - 3, 1)]),
+                 (x**3 - 2, [(x**3 - 2, 1)]),
+                 ((x**2 - 2) ** 2 * x * (2 * x + 1),
+                  [(x, 1), (x + Fraction(1, 2), 1), (x**2 - 2, 2)])]
+        for p, parts in cases:
+            searched.clear()
+            assert list(factor_rationals(p).parts) == parts
+            # one search for each squarefree part of degree >= 2
+            assert len(searched) == len({m for _, m in parts})

@@ -341,7 +341,7 @@ class TestSystemDerivation:
             done += 1
 
     def test_dlog_of_zero_rejected(self, quadratic_fiber_field):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(HypothesisError, match="logarithmic derivative of zero"):
             system_dlog(quadratic_fiber_field, BiRatFunc.zero())
 
 

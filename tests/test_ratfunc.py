@@ -23,7 +23,6 @@ from orthoscope import (
     resultant_x,
     squarefree_decompose,
 )
-from orthoscope.algebra.factor import rational_roots_squarefree
 from orthoscope.ratfunc import (
     REASON_IMPROPER_AT_INFINITY,
     REASON_MULTIPLE_POLE,
@@ -84,6 +83,15 @@ def charpoly_oracle(elem, degree: int) -> UniPoly:
     return UniPoly.of(list(reversed(coeffs)))
 
 
+def rational_roots(p: UniPoly) -> list[Fraction]:
+    """The distinct rational roots of p, from sympy, so that the oracles
+    below share no code with the factorizer."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    roots = sympy.Poly(coeffs, sympy.Symbol("t"), domain=sympy.QQ).ground_roots()
+    return sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+
+
 def ratio_oracle(rho: UniPoly) -> bool:
     """True iff every ratio of two roots of rho is rational, decided from the
     ratio polynomial Phi(s) = Res_t(rho(t), s^n rho(t/s)), whose n^2 roots
@@ -97,7 +105,7 @@ def ratio_oracle(rho: UniPoly) -> bool:
     phi = resultant_x(a, b)
     total = 0
     for part, mult in squarefree_decompose(phi).parts:
-        nroots = len(rational_roots_squarefree(part))
+        nroots = len(rational_roots(part))
         if nroots < part.degree:
             return False
         total += mult * nroots
@@ -113,7 +121,7 @@ def witness_oracle(r: RatFunc, scale: int) -> RatFunc:
     h = RatFunc.one()
     rho = residue_polynomial(r)
     for value in sorted(v for part, _ in squarefree_decompose(rho).parts
-                        for v in rational_roots_squarefree(part)):
+                        for v in rational_roots(part)):
         c = value * scale
         if c != 0:
             h = h * RatFunc.from_poly(poly_gcd(d, n * scale - c * d.derivative())) ** int(c)

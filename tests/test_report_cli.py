@@ -177,6 +177,26 @@ class TestCliExitCodes:
         assert err.startswith("internal inconsistency: modular factorization")
         assert "Traceback" not in err
 
+    def test_internal_value_error_exit_four(self, capsys, monkeypatch):
+        # an inexact division deep in the algebra is an internal fault, not
+        # an input error
+        import orthoscope.algebra.factor as factor_mod
+
+        def broken_factor(p):
+            raise ValueError("inexact polynomial division: x by x - 1")
+
+        monkeypatch.setattr(factor_mod, "_factor_squarefree", broken_factor)
+        assert main(["classify", "x' = x^2*(x - 1); y' = y*x"]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal inconsistency: inexact polynomial division: x by x - 1\n"
+
+    def test_degenerate_inputs_exit_three(self, capsys):
+        for argv, message in (
+                (["classify", "x' = 0; y' = y"], "base coefficient f must be nonzero"),
+                (["dlog-sys", "--h", "0", "x' = y; y' = x"], "logarithmic derivative of zero")):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_input_file(self, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text("x' = x^2*(x-1); y' = x\n")
@@ -217,16 +237,18 @@ class TestCliExitCodes:
         assert run_fixture(right).passed
 
     def test_fixture_runner_reports_refusals(self):
-        # f = 0 is refused with a ValueError: a FAIL line, not an escape
+        # f = 0 is refused with a HypothesisError: a FAIL line, not an escape
         record = "[zero-base]\ncommand = base\nsource = 0\n"
         (verdict,) = load_corpus(record + "expect_verdict = base-orthogonal\n")
         outcome = run_fixture(verdict)
         assert not outcome.passed
-        assert outcome.details == ["raised ValueError: base coefficient f must be nonzero"]
+        assert outcome.details == ["raised HypothesisError: base coefficient f must be nonzero"]
         (error,) = load_corpus(record + "expect_error = shape\n")
         outcome = run_fixture(error)
         assert not outcome.passed
-        assert outcome.details == ["expected a shape error, raised ValueError"]
+        assert outcome.details == ["expected a shape error, raised HypothesisError"]
+        (right,) = load_corpus(record + "expect_error = hypothesis\n")
+        assert run_fixture(right).passed
 
     def test_dlog_sys_command(self, capsys):
         assert main(["dlog-sys", "--h", "y", "x' = x^3*(x-1); y' = x*y + y^2/2"]) == 0

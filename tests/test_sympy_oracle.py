@@ -121,6 +121,11 @@ def test_factor_rationals_matches_sympy():
     cases = [_structured_poly(rng) for _ in range(100)]
     cases.append(UniPoly.of([1, 0, -10, 0, 1]))      # x^4 - 10x^2 + 1
     cases.append(UniPoly.of([-2, 0, 0, 1]) * UniPoly.of([3, 0, 1]) ** 2)
+    # non-monic products of rational roots, a zero root and irreducible cofactors
+    x = UniPoly.variable()
+    cases.append((3 * x - 2) * (5 * x + 1) * (7 * x**2 - 3) * (2 * x**3 - 5))
+    cases.append(x * (4 * x**2 - 3))
+    cases.append(Fraction(-2, 9) * x**2 * (6 * x + 5) ** 2 * (9 * x**4 - 2) * (3 * x**2 + x + 1))
     for p in cases:
         fac = factor_rationals(p)
         content, parts = to_sympy(p).factor_list()   # primitive integer factors

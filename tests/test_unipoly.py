@@ -61,6 +61,27 @@ class TestArithmetic:
                 got = p.eval(point)
                 assert type(got) is float and got == horner(p, point, 0.0), (p, point)
 
+    def test_power_multiplication_count(self):
+        # repeated squaring takes bit_length - 1 squarings and popcount
+        # products into the result, with no squaring after the top bit
+        from orthoscope.algebra.unipoly import _power
+
+        @dataclass(frozen=True)
+        class Exponent:
+            """The ring of the powers of a formal generator, written additively."""
+            k: int
+
+            def __mul__(self, other):
+                products.append(None)
+                return Exponent(self.k + other.k)
+
+        for n in (1, 2, 3, 7, 8, 1000, 1023, 1024):
+            products = []
+            assert _power(Exponent(1), n, Exponent(0)) == Exponent(n)
+            assert len(products) == n.bit_length() - 1 + bin(n).count("1"), n
+        products = []
+        assert _power(Exponent(1), 0, Exponent(0)) == Exponent(0) and products == []
+
     def test_antiderivative_inverts_derivative(self, x):
         p = Fraction(1, 3) * x**4 - 2 * x + 5
         assert p.antiderivative().derivative() == p
