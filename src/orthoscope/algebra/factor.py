@@ -116,13 +116,9 @@ def _primes():
 
 
 def _good_prime(f_int: list[int]) -> int:
-    """A prime not dividing lc(f) and keeping f squarefree mod p."""
+    """A prime keeping the monic f squarefree mod p."""
     for p in _primes():
-        if f_int[-1] % p == 0:
-            continue
-        fp = _pz_trim([v % p for v in f_int])
-        if len(fp) != len(f_int):
-            continue
+        fp = [v % p for v in f_int]
         if len(_pz_gcd(fp, _pz_deriv(fp, p), p)) == 1:
             return p
     raise RuntimeError("unreachable: no good prime found")
@@ -180,11 +176,9 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
 def _left_nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
     """Basis of {v : v*mat = 0} over GF(p)."""
     n = len(mat)
-    cols = [[mat[i][j] for i in range(n)] for j in range(n)]  # transpose
-    aug = [cols[j] + [] for j in range(n)]
+    m = [[mat[i][j] for i in range(n)] for j in range(n)]  # transpose
     pivots: dict[int, int] = {}
     row = 0
-    m = [list(r) for r in aug]
     for col in range(n):
         pr = next((i for i in range(row, n) if m[i][col] % p != 0), None)
         if pr is None:
@@ -247,7 +241,7 @@ def _lift_factors(f_int: list[int], facs: list[list[int]], p: int, target: int):
         out.append(h_lift)
         cur = g_lift
     out.append(cur)
-    return out, max(modulus, p)
+    return out, modulus
 
 
 # -- Zassenhaus ------------------------------------------------------------------

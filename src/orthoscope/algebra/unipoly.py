@@ -286,10 +286,6 @@ class UniPoly:
         return _canonical(*_mul_pair(self.cnum, self.cden, 1, d**m),
                           [v * d**k for k, v in enumerate(b)])
 
-    def reverse(self) -> "UniPoly":
-        """Coefficient reversal: x^deg * p(1/x)."""
-        return _canonical(self.cnum, self.cden, list(reversed(self.prim)))
-
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "UniPoly":

@@ -191,14 +191,15 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 # -- the log-family beta search ------------------------------------------------
 
 
-def _multiplicity(p: UniPoly, q: UniPoly) -> int:
-    """The exponent of q in the nonzero polynomial p, by exact division."""
-    e = 0
-    while True:
-        p, left = divmod(p, q)
+def _strip(p: UniPoly, q: UniPoly, most: int) -> tuple[UniPoly, int]:
+    """p/q^k and k, for the largest k <= most with q^k | p."""
+    k = 0
+    while k < most:
+        quotient, left = divmod(p, q)
         if not left.is_zero:
-            return e
-        e += 1
+            break
+        p, k = quotient, k + 1
+    return p, k
 
 
 def _search_parts(
@@ -210,7 +211,8 @@ def _search_parts(
     of f.num are the affine pole loci of 1/f that base already holds, so
     only g.den is factored here, and only when it is nonconstant.
     common = gcd(f.den, g.den) has no root of f.num, so only the loci of
-    g.den can divide it; it is divided only when nonconstant.
+    g.den can divide it, each at most mult_q(g.den) <= mult[q] times; it
+    is divided only when nonconstant.
     """
     mult = {e.locus: e.multiplicity for e in base.spectrum.affine_poles}
     if g.den.degree >= 1:
@@ -218,7 +220,7 @@ def _search_parts(
             mult[q] = mult.get(q, 0) + e
     if common.degree > 0:
         for q in mult:
-            mult[q] -= _multiplicity(common, q)
+            mult[q] -= _strip(common, q, mult[q])[1]
     return tuple(sorted(((q, e) for q, e in mult.items() if e),
                         key=lambda qe: (qe[0].degree, qe[0].coeffs)))
 
@@ -415,7 +417,8 @@ def _test_candidate(
         else:
             poles.append(PoleEntry(q, 1, value))
     r = RatFunc._coprime(num, den)
-    result = dlog_from_spectrum(r, PoleSpectrum(tuple(poles), _infinity_pole(r)), residue_class)
+    spectrum = PoleSpectrum(tuple(poles), _infinity_pole(r, r.num))    # r is proper
+    result = dlog_from_spectrum(r, spectrum, residue_class)
     if result.found:
         return BetaSearchResult(
             STATUS_FOUND, beta, result.witness, case, result.spectrum, None
@@ -499,17 +502,15 @@ def _reduce_over(
     """c/d in lowest terms and its denominator's factorization, for d monic
     with factorization parts.
 
-    Each locus q of d, of multiplicity e, divides c to some power k, and
-    q^min(k, e) is divided out of both sides exactly. What is left is
-    coprime, so the result is built without a gcd.
+    Each locus q of d, of multiplicity e, divides c to some power k <= e,
+    and q^k is divided out of both sides exactly. What is left is coprime,
+    so the result is built without a gcd; c = 0 gives 0/1 and no loci.
     """
-    if c.is_zero:    # _multiplicity never returns on zero
-        return RatFunc.zero(), ()
     loci = []
     for q, e in parts:
-        k = min(_multiplicity(c, q), e)
+        c, k = _strip(c, q, e)
         if k:
-            c, d = c.exact_div(q**k), d.exact_div(q**k)
+            d = d.exact_div(q**k)
         if k < e:
             loci.append((q, e - k))
     return RatFunc._coprime(c, d), tuple(loci)

@@ -372,30 +372,22 @@ def pole_spectrum(r: RatFunc) -> PoleSpectrum:
     return hermite_reduce(r).spectrum
 
 
-def _infinity_pole(r: RatFunc) -> Optional[InfinityPole]:
+def _infinity_pole(r: RatFunc, n0: UniPoly) -> Optional[InfinityPole]:
+    """The pole of r*dx at infinity, for n0 = r.num mod r.den.
+
+    r = q + n0/den with q a polynomial and den monic, so the x^(-1)
+    coefficient of r's expansion at infinity is that of n0/den, the
+    x^(deg den - 1) coefficient of n0; the chart u = 1/x maps x^(-1)*dx to
+    -u^(-1)*du, so the residue is minus that coefficient (Bronstein,
+    Symbolic Integration I, section 2.1). The multiplicity is
+    deg num - deg den + 2, the order of -r(1/u)*u^(-2) at u = 0.
+    """
     if r.is_zero:
         return None
-    pn, pd = int(r.num.degree), int(r.den.degree)
-    mult = pn - pd + 2
+    mult = int(r.num.degree) - int(r.den.degree) + 2
     if mult <= 0:
         return None
-    # u^mult * s(u) = -rev(num)/rev(den), regular at u = 0
-    w_num = -r.num.reverse()
-    w_den = r.den.reverse()
-    residue = _taylor_coeff(w_num, w_den, mult - 1)
-    return InfinityPole(mult, residue)
-
-
-def _taylor_coeff(num: UniPoly, den: UniPoly, k: int) -> Fraction:
-    """Taylor coefficient [u^k] of num/den at u = 0, den(0) != 0."""
-    d0 = den.coeff(0)
-    coeffs: list[Fraction] = []
-    for j in range(k + 1):
-        acc = num.coeff(j)
-        for i in range(1, j + 1):
-            acc -= den.coeff(i) * coeffs[j - i]
-        coeffs.append(acc / d0)
-    return coeffs[k]
+    return InfinityPole(mult, -n0.coeff(int(r.den.degree) - 1))
 
 
 # -- Hermite reduction ----------------------------------------------------------------
@@ -504,7 +496,7 @@ def hermite_reduce(
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
     h = RatFunc._coprime(h_num + quotient.antiderivative() * h_den, h_den)
     spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
-                            _infinity_pole(r))
+                            _infinity_pole(r, n0))
     return HermiteDecomposition(h, RatFunc(rem_num, rem_den), spectrum)
 
 

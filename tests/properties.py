@@ -35,11 +35,17 @@ X = UniPoly.variable()
 
 
 def residue_sum_zero(count: int = 300) -> None:
+    """Each draw is checked proper and plus a polynomial part, which adds a
+    pole of order 2 or more at infinity but leaves every residue as it was."""
     rng = random.Random(77)
     for _ in range(count):
         den = random_squarefree_denominator(rng)
         r = random_proper_ratfunc(rng, den)
         assert pole_spectrum(r).residue_sum() == 0
+        improper = r + RatFunc.from_poly(random_unipoly(rng, 6, nonzero=True))
+        spectrum = pole_spectrum(improper)
+        assert spectrum.infinity_pole.multiplicity >= 2
+        assert spectrum.residue_sum() == 0
 
 
 def hermite_roundtrip(count: int = 300) -> None:

@@ -531,6 +531,17 @@ class TestSearchFactorization:
                             "a locus of g.den cancels", "locus of degree 2",
                             "locus of degree 3"}, features
 
+    def test_reduce_over_divides_each_locus_out_at_most_e_times(self, x):
+        from orthoscope import criteria
+
+        parts = ((x - 1, 3), (x + 2, 1), (x**2 + 1, 2))
+        d = (x - 1) ** 3 * (x + 2) * (x**2 + 1) ** 2
+        c = (x - 1) ** 5 * (x**2 + 1) * (3 * x + 7)
+        r, loci = criteria._reduce_over(c, d, parts)
+        assert (r, loci) == (RatFunc((x - 1) ** 2 * (3 * x + 7), (x + 2) * (x**2 + 1)),
+                             ((x + 2, 1), (x**2 + 1, 1)))
+        assert criteria._reduce_over(UniPoly.zero(), d, parts) == (RatFunc.zero(), ())
+
     def test_candidate_residues_match_hermite_reduction(self, x, monkeypatch):
         import random
 

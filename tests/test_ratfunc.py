@@ -178,6 +178,27 @@ def random_ratfunc_with_multiple_poles(rng: random.Random) -> RatFunc:
             r = r + RatFunc(u, q ** (e - 1)).derivative()
 
 
+def infinity_oracle(r: RatFunc) -> tuple[int, Fraction] | None:
+    """(multiplicity, residue) of r*dx at infinity by the Taylor series at
+    u = 0 in the chart u = 1/x, where r*dx = u^(-mult)*w(u)*du with
+    w = -rev(num)/rev(den) regular: the residue is [u^(mult - 1)] w. None
+    when r*dx is regular there."""
+    if r.is_zero:
+        return None
+    num = [-c for c in reversed(r.num.coeffs)]
+    den = list(reversed(r.den.coeffs))
+    mult = len(num) - len(den) + 2
+    if mult <= 0:
+        return None
+    w: list[Fraction] = []
+    for j in range(mult):
+        acc = num[j] if j < len(num) else Fraction(0)
+        for i in range(1, min(j, len(den) - 1) + 1):
+            acc -= den[i] * w[j - i]
+        w.append(acc / den[0])
+    return mult, w[mult - 1]
+
+
 def hermite_oracle(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     """Hermite reduction with one rational-function addition per step and
     every power of p recomputed: the (derivative part, remainder) that
@@ -398,6 +419,32 @@ class TestPoleSpectrum:
         s = pole_spectrum(RatFunc(x + 1, x**2))
         (entry,) = s.affine_poles
         assert entry.multiplicity == 2 and entry.residue == 1
+
+    def test_infinity_pole_matches_series_oracle(self, x):
+        # the oracle runs the Taylor series; the spectrum reads the residue
+        # off the remainder r.num mod r.den of the Hermite reduction
+        rng = random.Random(2021)
+        quadratics = [x**2 + 1, x**2 - 2, x**2 + x + 1, 3 * x**2 - 5 * x + 7]
+        seen, cases = set(), 0
+        for mult in range(-3, 41):
+            for _ in range(25):
+                den = UniPoly.constant(Fraction(rng.choice([-7, -3, 2, 5]), rng.randint(1, 4)))
+                for _ in range(rng.randint(0 if mult >= 2 else 1, 3)):
+                    q = (rng.choice(quadratics) if rng.random() < 0.4
+                         else rng.randint(1, 3) * x - rng.randint(-4, 4))
+                    den = den * q ** rng.randint(1, 3)
+                while den.degree + mult - 2 < 0:
+                    den = den * (x - rng.randint(-4, 4))
+                num = UniPoly.of([rng.randint(-9, 9) for _ in range(int(den.degree) + mult - 2)]
+                                 + [rng.choice([-9, -4, -1, 1, 3, 8])])
+                r = RatFunc(num if rng.random() < 0.95 else UniPoly.zero(), den)
+                pole = pole_spectrum(r).infinity_pole
+                expected = infinity_oracle(r)
+                assert (None if pole is None else (pole.multiplicity, pole.residue)) == expected, r
+                seen.add("zero" if r.is_zero else expected and expected[0])
+                cases += 1
+        assert cases >= 1000
+        assert seen == {"zero", None, *range(1, 41)}
 
     def test_one_factorization_per_spectrum(self, x, monkeypatch):
         from orthoscope import ratfunc

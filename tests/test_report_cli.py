@@ -134,6 +134,34 @@ class TestCliExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "verdict: nonorthogonal-uniformly-almost-internal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["residues", "x^1000"],
+         "command: residues\nverdict: residues-computed\nresidues:\n"
+         "  infinity: multiplicity 1002, residue 0\n"),
+        (["classify", "x' = 1; y' = x^1000"],
+         "command: classify\nverdict: base-nonorthogonal-criterion-inapplicable\n"
+         "  (base not orthogonal to the constants; the fiber criterion is inapplicable)\n"
+         "base: not orthogonal to the constants [degenerate-low-degree]\n"
+         "  pole infinity: multiplicity 2, residue 0\nbeta: 0\n"
+         "witness: h = 1/1001*x^1001, scaling 1\nresidues:\n"
+         "  infinity: multiplicity 1002, residue 0\ncompleteness case: B\n"),
+        (["is-derivative", "x^999*(x-1)"],
+         "command: is-derivative\nverdict: derivative-witness-found\n"
+         "witness: h = 1/1001*x^1001 - 1/1000*x^1000, scaling 1\n"),
+        (["is-dlog", "x^998/(x-1)"],
+         "command: is-dlog\nverdict: dlog-witness-none\nresidues:\n"
+         "  x - 1: multiplicity 1, residue 1\n  infinity: multiplicity 999, residue -1\n"
+         "note: reason: improper-at-infinity\n"),
+    ], ids=["residues", "classify", "is-derivative", "is-dlog"])
+    def test_high_order_pole_at_infinity_exits_zero_within_a_second(self, argv, expected,
+                                                                    capsys):
+        # the residue at infinity is read off the remainder of the Hermite
+        # reduction, with no series expansion to the pole's order
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (expected, "")
+
     def test_closed_pipe_exits_one_quietly(self):
         # the witness identity runs to about 170 kB, more than a pipe holds,
         # so the writer is still writing when the reader goes away
