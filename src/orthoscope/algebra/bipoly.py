@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import (_ZERO, UniPoly, _div_pair, _frac, _join_terms, _mul_pair, _pair, _power,
-                      poly_gcd)
+from .unipoly import (_ZERO, UniPoly, _binomial, _div_pair, _frac, _join_terms, _mul_pair, _pair,
+                      _power, poly_gcd)
 from .unipoly import _canonical as _uni_canonical
 
 
@@ -205,15 +205,8 @@ class BiPoly:
         the n-th power of the base's positive one. So the content is c**n,
         and the n-th powers of a coprime pair are coprime."""
         ((i1, j1), a), ((i2, j2), b) = self.prim.items()
-        a_pows, b_pows = [1], [1]
-        for _ in range(n):
-            a_pows.append(a_pows[-1] * a)
-            b_pows.append(b_pows[-1] * b)
-        out: dict[tuple[int, int], int] = {}
-        binom = 1
-        for k in range(n + 1):
-            out[(i1 * (n - k) + i2 * k, j1 * (n - k) + j2 * k)] = binom * a_pows[n - k] * b_pows[k]
-            binom = binom * (n - k) // (k + 1)
+        out = {(i1 * (n - k) + i2 * k, j1 * (n - k) + j2 * k): v
+               for k, v in enumerate(_binomial(a, b, n))}
         return BiPoly(self.cnum**n, self.cden**n, out)
 
     # -- derivatives and substitution ----------------------------------

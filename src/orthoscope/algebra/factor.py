@@ -3,9 +3,10 @@
 Pipeline: squarefree decomposition, then for each squarefree part one monic
 integer transform and one good prime p. The transform's integer roots are
 Newton-lifted from its roots mod p (no big-integer divisor enumeration) and
-divided out over Z; the cofactor gets a Berlekamp factorization mod the same
-p, a Hensel lift and subset recombination. Intended for degrees up to a few
-dozen with moderate coefficients.
+divided out over Z; the cofactor, rescaled to its own monic transform, gets
+a Berlekamp factorization mod the same p, a Hensel lift and subset
+recombination. Intended for degrees up to a few dozen with moderate
+coefficients.
 """
 
 from __future__ import annotations
@@ -343,22 +344,33 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of a squarefree polynomial.
 
     The primitive f with leading coefficient l maps to the monic integer
-    F(y) = l^(n-1) f(y/l), and one good prime p serves F throughout: F's
-    integer roots are split off first, and the cofactor G goes to Berlekamp,
-    Hensel lifting and recombination mod p, since G mod p divides F mod p and
-    so stays squarefree. Each factor G_i of F maps back to G_i(l*x) made monic.
+    F(y) = l^(n-1) f(y/l), and one good prime p serves F throughout. F's
+    integer roots R_i split off first, as x - R_i/l. By Gauss's lemma f's
+    cofactor over Z has leading coefficient l' = l/s, s = prod l/gcd(R_i, l),
+    so F's cofactor has s times the roots of G, the cofactor's own monic
+    transform: G's coefficient k is F's cofactor's divided by s^(m-k), m its
+    degree. G goes to Berlekamp, Hensel lifting and recombination mod p, and
+    each factor G_i maps back to G_i(l'*x) made monic. G stays squarefree
+    mod p, as p does not divide s: s > 1 needs a root, so n >= 3 when G has
+    degree >= 2, and a good prime for a monic F of degree n >= 3 cannot
+    divide l, or F would be y^(n-1)*(y + f_(n-1)) mod p.
     """
     if f.degree <= 1:
         return [f.monic()] if f.degree == 1 else []
     n, l = len(f.prim) - 1, f.prim[-1]
     f_int = [c * l ** (n - 1 - i) for i, c in enumerate(f.prim[:-1])] + [1]
     p = _good_prime(f_int)
-    factors, g_int = _split_integer_roots(f_int, p)
+    linear, g_int = _split_integer_roots(f_int, p)
+    factors = [(h, l) for h in linear]      # (factor of a transform, its l)
     if len(g_int) > 1:
+        s = math.prod(l // math.gcd(h[0], l) for h in linear)
+        m = len(g_int) - 1
+        g_int = [c // s ** (m - k) for k, c in enumerate(g_int)]
         modular = _berlekamp([v % p for v in g_int], p)
         if len(modular) == 1:
-            factors.append(g_int)
+            cofactors = [g_int]
         else:
             lifted, modulus = _lift_factors(g_int, modular, p, _mignotte_target(g_int))
-            factors += _recombine(g_int, lifted, modulus)
-    return [UniPoly.of([c * l**i for i, c in enumerate(h)]).monic() for h in factors]
+            cofactors = _recombine(g_int, lifted, modulus)
+        factors += [(h, l // s) for h in cofactors]
+    return [UniPoly.of([c * k**i for i, c in enumerate(h)]).monic() for h, k in factors]

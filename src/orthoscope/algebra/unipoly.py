@@ -192,7 +192,24 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
+        """self**n; a two-term base by the binomial theorem, any other by
+        repeated squaring."""
+        terms = [(k, v) for k, v in enumerate(self.prim) if v]
+        if len(terms) == 2 and n >= 0:
+            return self._binomial_power(terms, n)
         return _power(self, n, UniPoly.one())
+
+    def _binomial_power(self, terms: list[tuple[int, int]], n: int) -> "UniPoly":
+        """(c*(b*x^i + a*x^j))**n for terms [(i, b), (j, a)], i < j, by the
+        binomial theorem: the terms of _binomial(a, b, n) go to the distinct
+        exponents j*(n-k) + i*k. By Gauss's lemma they form a primitive
+        polynomial with leading coefficient a**n > 0, so the content is
+        c**n."""
+        (i, b), (j, a) = terms
+        out = [0] * (j * n + 1)
+        for k, v in enumerate(_binomial(a, b, n)):
+            out[j * (n - k) + i * k] = v
+        return UniPoly(self.cnum**n, self.cden**n, tuple(out))
 
     def __divmod__(self, other) -> tuple["UniPoly", "UniPoly"]:
         other = self._coerce(other)
@@ -324,6 +341,19 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return result
+
+
+def _binomial(a: int, b: int, n: int) -> list[int]:
+    """C(n, k)*a**(n-k)*b**k for k = 0..n, the coefficients of (a*s + b*t)**n."""
+    a_pows = [1]
+    for _ in range(n):
+        a_pows.append(a_pows[-1] * a)
+    out, binom, b_pow = [], 1, 1
+    for k in range(n + 1):
+        out.append(binom * a_pows[n - k] * b_pow)
+        binom = binom * (n - k) // (k + 1)
+        b_pow *= b
+    return out
 
 
 def _join_terms(terms: list[tuple[Fraction, str]]) -> str:

@@ -24,8 +24,10 @@ from .algebra.bipoly import BiPoly, resultant_x
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
     UniPoly,
+    _canonical,
     _frac,
     _join_terms,
+    _mul_pair,
     poly_gcd,
     poly_xgcd,
 )
@@ -427,10 +429,17 @@ def hermite_reduce(
     When p is a single linear locus x - c and e >= 2, the e - 1 steps are
     one Taylor shift each way (_linear_laurent): the Laurent coefficients
     alpha_k of a/(x - c)^e are read off a(u + c), the residue is
-    alpha_{e-1}, and the derivative part is integrated term by term. The
-    steps leave the constant -alpha_{e-1}*H_{e-1} in h, with
-    H_{e-1} = 1 + 1/2 + ... + 1/(e-1); the shift adds it too, so both
-    give the same h. No gcd and only p^(e-1) and p^e are needed.
+    alpha_{e-1}, and the derivative part is integrated term by term, on
+    integers over one content. The steps leave the constant
+    -alpha_{e-1}*H_{e-1} in h, with H_{e-1} = 1 + 1/2 + ... + 1/(e-1); the
+    shift adds it too, so both give the same h. No gcd and only p^(e-1)
+    (by the binomial theorem) and p^e are needed.
+
+    The partial-fraction split over the parts p^e (_split_partial) takes
+    an extended gcd only where the part it splits off is not a single
+    linear locus: parts are ordered by multiplicity, so for
+    (x - a)^e*(x - b) the simple locus x - b comes first and the split is
+    one evaluation and one exact division, with no extended gcd at all.
 
     The pieces are summed as polynomials over D = prod p^(e-1) and
     P = prod p. D*P must equal r.den, which catches a wrong factorization,
@@ -517,29 +526,48 @@ def _linear_laurent(a: UniPoly, c: Fraction, e: int) -> tuple[UniPoly, UniPoly]:
     over (x - c)^(e-1), and its residue as a constant polynomial.
 
     With a(u + c) = sum alpha_k u^k, the derivative part is
-    sum_{k <= e-2} alpha_k/(k-e+1) u^(k-e+1) - alpha_{e-1}*H_{e-1}, where
-    the constant, with H_{e-1} = 1 + 1/2 + ... + 1/(e-1), is the one the
-    step-by-step reduction leaves; the residue is alpha_{e-1}.
+    sum_{k <= e-2} alpha_k/(k-e+1) u^(k-e+1) - alpha_{e-1}*S/L, where
+    L = lcm(1, ..., e-1) and S = sum_{j < e} L/j, so S/L is the harmonic
+    number 1 + 1/2 + ... + 1/(e-1); that constant is the one the
+    step-by-step reduction leaves. The residue is alpha_{e-1}. The alpha_k
+    are the content of one Taylor shift times its integer coefficients A_k,
+    so L times the derivative part's coefficients are the integers
+    -A_k*L/(e-1-k) and -A_{e-1}*S, over that content.
     """
-    alpha = a.taylor_shift(c).coeffs
-    alpha += (Fraction(0),) * (e - len(alpha))
-    residue = alpha[e - 1]
-    harmonic = sum(Fraction(1, j) for j in range(1, e))
-    beta = [alpha[k] / (k - e + 1) for k in range(e - 1)] + [-residue * harmonic]
-    return UniPoly.of(beta).taylor_shift(-c), UniPoly.constant(residue)
+    shifted = a.taylor_shift(c)
+    ints = shifted.prim + (0,) * (e - len(shifted.prim))
+    big_l = math.lcm(*range(1, e))
+    beta = [-ints[k] * (big_l // (e - 1 - k)) for k in range(e - 1)]
+    beta.append(-ints[e - 1] * sum(big_l // j for j in range(1, e)))
+    num, den = shifted.cnum, shifted.cden
+    return (_canonical(*_mul_pair(num, den, 1, big_l), beta).taylor_shift(-c),
+            _canonical(num, den, [ints[e - 1]]))
 
 
 def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
-    """Partial-fraction numerators of a over pairwise-coprime moduli."""
+    """Partial-fraction numerators of a over pairwise-coprime moduli.
+
+    With m1 = moduli[0] and rest the product of the others, a/(m1*rest) is
+    first/m1 + second/rest. At a linear m1 = x - c this is the identity
+    a = first*rest + second*(x - c): first = a(c)/rest(c) by evaluation,
+    and second by one exact division. A modulus of higher degree takes the
+    extended gcd s*m1 + t*rest = 1: first = a*t mod m1, second = a*s mod
+    rest.
+    """
     if len(moduli) == 1:
         return [a % moduli[0]]
     m1 = moduli[0]
     rest = UniPoly.one()
     for m in moduli[1:]:
         rest = rest * m
-    _, s, t = poly_xgcd(m1, rest)
-    # a/(m1*rest) = (a*t)/m1 + (a*s)/rest
-    return [(a * t) % m1] + _split_partial((a * s) % rest, moduli[1:])
+    if m1.degree == 1:
+        c = -m1.coeff(0)
+        first = UniPoly.constant(a.eval(c) / rest.eval(c))
+        second = (a - first * rest).exact_div(m1)
+    else:
+        _, s, t = poly_xgcd(m1, rest)
+        first, second = (a * t) % m1, (a * s) % rest
+    return [first] + _split_partial(second, moduli[1:])
 
 
 def exact_derivative_part(r: RatFunc, herm: HermiteDecomposition) -> Optional[WitnessData]:

@@ -125,3 +125,28 @@ class TestFactorProperties:
             assert list(factor_rationals(p).parts) == parts
             # one search for each squarefree part of degree >= 2
             assert len(searched) == len({m for _, m in parts})
+
+    def test_cofactor_is_its_own_monic_transform(self, x, monkeypatch):
+        # f = (3x - 2)(5x + 1)(7x^2 - 3)(2x^3 - 5) has l = 210 and integer
+        # roots 140 and -42 in F(y) = l^6*f(y/l); dividing them out leaves
+        # s = l/l' = 15 times the roots of the transform of the cofactor
+        # 14x^5 + ... with l' = 14, so the cofactor is rescaled by s before
+        # the lift, which then sees G(y) = (y^2 - 84)(y^3 - 6860) mod p
+        from orthoscope.algebra import factor
+
+        berlekamp = record_calls(monkeypatch, factor._berlekamp)
+        primes = []
+        pick = factor._good_prime
+
+        def recorded(f_int):
+            primes.append(pick(f_int))
+            return primes[-1]
+
+        monkeypatch.setattr(factor, "_good_prime", recorded)
+        f = (3 * x - 2) * (5 * x + 1) * (7 * x**2 - 3) * (2 * x**3 - 5)
+        assert list(factor_rationals(f).parts) == [
+            (x - Fraction(2, 3), 1), (x + Fraction(1, 5), 1),
+            (x**2 - Fraction(3, 7), 1), (x**3 - Fraction(5, 2), 1)]
+        (p,) = primes
+        g = (x**2 - 84) * (x**3 - 6860)
+        assert berlekamp == [[v % p for v in g.prim]]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from orthoscope.ratfunc import (
     WITNESS_DERIVATIVE,
     WITNESS_DLOG,
     WitnessData,
+    _linear_laurent,
     _split_partial,
     exact_derivative_part,
 )
@@ -199,6 +201,32 @@ def infinity_oracle(r: RatFunc) -> tuple[int, Fraction] | None:
     return mult, w[mult - 1]
 
 
+def euclid_split(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
+    """Partial-fraction numerators of a over pairwise-coprime moduli, by the
+    extended gcd s*m1 + t*rest = 1 at every modulus: a*t mod m1 for the
+    first, and a*s mod rest split further."""
+    out = []
+    while len(moduli) > 1:
+        m1, rest = moduli[0], math.prod(moduli[2:], start=moduli[1])
+        _, s, t = poly_xgcd(m1, rest)
+        out.append((a * t) % m1)
+        a, moduli = (a * s) % rest, moduli[1:]
+    return out + [a % moduli[0]]
+
+
+def laurent_oracle(a: UniPoly, c: Fraction, e: int) -> tuple[UniPoly, UniPoly]:
+    """_linear_laurent in Fractions: the Laurent coefficients alpha_k of
+    a/(x - c)^e off a(u + c), the derivative part
+    sum_{k <= e-2} alpha_k/(k-e+1) u^(k-e+1) - alpha_{e-1}*H_{e-1} over
+    u^(e-1), shifted back, and the residue alpha_{e-1}."""
+    alpha = a.taylor_shift(c).coeffs
+    alpha += (Fraction(0),) * (e - len(alpha))
+    residue = alpha[e - 1]
+    harmonic = sum(Fraction(1, j) for j in range(1, e))
+    beta = [alpha[k] / (k - e + 1) for k in range(e - 1)] + [-residue * harmonic]
+    return UniPoly.of(beta).taylor_shift(-c), UniPoly.constant(residue)
+
+
 def hermite_oracle(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     """Hermite reduction with one rational-function addition per step and
     every power of p recomputed: the (derivative part, remainder) that
@@ -211,7 +239,7 @@ def hermite_oracle(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     if r.den.degree >= 1 and not n0.is_zero:
         parts = squarefree_decompose(r.den).parts
         moduli = [p**e for p, e in parts]
-        numerators = _split_partial(n0, moduli)
+        numerators = euclid_split(n0, moduli)
         for (p, e), a in zip(parts, numerators):
             _, s, t = poly_xgcd(p, p.derivative())
             j = e
@@ -577,6 +605,66 @@ class TestHermite:
         # inverse of p' = 2x mod the simple quadratic locus p; none takes
         # (p, p'), and none serves the three linear multiple parts
         assert calls == [x**2 + 1, (x - 1) ** 2, (x - 2) ** 3, 2 * x]
+
+    @pytest.mark.parametrize("e", [2, 6, 22])
+    def test_no_xgcd_at_a_linear_multiple_pole_beside_a_simple_one(self, x, e, monkeypatch):
+        # the simple locus x - b comes first in the split: one evaluation
+        # and one exact division, no extended gcd
+        from orthoscope.algebra import unipoly
+
+        r = RatFunc(UniPoly.one(), (x - Fraction(2, 3)) ** e * (x + 5))
+        expected = hermite_oracle(r)
+        calls = record_calls(monkeypatch, unipoly.poly_xgcd)
+        herm = hermite_reduce(r)
+        assert (herm.derivative_part, herm.remainder) == expected
+        assert calls == []
+
+    def test_linear_laurent_matches_fraction_oracle(self, x):
+        rng = random.Random(2040)
+        drawn = set()
+        for _ in range(520):
+            e = 200 if rng.random() < 0.02 else rng.randint(2, 60)
+            if rng.random() < 0.3:
+                c = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                drawn.add("tall")
+            else:
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            top = e - 1 if rng.random() < 0.5 else rng.randint(0, e - 2)
+            if rng.random() < 0.05:
+                a = UniPoly.zero()
+                drawn.add("zero")
+            else:
+                a = random_unipoly(rng, top, -9, 9, nonzero=True)
+                a = a * Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30))
+                if a.degree < e - 1:
+                    drawn.add("deg a < e - 1")
+            drawn.add(("e", e if e in (2, 60, 200) else "mid"))
+            assert _linear_laurent(a, c, e) == laurent_oracle(a, c, e), (a, c, e)
+        assert drawn >= {"tall", "zero", "deg a < e - 1", ("e", 2), ("e", 60), ("e", 200),
+                         ("e", "mid")}
+
+    def test_split_partial_matches_euclid_split(self, x):
+        # a linear first modulus, then linear loci, powers of linear loci
+        # and irreducible quadratics (discriminant b^2 - 4c < 0), all coprime
+        rng = random.Random(2041)
+        kinds = set()
+        for _ in range(200):
+            count = rng.randint(1, 3)
+            roots = iter(rng.sample(sorted({Fraction(v, d) for v in range(-9, 10)
+                                            for d in range(1, 5)}), count + 1))
+            moduli = [x - next(roots)]
+            bs = iter(rng.sample(range(1, 10), count))
+            for _ in range(count):
+                kind = rng.choice(["linear", "power", "quadratic"])
+                kinds.add(kind)
+                if kind == "quadratic":
+                    moduli.append(x**2 + next(bs) * x + rng.randint(30, 39))
+                else:
+                    moduli.append((x - next(roots)) ** (1 if kind == "linear" else rng.randint(2, 8)))
+            degree = int(sum(m.degree for m in moduli)) - 1
+            a = random_unipoly(rng, degree, -9, 9) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            assert _split_partial(a, moduli) == euclid_split(a, moduli), (a, moduli)
+        assert kinds == {"linear", "power", "quadratic"}
 
     def test_no_xgcd_at_linear_simple_loci(self, x, monkeypatch):
         from orthoscope.algebra import unipoly

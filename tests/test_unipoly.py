@@ -82,6 +82,40 @@ class TestArithmetic:
         products = []
         assert _power(Exponent(1), 0, Exponent(0)) == Exponent(0) and products == []
 
+    def test_two_term_powers_match_repeated_squaring(self, x):
+        # the binomial expansion of (a*x^j + b*x^i)^n against _power, the
+        # repeated squaring every other base takes
+        from orthoscope.algebra.unipoly import _power
+
+        rng = random.Random(5054)
+        cases = [(x - 1, 0), (x + 1, 1), (2 * x - 3, 2), (x**2 - 5, 3),
+                 (Fraction(-2, 3) * x**7 + Fraction(5, 4) * x**3, 3)]
+        drawn = set()
+        while len(cases) < 520:
+            bits = rng.choice([1, 1, 8, 200])
+            i = rng.choice([0, 0, rng.randint(1, 4)])     # x^i * (a*x^k + b)
+            j = i + rng.choice([1, 1, rng.randint(2, 4)])
+            a, b = (rng.choice([-1, 1]) * rng.randint(1, 2**bits) for _ in "ab")
+            content = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40))
+            if rng.random() < 0.6:
+                n = rng.randint(0, 3)
+            else:
+                n = rng.randint(4, 300 if bits == 1 and j == 1 else 40)
+            drawn |= {("bits", bits), ("gap", i > 0), ("fractional", content.denominator > 1),
+                      ("sign", (a > 0, b > 0)), ("n", min(n, 4)), ("n > 100", n > 100)}
+            cases.append((content * (a * x**j + b * x**i), n))
+        for p, n in cases:
+            got = p**n
+            assert got == _power(p, n, UniPoly.one()), (p, n)
+            assert_canonical(got)
+        assert drawn >= {("bits", 1), ("bits", 8), ("bits", 200), ("gap", True),
+                         ("fractional", True), ("n", 0), ("n", 1), ("n", 2), ("n", 3),
+                         ("n > 100", True)}
+        assert {d for d in drawn if d[0] == "sign"} == {("sign", (s, t)) for s in (True, False)
+                                                      for t in (True, False)}
+        with pytest.raises(ValueError, match="negative power"):
+            (x - 1) ** -1
+
     def test_antiderivative_inverts_derivative(self, x):
         p = Fraction(1, 3) * x**4 - 2 * x + 5
         assert p.antiderivative().derivative() == p
