@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import (_ZERO, UniPoly, _binomial, _div_pair, _frac, _join_terms, _mul_pair, _pair,
-                      _power, poly_gcd)
+from .unipoly import (_ZERO, UniPoly, _binomial, _div_pair, _join_terms, _mul_pair, _pair, _power,
+                      poly_gcd)
 from .unipoly import _canonical as _uni_canonical
 
 
@@ -233,21 +233,6 @@ class BiPoly:
         for (i, j), v in self.prim.items():
             ints[i] += v * p**j * q ** (d - j)
         return _uni_canonical(*_mul_pair(self.cnum, self.cden, 1, q**d), ints)
-
-    def eval(self, xval, yval) -> Fraction:
-        xval, yval = _frac(xval), _frac(yval)
-        return self.content * sum(
-            (v * xval**i * yval**j for (i, j), v in self.prim.items()), _ZERO
-        )
-
-    def compose_affine(self, ax, bx, ay) -> "BiPoly":
-        """Substitute x -> ax*x + bx and y -> ay*y (invariant-line-preserving)."""
-        xo = BiPoly.of({(1, 0): ax, (0, 0): bx})
-        yo = BiPoly.of({(0, 1): ay})
-        acc = BiPoly.zero()
-        for (i, j), v in self.prim.items():
-            acc = acc + xo**i * yo**j * v
-        return acc * self.content
 
     def div_exact_y(self) -> "BiPoly":
         """Exact division by y; raises if y does not divide self."""

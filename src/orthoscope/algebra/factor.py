@@ -12,8 +12,10 @@ coefficients.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
+from operator import neg
 
-from .unipoly import SquarefreeFactorization, UniPoly, _int_divmod, squarefree_decompose
+from .unipoly import SquarefreeFactorization, UniPoly, _conv, _int_divmod, squarefree_decompose
 
 
 # -- arithmetic mod p on integer coefficient lists ---------------------------
@@ -26,29 +28,16 @@ def _pz_trim(p: list[int]) -> list[int]:
 
 
 def _pz_add(a, b, m):
-    n = max(len(a), len(b))
-    return _pz_trim(
-        [((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)) % m for k in range(n)]
-    )
+    return _pz_trim([(u + v) % m for u, v in zip_longest(a, b, fillvalue=0)])
 
 
 def _pz_sub(a, b, m):
-    n = max(len(a), len(b))
-    return _pz_trim(
-        [((a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)) % m for k in range(n)]
-    )
+    return _pz_add(a, map(neg, b), m)
 
 
 def _pz_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av == 0:
-            continue
-        for j, bv in enumerate(b):
-            out[i + j] = (out[i + j] + av * bv) % m
-    return _pz_trim(out)
+    """a*b mod m: one integer convolution, reduced once per coefficient."""
+    return _pz_trim([v % m for v in _conv(a, b)]) if a and b else []
 
 
 def _pz_divmod(a, b, m):
@@ -336,8 +325,13 @@ def factor_rationals(p: UniPoly) -> SquarefreeFactorization:
     for sq_part, mult in sf.parts:
         for factor in _factor_squarefree(sq_part):
             parts[factor] = parts.get(factor, 0) + mult
-    ordered = sorted(parts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return SquarefreeFactorization(sf.content, tuple(ordered))
+    return SquarefreeFactorization(sf.content, _factor_order(parts.items()))
+
+
+def _factor_order(parts) -> tuple[tuple[UniPoly, int], ...]:
+    """(locus, multiplicity) pairs in factor order: by the locus's degree,
+    then its coefficients. Every factorization and spectrum is in this order."""
+    return tuple(sorted(parts, key=lambda qe: (qe[0].degree, qe[0].coeffs)))
 
 
 def _factor_squarefree(f: UniPoly) -> list[UniPoly]:

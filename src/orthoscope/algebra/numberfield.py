@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .unipoly import UniPoly, _frac, poly_xgcd
+from .unipoly import UniPoly, poly_xgcd
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,6 @@ class NFElement:
             raise ValueError("modulus must be nonconstant")
         object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "rep", self.rep % mod)
-
-    @staticmethod
-    def of(rep, modulus: UniPoly) -> "NFElement":
-        if isinstance(rep, (int, Fraction)):
-            rep = UniPoly.constant(rep)
-        return NFElement(rep, modulus)
 
     def _check(self, other: "NFElement"):
         if self.modulus != other.modulus:
@@ -65,18 +59,6 @@ class NFElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "NFElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = NFElement.of(1, self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def inverse(self) -> "NFElement":
         if self.rep.is_zero:
             raise ZeroDivisionError("inverse of zero in a number field")
@@ -86,12 +68,6 @@ class NFElement:
         if g.degree != 0:
             raise ValueError("modulus is not irreducible: nontrivial gcd found")
         return NFElement(s, self.modulus)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _frac(other))
-        self._check(other)
-        return self * other.inverse()
 
     @property
     def is_zero(self) -> bool:

@@ -26,21 +26,14 @@ NEG_INF = float("-inf")
 _ZERO = Fraction(0)
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"not an exact rational scalar: {v!r}")
-
-
 def _pair(v) -> tuple[int, int]:
-    """The numerator and positive denominator of an exact rational scalar,
-    in lowest terms; an int or a Fraction is read without forming one."""
+    """The numerator and positive denominator of an exact rational scalar
+    (an int, a Fraction or a decimal or fraction string), in lowest terms;
+    an int or a Fraction is read without forming one."""
     if not isinstance(v, (int, Fraction)):
-        v = _frac(v)
+        if not isinstance(v, str):
+            raise TypeError(f"not an exact rational scalar: {v!r}")
+        v = Fraction(v)
     return v.numerator, v.denominator
 
 
@@ -178,16 +171,14 @@ class UniPoly:
             return UniPoly(*_mul_pair(self.cnum, self.cden, other.numerator, other.denominator),
                            self.prim)
         other = self._coerce(other)
-        if not self.prim or not other.prim:
+        a, b = self.prim, other.prim
+        if not a or not b:
             return UniPoly.zero()
-        # Gauss's lemma: a product of primitive polynomials is primitive
-        b = other.prim
-        out = [0] * (len(self.prim) + len(b) - 1)
-        for i, av in enumerate(self.prim):
-            if av:
-                for j, bv in enumerate(b):
-                    out[i + j] += av * bv
-        return UniPoly(*_mul_pair(self.cnum, self.cden, other.cnum, other.cden), tuple(out))
+        # Gauss's lemma: a product of primitive polynomials is primitive; a
+        # nonzero constant's primitive part is (1,), so a product by one
+        # multiplies the contents alone
+        prim = b if a == (1,) else a if b == (1,) else tuple(_conv(a, b))
+        return UniPoly(*_mul_pair(self.cnum, self.cden, other.cnum, other.cden), prim)
 
     __rmul__ = __mul__
 
@@ -251,16 +242,10 @@ class UniPoly:
         ints = [0] + [v * (den // (k + 1)) for k, v in enumerate(self.prim)]
         return _canonical(*_mul_pair(self.cnum, self.cden, 1, den), ints)
 
-    def eval(self, value):
-        """self(value): a Fraction at an int or Fraction point, by Horner's
-        rule on the integers; with value = a/b and m = deg self,
-        b**m * P(a/b) = sum(prim[k] * a**k * b**(m-k)). A float point takes
-        the float path."""
-        if not isinstance(value, (int, Fraction)):
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * value + c
-            return acc
+    def eval(self, value) -> Fraction:
+        """self(value) at an int or Fraction point, by Horner's rule on the
+        integers; with value = a/b and m = deg self,
+        b**m * P(a/b) = sum(prim[k] * a**k * b**(m-k))."""
         if not self.prim:
             return _ZERO
         a, b = value.numerator, value.denominator
@@ -269,22 +254,6 @@ class UniPoly:
             scale *= b
             acc = acc * a + v * scale
         return Fraction(self.cnum * acc, self.cden * scale)
-
-    def eval_complex(self, value: complex) -> complex:
-        acc = complex(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + complex(c)
-        return acc
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero()
-        for v in reversed(self.prim):
-            acc = acc * inner + v
-        return acc * self.content
-
-    def compose_affine(self, a, b) -> "UniPoly":
-        """Evaluate at ``a*x + b`` exactly."""
-        return self.compose(UniPoly.of((b, a)))
 
     def taylor_shift(self, c) -> "UniPoly":
         """Evaluate at ``x + c`` exactly, by Horner's rule on the integers.
@@ -370,6 +339,18 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
 
 
 # -- integer polynomial kernels ---------------------------------------------
+
+
+def _conv(a, b) -> list[int]:
+    """The coefficients of the product of two nonempty integer polynomials,
+    lowest degree first: the one dense convolution, which the rational
+    core and the modular arithmetic of the factorizer share."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b, i):
+                out[j] += av * bv
+    return out
 
 
 def _canonical(cnum: int, cden: int, ints: list[int]) -> UniPoly:
@@ -469,12 +450,6 @@ class SquarefreeFactorization:
 
     content: Fraction
     parts: tuple[tuple[UniPoly, int], ...]
-
-    def expand(self) -> UniPoly:
-        acc = UniPoly.constant(self.content)
-        for f, m in self.parts:
-            acc = acc * f**m
-        return acc
 
 
 def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:

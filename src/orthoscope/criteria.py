@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra.factor import factor_rationals
+from .algebra.factor import _factor_order, factor_rationals
 from .algebra.unipoly import UniPoly, poly_gcd
 from .errors import HypothesisError, WitnessVerificationError
 from .ratfunc import (
@@ -42,6 +42,7 @@ from .ratfunc import (
     Residue,
     WitnessData,
     _infinity_pole,
+    _lowest_terms,
     _residue,
     _value_at,
     dlog_from_spectrum,
@@ -221,8 +222,7 @@ def _search_parts(
     if common.degree > 0:
         for q in mult:
             mult[q] -= _strip(common, q, mult[q])[1]
-    return tuple(sorted(((q, e) for q, e in mult.items() if e),
-                        key=lambda qe: (qe[0].degree, qe[0].coeffs)))
+    return _factor_order((q, e) for q, e in mult.items() if e)
 
 
 def _search_data(
@@ -369,13 +369,6 @@ def beta_search_log(
     return test_free(beta_hat, assert_found=True)
 
 
-def _divide(a: UniPoly, b: UniPoly) -> UniPoly:
-    quotient, left = divmod(a, b)
-    if not left.is_zero:
-        raise WitnessVerificationError(f"the candidate numerator {a} is not divisible by {b}")
-    return quotient
-
-
 def _pinned_residues(
     c: UniPoly, d: UniPoly, parts: tuple[tuple[UniPoly, int], ...]
 ) -> tuple[UniPoly, UniPoly, list[tuple[UniPoly, Residue]]]:
@@ -387,7 +380,7 @@ def _pinned_residues(
     _value_at(num, P', q).
     """
     big_d = math.prod((q ** (e - 1) for q, e in parts if e >= 2), start=UniPoly.one())
-    num, den = _divide(c, big_d), d.exact_div(big_d)
+    num, den = c.exact_div(big_d), d.exact_div(big_d)
     dprime = den.derivative()
     return num, den, [(q, _value_at(num, dprime, q)) for q, _ in parts]
 
@@ -406,18 +399,14 @@ def _test_candidate(
     of den in factor order.
 
     A locus with residue zero divides num and is not a pole; the other
-    loci are coprime to num, so the reduced target is built without a gcd.
-    Its spectrum goes to dlog_from_spectrum, which builds and checks the
-    witness: nothing here factors or Hermite-reduces the target again.
+    loci are coprime to num, so the reduced target is built without a gcd
+    (_lowest_terms). Its spectrum goes to dlog_from_spectrum, which builds
+    and checks the witness: nothing here factors or Hermite-reduces the
+    target again.
     """
-    poles = []
-    for q, value in residues:
-        if value == 0:
-            num, den = _divide(num, q), den.exact_div(q)
-        else:
-            poles.append(PoleEntry(q, 1, value))
-    r = RatFunc._coprime(num, den)
-    spectrum = PoleSpectrum(tuple(poles), _infinity_pole(r, r.num))    # r is proper
+    r = _lowest_terms(num, den, residues)
+    poles = tuple(PoleEntry(q, 1, value) for q, value in residues if value != 0)
+    spectrum = PoleSpectrum(poles, _infinity_pole(r, r.num))    # r is proper
     result = dlog_from_spectrum(r, spectrum, residue_class)
     if result.found:
         return BetaSearchResult(

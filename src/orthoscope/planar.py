@@ -1,8 +1,7 @@
 """Polynomial planar vector fields.
 
 BiRatFunc, the function field Q(x, y): a FractionField from ratfunc reduced
-by the bivariate gcd, with partial derivatives and the restriction to y = 0
-into RatFunc. Invariant-line detection along y = 0, first-order
+by the bivariate gcd. Invariant-line detection along y = 0, first-order
 linearization along that line, Lie brackets, the system derivation and its
 logarithmic derivative, rank-one foliation linearization, and the
 invariant-line lifting classifier, which runs the log-family classifier on
@@ -18,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra.bipoly import BiPoly, bipoly_gcd
-from .algebra.unipoly import UniPoly, _frac
+from .algebra.unipoly import UniPoly
 from .criteria import (
     CONCLUSION_INCONCLUSIVE_FOR_LIFT,
     CONCLUSION_NONORTHOGONAL,
@@ -46,28 +45,14 @@ class BiRatFunc(FractionField):
     def _gcd(a: BiPoly, b: BiPoly) -> BiPoly:
         return bipoly_gcd(a, b)
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def of(num, den=1) -> "BiRatFunc":
-        return BiRatFunc(_as_bipoly(num), _as_bipoly(den))
-
     @staticmethod
     def from_poly(p) -> "BiRatFunc":
         return BiRatFunc(_as_bipoly(p), BiPoly.one())
 
-    @staticmethod
-    def zero() -> "BiRatFunc":
-        return BiRatFunc(BiPoly.zero(), BiPoly.one())
-
-    @staticmethod
-    def one() -> "BiRatFunc":
-        return BiRatFunc(BiPoly.one(), BiPoly.one())
-
     def _coerce(self, other) -> "BiRatFunc":
         if isinstance(other, BiRatFunc):
             return other
-        return BiRatFunc.from_poly(_as_bipoly(other))
+        return BiRatFunc.from_poly(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (BiRatFunc, BiPoly, UniPoly, int, Fraction)):
@@ -75,26 +60,13 @@ class BiRatFunc(FractionField):
         other = self._coerce(other)
         return self.num * other.den == other.num * self.den
 
-    # -- calculus and restriction -----------------------------------------
-
-    def partial(self, variable: str) -> "BiRatFunc":
-        dn = self.num.partial(variable) * self.den - self.num * self.den.partial(variable)
-        return BiRatFunc(dn, self.den * self.den)
-
-    def restrict_y0(self) -> RatFunc:
-        """Restriction to the line y = 0, as a univariate rational function."""
-        den0 = self.den.subst_y(0)
-        if den0.is_zero:
-            raise ZeroDivisionError("denominator vanishes identically on y = 0")
-        return RatFunc(self.num.subst_y(0), den0)
-
 
 def _as_bipoly(v) -> BiPoly:
     if isinstance(v, BiPoly):
         return v
     if isinstance(v, UniPoly):
         return BiPoly.from_unipoly_x(v)
-    return BiPoly.constant(_frac(v))
+    return BiPoly.constant(v)
 
 
 # -- vector fields --------------------------------------------------------------

@@ -25,7 +25,6 @@ from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
     UniPoly,
     _canonical,
-    _frac,
     _join_terms,
     _mul_pair,
     poly_gcd,
@@ -57,8 +56,8 @@ class FractionField:
     denominator's leading coefficient is 1. A subclass is a frozen
     dataclass with fields num and den, declared with repr=False so that the
     __repr__ below is kept; it supplies _gcd, the gcd of its polynomial
-    ring, _coerce and its calculus. The polynomials supply is_zero,
-    is_constant, lc, exact_div and signed_terms.
+    ring, and _coerce, and RatFunc adds its calculus. The polynomials
+    supply is_zero, is_constant, lc, exact_div and signed_terms.
     """
 
     def __post_init__(self):
@@ -240,18 +239,6 @@ class RatFunc(FractionField):
         if self.is_zero:
             raise ZeroDivisionError("logarithmic derivative of zero")
         return self.derivative() / self
-
-    def eval(self, value) -> Fraction:
-        dv = self.den.eval(_frac(value))
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at {value}")
-        return self.num.eval(_frac(value)) / dv
-
-    def eval_complex(self, value: complex) -> complex:
-        return self.num.eval_complex(value) / self.den.eval_complex(value)
-
-    def compose_affine(self, a, b) -> "RatFunc":
-        return RatFunc(self.num.compose_affine(a, b), self.den.compose_affine(a, b))
 
 
 
@@ -454,7 +441,9 @@ def hermite_reduce(
     built without a gcd. r is reduced, so it has a pole of order exactly e
     at each root of a p with e >= 2; rem has simple poles at most, so
     h' = r - rem has order e there and h order e - 1, the full power of p
-    in D. Hence no root of D is a root of h's numerator.
+    in D. Hence no root of D is a root of h's numerator. The remainder
+    A/P loses only the loci whose residue is zero (_lowest_terms), with
+    no gcd either.
     """
     polypart, n0 = divmod(r.num, r.den)
     if loci is None:
@@ -506,7 +495,25 @@ def hermite_reduce(
     h = RatFunc._coprime(h_num + quotient.antiderivative() * h_den, h_den)
     spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
                             _infinity_pole(r, n0))
-    return HermiteDecomposition(h, RatFunc(rem_num, rem_den), spectrum)
+    rem = _lowest_terms(rem_num, rem_den, residues.items())
+    return HermiteDecomposition(h, rem, spectrum)
+
+
+def _lowest_terms(num: UniPoly, den: UniPoly, residues) -> RatFunc:
+    """num/den in lowest terms, for den monic and squarefree, num proper,
+    and residues the (locus, residue) pair at each locus of den.
+
+    num/den has a pole at the roots of a locus exactly when its residue
+    there is nonzero, so gcd(num, den) is the product of the loci with
+    residue zero: it is divided out of both sides exactly, and the pair
+    left is coprime, so no gcd runs. A zero num needs no division, as the
+    normal form of zero is 0/1.
+    """
+    zeros = [q for q, value in residues if value == 0]
+    if zeros and not num.is_zero:
+        common = math.prod(zeros[1:], start=zeros[0])
+        num, den = num.exact_div(common), den.exact_div(common)
+    return RatFunc._coprime(num, den)
 
 
 def _powers(p: UniPoly, e: int, start: int = 0) -> list[UniPoly]:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,31 @@ def assert_canonical(p: UniPoly) -> UniPoly:
     fresh = UniPoly.of(p.coeffs)
     assert fresh == p and hash(fresh) == hash(p)
     return p
+
+
+def frac(v) -> Fraction:
+    """An exact rational scalar (an int, a Fraction or a string) as a Fraction."""
+    if isinstance(v, (int, Fraction, str)):
+        return Fraction(v)
+    raise TypeError(f"not an exact rational scalar: {v!r}")
+
+
+def compose_affine(p, a, b):
+    """p(a*x + b) exactly, for a UniPoly or a RatFunc p, by Horner's rule."""
+    if isinstance(p, RatFunc):
+        return RatFunc(compose_affine(p.num, a, b), compose_affine(p.den, a, b))
+    inner, acc = UniPoly.of((b, a)), UniPoly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + c
+    return acc
+
+
+def expand(sf) -> UniPoly:
+    """The polynomial a SquarefreeFactorization stands for."""
+    acc = UniPoly.constant(sf.content)
+    for f, m in sf.parts:
+        acc = acc * f**m
+    return acc
 
 
 def random_squarefree_denominator(rng: random.Random, max_factors: int = 3) -> UniPoly:

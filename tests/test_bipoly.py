@@ -7,9 +7,8 @@ from typing import Mapping
 import pytest
 
 from orthoscope import BiPoly, UniPoly, bipoly_gcd, resultant_x
-from orthoscope.algebra.unipoly import _frac
 
-from conftest import assert_canonical as uni_canonical, random_unipoly
+from conftest import assert_canonical as uni_canonical, frac, random_unipoly
 
 
 def bp(terms):
@@ -165,7 +164,7 @@ class FracBiPoly:
     def __post_init__(self):
         clean = {}
         for (i, j), c in self.terms.items():
-            c = _frac(c)
+            c = frac(c)
             if c != 0:
                 clean[(int(i), int(j))] = c
         object.__setattr__(self, "terms", clean)
@@ -176,11 +175,11 @@ class FracBiPoly:
 
     @staticmethod
     def constant(c) -> "FracBiPoly":
-        return FracBiPoly({(0, 0): _frac(c)})
+        return FracBiPoly({(0, 0): frac(c)})
 
     @staticmethod
     def of(terms: Mapping[tuple[int, int], object]) -> "FracBiPoly":
-        return FracBiPoly({k: _frac(v) for k, v in terms.items()})
+        return FracBiPoly({k: frac(v) for k, v in terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -192,7 +191,7 @@ class FracBiPoly:
     def _coerce(self, other) -> "FracBiPoly":
         if isinstance(other, FracBiPoly):
             return other
-        return FracBiPoly.constant(_frac(other))
+        return FracBiPoly.constant(frac(other))
 
     def __add__(self, other) -> "FracBiPoly":
         other = self._coerce(other)
@@ -241,7 +240,7 @@ class FracBiPoly:
 
     def subst_y(self, value) -> "UniPoly":
         """Substitute a rational constant for y; result is univariate in x."""
-        value = _frac(value)
+        value = frac(value)
         out: dict[int, Fraction] = {}
         for (i, j), c in self.terms.items():
             out[i] = out.get(i, Fraction(0)) + c * value**j
@@ -461,11 +460,45 @@ def _repeated_squaring(p: BiPoly, n: int) -> BiPoly:
     result, base = BiPoly.one(), p
     while n:
         if n & 1:
-            result = result * base
+            result = _product(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = _product(base, base)
     return result
+
+
+def _product(a: BiPoly, b: BiPoly) -> BiPoly:
+    """a*b: by BiPoly's term loop, or, for two polynomials in x alone, as
+    one product of big integers, the values of their primitive parts at
+    2**k for k past the bits of any coefficient of the product (Kronecker
+    substitution)."""
+    if any(j for _, j in (*a.prim, *b.prim)):
+        return a * b
+    da, db = ([p.prim.get((i, 0), 0) for i in range(max(p.prim)[0] + 1)] for p in (a, b))
+    k = (max(map(abs, da)) * max(map(abs, db)) * min(len(da), len(db))).bit_length() + 1
+    va = _pack(da, k)
+    coeffs = _unpack(va * (va if a is b else _pack(db, k)), k, len(da) + len(db) - 1)
+    return BiPoly.of({(i, 0): v for i, v in enumerate(coeffs) if v}) * (a.content * b.content)
+
+
+def _pack(coeffs: list[int], k: int) -> int:
+    """The value at 2**k of the integer polynomial coeffs, lowest first."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    h = len(coeffs) // 2
+    return _pack(coeffs[:h], k) + (_pack(coeffs[h:], k) << (k * h))
+
+
+def _unpack(value: int, k: int, count: int) -> list[int]:
+    """The count coefficients, each below 2**(k - 1) in absolute value, of
+    the integer polynomial whose value at 2**k is value."""
+    if count == 1:
+        return [value]
+    h = count // 2
+    low = value & ((1 << (k * h)) - 1)
+    if low >> (k * h - 1):
+        low -= 1 << (k * h)
+    return _unpack(low, k, h) + _unpack((value - low) >> (k * h), k, count - h)
 
 
 class TestBinomialPower:

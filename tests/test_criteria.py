@@ -209,7 +209,7 @@ class TestDerivativePin:
             return "rem(1/f) = 0"
         for entry in base.spectrum.affine_poles:
             if entry.multiplicity == 1 and not (g.den % entry.locus).is_zero:
-                value = NFElement(g.num, entry.locus) / NFElement(g.den, entry.locus)
+                value = NFElement(g.num, entry.locus) * NFElement(g.den, entry.locus).inverse()
                 return "simple pole, rational" if value.is_rational \
                     else "simple pole, irrational"
         if base.spectrum.has_simple_pole():
@@ -220,9 +220,9 @@ class TestDerivativePin:
         """(f, g): g - beta0 = f*h' for a rational h, sometimes perturbed so
         that no beta works; f is a product of loci to powers 1..4 and may
         have a denominator, or is a single multiple linear pole."""
-        from orthoscope import parse_expression
+        from orthoscope import parse_univariate
 
-        loci = [parse_expression(t).restrict_y0().num
+        loci = [parse_univariate(t).num
                 for t in rng.sample(self.LOCI, rng.randint(1, 3))]
         lam = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
         if rng.random() < 0.15:
@@ -378,9 +378,9 @@ class TestCandidateResidues:
     def _input(self, rng, x):
         """(f, g, residue class): g - beta0 = f*dlog(h)/N for h a product of
         loci to small powers, sometimes perturbed so that no beta works."""
-        from orthoscope import parse_expression
+        from orthoscope import parse_univariate
 
-        loci = [parse_expression(t).restrict_y0().num
+        loci = [parse_univariate(t).num
                 for t in rng.sample(self.LOCI, rng.randint(1, 3))]
         exponents = [Fraction(rng.choice([0, 1, -1, 2, -3]), rng.choice([1, 1, 2]))
                      for _ in loci]

@@ -38,6 +38,7 @@ from orthoscope.ratfunc import (
 from orthoscope.errors import WitnessVerificationError
 
 from conftest import (
+    compose_affine,
     random_proper_ratfunc,
     random_squarefree_denominator,
     random_unipoly,
@@ -279,7 +280,7 @@ def random_linear_multiple_pole(rng: random.Random) -> tuple[RatFunc, set]:
         features.add("deg a < e - 1")
     # a = sum of u^k over k <= top in u = x - c, so deg a = top
     a = random_unipoly(rng, top, -9, 9, nonzero=True)
-    a = (a + x**top * rng.choice([-3, 1, 2])).compose_affine(1, -c)
+    a = compose_affine(a + x**top * rng.choice([-3, 1, 2]), 1, -c)
     r = RatFunc(a, (x - c) ** e)
     kind = rng.choice(["none", "linear", "quadratic", "equal"])
     if kind == "linear":
@@ -618,6 +619,25 @@ class TestHermite:
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == expected
         assert calls == []
+
+    def test_remainder_is_reduced_without_a_gcd(self, x, monkeypatch):
+        # gcd(A, P) is the product of the loci with residue zero, so those
+        # are divided out exactly: at x in 1/x^2 + (2x - 3)/((x - 1)(x - 2))
+        # (A = x*(2x - 3)), and at x in 1/x^2, which leaves 0/1
+        from orthoscope.algebra import unipoly
+
+        cases = [RatFunc(UniPoly.one(), (x - Fraction(2, 3)) ** 6 * (x + 5)),
+                 RatFunc(UniPoly.one(), x**2),
+                 RatFunc(UniPoly.one(), x**2) + RatFunc(2 * x - 3, (x - 1) * (x - 2))]
+        expected = [hermite_oracle(r) for r in cases]
+        loci = [factor_rationals(r.den).parts for r in cases]
+        calls = record_calls(monkeypatch, unipoly.poly_gcd)
+        for r, parts, want in zip(cases, loci, expected):
+            herm = hermite_reduce(r, parts)
+            assert (herm.derivative_part, herm.remainder) == want
+        assert calls == []
+        assert expected[1][1] == RatFunc.zero()
+        assert expected[2][1] == RatFunc(2 * x - 3, (x - 1) * (x - 2))
 
     def test_linear_laurent_matches_fraction_oracle(self, x):
         rng = random.Random(2040)

@@ -372,3 +372,120 @@ class TestWitnessTargets:
                 assert report.witness.target == want, (command, fx.source)
                 checked[command] = checked.get(command, 0) + 1
         assert set(checked) == set(self.COMMANDS), checked
+
+
+class TestBranchesNoDeckReaches:
+    """Branches that no benchmark deck and no golden key reaches, run
+    through main and checked against sympy: the derivative search's pin
+    when 1/f has no residue, its irrational pin, its remainder-ratio
+    fallback (which is also Hermite's general step, on the group {x, x - 1}
+    of multiplicity 2), and the residue at a nonlinear multiple locus."""
+
+    @pytest.fixture(autouse=True)
+    def _sympy(self):
+        self.sympy = pytest.importorskip("sympy")
+        self.x, self.b = self.sympy.symbols("x b")
+
+    def report(self, capsys, command: str, source: str) -> dict:
+        assert main([command, source, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def expr(self, text: str):
+        return self.sympy.sympify(text.replace("^", "**"), locals={"x": self.x})
+
+    def log_part(self, r):
+        """(B, v) with r = A' + B/v and v squarefree: sympy's
+        Horowitz-Ostrogradsky reduction (ratint_ratpart)."""
+        from sympy.integrals.rationaltools import ratint_ratpart
+
+        sp, x = self.sympy, self.x
+        num, den = sp.fraction(sp.together(r))
+        log_part = ratint_ratpart(sp.Poly(num, x), sp.Poly(den, x), x)[1]
+        return tuple(sp.Poly(side, x) for side in sp.fraction(sp.together(log_part)))
+
+    def exact_betas(self, f, g) -> list:
+        """The rational betas that make (g - beta)/f an exact derivative:
+        those that zero the log part of its reduction."""
+        numerator = self.log_part((g - self.b) / f)[0]
+        solutions = self.sympy.solve(numerator.all_coeffs(), self.b, dict=True)
+        return [s[self.b] for s in solutions if s[self.b].is_rational]
+
+    def apart_spectrum(self, r) -> dict:
+        """{locus: (multiplicity, residue)} at the rational poles of r, read
+        off sympy's apart: a term c/(x - a)^k adds c to the residue at a
+        when k = 1."""
+        sp, out = self.sympy, {}
+        for term in sp.Add.make_args(sp.apart(sp.cancel(r), self.x)):
+            num, den = sp.fraction(term)
+            if den.has(self.x):
+                const, [(base, k)] = sp.factor_list(den)
+                mult, residue = out.get(str(base), (0, 0))
+                out[str(base)] = (max(mult, k), residue + (num / const if k == 1 else 0))
+        return out
+
+    def spectrum(self, entries: list) -> dict:
+        return {e["locus"]: (e["multiplicity"], self.sympy.Rational(e["residue"]))
+                for e in entries}
+
+    def test_pin_when_one_over_f_has_no_residue(self, capsys):
+        # rem(1/x^2) = 0 pins beta = 0, and x/x^2 = 1/x keeps its residue
+        x = self.x
+        report = self.report(capsys, "beta-der", "x' = x^2; y' = x")
+        assert (report["verdict"], report["beta"], report["witness"]) == ("beta-none", None, None)
+        assert report["notes"] == ["the remainder is beta-independent and nonzero"]
+        assert self.apart_spectrum(1 / x**2) == {"x": (2, 0)}
+        assert self.exact_betas(x**2, x) == []
+
+    def test_irrational_pin(self, capsys):
+        # 1/(x^2 - 2) has a residue at sqrt(2), where g = x is regular, so
+        # beta must be g(sqrt(2)) = sqrt(2): no rational beta works
+        sp, x = self.sympy, self.x
+        report = self.report(capsys, "beta-der", "x' = x^2 - 2; y' = x")
+        assert (report["verdict"], report["beta"], report["witness"]) == ("beta-none", None, None)
+        assert report["notes"] == ["remainder vanishing admits no constant solution"]
+        assert not self.log_part(1 / (x**2 - 2))[0].is_zero
+        at_root = sp.residue((x - self.b) / (x**2 - 2), x, sp.sqrt(2))
+        assert sp.solve(at_root, self.b) == [sp.sqrt(2)]
+        assert self.exact_betas(x**2 - 2, x) == []
+
+    @pytest.mark.parametrize("command", ["beta-der", "classify"])
+    def test_remainder_ratio_fallback(self, capsys, monkeypatch, command):
+        # 1/f has residues only at x (a double pole) and at x - 1, a pole of
+        # g, so beta is rem(g/f)/rem(1/f): hermite_reduce runs on 1/f, on
+        # g/f and on the target
+        from orthoscope import ratfunc
+
+        sp, x = self.sympy, self.x
+        f, g = x**2 * (x - 1), 1 / (x - 1)
+        calls = record_calls(monkeypatch, ratfunc.hermite_reduce)
+        report = self.report(capsys, command, "x' = x^2*(x-1); y' = 1/(x-1)")
+        assert len(calls) == 3
+        want = "beta-found" if command == "beta-der" else \
+            "nonorthogonal-uniformly-almost-internal"
+        assert report["verdict"] == want
+        beta = sp.Rational(report["beta"])
+        assert [beta] == self.exact_betas(f, g) == [-2]
+        target = (g - beta) / f
+        h = self.expr(report["witness"]["h"])
+        assert report["witness"]["scaling"] == 1
+        assert sp.cancel(sp.diff(h, x) - target) == 0
+        assert self.spectrum(report["residues"]) == self.apart_spectrum(target) \
+            == {"x - 1": (2, 0), "x": (2, 0)}
+        if command == "classify":
+            assert self.spectrum(report["base"]["spectrum"]) == self.apart_spectrum(1 / f)
+
+    def test_residue_at_a_nonlinear_multiple_locus(self, capsys):
+        # 1/(x^2 + 1)^2 has residue -i/4 at i: the class -x/4 mod x^2 + 1
+        sp, x = self.sympy, self.x
+        report = self.report(capsys, "residues", "1/(x^2+1)^2")
+        assert report["verdict"] == "residues-computed"
+        [entry] = report["residues"]
+        q = sp.Poly(x**2 + 1, x)
+        assert (entry["locus"], entry["multiplicity"]) == ("x^2 + 1", 2)
+        assert sp.factor_list(sp.Poly((x**2 + 1) ** 2, x))[1] == [(q, 2)]
+        num, den = self.log_part(1 / (x**2 + 1) ** 2)
+        want = (num * den.diff(x).invert(q)).rem(q)
+        prefix = "root of x^2 + 1, component "
+        assert entry["residue"].startswith(prefix)
+        assert sp.Poly(self.expr(entry["residue"][len(prefix):]), x) == want
+        assert sp.residue(1 / (x**2 + 1) ** 2, x, sp.I) == want.as_expr().subs(x, sp.I)
