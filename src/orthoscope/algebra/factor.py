@@ -3,16 +3,18 @@
 Pipeline: squarefree decomposition, then for each squarefree part one monic
 integer transform and one good prime p. The transform's integer roots are
 Newton-lifted from its roots mod p (no big-integer divisor enumeration) and
-divided out over Z; the cofactor, rescaled to its own monic transform, gets
-a Berlekamp factorization mod the same p, a Hensel lift and subset
-recombination. Intended for degrees up to a few dozen with moderate
-coefficients.
+divided out over Z. The cofactor, rescaled to its own monic transform, is
+split in two mod p^(2^k) past its Mignotte bound: its roots mod p,
+Newton-lifted, are its linear modular factors, and only the root-free rest
+gets a Berlekamp factorization mod p and a Hensel lift. Subset
+recombination reads both. Intended for degrees up to a few dozen with
+moderate coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from operator import neg
 
 from .unipoly import SquarefreeFactorization, UniPoly, _conv, _int_divmod, squarefree_decompose
@@ -197,9 +199,11 @@ def _left_nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
 
 
 def _hensel_pair(f, g, h, s, t, p, target):
-    """Lift f = g*h (mod p) with s*g + t*h = 1 (mod p) to modulus >= target.
+    """Lift f = g*h (mod p) with s*g + t*h = 1 (mod p) to the modulus
+    m = p^(2^k) >= target; returns (g*, h*) mod m.
 
-    f, g, h monic integer polynomials (f exact over Z); returns (g*, h*, modulus).
+    f, g, h are monic; f is read only modulo the moduli p^(2^j) <= m, so it
+    need only be known modulo m.
     """
     m = p
     while m < target:
@@ -213,25 +217,25 @@ def _hensel_pair(f, g, h, s, t, p, target):
         s1 = _pz_sub(s, d, m2)
         t1 = _pz_sub(t, _pz_add(_pz_mul(t, b, m2), _pz_mul(c, g1, m2), m2), m2)
         g, h, s, t, m = g1, h1, s1, t1, m2
-    return g, h, m
+    return g, h
 
 
 def _lift_factors(f_int: list[int], facs: list[list[int]], p: int, target: int):
-    """Lift a mod-p factorization of monic f to modulus >= target, sequentially."""
+    """Lift a mod-p factorization of monic f to the modulus p^(2^k) >= target,
+    one pair at a time; f need only be known modulo that modulus."""
     out = []
     cur = list(f_int)
-    modulus = p
     for i in range(len(facs) - 1):
         h0 = facs[i]
         g0 = [1]
         for other in facs[i + 1 :]:
             g0 = _pz_mul(g0, other, p)
         _, s, t = _pz_xgcd(g0, h0, p)
-        g_lift, h_lift, modulus = _hensel_pair(cur, g0, h0, s, t, p, target)
+        g_lift, h_lift = _hensel_pair(cur, g0, h0, s, t, p, target)
         out.append(h_lift)
         cur = g_lift
     out.append(cur)
-    return out, modulus
+    return out
 
 
 # -- Zassenhaus ------------------------------------------------------------------
@@ -243,8 +247,6 @@ def _mignotte_target(f_int: list[int]) -> int:
 
 
 def _recombine(f_int: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
-    from itertools import combinations
-
     remaining = list(range(len(lifted)))
     result = []
     f_cur = list(f_int)
@@ -272,7 +274,23 @@ def _recombine(f_int: list[int], lifted: list[list[int]], modulus: int) -> list[
     return result
 
 
-# -- integer roots by Newton lifting --------------------------------------------
+# -- roots by Newton lifting ----------------------------------------------------
+
+
+def _lifted_roots(f: list[int], p: int, target: int) -> tuple[list[int], int]:
+    """The roots of a monic integer f that is squarefree mod p, each
+    Newton-lifted from its root mod p to the modulus m = p^(2^k) >= target,
+    and m. By Hensel's lemma for a simple root, each is the one root mod m
+    over its root mod p."""
+    fp = [v % p for v in f]
+    roots = [r for r in range(p) if not _pz_eval_mod(fp, r, p)]
+    df = [k * f[k] for k in range(1, len(f))]
+    m = p
+    while m < target:
+        m *= m
+        roots = [(r - _pz_eval_mod(f, r, m) * pow(_pz_eval_mod(df, r, m), -1, m)) % m
+                 for r in roots]
+    return roots, m
 
 
 def _split_integer_roots(f_int: list[int], p: int) -> tuple[list[list[int]], list[int]]:
@@ -282,18 +300,10 @@ def _split_integer_roots(f_int: list[int], p: int) -> tuple[list[list[int]], lis
     Each root mod p is Newton-lifted past the root bound; the exact division
     of the cofactor by y - r over Z is the root test.
     """
-    target = 2 * (1 + max(abs(v) for v in f_int[:-1])) + 1
-    fp = [v % p for v in f_int]
-    df = [k * f_int[k] for k in range(1, len(f_int))]
+    roots, m = _lifted_roots(f_int, p, 2 * (1 + max(abs(v) for v in f_int[:-1])) + 1)
     linear = []
     cofactor = f_int
-    for r in range(p):
-        if _pz_eval_mod(fp, r, p):
-            continue
-        m = p
-        while m < target:
-            m *= m
-            r = (r - _pz_eval_mod(f_int, r, m) * pow(_pz_eval_mod(df, r, m), -1, m)) % m
+    for r in roots:
         lin = [-_symmetric(r, m), 1]
         _, q, rem = _int_divmod(cofactor, lin)
         if not any(rem):
@@ -343,8 +353,13 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     cofactor over Z has leading coefficient l' = l/s, s = prod l/gcd(R_i, l),
     so F's cofactor has s times the roots of G, the cofactor's own monic
     transform: G's coefficient k is F's cofactor's divided by s^(m-k), m its
-    degree. G goes to Berlekamp, Hensel lifting and recombination mod p, and
-    each factor G_i maps back to G_i(l'*x) made monic. G stays squarefree
+    degree. G's roots mod p, Newton-lifted to the modulus M = p^(2^k) past
+    G's Mignotte bound, give its linear factors y - r mod M. Only the
+    root-free rest H = G/prod(y - r) mod M goes to Berlekamp mod p, and only
+    H's factors, when there are two or more, to Hensel lifting; H is known
+    mod M alone, which the lift needs. By the uniqueness in Hensel's lemma
+    these are G's modular factors mod M, and recombination over Z finds the
+    factors G_i. Each maps back to G_i(l'*x) made monic. G stays squarefree
     mod p, as p does not divide s: s > 1 needs a root, so n >= 3 when G has
     degree >= 2, and a good prime for a monic F of degree n >= 3 cannot
     divide l, or F would be y^(n-1)*(y + f_(n-1)) mod p.
@@ -360,11 +375,14 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
         s = math.prod(l // math.gcd(h[0], l) for h in linear)
         m = len(g_int) - 1
         g_int = [c // s ** (m - k) for k, c in enumerate(g_int)]
-        modular = _berlekamp([v % p for v in g_int], p)
-        if len(modular) == 1:
-            cofactors = [g_int]
-        else:
-            lifted, modulus = _lift_factors(g_int, modular, p, _mignotte_target(g_int))
-            cofactors = _recombine(g_int, lifted, modulus)
-        factors += [(h, l // s) for h in cofactors]
+        target = _mignotte_target(g_int)
+        roots, modulus = _lifted_roots(g_int, p, target)
+        lifted = [[-r % modulus, 1] for r in roots]
+        rest = g_int
+        for lin in lifted:
+            rest = _pz_divmod(rest, lin, modulus)[0]
+        if len(rest) > 1:
+            modular = _berlekamp([v % p for v in rest], p)
+            lifted += _lift_factors(rest, modular, p, target) if len(modular) > 1 else [rest]
+        factors += [(h, l // s) for h in _recombine(g_int, lifted, modulus)]
     return [UniPoly.of([c * k**i for i, c in enumerate(h)]).monic() for h, k in factors]

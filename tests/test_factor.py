@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -130,23 +131,51 @@ class TestFactorProperties:
         # f = (3x - 2)(5x + 1)(7x^2 - 3)(2x^3 - 5) has l = 210 and integer
         # roots 140 and -42 in F(y) = l^6*f(y/l); dividing them out leaves
         # s = l/l' = 15 times the roots of the transform of the cofactor
-        # 14x^5 + ... with l' = 14, so the cofactor is rescaled by s before
-        # the lift, which then sees G(y) = (y^2 - 84)(y^3 - 6860) mod p
+        # 14x^5 + ... with l' = 14, so the cofactor is rescaled by s to
+        # G(y) = (y^2 - 84)(y^3 - 6860) before its roots mod p are lifted;
+        # Berlekamp then sees only G's root-free part mod p
         from orthoscope.algebra import factor
 
         berlekamp = record_calls(monkeypatch, factor._berlekamp)
-        primes = []
-        pick = factor._good_prime
+        primes, lifts = [], []
+        pick, lift = factor._good_prime, factor._lifted_roots
 
         def recorded(f_int):
             primes.append(pick(f_int))
             return primes[-1]
 
+        def recorded_roots(f_int, p, target):
+            lifts.append((f_int, *lift(f_int, p, target)))
+            return lifts[-1][1:]
+
         monkeypatch.setattr(factor, "_good_prime", recorded)
+        monkeypatch.setattr(factor, "_lifted_roots", recorded_roots)
         f = (3 * x - 2) * (5 * x + 1) * (7 * x**2 - 3) * (2 * x**3 - 5)
         assert list(factor_rationals(f).parts) == [
             (x - Fraction(2, 3), 1), (x + Fraction(1, 5), 1),
             (x**2 - Fraction(3, 7), 1), (x**3 - Fraction(5, 2), 1)]
         (p,) = primes
         g = (x**2 - 84) * (x**3 - 6860)
-        assert berlekamp == [[v % p for v in g.prim]]
+        g_int, roots, _ = lifts[-1]          # F's roots are lifted first
+        assert g_int == list(g.prim)
+        assert sorted(r % p for r in roots) == [r for r in range(p) if g.eval(r) % p == 0]
+        (rest,) = berlekamp
+        product = UniPoly.of(rest) * math.prod((x - r for r in roots), start=UniPoly.one())
+        assert [int(c) % p for c in product.coeffs] == [v % p for v in g.prim]
+        assert all(UniPoly.of(rest).eval(r) % p for r in range(p))
+
+    def test_linear_modular_factors_skip_berlekamp_and_hensel(self, x, monkeypatch):
+        from orthoscope.algebra import factor
+
+        berlekamp = record_calls(monkeypatch, factor._berlekamp)
+        lifts = record_calls(monkeypatch, factor._lift_factors)
+        # the good prime is 17, where 2 = 6^2: all 16 modular factors are
+        # linear, so the root lift alone feeds the recombination
+        quadratics = [x**2 - 2 * k * k for k in range(1, 9)]
+        f = math.prod(quadratics, start=UniPoly.one())
+        assert set(factor_rationals(f).parts) == {(q, 1) for q in quadratics}
+        assert berlekamp == [] and lifts == []
+        # x^3 - 2 has one root mod 5: Berlekamp gets the quadratic rest,
+        # which stays irreducible, and nothing is Hensel-lifted
+        assert factor_rationals(x**3 - 2).parts == ((x**3 - 2, 1),)
+        assert [len(rest) - 1 for rest in berlekamp] == [2] and lifts == []

@@ -1,6 +1,7 @@
 """Differential tests against sympy, an implementation that shares no code
 with orthoscope. Skipped when sympy is not installed."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -127,11 +128,49 @@ def test_factor_rationals_matches_sympy():
     cases.append(x * (4 * x**2 - 3))
     cases.append(Fraction(-2, 9) * x**2 * (6 * x + 5) ** 2 * (9 * x**4 - 2) * (3 * x**2 + x + 1))
     for p in cases:
-        fac = factor_rationals(p)
-        content, parts = to_sympy(p).factor_list()   # primitive integer factors
-        monic_content = content * sympy.prod([f.LC() ** m for f, m in parts])
-        assert fac.content == Fraction(int(monic_content.p), int(monic_content.q))
-        assert set(fac.parts) == {(from_sympy(f.monic()), m) for f, m in parts}
+        _assert_factors_match(p)
+
+
+def _assert_factors_match(p: UniPoly) -> None:
+    fac = factor_rationals(p)
+    content, parts = to_sympy(p).factor_list()   # primitive integer factors
+    monic_content = content * sympy.prod([f.LC() ** m for f, m in parts])
+    assert fac.content == Fraction(int(monic_content.p), int(monic_content.q))
+    assert set(fac.parts) == {(from_sympy(f.monic()), m) for f, m in parts}, p
+
+
+def test_factor_rationals_matches_sympy_on_root_rich_parts():
+    """Parts with many roots mod the chosen prime but few rational ones,
+    where most modular factors are linear: products of x^2 - c*k^2 with c a
+    square and a non-square mod p, binomials x^n - c, non-monic rational
+    roots beside a nonlinear cofactor, and the Swinnerton-Dyer polynomials
+    SD_3 and SD_4, irreducible over Q but split into linear and quadratic
+    factors mod every prime."""
+    from sympy.polys.specialpolys import swinnerton_dyer_poly
+
+    rng = random.Random(7010)
+    x = UniPoly.variable()
+    cases = []
+    for c in (2, 3, 5, 6, 7, -1, -2, Fraction(1, 2)):
+        for _ in range(3):
+            ks = rng.sample(range(1, 10), rng.randint(2, 8))
+            cases.append(math.prod((x**2 - c * k * k for k in ks), start=UniPoly.one()))
+            # a tall factor beside a short one needs the whole lift
+            k = rng.randint(10**5, 10**7)
+            cases.append((x**2 - c * k * k) * (x**2 - rng.choice([2, 3, 5, -1])))
+    for n in range(3, 13):
+        for c in (2, -3, Fraction(5, 2), 16, -27, 64, 1, 10**12 + 39):
+            cases.append(x**n - c)
+    for top in (9, 10**6):      # heights of the quadratic's lead and the roots
+        for _ in range(15):
+            p = (rng.randint(1, top) * x**2 - rng.choice([2, 3, 5, -1])) \
+                * (rng.randint(1, 9) * x**3 - rng.choice([2, 3, 7]))
+            for _ in range(rng.randint(1, 4)):
+                p = p * (rng.randint(1, 9) * x - rng.randint(-top, top))
+            cases.append(p)
+    cases += [from_sympy(swinnerton_dyer_poly(k, X, polys=True)) for k in (3, 4)]
+    for p in cases:
+        _assert_factors_match(p)
 
 
 def _random_bipoly(rng: random.Random, dx: int, dy: int, wide: bool = False) -> BiPoly:
@@ -232,11 +271,12 @@ def _random_pole_function(rng: random.Random) -> RatFunc:
 
 
 def _log_part(num, den):
-    """(B, v) with num/den = (A/u)' + B/v for u = gcd(den, den') and
-    v = den/u: the Horowitz-Ostrogradsky reduction, solved as one square
-    linear system over QQ in the coefficients of A (deg < deg u) and B
-    (deg < deg v), num = A'*v - A*(u'*v/u) + B*u. It is the system that
-    ratint_ratpart solves symbolically, here with sympy's DomainMatrix."""
+    """((A, u), (B, v)) with num/den = (A/u)' + B/v for a proper num/den,
+    u = gcd(den, den') and v = den/u: the Horowitz-Ostrogradsky reduction,
+    solved as one square linear system over QQ in the coefficients of A
+    (deg < deg u) and B (deg < deg v), num = A'*v - A*(u'*v/u) + B*u. It is
+    the system that ratint_ratpart solves symbolically, here with sympy's
+    DomainMatrix."""
     from sympy.polys.matrices import DomainMatrix
 
     QQ = sympy.QQ
@@ -255,7 +295,9 @@ def _log_part(num, den):
     matrix = DomainMatrix([list(row) for row in zip(*map(ascending, columns))], (size, size), QQ)
     rhs = DomainMatrix([[c] for c in ascending(num)], (size, 1), QQ)
     solution = [row[0] for row in matrix.lu_solve(rhs).to_list()]
-    return sympy.Poly(list(reversed(solution[n:])) or [0], X, domain=QQ), v
+    a, b = (sympy.Poly(list(reversed(c)) or [0], X, domain=QQ)
+            for c in (solution[:n], solution[n:]))
+    return (a, u), (b, v)
 
 
 def test_residues_match_apart():
@@ -292,7 +334,7 @@ def test_residues_match_apart():
             terms = local[entry.locus]
             if e >= 2 and q.degree() >= 2:
                 r_num = sum((n * q ** (e - k) for n, k in terms), sympy.Poly(0, X))
-                n, d = _log_part(r_num, q**e)
+                _, (n, d) = _log_part(r_num, q**e)
             else:   # B/(x - a)^k has no residue for k >= 2
                 n, d = sum((n for n, k in terms if k == 1), sympy.Poly(0, X)), q
             c = n if n.is_zero else (n * d.diff(X).invert(q)).rem(q)
@@ -306,20 +348,18 @@ def test_residues_match_apart():
 
 def test_hermite_reduce_matches_ratint_ratpart():
     """Hermite reduction against sympy's Horowitz-Ostrogradsky reduction:
-    ratint_ratpart writes the proper part of r as A' + B with B's
-    denominator squarefree. The derivative parts may differ only by a
-    constant once the polynomial part is integrated, and the remainders
-    must be equal; with and without r.den's factorization, taken from
-    sympy's factor_list."""
-    from sympy.integrals.rationaltools import ratint_ratpart
-
+    _log_part, the linear system that ratint_ratpart solves, writes the
+    proper part of r as A' + B with B's denominator squarefree. The
+    derivative parts may differ only by a constant once the polynomial part
+    is integrated, and the remainders must be equal; with and without
+    r.den's factorization, taken from sympy's factor_list."""
     rng = random.Random(7008)
     deepest = 0
     for _ in range(60):
         r = _random_pole_function(rng)
         polypart, proper = divmod(r.num, r.den)
-        a, b = (_ratfunc_from_sympy(part)
-                for part in ratint_ratpart(to_sympy(proper), to_sympy(r.den), X))
+        a, b = (RatFunc(from_sympy(n), from_sympy(d))
+                for n, d in _log_part(to_sympy(proper), to_sympy(r.den)))
         loci = sorted(((from_sympy(sympy.Poly(q, X, domain=sympy.QQ).monic()), int(m))
                        for q, m in sympy.factor_list(to_sympy(r.den).as_expr())[1]),
                       key=lambda qm: (qm[0].degree, qm[0].coeffs))
@@ -328,8 +368,3 @@ def test_hermite_reduce_matches_ratint_ratpart():
             assert herm.remainder == b, r
         deepest = max(deepest, *(m for _, m in factor_rationals(r.den).parts))
     assert deepest == 4
-
-
-def _ratfunc_from_sympy(expr) -> RatFunc:
-    num, den = (sympy.Poly(part, X, domain=sympy.QQ) for part in sympy.fraction(expr))
-    return RatFunc(from_sympy(num), from_sympy(den))
