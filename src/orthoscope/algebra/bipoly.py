@@ -1,13 +1,13 @@
 """Exact bivariate polynomials over the rationals, plus resultants.
 
-A BiPoly is a rational content, a reduced pair of ints cnum/cden, times a
-sparse primitive integer term map (i, j) -> coefficient of x^i * y^j, in
-the same canonical form as UniPoly, so every ring operation (products,
-exact quotients, derivatives, substitution) runs on Python ints and the
-rational coefficients are formed only when read. Exact division is
-exact_div and the printed terms come from signed_terms, as in UniPoly, so
-one fraction-field class reduces and prints over either ring; the
-bivariate gcd here reduces BiRatFunc. The univariate views and results
+A BiPoly keeps its integer coefficients in a sparse map (i, j) ->
+coefficient of x^i * y^j, in the canonical form of ContentPoly that
+UniPoly shares, so every ring operation (products, exact quotients,
+derivatives, substitution) runs on Python ints and the rational
+coefficients are formed only when read. Exact division is exact_div and
+the printed terms come from signed_terms, as in UniPoly, so one
+fraction-field class reduces and prints over either ring; the bivariate
+gcd here reduces BiRatFunc. The univariate views and results
 are UniPolys, which are polynomials in x: y_coefficients gives
 polynomials in x, while x_coefficients and the resultant give polynomials
 in y, stored and printed as UniPolys in x. The resultant eliminates x from
@@ -23,21 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .unipoly import (_ZERO, UniPoly, _binomial, _div_pair, _join_terms, _mul_pair, _pair, _power,
-                      poly_gcd)
+from .unipoly import ContentPoly, UniPoly, _binomial, _div_pair, _mul_pair, _pair, poly_gcd
 from .unipoly import _canonical as _uni_canonical
 
 
-@dataclass(frozen=True)
-class BiPoly:
+@dataclass(frozen=True, repr=False)
+class BiPoly(ContentPoly):
     """Sparse polynomial ``cnum/cden * sum(prim[i, j] * x**i * y**j)``.
 
-    Canonical form: ``prim`` maps exponent pairs to nonzero ints with gcd 1
-    whose lex-leading entry (at the ``max`` key) is positive, and the
-    content cnum/cden is a nonzero pair of ints in lowest terms with
-    ``cden > 0``; the zero polynomial has ``cnum == 0``, ``cden == 1`` and
-    ``prim == {}``. Build from rational coefficients with `BiPoly.of`.
-    ``prim`` is never mutated once built.
+    ``prim`` maps exponent pairs to nonzero ints; the lex-leading entry, at
+    the ``max`` key, leads, and ``{}`` is zero. Build from rational
+    coefficients with `BiPoly.of`. ``prim`` is never mutated once built.
     """
 
     cnum: int
@@ -80,41 +76,20 @@ class BiPoly:
     # -- structure ---------------------------------------------------
 
     @property
-    def content(self) -> Fraction:
-        """The rational content cnum/cden, formed on each read."""
-        return Fraction(self.cnum, self.cden)
-
-    @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """Rational coefficients by exponent pair, formed on each read."""
         n, d = self.cnum, self.cden
         return {k: Fraction(n * v, d) for k, v in self.prim.items()}
 
     @property
-    def is_zero(self) -> bool:
-        return not self.prim
-
-    @property
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k in self.prim)
 
-    @property
-    def lc(self) -> Fraction:
-        """The lex-leading coefficient; 0 for the zero polynomial."""
-        if not self.prim:
-            return _ZERO
-        return Fraction(self.cnum * self.prim[max(self.prim)], self.cden)
+    def _lead(self) -> int:
+        return self.prim[max(self.prim)]
 
-    def monic(self) -> "BiPoly":
-        """Scale by a rational unit so the lex-leading coefficient is 1."""
-        if not self.prim:
-            return self
-        return BiPoly(1, self.prim[max(self.prim)], self.prim)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self.coeff(0, 0)
+    def _term_count(self) -> int:
+        return len(self.prim)
 
     def total_degree(self) -> int:
         return max((i + j for i, j in self.prim), default=-1)
@@ -126,18 +101,6 @@ class BiPoly:
         return all(j == 0 for _, j in self.prim)
 
     # -- ring operations ----------------------------------------------
-
-    def _coerce(self, other):
-        """other as a BiPoly; NotImplemented for an operand that is neither a
-        polynomial nor a rational scalar, such as a rational function, so
-        that the operand's reflected operator runs."""
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, UniPoly):
-            return BiPoly.from_unipoly_x(other)
-        if isinstance(other, (int, Fraction, str)):
-            return BiPoly.constant(other)
-        return NotImplemented
 
     def __add__(self, other) -> "BiPoly":
         other = self._coerce(other)
@@ -158,23 +121,9 @@ class BiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(-self.cnum, self.cden, self.prim)
-
-    def __sub__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        return other if other is NotImplemented else self + (-other)
-
-    def __rsub__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        return other if other is NotImplemented else other - self
-
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
-            if not other or not self.prim:
-                return BiPoly.zero()
-            return BiPoly(*_mul_pair(self.cnum, self.cden, other.numerator, other.denominator),
-                          self.prim)
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -192,11 +141,6 @@ class BiPoly:
                       {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if len(self.prim) == 2 and n >= 0:
-            return self._binomial_power(n)
-        return _power(self, n, BiPoly.one())
 
     def _binomial_power(self, n: int) -> "BiPoly":
         """(c*(a*m1 + b*m2))**n by the binomial theorem. The terms
@@ -305,15 +249,6 @@ class BiPoly:
             powers = [f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e]
             out.append((Fraction(n * self.prim[(i, j)], d), "*".join(powers)))
         return out
-
-    def to_string(self) -> str:
-        return _join_terms(self.signed_terms())
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.to_string()!r})"
 
 
 def _canonical(cnum: int, cden: int, ints: dict[tuple[int, int], int]) -> BiPoly:

@@ -1,17 +1,15 @@
-"""Exact univariate polynomials over the rationals, in the variable x.
+"""Exact univariate polynomials over the rationals, in the variable x, and
+the canonical form they share with BiPoly.
 
 A UniPoly is a polynomial in x, the coordinate of the base line, and
 prints in x; there is no variable to choose. (The few polynomials in
 another variable, such as the residue polynomial, are stored the same way,
-and the functions that return them say so.) A polynomial is stored as a
-rational content, held as a reduced pair of ints cnum/cden, times a
-primitive integer polynomial with a positive leading coefficient. That form
-is canonical, so equality and hashing are exact. Every ring operation runs
-on Python ints: products, quotients and gcds on the primitive parts, and
-the contents as int pairs with cross-cancelled gcds (Knuth, TAOCP vol. 2,
-§4.5.1). A Fraction is formed only where a coefficient is read. Every
-operation is pure and exact. The degree of the zero polynomial is the
-distinguished value ``NEG_INF`` so that degree comparisons are total.
+and the functions that return them say so.) It keeps its coefficients in
+a tuple indexed by degree, in the canonical form of ContentPoly, which
+also holds every member that reads only the content and the leading
+entry. Every operation is pure and exact. The degree of the zero
+polynomial is the distinguished value ``NEG_INF`` so that degree
+comparisons are total.
 """
 
 from __future__ import annotations
@@ -52,15 +50,109 @@ def _div_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return _mul_pair(a, b, d, c) if c > 0 else _mul_pair(a, b, -d, -c)
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class ContentPoly:
+    """A polynomial over Q as a rational content times a primitive integer
+    part: the canonical form of UniPoly and BiPoly.
+
+    The content cnum/cden is a nonzero pair of ints in lowest terms with
+    ``cden > 0``, and ``prim`` holds ints with gcd 1 whose leading entry
+    (``_lead``) is positive; the zero polynomial has ``cnum == 0``,
+    ``cden == 1`` and an empty ``prim``. The form is canonical, so equality
+    is exact, and so is a UniPoly's hash. Every ring operation runs on Python ints:
+    products, quotients and gcds on the primitive parts, and the contents as
+    int pairs with cross-cancelled gcds (Knuth, TAOCP vol. 2, §4.5.1). A
+    Fraction is formed only where a coefficient is read.
+
+    A subclass is a frozen dataclass with fields cnum, cden and prim,
+    declared with repr=False so that the __repr__ below is kept. It supplies
+    what reads its container: the constructors zero, one and constant,
+    _lead, _term_count, is_constant, signed_terms, __add__, __mul__ (which
+    hands an int or Fraction scalar to _scale) and _binomial_power. An
+    operand that is neither of the subclass, a UniPoly nor an exact rational
+    scalar makes _coerce return NotImplemented, so that Python runs the
+    operand's reflected operator: a RatFunc's, or a BiPoly's for a UniPoly.
+    """
+
+    @property
+    def content(self) -> Fraction:
+        """The rational content cnum/cden, formed on each read."""
+        return Fraction(self.cnum, self.cden)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.prim
+
+    @property
+    def lc(self) -> Fraction:
+        """The leading coefficient; 0 for the zero polynomial."""
+        if not self.prim:
+            return _ZERO
+        return Fraction(self.cnum * self._lead(), self.cden)
+
+    def monic(self):
+        """Scale by a rational unit so the leading coefficient is 1."""
+        if not self.prim:
+            return self
+        return type(self)(1, self._lead(), self.prim)
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant:
+            raise ValueError(f"not a constant: {self}")
+        return Fraction(self.cnum, self.cden)
+
+    def _coerce(self, other):
+        """other in self's ring: a UniPoly enters a BiPoly as a polynomial
+        in x, and an exact rational scalar as a constant; NotImplemented
+        for any other operand."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, UniPoly):
+            return self.from_unipoly_x(other)
+        if isinstance(other, (int, Fraction, str)):
+            return self.constant(other)
+        return NotImplemented
+
+    def __neg__(self):
+        return type(self)(-self.cnum, self.cden, self.prim)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
+
+    def _scale(self, c):
+        """self * c for an int or Fraction c; the primitive part is kept."""
+        if not c or not self.prim:
+            return self.zero()
+        return type(self)(*_mul_pair(self.cnum, self.cden, c.numerator, c.denominator), self.prim)
+
+    def __pow__(self, n: int):
+        """self**n; a two-term base by the binomial theorem, any other by
+        repeated squaring."""
+        if n >= 0 and self._term_count() == 2:
+            return self._binomial_power(n)
+        return _power(self, n, self.one())
+
+    def to_string(self) -> str:
+        return _join_terms(self.signed_terms())
+
+    def __str__(self) -> str:
+        return self.to_string()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_string()!r})"
+
+
+@dataclass(frozen=True, repr=False)
+class UniPoly(ContentPoly):
     """Dense polynomial ``cnum/cden * sum(prim[k] * x**k)``.
 
-    Canonical form: ``prim`` is a tuple of ints with gcd 1 and a positive
-    last entry, and the content cnum/cden is a nonzero pair of ints in
-    lowest terms with ``cden > 0``; the zero polynomial has ``cnum == 0``,
-    ``cden == 1`` and ``prim == ()``. Build from rational coefficients with
-    `UniPoly.of`; ``coeffs[k]`` multiplies ``x ** k``.
+    ``prim`` is a tuple of ints whose last entry leads, and ``()`` for zero.
+    Build from rational coefficients with `UniPoly.of`; ``coeffs[k]``
+    multiplies ``x ** k``.
     """
 
     cnum: int
@@ -95,11 +187,6 @@ class UniPoly:
     # -- structure ----------------------------------------------------
 
     @property
-    def content(self) -> Fraction:
-        """The rational content cnum/cden, formed on each read."""
-        return Fraction(self.cnum, self.cden)
-
-    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational coefficients, lowest degree first, no trailing zeros."""
         n, d = self.cnum, self.cden
@@ -110,33 +197,26 @@ class UniPoly:
         return len(self.prim) - 1 if self.prim else NEG_INF
 
     @property
-    def is_zero(self) -> bool:
-        return not self.prim
-
-    @property
     def is_constant(self) -> bool:
         return len(self.prim) <= 1
 
-    @property
-    def lc(self) -> Fraction:
-        if not self.prim:
-            return _ZERO
-        return Fraction(self.cnum * self.prim[-1], self.cden)
+    def _lead(self) -> int:
+        return self.prim[-1]
+
+    def _term_count(self) -> int:
+        return len(self.prim) - self.prim.count(0)
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.prim):
             return Fraction(self.cnum * self.prim[k], self.cden)
         return _ZERO
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeff(0)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "UniPoly":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if not other.prim:
             return self
         if not self.prim:
@@ -155,22 +235,12 @@ class UniPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-self.cnum, self.cden, self.prim)
-
-    def __sub__(self, other) -> "UniPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "UniPoly":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return UniPoly.zero()
-            return UniPoly(*_mul_pair(self.cnum, self.cden, other.numerator, other.denominator),
-                           self.prim)
+            return self._scale(other)
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         a, b = self.prim, other.prim
         if not a or not b:
             return UniPoly.zero()
@@ -182,21 +252,12 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UniPoly":
-        """self**n; a two-term base by the binomial theorem, any other by
-        repeated squaring."""
-        terms = [(k, v) for k, v in enumerate(self.prim) if v]
-        if len(terms) == 2 and n >= 0:
-            return self._binomial_power(terms, n)
-        return _power(self, n, UniPoly.one())
-
-    def _binomial_power(self, terms: list[tuple[int, int]], n: int) -> "UniPoly":
-        """(c*(b*x^i + a*x^j))**n for terms [(i, b), (j, a)], i < j, by the
-        binomial theorem: the terms of _binomial(a, b, n) go to the distinct
-        exponents j*(n-k) + i*k. By Gauss's lemma they form a primitive
-        polynomial with leading coefficient a**n > 0, so the content is
-        c**n."""
-        (i, b), (j, a) = terms
+    def _binomial_power(self, n: int) -> "UniPoly":
+        """(c*(b*x^i + a*x^j))**n, i < j, by the binomial theorem: the terms
+        of _binomial(a, b, n) go to the distinct exponents j*(n-k) + i*k. By
+        Gauss's lemma they form a primitive polynomial with leading
+        coefficient a**n > 0, so the content is c**n."""
+        (i, b), (j, a) = [(k, v) for k, v in enumerate(self.prim) if v]
         out = [0] * (j * n + 1)
         for k, v in enumerate(_binomial(a, b, n)):
             out[j * (n - k) + i * k] = v
@@ -204,6 +265,8 @@ class UniPoly:
 
     def __divmod__(self, other) -> tuple["UniPoly", "UniPoly"]:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if not other.prim:
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.prim) < len(other.prim):
@@ -226,11 +289,6 @@ class UniPoly:
         if not r.is_zero:
             raise ValueError(f"inexact polynomial division: {self} by {other}")
         return q
-
-    def _coerce(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly.constant(other)
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -272,13 +330,6 @@ class UniPoly:
         return _canonical(*_mul_pair(self.cnum, self.cden, 1, d**m),
                           [v * d**k for k, v in enumerate(b)])
 
-    # -- normal forms ----------------------------------------------------
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return UniPoly(1, self.prim[-1], self.prim)
-
     # -- printing --------------------------------------------------------
 
     def signed_terms(self) -> list[tuple[Fraction, str]]:
@@ -287,15 +338,6 @@ class UniPoly:
         n, d = self.cnum, self.cden
         return [(Fraction(n * v, d), "" if k == 0 else "x" if k == 1 else f"x^{k}")
                 for k, v in reversed(list(enumerate(self.prim))) if v]
-
-    def to_string(self) -> str:
-        return _join_terms(self.signed_terms())
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.to_string()!r})"
 
 
 def _power(base, n: int, one):

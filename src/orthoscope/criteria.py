@@ -100,6 +100,11 @@ class BetaSearchResult:
         return self.status == STATUS_FOUND
 
 
+def _none(case: str, detail: str) -> BetaSearchResult:
+    """The search's answer that no beta works, in completeness case case."""
+    return BetaSearchResult(STATUS_NONE, None, None, case, None, detail)
+
+
 @dataclass(frozen=True)
 class SystemVerdict:
     base: Optional[OrthogonalityVerdict]
@@ -291,10 +296,7 @@ def beta_search_log(
 
     status, pinned = _solve_affine(conditions)
     if status == _EMPTY:
-        return BetaSearchResult(
-            STATUS_NONE, None, None, CASE_A, None,
-            "multiple-pole cancellation conditions are unsatisfiable",
-        )
+        return _none(CASE_A, "multiple-pole cancellation conditions are unsatisfiable")
     if status == _PINNED:
         num, den, residues = _pinned_residues(n - m * pinned, d, parts)
         return _test_candidate(pinned, num, den, residues, residue_class, CASE_A)
@@ -317,10 +319,7 @@ def beta_search_log(
             if not isinstance(a_el, Fraction):
                 # residue values at conjugate roots would have to differ by
                 # rationals, impossible for a nonconstant class: complete none
-                return BetaSearchResult(
-                    STATUS_NONE, None, None, CASE_B, None,
-                    f"residue at {q} is irrational for every beta",
-                )
+                return _none(CASE_B, f"residue at {q} is irrational for every beta")
             if b_el != 0:
                 anchored = True
             integrality.append((a_el, b_el))
@@ -332,10 +331,7 @@ def beta_search_log(
     soft_status, soft_pin = _solve_affine(soft)
     if soft_status == _EMPTY:
         if anchored:
-            return BetaSearchResult(
-                STATUS_NONE, None, None, CASE_B, None,
-                "no rational beta satisfies the residue-rationality system",
-            )
+            return _none(CASE_B, "no rational beta satisfies the residue-rationality system")
         return BetaSearchResult(
             STATUS_INCONCLUSIVE, None, None, CASE_C, None,
             "conjugate-coupled residues admit no rational beta; an irrational "
@@ -362,10 +358,7 @@ def beta_search_log(
         return test_free(Fraction(0), assert_found=True)
     beta_hat = _solve_integrality(integrality)
     if beta_hat is None:
-        return BetaSearchResult(
-            STATUS_NONE, None, None, CASE_B, None,
-            "no beta makes every residue an integer",
-        )
+        return _none(CASE_B, "no beta makes every residue an integer")
     return test_free(beta_hat, assert_found=True)
 
 
@@ -416,10 +409,7 @@ def _test_candidate(
         raise WitnessVerificationError(
             f"free-beta candidate {beta} unexpectedly failed: {result.reason}"
         )
-    return BetaSearchResult(
-        STATUS_NONE, None, None, case, None,
-        f"at the pinned beta = {beta}: {result.reason}",
-    )
+    return _none(case, f"at the pinned beta = {beta}: {result.reason}")
 
 
 # -- the derivative-family beta search ----------------------------------------------
@@ -456,9 +446,6 @@ def beta_search_derivative(
     n, m, d, parts = _search_data(f, g, base)
     rem_one = base.hermite.remainder
 
-    def none(detail: str) -> BetaSearchResult:
-        return BetaSearchResult(STATUS_NONE, None, None, CASE_B, None, detail)
-
     if rem_one.is_zero:
         detail = "the remainder is beta-independent and nonzero"
         beta = Fraction(0)
@@ -469,17 +456,17 @@ def beta_search_derivative(
             if entry.multiplicity == 1 and not (g.den % entry.locus).is_zero:
                 beta = _value_at(g.num, g.den, entry.locus)
                 if not isinstance(beta, Fraction):
-                    return none(detail)
+                    return _none(CASE_B, detail)
                 break
         if beta is None:
             ratio = hermite_reduce(*_reduce_over(n, d, parts)).remainder / rem_one
             if not ratio.is_constant:
-                return none(detail)
+                return _none(CASE_B, detail)
             beta = ratio.constant_value()
     r, loci = _reduce_over(n - m * beta, d, parts)
     herm = hermite_reduce(r, loci)
     if not herm.remainder.is_zero:
-        return none(detail)
+        return _none(CASE_B, detail)
     return BetaSearchResult(
         STATUS_FOUND, beta, exact_derivative_part(r, herm), CASE_B, herm.spectrum, None
     )
@@ -511,7 +498,18 @@ def _reduce_over(
 def classify_log_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
     """Full classification of x' = f(x), y' = y*g(x)."""
     base = base_orthogonal(f)
-    fibration = beta_search_log(f, g, base, RATIONAL)
+    return _system_verdict(base, beta_search_log(f, g, base, RATIONAL))
+
+
+def classify_derivative_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
+    """Full classification of x' = f(x), y' = g(x)."""
+    base = base_orthogonal(f)
+    return _system_verdict(base, beta_search_derivative(f, g, base))
+
+
+def _system_verdict(base: OrthogonalityVerdict, fibration: BetaSearchResult) -> SystemVerdict:
+    """The conclusion of either family from the base verdict and the beta
+    search; a derivative witness has scaling 1, so it reads internal."""
     if not base.orthogonal:
         return SystemVerdict(base, fibration, CONCLUSION_BASE_INAPPLICABLE, None)
     if fibration.status == STATUS_FOUND:
@@ -520,14 +518,3 @@ def classify_log_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
     if fibration.status == STATUS_NONE:
         return SystemVerdict(base, fibration, CONCLUSION_ORTHOGONAL, None)
     return SystemVerdict(base, fibration, CONCLUSION_INCONCLUSIVE, None)
-
-
-def classify_derivative_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
-    """Full classification of x' = f(x), y' = g(x)."""
-    base = base_orthogonal(f)
-    fibration = beta_search_derivative(f, g, base)
-    if not base.orthogonal:
-        return SystemVerdict(base, fibration, CONCLUSION_BASE_INAPPLICABLE, None)
-    if fibration.status == STATUS_FOUND:
-        return SystemVerdict(base, fibration, CONCLUSION_NONORTHOGONAL, KIND_INTERNAL)
-    return SystemVerdict(base, fibration, CONCLUSION_ORTHOGONAL, None)

@@ -520,3 +520,42 @@ class TestBinomialPower:
             assert got == _repeated_squaring(p, n), (p, n)
             assert got.prim[max(got.prim)] > 0
         assert {p.lc < 0 for p, _ in cases} == {True, False}
+
+
+class TestCrossRing:
+    def test_embedding_commutes_with_the_shared_members(self):
+        """BiPoly.from_unipoly_x is a ring map that keeps contents, leading
+        coefficients and printed forms: each member UniPoly and BiPoly share
+        gives the same answer on either side of it. The reprs differ only in
+        the class name."""
+        rng = random.Random(2526)
+        lift = BiPoly.from_unipoly_x
+        scalars = [0, 3, Fraction(-4, 9)]
+        polys = [UniPoly.zero(), UniPoly.constant(Fraction(-4, 9))]
+        for _ in range(40):
+            p = random_unipoly(rng, 5) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            i = rng.randint(0, 3)
+            two_term = UniPoly.of([0] * i + [rng.randint(-9, 9) or 1] + [0] * rng.randint(0, 2)
+                                  + [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))])
+            polys += [p, two_term]
+        assert sum(1 for p in polys if len(p.prim) - p.prim.count(0) == 2) >= 40
+        for p, q in zip(polys, polys[1:] + polys[:1]):
+            a, b = lift(p), lift(q)
+            assert a + b == lift(p + q) == a + q == q + a
+            assert a - b == lift(p - q) == a - q and q - a == lift(q - p)
+            assert a * b == lift(p * q) == a * q == q * a
+            assert -a == lift(-p)
+            for c in scalars:
+                assert a * c == c * a == lift(p * c) and a + c == lift(p + c)
+                assert c - a == lift(c - p)
+            n = rng.randint(0, 6)
+            assert a**n == lift(p**n)
+            assert a.monic() == lift(p.monic())
+            assert (a.lc, a.content) == (p.lc, p.content)
+            assert str(a) == str(p)
+            assert repr(a).removeprefix("BiPoly") == repr(p).removeprefix("UniPoly")
+        for c in scalars:
+            constant = UniPoly.constant(c)
+            assert lift(constant).constant_value() == c == constant.constant_value()
+        with pytest.raises(ValueError, match="not a constant"):
+            lift(UniPoly.variable()).constant_value()

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NEG_INF, BiPoly, UniPoly, poly_gcd, poly_xgcd, resultant_x, squarefree_decompose
+from orthoscope import (NEG_INF, BiPoly, RatFunc, UniPoly, poly_gcd, poly_xgcd, resultant_x,
+                        squarefree_decompose)
 
 from conftest import assert_canonical, compose_affine, expand, frac, random_unipoly, record_calls
 
@@ -136,6 +137,26 @@ class TestArithmetic:
     def test_string_forms(self, x):
         assert (x**2 - Fraction(1, 2) * x - 3).to_string() == "x^2 - 1/2*x - 3"
         assert UniPoly.zero().to_string() == "0"
+
+
+class TestMixedOperands:
+    def test_foreign_operand_takes_the_reflected_path(self, x):
+        """A UniPoly operand on the left of a RatFunc or a BiPoly gives what
+        the mirrored order gives, through that operand's reflected operator."""
+        rng = random.Random(2525)
+        for _ in range(20):
+            p = random_unipoly(rng, 3)
+            r = RatFunc(random_unipoly(rng, 3), random_unipoly(rng, 2, nonzero=True))
+            assert p + r == r + p and p - r == -(r - p) and p * r == r * p
+            assert isinstance(p + r, RatFunc)
+        assert x * BiPoly.x() == BiPoly.x() * x == BiPoly.of({(2, 0): 1})
+
+    def test_unsupported_operands_raise_type_error(self, x):
+        r = RatFunc(UniPoly.one(), x)
+        for op in (lambda: x + object(), lambda: object() - x, lambda: x * object(),
+                   lambda: divmod(x, r), lambda: x.exact_div(r), lambda: x % r):
+            with pytest.raises(TypeError):
+                op()
 
 
 class TestGcd:
