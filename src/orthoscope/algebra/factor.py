@@ -1,14 +1,15 @@
 """Irreducible factorization over the rationals at desk scale.
 
 Pipeline: squarefree decomposition, then for each squarefree part one monic
-integer transform and one good prime p. The transform's integer roots are
-Newton-lifted from its roots mod p (no big-integer divisor enumeration) and
-divided out over Z. The cofactor, rescaled to its own monic transform, is
-split in two mod p^(2^k) past its Mignotte bound: its roots mod p,
-Newton-lifted, are its linear modular factors, and only the root-free rest
-gets a Berlekamp factorization mod p and a Hensel lift. Subset
-recombination reads both. Intended for degrees up to a few dozen with
-moderate coefficients.
+integer transform, one good prime p and one root pass: the transform's roots
+mod p, Newton-lifted past its Mignotte bound (no big-integer divisor
+enumeration). Those that divide it exactly over Z are its integer roots; a
+part with rational roots gives their linear factors, and its rational
+cofactor is factored as a part of its own. For a part without rational roots
+the lifted roots are its linear modular factors, and only the root-free rest
+gets a Berlekamp factorization mod p and a Hensel lift. Subset recombination
+reads both. Intended for degrees up to a few dozen with moderate
+coefficients.
 """
 
 from __future__ import annotations
@@ -293,25 +294,6 @@ def _lifted_roots(f: list[int], p: int, target: int) -> tuple[list[int], int]:
     return roots, m
 
 
-def _split_integer_roots(f_int: list[int], p: int) -> tuple[list[list[int]], list[int]]:
-    """The factors y - r of a monic integer polynomial f that is squarefree
-    mod p, one per integer root r, and the cofactor of their product.
-
-    Each root mod p is Newton-lifted past the root bound; the exact division
-    of the cofactor by y - r over Z is the root test.
-    """
-    roots, m = _lifted_roots(f_int, p, 2 * (1 + max(abs(v) for v in f_int[:-1])) + 1)
-    linear = []
-    cofactor = f_int
-    for r in roots:
-        lin = [-_symmetric(r, m), 1]
-        _, q, rem = _int_divmod(cofactor, lin)
-        if not any(rem):
-            linear.append(lin)
-            cofactor = q
-    return linear, cofactor
-
-
 def _pz_eval_mod(f, v, m):
     acc = 0
     for c in reversed(f):
@@ -347,42 +329,46 @@ def _factor_order(parts) -> tuple[tuple[UniPoly, int], ...]:
 def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of a squarefree polynomial.
 
-    The primitive f with leading coefficient l maps to the monic integer
-    F(y) = l^(n-1) f(y/l), and one good prime p serves F throughout. F's
-    integer roots R_i split off first, as x - R_i/l. By Gauss's lemma f's
-    cofactor over Z has leading coefficient l' = l/s, s = prod l/gcd(R_i, l),
-    so F's cofactor has s times the roots of G, the cofactor's own monic
-    transform: G's coefficient k is F's cofactor's divided by s^(m-k), m its
-    degree. G's roots mod p, Newton-lifted to the modulus M = p^(2^k) past
-    G's Mignotte bound, give its linear factors y - r mod M. Only the
-    root-free rest H = G/prod(y - r) mod M goes to Berlekamp mod p, and only
-    H's factors, when there are two or more, to Hensel lifting; H is known
-    mod M alone, which the lift needs. By the uniqueness in Hensel's lemma
-    these are G's modular factors mod M, and recombination over Z finds the
-    factors G_i. Each maps back to G_i(l'*x) made monic. G stays squarefree
-    mod p, as p does not divide s: s > 1 needs a root, so n >= 3 when G has
-    degree >= 2, and a good prime for a monic F of degree n >= 3 cannot
-    divide l, or F would be y^(n-1)*(y + f_(n-1)) mod p.
+    The primitive f of degree n with leading coefficient l maps to the monic
+    integer F(y) = l^(n-1) f(y/l), and a factor h(y) of F over Z maps back
+    to h(l*x) made monic. One good prime p serves F, and F's roots mod p are
+    Newton-lifted once, to the modulus M = p^(2^k) past F's Mignotte bound,
+    which bounds F's integer roots too. A lifted root whose symmetric
+    representative R divides F exactly over Z gives the factor x - R/l. If f
+    has rational roots, its rational cofactor f/prod(x - R_i/l) has none and
+    is factored as a part of its own, with its own monic transform and prime,
+    so the recursion is at most one level deep. Otherwise the lifted roots
+    give F's linear factors y - r mod M. Only the root-free rest
+    H = F/prod(y - r) mod M goes to Berlekamp mod p, and only H's factors,
+    when there are two or more, to Hensel lifting; H is known mod M alone,
+    which the lift needs. By the uniqueness in Hensel's lemma these are F's
+    modular factors mod M, and recombination over Z finds F's factors.
     """
     if f.degree <= 1:
         return [f.monic()] if f.degree == 1 else []
     n, l = len(f.prim) - 1, f.prim[-1]
     f_int = [c * l ** (n - 1 - i) for i, c in enumerate(f.prim[:-1])] + [1]
     p = _good_prime(f_int)
-    linear, g_int = _split_integer_roots(f_int, p)
-    factors = [(h, l) for h in linear]      # (factor of a transform, its l)
-    if len(g_int) > 1:
-        s = math.prod(l // math.gcd(h[0], l) for h in linear)
-        m = len(g_int) - 1
-        g_int = [c // s ** (m - k) for k, c in enumerate(g_int)]
-        target = _mignotte_target(g_int)
-        roots, modulus = _lifted_roots(g_int, p, target)
-        lifted = [[-r % modulus, 1] for r in roots]
-        rest = g_int
-        for lin in lifted:
-            rest = _pz_divmod(rest, lin, modulus)[0]
-        if len(rest) > 1:
-            modular = _berlekamp([v % p for v in rest], p)
-            lifted += _lift_factors(rest, modular, p, target) if len(modular) > 1 else [rest]
-        factors += [(h, l // s) for h in _recombine(g_int, lifted, modulus)]
-    return [UniPoly.of([c * k**i for i, c in enumerate(h)]).monic() for h, k in factors]
+    target = _mignotte_target(f_int)
+    roots, modulus = _lifted_roots(f_int, p, target)
+
+    def back(h):
+        return UniPoly.of([c * l**i for i, c in enumerate(h)]).monic()
+
+    linear, cofactor = [], f_int
+    for r in roots:
+        lin = [-_symmetric(r, modulus), 1]
+        _, q, rem = _int_divmod(cofactor, lin)
+        if not any(rem):
+            linear.append(back(lin))
+            cofactor = q
+    if linear:
+        return linear + (_factor_squarefree(back(cofactor)) if len(cofactor) > 1 else [])
+    lifted = [[-r % modulus, 1] for r in roots]
+    rest = f_int
+    for lin in lifted:
+        rest = _pz_divmod(rest, lin, modulus)[0]
+    if len(rest) > 1:
+        modular = _berlekamp([v % p for v in rest], p)
+        lifted += _lift_factors(rest, modular, p, target) if len(modular) > 1 else [rest]
+    return [back(h) for h in _recombine(f_int, lifted, modulus)]

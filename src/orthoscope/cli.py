@@ -273,6 +273,10 @@ def _read_source(args) -> str:
 
 
 def main(argv=None) -> int:
+    # exact results may print more digits than Python's default int-to-str
+    # limit; the parser bounds its literals itself (MAX_LITERAL_DIGITS)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_argparser().parse_args(argv)
     try:
         if args.command == "fixtures":

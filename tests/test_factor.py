@@ -116,24 +116,36 @@ class TestFactorProperties:
         from orthoscope.algebra import factor
 
         searched = record_calls(monkeypatch, factor._good_prime)
-        cases = [((3 * x - 2) * (x**2 + 1), [(x - Fraction(2, 3), 1), (x**2 + 1, 1)]),
-                 (x**6 - 3, [(x**6 - 3, 1)]),
-                 (x**3 - 2, [(x**3 - 2, 1)]),
+        # one search for each squarefree part of degree >= 2, and one more
+        # for the nonlinear cofactor of a part with rational roots
+        cases = [((3 * x - 2) * (x**2 + 1), [(x - Fraction(2, 3), 1), (x**2 + 1, 1)], 2),
+                 (x**6 - 3, [(x**6 - 3, 1)], 1),
+                 (x**3 - 2, [(x**3 - 2, 1)], 1),
                  ((x**2 - 2) ** 2 * x * (2 * x + 1),
-                  [(x, 1), (x + Fraction(1, 2), 1), (x**2 - 2, 2)])]
-        for p, parts in cases:
+                  [(x, 1), (x + Fraction(1, 2), 1), (x**2 - 2, 2)], 2)]
+        for p, parts, searches in cases:
             searched.clear()
             assert list(factor_rationals(p).parts) == parts
-            # one search for each squarefree part of degree >= 2
-            assert len(searched) == len({m for _, m in parts})
+            assert len(searched) == searches
+
+    def test_one_root_lift_per_part_without_rational_roots(self, x, monkeypatch):
+        from orthoscope.algebra import factor
+
+        lifts = record_calls(monkeypatch, factor._lifted_roots)
+        # at the good prime 5, x^3 - 2 has the root 3, and x^6 - 3 and
+        # (x^2 - 2)(x^2 - 8) have none: one root pass finds no rational root
+        for p in (x**3 - 2, x**6 - 3, (x**2 - 2) * (x**2 - 8)):
+            lifts.clear()
+            factor_rationals(p)
+            assert len(lifts) == 1
 
     def test_cofactor_is_its_own_monic_transform(self, x, monkeypatch):
         # f = (3x - 2)(5x + 1)(7x^2 - 3)(2x^3 - 5) has l = 210 and integer
-        # roots 140 and -42 in F(y) = l^6*f(y/l); dividing them out leaves
-        # s = l/l' = 15 times the roots of the transform of the cofactor
-        # 14x^5 + ... with l' = 14, so the cofactor is rescaled by s to
-        # G(y) = (y^2 - 84)(y^3 - 6860) before its roots mod p are lifted;
-        # Berlekamp then sees only G's root-free part mod p
+        # roots 140 and -42 in F(y) = l^6*f(y/l); the rational cofactor
+        # (7x^2 - 3)(2x^3 - 5), with l' = 14, is factored as a part of its
+        # own, so its roots mod its prime are lifted in its monic transform
+        # G(y) = 14^4*g(y/14) = (y^2 - 84)(y^3 - 6860); Berlekamp then sees
+        # only G's root-free part mod p
         from orthoscope.algebra import factor
 
         berlekamp = record_calls(monkeypatch, factor._berlekamp)
@@ -154,7 +166,7 @@ class TestFactorProperties:
         assert list(factor_rationals(f).parts) == [
             (x - Fraction(2, 3), 1), (x + Fraction(1, 5), 1),
             (x**2 - Fraction(3, 7), 1), (x**3 - Fraction(5, 2), 1)]
-        (p,) = primes
+        p = primes[-1]                       # the cofactor's search is last
         g = (x**2 - 84) * (x**3 - 6860)
         g_int, roots, _ = lifts[-1]          # F's roots are lifted first
         assert g_int == list(g.prim)

@@ -106,6 +106,20 @@ class TestCliExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "exceeds the degree bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, prefix, root", [
+        (["residues", "1/(x - (2^1000)^15)"], "  x - ", 2**15000),
+        (["classify", "x' = x - (7^1000)^9; y' = y*x"], "pole x - ", 7**9000),
+        (["is-derivative", "1/(x+2^1000)^20"], "witness: h = -1/19/(x^19 + ", 19 * 2**1000),
+    ], ids=["residues", "classify", "is-derivative"])
+    def test_long_integer_output_exits_zero_within_a_second(self, argv, prefix, root, capsys):
+        # every parser bound holds; the exact result prints an integer with
+        # more digits than Python's default int-to-str limit
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert prefix + str(root) in out and err == ""
+
     def test_input_budgets_exit_two_within_a_second(self, capsys):
         for source, message in (
             ("x' = (x+1)^1000*(x+1)^1000; y' = y*x", "product exceeds the degree bound"),
