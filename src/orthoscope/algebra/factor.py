@@ -1,20 +1,24 @@
 """Irreducible factorization over the rationals at desk scale.
 
-Pipeline: squarefree decomposition, then for each squarefree part one monic
-integer transform, one good prime p and one root pass: the transform's roots
-mod p, Newton-lifted past its Mignotte bound (no big-integer divisor
-enumeration). Those that divide it exactly over Z are its integer roots; a
-part with rational roots gives their linear factors, and its rational
-cofactor is factored as a part of its own. For a part without rational roots
-the lifted roots are its linear modular factors, and only the root-free rest
-gets a Berlekamp factorization mod p and a Hensel lift. Subset recombination
-reads both. Intended for degrees up to a few dozen with moderate
-coefficients.
+Pipeline: squarefree decomposition, then for each squarefree part either a
+proof of irreducibility or one monic integer transform, one good prime p and
+one root pass. A binomial that Capelli's criterion proves irreducible takes
+no prime at all. Otherwise the transform's roots mod p are Newton-lifted
+past its Mignotte bound (no big-integer divisor enumeration), and those that
+divide it exactly over Z are its integer roots. A part with rational roots
+gives their linear factors, and its rational cofactor, which has no rational
+root, is irreducible when of degree <= 3 and is otherwise factored as a part
+of its own. A part without rational roots is irreducible when of degree
+<= 3; otherwise its lifted roots are its linear modular factors, and only
+the root-free rest gets a Berlekamp factorization mod p and a Hensel lift.
+Subset recombination reads both. Intended for degrees up to a few dozen
+with moderate coefficients, and for binomials of any degree.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, zip_longest
 from operator import neg
 
@@ -301,6 +305,48 @@ def _pz_eval_mod(f, v, m):
     return acc
 
 
+# -- Capelli's criterion for binomials ------------------------------------------
+
+
+def _exact_root(v: int, k: int) -> int | None:
+    """The integer r with r^k = v, or None when there is none. Newton's
+    method on ints falls from the upper bound 2^ceil(bits/k) to the
+    rounded-down root of |v|, exact at any size, with no floats."""
+    if v < 0:
+        r = _exact_root(-v, k) if k % 2 else None
+        return None if r is None else -r
+    r = v if v < 2 else 1 << -(-v.bit_length() // k)
+    while r > 1:
+        s = ((k - 1) * r + v // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == v else None
+
+
+def _is_power(c: Fraction, k: int) -> bool:
+    """Whether the rational c is a k-th power in Q: its reduced numerator
+    and denominator are k-th powers in Z."""
+    return _exact_root(c.numerator, k) is not None and _exact_root(c.denominator, k) is not None
+
+
+def _capelli_irreducible(prim: tuple[int, ...]) -> bool:
+    """Whether prim is a binomial A*x^n + B (B != 0) that Capelli's theorem
+    proves irreducible over Q (Lang, Algebra, VI §9): x^n - c, c = -B/A, is
+    irreducible exactly when c is no q-th power for any prime q | n and,
+    when 4 | n, c is not -4*b^4, that is -c/4 is no fourth power. A d-th
+    power is a q-th power for each prime q | d, so testing every divisor
+    d > 1 of n is the same test. False for every other polynomial, and for
+    reducible binomials such as x^4 + 4."""
+    n = len(prim) - 1
+    if not prim[0] or any(prim[1:-1]):
+        return False
+    c = Fraction(-prim[0], prim[-1])
+    if n % 4 == 0 and _is_power(-c / 4, 4):
+        return False
+    return not any(_is_power(c, d) for d in range(2, n + 1) if n % d == 0)
+
+
 # -- top-level factorization ---------------------------------------------------------
 
 
@@ -329,23 +375,29 @@ def _factor_order(parts) -> tuple[tuple[UniPoly, int], ...]:
 def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of a squarefree polynomial.
 
-    The primitive f of degree n with leading coefficient l maps to the monic
-    integer F(y) = l^(n-1) f(y/l), and a factor h(y) of F over Z maps back
-    to h(l*x) made monic. One good prime p serves F, and F's roots mod p are
-    Newton-lifted once, to the modulus M = p^(2^k) past F's Mignotte bound,
-    which bounds F's integer roots too. A lifted root whose symmetric
-    representative R divides F exactly over Z gives the factor x - R/l. If f
-    has rational roots, its rational cofactor f/prod(x - R_i/l) has none and
-    is factored as a part of its own, with its own monic transform and prime,
-    so the recursion is at most one level deep. Otherwise the lifted roots
-    give F's linear factors y - r mod M. Only the root-free rest
-    H = F/prod(y - r) mod M goes to Berlekamp mod p, and only H's factors,
-    when there are two or more, to Hensel lifting; H is known mod M alone,
-    which the lift needs. By the uniqueness in Hensel's lemma these are F's
-    modular factors mod M, and recombination over Z finds F's factors.
+    A binomial that `_capelli_irreducible` accepts is returned as it is,
+    before any prime is chosen. Otherwise the primitive f of degree n with
+    leading coefficient l maps to the monic integer F(y) = l^(n-1) f(y/l),
+    and a factor h(y) of F over Z maps back to h(l*x) made monic. One good
+    prime p serves F, and F's roots mod p are Newton-lifted once, to the
+    modulus M = p^(2^k) past F's Mignotte bound, which bounds F's integer
+    roots too. A lifted root whose symmetric representative R divides F
+    exactly over Z gives the factor x - R/l. If f has rational roots, its
+    rational cofactor f/prod(x - R_i/l) has none: of degree <= 3 it is
+    irreducible, and otherwise it is factored as a part of its own, with its
+    own monic transform and prime, so the recursion is at most one level
+    deep. A part of degree <= 3 without rational roots is irreducible too,
+    since any splitting of it has a linear factor. Otherwise the lifted roots give F's linear factors y - r mod M. Only the
+    root-free rest H = F/prod(y - r) mod M goes to Berlekamp mod p, and only
+    H's factors, when there are two or more, to Hensel lifting; H is known
+    mod M alone, which the lift needs. By the uniqueness in Hensel's lemma
+    these are F's modular factors mod M, and recombination over Z finds F's
+    factors.
     """
     if f.degree <= 1:
         return [f.monic()] if f.degree == 1 else []
+    if _capelli_irreducible(f.prim):
+        return [f.monic()]
     n, l = len(f.prim) - 1, f.prim[-1]
     f_int = [c * l ** (n - 1 - i) for i, c in enumerate(f.prim[:-1])] + [1]
     p = _good_prime(f_int)
@@ -363,7 +415,12 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
             linear.append(back(lin))
             cofactor = q
     if linear:
-        return linear + (_factor_squarefree(back(cofactor)) if len(cofactor) > 1 else [])
+        if len(cofactor) == 1:
+            return linear
+        rest = back(cofactor)
+        return linear + ([rest] if rest.degree <= 3 else _factor_squarefree(rest))
+    if n <= 3:
+        return [f.monic()]
     lifted = [[-r % modulus, 1] for r in roots]
     rest = f_int
     for lin in lifted:

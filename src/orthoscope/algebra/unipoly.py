@@ -501,8 +501,9 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
     a_j of multiplicity j >= i and d = b*sum((j - i)*a_j'/a_j). So d is a
     multiple k*b' exactly when every remaining root has multiplicity
     i + k (compare both sides mod each a_j), and the loop then ends
-    without the gcds of the passes in between: a single pass for a
-    squarefree p (d = 0), two gcds in all for (x - a)^e*(x - b).
+    without the gcds of the passes in between: two gcds in all for
+    (x - a)^e*(x - b). A squarefree p, with gcd(p, p') = 1, is its own
+    single part after the first gcd.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
@@ -510,11 +511,14 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
     f = p.monic()
     if f.degree == 0:
         return SquarefreeFactorization(content, ())
+    df = f.derivative()
+    g = poly_gcd(f, df)
+    if g.degree == 0:
+        return SquarefreeFactorization(content, ((f, 1),))
     parts: list[tuple[UniPoly, int]] = []
-    g = poly_gcd(f, f.derivative())
     b = f.exact_div(g)
     db = b.derivative()
-    d = f.derivative().exact_div(g) - db
+    d = df.exact_div(g) - db
     i = 1
     while b.degree > 0:
         if d.prim in ((), db.prim):

@@ -116,13 +116,18 @@ class TestFactorProperties:
         from orthoscope.algebra import factor
 
         searched = record_calls(monkeypatch, factor._good_prime)
-        # one search for each squarefree part of degree >= 2, and one more
-        # for the nonlinear cofactor of a part with rational roots
-        cases = [((3 * x - 2) * (x**2 + 1), [(x - Fraction(2, 3), 1), (x**2 + 1, 1)], 2),
-                 (x**6 - 3, [(x**6 - 3, 1)], 1),
-                 (x**3 - 2, [(x**3 - 2, 1)], 1),
+        # one search for each squarefree part of degree >= 2 that is not a
+        # Capelli binomial, and one more for the cofactor of a part with
+        # rational roots when that cofactor has degree >= 4: x^6 - 3, x^3 - 2
+        # and x^2 - 2 make none, and the cofactor x^2 + 1 is returned as it is
+        cases = [((3 * x - 2) * (x**2 + 1), [(x - Fraction(2, 3), 1), (x**2 + 1, 1)], 1),
+                 ((3 * x - 2) * (x**4 + x + 1),
+                  [(x - Fraction(2, 3), 1), (x**4 + x + 1, 1)], 2),
+                 (x**4 - 10 * x**2 + 1, [(x**4 - 10 * x**2 + 1, 1)], 1),
+                 (x**6 - 3, [(x**6 - 3, 1)], 0),
+                 (x**3 - 2, [(x**3 - 2, 1)], 0),
                  ((x**2 - 2) ** 2 * x * (2 * x + 1),
-                  [(x, 1), (x + Fraction(1, 2), 1), (x**2 - 2, 2)], 2)]
+                  [(x, 1), (x + Fraction(1, 2), 1), (x**2 - 2, 2)], 1)]
         for p, parts, searches in cases:
             searched.clear()
             assert list(factor_rationals(p).parts) == parts
@@ -132,12 +137,36 @@ class TestFactorProperties:
         from orthoscope.algebra import factor
 
         lifts = record_calls(monkeypatch, factor._lifted_roots)
-        # at the good prime 5, x^3 - 2 has the root 3, and x^6 - 3 and
-        # (x^2 - 2)(x^2 - 8) have none: one root pass finds no rational root
-        for p in (x**3 - 2, x**6 - 3, (x**2 - 2) * (x**2 - 8)):
+        # at the good prime 3, x^4 + x + 1 has the root 1 and x^5 - x - 1 has
+        # none; (x^2 - 2)(x^2 - 8) has none at 5: one root pass finds no
+        # rational root
+        for p in (x**4 + x + 1, x**5 - x - 1, (x**2 - 2) * (x**2 - 8)):
             lifts.clear()
             factor_rationals(p)
             assert len(lifts) == 1
+        # Capelli proves x^3 - 2 and x^6 - 3 irreducible before any root pass
+        for p in (x**3 - 2, x**6 - 3):
+            lifts.clear()
+            factor_rationals(p)
+            assert len(lifts) == 0
+
+    def test_irreducible_binomials_skip_the_prime_search(self, x, monkeypatch):
+        from orthoscope.algebra import factor
+
+        searched = record_calls(monkeypatch, factor._good_prime)
+        for p in (x**2 + 1, x**3 - 2, x**4 + 1, 3 * x**5 + 7, x**6 - 3, x**12 - 2,
+                  x**8 + 3, x**30 - Fraction(2, 3), x**240 - 2):
+            searched.clear()
+            assert factor_rationals(p).parts == ((p.monic(), 1),)
+            assert searched == []
+        # reducible binomials go through the modular pipeline as before;
+        # x^6 - 1 has the rational roots 1 and -1, and its quartic cofactor
+        # makes a second search
+        for p, parts, searches in ((x**4 + 4, 2, 1), (4 * x**4 + 1, 2, 1), (x**8 + 4, 2, 1),
+                                   (x**6 + 27, 3, 1), (x**6 - 8, 2, 1), (x**6 - 1, 4, 2)):
+            searched.clear()
+            assert len(factor_rationals(p).parts) == parts
+            assert len(searched) == searches
 
     def test_cofactor_is_its_own_monic_transform(self, x, monkeypatch):
         # f = (3x - 2)(5x + 1)(7x^2 - 3)(2x^3 - 5) has l = 210 and integer
@@ -187,7 +216,42 @@ class TestFactorProperties:
         f = math.prod(quadratics, start=UniPoly.one())
         assert set(factor_rationals(f).parts) == {(q, 1) for q in quadratics}
         assert berlekamp == [] and lifts == []
-        # x^3 - 2 has one root mod 5: Berlekamp gets the quadratic rest,
+        # x^4 + x + 1 has one root mod 3: Berlekamp gets the cubic rest,
         # which stays irreducible, and nothing is Hensel-lifted
-        assert factor_rationals(x**3 - 2).parts == ((x**3 - 2, 1),)
-        assert [len(rest) - 1 for rest in berlekamp] == [2] and lifts == []
+        assert factor_rationals(x**4 + x + 1).parts == ((x**4 + x + 1, 1),)
+        assert [len(rest) - 1 for rest in berlekamp] == [3] and lifts == []
+        # a Capelli binomial, and a part of degree <= 3 without a rational
+        # root, reach neither
+        berlekamp.clear()
+        for p in (x**3 - 2, x**6 - 3, x**3 - x - 1):
+            assert factor_rationals(p).parts == ((p, 1),)
+        assert factor_rationals((3 * x - 2) * (x**3 - x - 1)).parts == (
+            (x - Fraction(2, 3), 1), (x**3 - x - 1, 1))
+        assert berlekamp == [] and lifts == []
+
+
+class TestExactRoot:
+    def test_perfect_powers_of_4000_digits_and_their_neighbours(self):
+        # far past the float range: a root through floats would overflow
+        from orthoscope.algebra.factor import _exact_root
+
+        rng = random.Random(4000)
+        for k in range(2, 14):
+            r = rng.randrange(10 ** (4000 // k - 1), 10 ** (4000 // k))
+            v = r**k
+            assert v.bit_length() > 13000
+            assert _exact_root(v, k) == r
+            assert _exact_root(v - 1, k) is None and _exact_root(v + 1, k) is None
+            if k % 2:
+                assert _exact_root(-v, k) == -r
+                assert _exact_root(-v - 1, k) is None and _exact_root(-v + 1, k) is None
+            else:
+                assert _exact_root(-v, k) is None
+
+    def test_small_values_against_enumeration(self):
+        from orthoscope.algebra.factor import _exact_root
+
+        for k in range(2, 14):
+            powers = {r**k: r for r in range(-60, 61)}
+            for v in range(-3000, 3001):
+                assert _exact_root(v, k) == powers.get(v), (v, k)

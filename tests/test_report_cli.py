@@ -148,6 +148,23 @@ class TestCliExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "verdict: nonorthogonal-uniformly-almost-internal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, line", [
+        (["residues", "1/(x^240 - 2)"],
+         "  x^240 - 2: multiplicity 1, residue root of x^240 - 2, component 1/480*x\n"),
+        (["classify", "x' = x^240 - 2; y' = y"],
+         "verdict: nonorthogonal-uniformly-almost-internal\n"),
+    ], ids=["residues", "classify"])
+    def test_irreducible_binomial_of_high_degree_exits_zero_within_a_second(self, argv, line,
+                                                                          capsys):
+        # Capelli's criterion proves x^240 - 2 irreducible before any prime
+        # is chosen; mod 7 it has 25 factors, whose subsets recombination
+        # would otherwise try
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert line in out and err == ""
+
     @pytest.mark.parametrize("argv, expected", [
         (["residues", "x^1000"],
          "command: residues\nverdict: residues-computed\nresidues:\n"
@@ -213,8 +230,9 @@ class TestCliExitCodes:
             raise RuntimeError("modular factorization did not split completely")
 
         monkeypatch.setattr(factor_mod, "_berlekamp", broken_berlekamp)
-        # x^2 + 1 has no rational root, so factoring it reaches Berlekamp
-        assert main(["classify", "x' = (x^2 + 1)*x^2; y' = y*x"]) == 4
+        # x^4 - 10x^2 + 1 is no binomial and has no root mod its prime 5,
+        # so factoring it reaches Berlekamp
+        assert main(["classify", "x' = (x^4 - 10*x^2 + 1)*x^2; y' = y*x"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal inconsistency: modular factorization")
         assert "Traceback" not in err

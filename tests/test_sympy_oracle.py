@@ -173,6 +173,28 @@ def test_factor_rationals_matches_sympy_on_root_rich_parts():
         _assert_factors_match(p)
 
 
+def test_factor_rationals_matches_sympy_on_binomials():
+    """A*x^n + B for n = 2..30, with c = -B/A a perfect power for a divisor
+    of n, -4*k^4, a fraction of powers, a negative or a squarefree value:
+    Capelli's criterion proves some irreducible, and the rest go through
+    the modular pipeline."""
+    rng = random.Random(7027)
+    x = UniPoly.variable()
+    cases = []
+    for n in range(2, 31):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        d = rng.choice(divisors)
+        values = [rng.randint(2, 5) ** d, -rng.randint(2, 5) ** d,
+                  Fraction(rng.randint(1, 4), rng.randint(2, 5)) ** d,
+                  -4 * rng.randint(1, 3) ** 4, Fraction(-1, 4) * Fraction(1, rng.randint(2, 3)) ** 4,
+                  rng.choice([2, 3, 5, 6, 10, 30]), -rng.choice([1, 2, 3, 6, 7])]
+        for c in values:
+            a = rng.randint(1, 9)
+            cases.append(a * x**n - a * c)
+    for p in cases:
+        _assert_factors_match(p)
+
+
 def _random_bipoly(rng: random.Random, dx: int, dy: int, wide: bool = False) -> BiPoly:
     terms = {(rng.randint(0, dx), rng.randint(0, dy)): _rational(rng, wide)
              for _ in range(rng.randint(1, 6))}

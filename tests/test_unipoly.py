@@ -206,9 +206,14 @@ class TestSquarefree:
         assert sf.content == 1
         assert set((f.to_string(), m) for f, m in sf.parts) == {("x", 3), ("x - 1", 1)}
 
-    def test_squarefree_input_passes_through(self, x):
+    def test_squarefree_input_passes_through(self, x, monkeypatch):
+        # gcd(p, p') = 1 ends the decomposition before any exact division
+        divided = record_calls(monkeypatch, UniPoly.exact_div)
         sf = squarefree_decompose(x**2 - 2)
         assert [(f, m) for f, m in sf.parts] == [(x**2 - 2, 1)]
+        sf = squarefree_decompose(3 * (x - 2) * (x**3 + x + 1))
+        assert sf.content == 3 and sf.parts == (((x - 2) * (x**3 + x + 1), 1),)
+        assert divided == []
 
     def test_hidden_square(self, x):
         sf = squarefree_decompose(x**4 - 2 * x**2 + 1)
