@@ -3,16 +3,21 @@
 Pipeline: squarefree decomposition, then for each squarefree part either a
 proof of irreducibility or one monic integer transform, one good prime p and
 one root pass. A binomial that Capelli's criterion proves irreducible takes
-no prime at all. Otherwise the transform's roots mod p are Newton-lifted
-past its Mignotte bound (no big-integer divisor enumeration), and those that
-divide it exactly over Z are its integer roots. A part with rational roots
-gives their linear factors, and its rational cofactor, which has no rational
-root, is irreducible when of degree <= 3 and is otherwise factored as a part
-of its own. A part without rational roots is irreducible when of degree
-<= 3; otherwise its lifted roots are its linear modular factors, and only
-the root-free rest gets a Berlekamp factorization mod p and a Hensel lift.
-Subset recombination reads both. Intended for degrees up to a few dozen
-with moderate coefficients, and for binomials of any degree.
+no prime at all. A part f = g(x^d), d > 1, is deflated first: when g
+splits, each factor h gives h(x^d) as a part of its own, so a product of
+quadratics x^2 - c*k^2 takes one root pass on g, and a reducible binomial
+x^n - c is deflated to y^q - c for Capelli's witness q, which splits.
+Otherwise the transform's roots mod p are Newton-lifted past its Mignotte
+bound (no big-integer divisor enumeration), and those that divide it
+exactly over Z are its integer roots. A part with rational roots gives
+their linear factors, and its rational cofactor, which has no rational
+root, is irreducible when of degree <= 3 and is otherwise factored as a
+part of its own. A part without rational roots is irreducible when of
+degree <= 3; otherwise its lifted roots are its linear modular factors,
+and only the root-free rest gets a Berlekamp factorization mod p and a
+Hensel lift. Subset recombination reads both. Intended for degrees up to a
+few dozen with moderate coefficients, and for binomials of any degree whose
+irreducible factors are binomials too.
 """
 
 from __future__ import annotations
@@ -305,7 +310,7 @@ def _pz_eval_mod(f, v, m):
     return acc
 
 
-# -- Capelli's criterion for binomials ------------------------------------------
+# -- Capelli's criterion and deflation ------------------------------------------
 
 
 def _exact_root(v: int, k: int) -> int | None:
@@ -330,21 +335,29 @@ def _is_power(c: Fraction, k: int) -> bool:
     return _exact_root(c.numerator, k) is not None and _exact_root(c.denominator, k) is not None
 
 
-def _capelli_irreducible(prim: tuple[int, ...]) -> bool:
-    """Whether prim is a binomial A*x^n + B (B != 0) that Capelli's theorem
-    proves irreducible over Q (Lang, Algebra, VI §9): x^n - c, c = -B/A, is
+def _capelli_witness(prim: tuple[int, ...]) -> int | None:
+    """For a binomial A*x^n + B (B != 0), with c = -B/A: 1 when Capelli's
+    theorem proves x^n - c irreducible over Q (Lang, Algebra, VI §9), and
+    otherwise a witness q | n for which y^q - c splits. x^n - c is
     irreducible exactly when c is no q-th power for any prime q | n and,
-    when 4 | n, c is not -4*b^4, that is -c/4 is no fourth power. A d-th
-    power is a q-th power for each prime q | d, so testing every divisor
-    d > 1 of n is the same test. False for every other polynomial, and for
-    reducible binomials such as x^4 + 4."""
+    when 4 | n, c is not -4*b^4, that is -c/4 is no fourth power; the
+    witness is 4 in the second case, and in the first the least divisor
+    d > 1 of n with c a d-th power, which is prime, as a d-th power is a
+    q-th power for each prime q | d. None for every other polynomial."""
     n = len(prim) - 1
     if not prim[0] or any(prim[1:-1]):
-        return False
+        return None
     c = Fraction(-prim[0], prim[-1])
     if n % 4 == 0 and _is_power(-c / 4, 4):
-        return False
-    return not any(_is_power(c, d) for d in range(2, n + 1) if n % d == 0)
+        return 4
+    return next((d for d in range(2, n + 1) if n % d == 0 and _is_power(c, d)), 1)
+
+
+def _inflate(g: UniPoly, d: int) -> UniPoly:
+    """g(x^d)."""
+    prim = [0] * ((len(g.prim) - 1) * d + 1)
+    prim[::d] = g.prim
+    return UniPoly(g.cnum, g.cden, tuple(prim))
 
 
 # -- top-level factorization ---------------------------------------------------------
@@ -372,33 +385,55 @@ def _factor_order(parts) -> tuple[tuple[UniPoly, int], ...]:
     return tuple(sorted(parts, key=lambda qe: (qe[0].degree, qe[0].coeffs)))
 
 
-def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
+def _factor_squarefree(f: UniPoly, deflate: bool = True) -> list[UniPoly]:
     """Monic irreducible factors of a squarefree polynomial.
 
-    A binomial that `_capelli_irreducible` accepts is returned as it is,
-    before any prime is chosen. Otherwise the primitive f of degree n with
-    leading coefficient l maps to the monic integer F(y) = l^(n-1) f(y/l),
-    and a factor h(y) of F over Z maps back to h(l*x) made monic. One good
-    prime p serves F, and F's roots mod p are Newton-lifted once, to the
-    modulus M = p^(2^k) past F's Mignotte bound, which bounds F's integer
-    roots too. A lifted root whose symmetric representative R divides F
-    exactly over Z gives the factor x - R/l. If f has rational roots, its
-    rational cofactor f/prod(x - R_i/l) has none: of degree <= 3 it is
-    irreducible, and otherwise it is factored as a part of its own, with its
-    own monic transform and prime, so the recursion is at most one level
-    deep. A part of degree <= 3 without rational roots is irreducible too,
-    since any splitting of it has a linear factor. Otherwise the lifted roots give F's linear factors y - r mod M. Only the
-    root-free rest H = F/prod(y - r) mod M goes to Berlekamp mod p, and only
-    H's factors, when there are two or more, to Hensel lifting; H is known
-    mod M alone, which the lift needs. By the uniqueness in Hensel's lemma
-    these are F's modular factors mod M, and recombination over Z finds F's
-    factors.
+    A binomial x^n - c (made monic) that `_capelli_witness` proves
+    irreducible is returned as it is, before any prime is chosen.
+
+    Deflation comes next. When f = g(x^d) for some d > 1, g is squarefree
+    too, and it is factored first. For a binomial, d = n/q for the witness
+    q, so g = y^q - c splits. Otherwise (only when `deflate`), d is the gcd
+    of the exponents of f's nonzero terms. If g has factors h_1..h_k with
+    k >= 2, f is their product, and each h_i(x^d) is factored as a part of
+    its own, without this gcd deflation: h_i is irreducible, so deflating
+    h_i(x^d) again would only give h_i back. An f whose g does not split
+    goes on as below. So a product of quadratics x^2 - c*k^2 takes one root
+    pass on its deflation, whose roots c*k^2 are all rational.
+
+    Otherwise the primitive f of degree n with leading coefficient l maps
+    to the monic integer F(y) = l^(n-1) f(y/l), and a factor h(y) of F over
+    Z maps back to h(l*x) made monic. One good prime p serves F, and F's
+    roots mod p are Newton-lifted once, to the modulus M = p^(2^k) past F's
+    Mignotte bound, which bounds F's integer roots too. A lifted root whose
+    symmetric representative R divides F exactly over Z gives the factor
+    x - R/l. If f has rational roots, its rational cofactor
+    f/prod(x - R_i/l) has none: of degree <= 3 it is irreducible, and
+    otherwise it is factored as a part of its own, with its own monic
+    transform and prime. A part of degree <= 3 without rational
+    roots is irreducible too, since any splitting of it has a linear
+    factor. Otherwise the lifted roots give F's linear factors y - r mod M.
+    Only the root-free rest H = F/prod(y - r) mod M goes to Berlekamp mod p,
+    and only H's factors, when there are two or more, to Hensel lifting; H
+    is known mod M alone, which the lift needs. By the uniqueness in
+    Hensel's lemma these are F's modular factors mod M, and recombination
+    over Z finds F's factors.
     """
     if f.degree <= 1:
         return [f.monic()] if f.degree == 1 else []
-    if _capelli_irreducible(f.prim):
+    n = len(f.prim) - 1
+    witness = _capelli_witness(f.prim)
+    if witness == 1:
         return [f.monic()]
-    n, l = len(f.prim) - 1, f.prim[-1]
+    if witness:
+        d = n // witness
+    else:
+        d = math.gcd(*(k for k, v in enumerate(f.prim) if v)) if deflate else 1
+    if d > 1:
+        factors = _factor_squarefree(UniPoly(f.cnum, f.cden, f.prim[::d]))
+        if len(factors) > 1:
+            return [part for h in factors for part in _factor_squarefree(_inflate(h, d), False)]
+    l = f.prim[-1]
     f_int = [c * l ** (n - 1 - i) for i, c in enumerate(f.prim[:-1])] + [1]
     p = _good_prime(f_int)
     target = _mignotte_target(f_int)

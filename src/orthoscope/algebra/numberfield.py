@@ -2,7 +2,9 @@
 
 Elements carry their modulus; irreducibility is a documented precondition
 (the callers construct moduli from irreducible factorizations) and is not
-re-verified per element.
+re-verified per element. An inverse is one extended Euclid that keeps only
+the element's cofactor, not the modulus's; a gcd that is not constant
+shows a reducible modulus and raises ValueError.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .unipoly import UniPoly, poly_xgcd
+from .unipoly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -21,11 +23,14 @@ class NFElement:
     modulus: UniPoly
 
     def __post_init__(self):
-        mod = self.modulus.monic()
+        mod = self.modulus
         if mod.degree < 1:
             raise ValueError("modulus must be nonconstant")
-        object.__setattr__(self, "modulus", mod)
-        object.__setattr__(self, "rep", self.rep % mod)
+        if mod.cnum != 1 or mod.cden != mod.prim[-1]:    # not monic
+            mod = mod.monic()
+            object.__setattr__(self, "modulus", mod)
+        if self.rep.degree >= mod.degree:
+            object.__setattr__(self, "rep", self.rep % mod)
 
     def _check(self, other: "NFElement"):
         if self.modulus != other.modulus:
@@ -62,12 +67,18 @@ class NFElement:
     def inverse(self) -> "NFElement":
         if self.rep.is_zero:
             raise ZeroDivisionError("inverse of zero in a number field")
-        if self.rep.is_constant:
-            return NFElement(UniPoly.constant(1 / self.rep.lc), self.modulus)
-        g, s, _ = poly_xgcd(self.rep, self.modulus)
-        if g.degree != 0:
+        # extended Euclid on (modulus, rep), keeping only each remainder's
+        # cofactor s of rep: s*rep = r mod the modulus; a constant rep c
+        # takes no step and inverts to 1/c
+        r0, r1 = self.modulus, self.rep
+        s0, s1 = UniPoly.zero(), UniPoly.one()
+        while not r1.is_constant:
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+        if r1.is_zero:
             raise ValueError("modulus is not irreducible: nontrivial gcd found")
-        return NFElement(s, self.modulus)
+        return NFElement(s1 * (1 / r1.lc), self.modulus)
 
     @property
     def is_zero(self) -> bool:

@@ -119,11 +119,13 @@ class TestFactorProperties:
         # one search for each squarefree part of degree >= 2 that is not a
         # Capelli binomial, and one more for the cofactor of a part with
         # rational roots when that cofactor has degree >= 4: x^6 - 3, x^3 - 2
-        # and x^2 - 2 make none, and the cofactor x^2 + 1 is returned as it is
+        # and x^2 - 2 make none, and the cofactor x^2 + 1 is returned as it is;
+        # x^4 - 10x^2 + 1 makes two, one for its irreducible deflation
+        # y^2 - 10y + 1 and one for itself
         cases = [((3 * x - 2) * (x**2 + 1), [(x - Fraction(2, 3), 1), (x**2 + 1, 1)], 1),
                  ((3 * x - 2) * (x**4 + x + 1),
                   [(x - Fraction(2, 3), 1), (x**4 + x + 1, 1)], 2),
-                 (x**4 - 10 * x**2 + 1, [(x**4 - 10 * x**2 + 1, 1)], 1),
+                 (x**4 - 10 * x**2 + 1, [(x**4 - 10 * x**2 + 1, 1)], 2),
                  (x**6 - 3, [(x**6 - 3, 1)], 0),
                  (x**3 - 2, [(x**3 - 2, 1)], 0),
                  ((x**2 - 2) ** 2 * x * (2 * x + 1),
@@ -159,11 +161,18 @@ class TestFactorProperties:
             searched.clear()
             assert factor_rationals(p).parts == ((p.monic(), 1),)
             assert searched == []
-        # reducible binomials go through the modular pipeline as before;
-        # x^6 - 1 has the rational roots 1 and -1, and its quartic cofactor
-        # makes a second search
-        for p, parts, searches in ((x**4 + 4, 2, 1), (4 * x**4 + 1, 2, 1), (x**8 + 4, 2, 1),
-                                   (x**6 + 27, 3, 1), (x**6 - 8, 2, 1), (x**6 - 1, 4, 2)):
+        # a reducible binomial x^n - c with witness q is deflated to
+        # y^q - c, which makes one search, and each factor h(x^(n/q)) that
+        # is no Capelli binomial makes one more: x^8 + 4 (q = 4) gives
+        # x^4 - 2x^2 + 2 and x^4 + 2x^2 + 2, x^6 + 27 (q = 3) gives x^2 + 3
+        # and x^4 - 3x^2 + 9, x^6 - 8 gives x^2 - 2 and x^4 + 2x^2 + 4, and
+        # x^6 - 1 (q = 2) gives x^3 - 1 and x^3 + 1; x^4 + 4 and 4x^4 + 1
+        # (q = 4 = n) are not deflated; x^240 - 4 (q = 2) gives the Capelli
+        # binomials x^120 - 2 and x^120 + 2, with no subset search over
+        # their 25 factors mod 7
+        for p, parts, searches in ((x**4 + 4, 2, 1), (4 * x**4 + 1, 2, 1), (x**8 + 4, 2, 3),
+                                   (x**6 + 27, 3, 2), (x**6 - 8, 2, 2), (x**6 - 1, 4, 3),
+                                   (x**240 - 4, 2, 1)):
             searched.clear()
             assert len(factor_rationals(p).parts) == parts
             assert len(searched) == searches
@@ -211,8 +220,9 @@ class TestFactorProperties:
         berlekamp = record_calls(monkeypatch, factor._berlekamp)
         lifts = record_calls(monkeypatch, factor._lift_factors)
         # the good prime is 17, where 2 = 6^2: all 16 modular factors are
-        # linear, so the root lift alone feeds the recombination
-        quadratics = [x**2 - 2 * k * k for k in range(1, 9)]
+        # linear, so the root lift alone feeds the recombination (the shift
+        # x + 1 keeps the product from deflating)
+        quadratics = [(x + 1) ** 2 - 2 * k * k for k in range(1, 9)]
         f = math.prod(quadratics, start=UniPoly.one())
         assert set(factor_rationals(f).parts) == {(q, 1) for q in quadratics}
         assert berlekamp == [] and lifts == []
@@ -228,6 +238,20 @@ class TestFactorProperties:
         assert factor_rationals((3 * x - 2) * (x**3 - x - 1)).parts == (
             (x - Fraction(2, 3), 1), (x**3 - x - 1, 1))
         assert berlekamp == [] and lifts == []
+
+    def test_products_of_even_quadratics_factor_through_their_deflation(self, x, monkeypatch):
+        # (x^2 - 2)(x^2 - 8)(x^2 - 18) = g(x^2) with g = (y - 2)(y - 8)(y - 18):
+        # one root pass on g splits it, and Capelli proves each x^2 - c
+        # irreducible, so there is no Berlekamp factorization and no lift
+        from orthoscope.algebra import factor
+
+        berlekamp = record_calls(monkeypatch, factor._berlekamp)
+        lifts = record_calls(monkeypatch, factor._lift_factors)
+        searched = record_calls(monkeypatch, factor._good_prime)
+        f = (x**2 - 2) * (x**2 - 8) * (x**2 - 18)
+        assert factor_rationals(f).parts == ((x**2 - 18, 1), (x**2 - 8, 1), (x**2 - 2, 1))
+        assert berlekamp == [] and lifts == []
+        assert searched == [[-288, 196, -28, 1]]
 
 
 class TestExactRoot:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NFElement, UniPoly, poly_xgcd
+from orthoscope import NFElement, UniPoly, factor_rationals, poly_xgcd
 
 from conftest import random_unipoly, record_calls
 
@@ -80,3 +80,47 @@ class TestInverseProperty:
             assert inv.as_fraction() == 1 / c
         assert calls == []
         assert {int(q.degree) for _, q, _ in cases} == {2, 3}
+
+    def test_inverse_matches_the_extended_gcd_on_random_fields(self):
+        """For monic irreducible moduli of degree 2..9 and nonzero elements
+        e, e * e^-1 = 1, and e^-1 is the cofactor that poly_xgcd gives."""
+        rng = random.Random(33)
+        degrees = set()
+        count = 0
+        while count < 150:
+            q = random_unipoly(rng, 9, lo=-6, hi=6, monic=True)
+            if q.degree < 2 or factor_rationals(q).parts != ((q, 1),):
+                continue
+            rep = random_unipoly(rng, int(q.degree) - 1, lo=-9, hi=9)
+            if rep.is_zero:
+                continue
+            e = NFElement(rep * Fraction(rng.randint(1, 9), rng.randint(1, 9)), q)
+            inv = e.inverse()
+            assert (e * inv).as_fraction() == 1
+            assert inv == NFElement(poly_xgcd(e.rep, q)[1], q)
+            degrees.add(int(q.degree))
+            count += 1
+        assert degrees == set(range(2, 10))
+
+    def test_reducible_modulus_and_zero_rejected(self, x):
+        # each element shares a factor with its modulus; x^2 - 2 reduces to
+        # zero mod itself
+        with pytest.raises(ValueError, match="not irreducible"):
+            NFElement(x - 1, (x - 1) * (x**2 + 2)).inverse()
+        with pytest.raises(ValueError, match="not irreducible"):
+            NFElement(x**2 + x, (x**2 + x) * (x + 5)).inverse()
+        with pytest.raises(ZeroDivisionError):
+            NFElement(x**2 - 2, x**2 - 2).inverse()
+
+
+class TestCanonicalForm:
+    def test_modulus_is_made_monic(self, x):
+        q = x**3 - x - 1
+        for rep in (x**2 + 1, x**4 + 3 * x, UniPoly.constant(Fraction(2, 7))):
+            assert NFElement(rep, 3 * q) == NFElement(rep, q)
+            assert NFElement(rep, Fraction(-1, 2) * q).modulus == q
+
+    def test_rep_is_reduced_mod_the_modulus(self, x):
+        q = x**2 - 2
+        assert NFElement(x**3 + x**2, q).rep == 2 * x + 2
+        assert NFElement(x + 1, q).rep == x + 1

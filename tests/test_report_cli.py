@@ -165,6 +165,25 @@ class TestCliExitCodes:
         out, err = capsys.readouterr()
         assert line in out and err == ""
 
+    @pytest.mark.parametrize("argv, line", [
+        (["residues", "1/(x^240 - 4)"],
+         "  x^120 - 2: multiplicity 1, residue root of x^120 - 2, component 1/960*x\n"
+         "  x^120 + 2: multiplicity 1, residue root of x^120 + 2, component 1/960*x\n"),
+        (["classify", "x' = x^240 - 4; y' = y"],
+         "verdict: nonorthogonal-uniformly-almost-internal\n"),
+    ], ids=["residues", "classify"])
+    def test_reducible_binomial_of_high_degree_exits_zero_within_a_second(self, argv, line,
+                                                                        capsys):
+        # x^240 - 4 fails Capelli's test with the witness 2, so it deflates
+        # by 120 to y^2 - 4 = (y - 2)(y + 2), and Capelli proves x^120 - 2
+        # and x^120 + 2 irreducible; at the good prime 7 the two have 25
+        # modular factors, whose subsets recombination would otherwise try
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert line in out and err == ""
+
     @pytest.mark.parametrize("argv, expected", [
         (["residues", "x^1000"],
          "command: residues\nverdict: residues-computed\nresidues:\n"

@@ -195,6 +195,47 @@ def test_factor_rationals_matches_sympy_on_binomials():
         _assert_factors_match(p)
 
 
+def _inflate(g: UniPoly, d: int) -> UniPoly:
+    """g(x^d), built from g's coefficients."""
+    coeffs = [Fraction(0)] * (int(g.degree) * d + 1)
+    coeffs[::d] = g.coeffs
+    return UniPoly.of(coeffs)
+
+
+def test_factor_rationals_matches_sympy_on_deflations():
+    """Products of g(x^d) for d = 2, 3, 4, where g is one random
+    polynomial (mostly irreducible) or a product of two or three (always
+    reducible), sometimes beside a second g'(x^d') or a linear factor, so
+    that the exponent gcd is d, a divisor of d, or 1; and the
+    simple-poles deck's products of x^2 - c*k^2."""
+    rng = random.Random(7028)
+    x = UniPoly.variable()
+    cases, kinds = [], [0, 0]
+    for n in range(120):
+        d = rng.choice((2, 3, 4))
+        g = UniPoly.one()
+        for _ in range(1 + n % 3):
+            g = g * UniPoly.of([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+                               + [rng.randint(1, 3)])
+        if g.is_constant:
+            continue
+        kinds[len(factor_rationals(g).parts) > 1] += 1
+        p = _inflate(g, d)
+        if n % 5 == 0:
+            p = p * _inflate(UniPoly.of([rng.randint(-4, 4), 0, 1]), rng.choice((2, 3, 4)))
+        elif n % 7 == 0:
+            p = p * (x - rng.randint(-3, 3))
+        cases.append(p)
+    for c in (2, 3, 5, 6, 7, -1, -2, -3):
+        for a in (1, 2, Fraction(1, 2)):
+            for m in range(1, 5):
+                cases.append(math.prod((x**2 - c * (a * i) ** 2 for i in range(1, m + 1)),
+                                       start=UniPoly.one()))
+    assert kinds[0] >= 20 and kinds[1] >= 60      # irreducible and reducible g
+    for p in cases:
+        _assert_factors_match(p)
+
+
 def _random_bipoly(rng: random.Random, dx: int, dy: int, wide: bool = False) -> BiPoly:
     terms = {(rng.randint(0, dx), rng.randint(0, dy)): _rational(rng, wide)
              for _ in range(rng.randint(1, 6))}
