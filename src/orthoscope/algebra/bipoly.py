@@ -103,6 +103,11 @@ class BiPoly(ContentPoly):
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "BiPoly":
+        if isinstance(other, (int, Fraction)) and self.prim:
+            den, fa, fb = self._over(other.numerator, other.denominator)
+            out = {k: fa * v for k, v in self.prim.items()}
+            out[0, 0] = out.get((0, 0), 0) + fb
+            return _canonical(1, den, out)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -111,9 +116,7 @@ class BiPoly(ContentPoly):
         if not self.prim:
             return other
         # over the common denominator den, self + other = (fa*A + fb*B) / den
-        den = math.lcm(self.cden, other.cden)
-        fa = self.cnum * (den // self.cden)
-        fb = other.cnum * (den // other.cden)
+        den, fa, fb = self._over(other.cnum, other.cden)
         out = {k: fa * v for k, v in self.prim.items()}
         for k, v in other.prim.items():
             out[k] = out.get(k, 0) + fb * v
@@ -141,6 +144,11 @@ class BiPoly(ContentPoly):
                       {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
+
+    def _monomial_power(self, n: int) -> "BiPoly":
+        """(c*x^i*y^j)**n = c**n * x^(i*n)*y^(j*n); a one-term primitive map is {(i, j): 1}."""
+        ((i, j),) = self.prim
+        return BiPoly(self.cnum**n, self.cden**n, {(i * n, j * n): 1})
 
     def _binomial_power(self, n: int) -> "BiPoly":
         """(c*(a*m1 + b*m2))**n by the binomial theorem. The terms
@@ -240,14 +248,15 @@ class BiPoly(ContentPoly):
 
     # -- printing ---------------------------------------------------------
 
-    def signed_terms(self) -> list[tuple[Fraction, str]]:
-        """(coefficient, monomial) for each term, by descending total degree
-        and then degree in x; the monomial of the constant term is ""."""
+    def signed_terms(self) -> list[tuple[int, int, str]]:
+        """(numerator, denominator, monomial) for each term, by descending
+        total degree and then degree in x, with the coefficient in lowest
+        terms; the monomial of the constant term is ""."""
         n, d = self.cnum, self.cden
         out = []
         for i, j in sorted(self.prim, key=lambda k: (-(k[0] + k[1]), -k[0])):
             powers = [f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e]
-            out.append((Fraction(n * self.prim[(i, j)], d), "*".join(powers)))
+            out.append((*_mul_pair(n, d, self.prim[i, j], 1), "*".join(powers)))
         return out
 
 

@@ -66,8 +66,9 @@ class ContentPoly:
     A subclass is a frozen dataclass with fields cnum, cden and prim,
     declared with repr=False so that the __repr__ below is kept. It supplies
     what reads its container: the constructors zero, one and constant,
-    _lead, _term_count, is_constant, signed_terms, __add__, __mul__ (which
-    hands an int or Fraction scalar to _scale) and _binomial_power. An
+    _lead, _term_count, is_constant, signed_terms, __add__ (which adds an
+    int or Fraction scalar into the constant term), __mul__ (which hands
+    such a scalar to _scale), _monomial_power and _binomial_power. An
     operand that is neither of the subclass, a UniPoly nor an exact rational
     scalar makes _coerce return NotImplemented, so that Python runs the
     operand's reflected operator: a RatFunc's, or a BiPoly's for a UniPoly.
@@ -112,14 +113,24 @@ class ContentPoly:
             return self.constant(other)
         return NotImplemented
 
+    def _over(self, n: int, d: int) -> tuple[int, int, int]:
+        """den = lcm(cden, d) and fa, fb with cnum/cden = fa/den and
+        n/d = fb/den: the common denominator of a sum."""
+        den = math.lcm(self.cden, d)
+        return den, self.cnum * (den // self.cden), n * (den // d)
+
     def __neg__(self):
         return type(self)(-self.cnum, self.cden, self.prim)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self + -other
         other = self._coerce(other)
         return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return -self + other
         other = self._coerce(other)
         return other if other is NotImplemented else other - self
 
@@ -130,10 +141,14 @@ class ContentPoly:
         return type(self)(*_mul_pair(self.cnum, self.cden, c.numerator, c.denominator), self.prim)
 
     def __pow__(self, n: int):
-        """self**n; a two-term base by the binomial theorem, any other by
-        repeated squaring."""
-        if n >= 0 and self._term_count() == 2:
-            return self._binomial_power(n)
+        """self**n; a one-term base by its exponents, a two-term base by
+        the binomial theorem, any other by repeated squaring."""
+        if n >= 0:
+            terms = self._term_count()
+            if terms == 1:
+                return self._monomial_power(n)
+            if terms == 2:
+                return self._binomial_power(n)
         return _power(self, n, self.one())
 
     def to_string(self) -> str:
@@ -196,6 +211,10 @@ class UniPoly(ContentPoly):
     def degree(self):
         return len(self.prim) - 1 if self.prim else NEG_INF
 
+    def total_degree(self) -> int:
+        """The degree, as BiPoly reads it: -1 for zero."""
+        return len(self.prim) - 1
+
     @property
     def is_constant(self) -> bool:
         return len(self.prim) <= 1
@@ -214,6 +233,11 @@ class UniPoly(ContentPoly):
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "UniPoly":
+        if isinstance(other, (int, Fraction)) and self.prim:
+            den, fa, fb = self._over(other.numerator, other.denominator)
+            out = [fa * v for v in self.prim]
+            out[0] += fb
+            return _canonical(1, den, out)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -222,9 +246,7 @@ class UniPoly(ContentPoly):
         if not self.prim:
             return other
         # over the common denominator den, self + other = (fa*A + fb*B) / den
-        den = math.lcm(self.cden, other.cden)
-        fa = self.cnum * (den // self.cden)
-        fb = other.cnum * (den // other.cden)
+        den, fa, fb = self._over(other.cnum, other.cden)
         out = [fa * v for v in self.prim]
         rest = [fb * v for v in other.prim]
         if len(out) < len(rest):
@@ -251,6 +273,10 @@ class UniPoly(ContentPoly):
         return UniPoly(*_mul_pair(self.cnum, self.cden, other.cnum, other.cden), prim)
 
     __rmul__ = __mul__
+
+    def _monomial_power(self, n: int) -> "UniPoly":
+        """(c*x^k)**n = c**n * x^(k*n); a one-term primitive part is x^k."""
+        return UniPoly(self.cnum**n, self.cden**n, (0,) * ((len(self.prim) - 1) * n) + (1,))
 
     def _binomial_power(self, n: int) -> "UniPoly":
         """(c*(b*x^i + a*x^j))**n, i < j, by the binomial theorem: the terms
@@ -332,11 +358,12 @@ class UniPoly(ContentPoly):
 
     # -- printing --------------------------------------------------------
 
-    def signed_terms(self) -> list[tuple[Fraction, str]]:
-        """(coefficient, monomial) for each nonzero term, highest first;
-        the monomial of the constant term is ""."""
+    def signed_terms(self) -> list[tuple[int, int, str]]:
+        """(numerator, denominator, monomial) for each nonzero term,
+        highest first, with the coefficient in lowest terms; the monomial of
+        the constant term is ""."""
         n, d = self.cnum, self.cden
-        return [(Fraction(n * v, d), "" if k == 0 else "x" if k == 1 else f"x^{k}")
+        return [(*_mul_pair(n, d, v, 1), "" if k == 0 else "x" if k == 1 else f"x^{k}")
                 for k, v in reversed(list(enumerate(self.prim))) if v]
 
 
@@ -367,16 +394,17 @@ def _binomial(a: int, b: int, n: int) -> list[int]:
     return out
 
 
-def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
-    """The printed sum of signed terms, as signed_terms gives them."""
+def _join_terms(terms: list[tuple[int, int, str]]) -> str:
+    """The printed sum of signed terms, as signed_terms gives them; a
+    magnitude prints as a Fraction does."""
     parts: list[str] = []
-    for c, monomial in terms:
-        mag = abs(c)
-        body = str(mag) if not monomial else monomial if mag == 1 else f"{mag}*{monomial}"
+    for n, d, monomial in terms:
+        mag = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
+        body = mag if not monomial else monomial if mag == "1" else f"{mag}*{monomial}"
         if parts:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
         else:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
     return " ".join(parts) or "0"
 
 

@@ -261,7 +261,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 def _read_source(args) -> str:
     if args.input:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
+            with open(args.input, "r", encoding="utf-8-sig") as fh:
                 return fh.read().strip()
         except OSError as exc:
             raise ShapeError(f"cannot read input file {args.input}: {exc.strerror}") from None

@@ -4,16 +4,19 @@ Statements "x' = <expr>" and "y' = <expr>" separated by ";" or newlines;
 expressions over x, y with integer literals, + - * / ^ and parentheses
 (caret takes a nonnegative integer exponent; ratio literals such as 1/2
 fall out of division). The text is tokenized in one pass and evaluated as
-it is read. A value is a Fraction while it is constant, a BiPoly once it
-meets x or y, and a BiRatFunc, reduced by Henrici's rules, only while its
-reduced denominator is nonconstant. A power, product, quotient, sum or
-difference whose degree bound, read from the reduced operands, would
-exceed MAX_DEGREE is refused before it is expanded, and so is an integer
-literal of more than MAX_LITERAL_DIGITS digits and a parenthesis nested
-more than MAX_NESTING deep. Leading signs are read in a loop, so a run of
-any length parses. str of a parsed value is text that parses back to it.
-Parsed systems are shape-classified from the reduced numerator and
-denominator of each statement, so a family's f and g take no second gcd:
+it is read. A value is a Fraction while it is constant, a UniPoly or
+RatFunc while it is y-free, and a BiPoly or BiRatFunc from the first
+operation that meets y, which promotes its y-free operand; so a y-free
+quotient takes its gcd in Q[x]. A fraction, reduced by Henrici's rules,
+is held only while its reduced denominator is nonconstant. A power,
+product, quotient, sum or difference whose degree bound, read from the
+reduced operands, would exceed MAX_DEGREE is refused before it is
+expanded, and so is an integer literal of more than MAX_LITERAL_DIGITS
+digits and a parenthesis nested more than MAX_NESTING deep. Leading signs
+are read in a loop, so a run of any length parses. str of a parsed value
+is text that parses back to it.
+Parsed systems are shape-classified from the reduced value of each
+statement, so a family's f and g take no second gcd:
 
   y' = y*g(x)  with y-free f, g  ->  log family
   y' = g(x)    with y-free f, g  ->  derivative family
@@ -27,9 +30,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .algebra.bipoly import BiPoly
+from .algebra.unipoly import UniPoly
 from .errors import ParseError, ShapeError
 from .planar import BiRatFunc, PlanarVectorField
-from .ratfunc import RatFunc
+from .ratfunc import FractionField, RatFunc
 
 KIND_LOG = "log"
 KIND_DERIVATIVE = "derivative"
@@ -46,10 +50,10 @@ MAX_NESTING = 100
 
 _RESULT_NAMES = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}
 
-_X, _Y, _ONE = BiPoly.x(), BiPoly.y(), BiPoly.one()
+_X, _Y, _ONE = UniPoly.variable(), BiPoly.y(), BiPoly.one()
 
 # not typing.Union, whose cache would keep these classes alive across reloads
-Value = Fraction | BiPoly | BiRatFunc
+Value = Fraction | UniPoly | RatFunc | BiPoly | BiRatFunc
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ class _Parser:
         while kinds[self.i] in "+-":
             op = self.i
             self.i += 1
-            rhs = self.parse_term()
-            if isinstance(acc, BiRatFunc) or isinstance(rhs, BiRatFunc):  # else within bound
+            acc, rhs = _common(acc, self.parse_term())
+            if isinstance(acc, FractionField) or isinstance(rhs, FractionField):  # else in bound
                 (a, b), (c, d) = _degrees(acc), _degrees(rhs)
                 self._bound(max(a + d, c + b, b + d), op)
             acc = _lower(acc + rhs if kinds[op] == "+" else acc - rhs)
@@ -139,16 +143,19 @@ class _Parser:
             rbase, rexponent, rnegate = self.parse_factor()
             # the bound of a product or quotient is the sum of the operand degrees
             self._bound(max(_degrees(base)) * exponent + max(_degrees(rbase)) * rexponent, op)
-            value = _expand(base, exponent, negate)
-            other = _expand(rbase, rexponent, rnegate)
+            value, other = _common(_expand(base, exponent, negate),
+                                   _expand(rbase, rexponent, rnegate))
             if kinds[op] == "*":
                 value = value * other
             elif isinstance(other, Fraction):
                 if not other:
                     raise ParseError("division by zero", self.offsets[self.i])
                 value = value / other if isinstance(value, Fraction) else value * (1 / other)
-            else:
-                value = _as_ratfunc(value) / other
+            elif isinstance(value, FractionField) or isinstance(other, FractionField):
+                value = value / other
+            else:   # by a polynomial: one gcd, in the divisor's ring
+                field = BiRatFunc if isinstance(other, BiPoly) else RatFunc
+                value = field(other._coerce(value), other)
             base, exponent, negate = _lower(value), 1, False
         return _expand(base, exponent, negate)
 
@@ -201,11 +208,11 @@ class _Parser:
 
 
 def _lower(value: Value) -> Value:
-    """value as a BiPoly when its reduced denominator, which is monic, is 1,
-    and as a Fraction when it is constant."""
-    if isinstance(value, BiRatFunc) and value.den.is_constant:
+    """value as a polynomial when its reduced denominator, which is monic,
+    is 1, and as a Fraction when it is constant."""
+    if isinstance(value, FractionField) and value.den.is_constant:
         value = value.num
-    if isinstance(value, BiPoly) and value.is_constant:
+    if isinstance(value, (UniPoly, BiPoly)) and value.is_constant:
         return value.constant_value()
     return value
 
@@ -215,26 +222,43 @@ def _expand(base: Value, exponent: int, negate: bool) -> Value:
     return -value if negate else value
 
 
+def _common(a: Value, b: Value) -> tuple[Value, Value]:
+    """a and b in one ring: a y-free operand of an operation that meets y
+    is promoted to Q(x, y); a constant enters either ring as it is."""
+    if isinstance(a, (BiPoly, BiRatFunc)):
+        return a, _promote(b)
+    if isinstance(b, (BiPoly, BiRatFunc)):
+        return _promote(a), b
+    return a, b
+
+
+def _promote(value: Value) -> Value:
+    """A y-free value in Q(x, y); a constant or bivariate value as it is.
+    Coprime in Q[x], a pair is coprime in Q[x, y], and both normal forms
+    scale the denominator to a leading coefficient of 1 in x."""
+    if isinstance(value, UniPoly):
+        return BiPoly.from_unipoly_x(value)
+    if isinstance(value, RatFunc):
+        return BiRatFunc._coprime(BiPoly.from_unipoly_x(value.num),
+                                  BiPoly.from_unipoly_x(value.den))
+    return value
+
+
 def _degrees(value: Value) -> tuple[int, int]:
     """Total degrees of the reduced numerator and denominator."""
-    if isinstance(value, BiRatFunc):
+    if isinstance(value, FractionField):
         return value.num.total_degree(), value.den.total_degree()
-    if isinstance(value, BiPoly):
+    if isinstance(value, (UniPoly, BiPoly)):
         return value.total_degree(), 0
     return 0, 0
 
 
 def _parts(value: Value) -> tuple[BiPoly, BiPoly]:
-    """The reduced numerator and denominator of a parsed value."""
+    """The reduced numerator and denominator of a parsed value, in Q[x, y]."""
+    value = _promote(value)
     if isinstance(value, BiRatFunc):
         return value.num, value.den
-    if isinstance(value, BiPoly):
-        return value, _ONE
-    return BiPoly.constant(value), _ONE
-
-
-def _as_ratfunc(value: Value) -> BiRatFunc:
-    return value if isinstance(value, BiRatFunc) else BiRatFunc._coprime(*_parts(value))
+    return (value if isinstance(value, BiPoly) else BiPoly.constant(value)), _ONE
 
 
 def _parse(text: str) -> Value:
@@ -248,18 +272,30 @@ def _parse(text: str) -> Value:
 
 def parse_expression(text: str) -> BiRatFunc:
     """Parse a bare expression over x and y."""
-    return _as_ratfunc(_parse(text))
+    value = _parse(text)
+    return value if isinstance(value, BiRatFunc) else BiRatFunc._coprime(*_parts(value))
 
 
 def parse_univariate(text: str) -> RatFunc:
     """Parse a bare expression required to be univariate in x."""
-    f = _univariate(*_parts(_parse(text)))
+    f = _univariate(_parse(text))
     if f is None:
         raise ShapeError(f"expression is not univariate in x: {text!r}")
     return f
 
 
-def _univariate(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
+def _univariate(value: Value) -> Optional[RatFunc]:
+    """A parsed value as a rational function of x, or None if it involves y."""
+    if isinstance(value, RatFunc):
+        return value
+    if isinstance(value, Fraction):
+        value = UniPoly.constant(value)
+    if isinstance(value, UniPoly):
+        return RatFunc._coprime(value, UniPoly.one())
+    return _univariate_pair(*_parts(value))
+
+
+def _univariate_pair(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
     """num/den, a coprime pair, as a rational function of x, or None if it
     involves y; coprime in Q[x, y] and y-free, they are coprime in Q[x]."""
     if num.is_y_free() and den.is_y_free():
@@ -302,18 +338,20 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
 
 
 def _classify_shape(fx: Value, fy: Value) -> Union[UnivariateFamily, PlanarVectorField]:
-    (xnum, xden), (ynum, yden) = _parts(fx), _parts(fy)
-    f = _univariate(xnum, xden)
+    f = _univariate(fx)
     if f is not None:
         # fy is reduced, so fy/y is y-free exactly when y divides every term
         # of its numerator once and its denominator is y-free
-        if not ynum.is_zero and all(j == 1 for _, j in ynum.prim):
-            g = _univariate(ynum.div_exact_y(), yden)
-            if g is not None:
-                return UnivariateFamily(f, g, KIND_LOG)
-        g = _univariate(ynum, yden)
+        if isinstance(fy, (BiPoly, BiRatFunc)):   # else y-free, and no log family
+            ynum, yden = _parts(fy)
+            if all(j == 1 for _, j in ynum.prim):
+                g = _univariate_pair(ynum.div_exact_y(), yden)
+                if g is not None:
+                    return UnivariateFamily(f, g, KIND_LOG)
+        g = _univariate(fy)
         if g is not None:
             return UnivariateFamily(f, g, KIND_DERIVATIVE)
+    (xnum, xden), (ynum, yden) = _parts(fx), _parts(fy)
     if xden.is_constant and yden.is_constant:   # 1 in normal form
         return PlanarVectorField(xnum, ynum)
     raise ShapeError(

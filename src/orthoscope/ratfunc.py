@@ -181,8 +181,8 @@ class FractionField:
         return f"{type(self).__name__}({self.to_string()!r})"
 
 
-def _compound(terms: list[tuple[Fraction, str]]) -> bool:
-    return len(terms) > 1 or (terms[0][1] != "" and terms[0][0] != 1)
+def _compound(terms: list[tuple[int, int, str]]) -> bool:
+    return len(terms) > 1 or (terms[0][2] != "" and terms[0][:2] != (1, 1))
 
 
 @dataclass(frozen=True, repr=False)

@@ -1,17 +1,18 @@
 """Human-readable and machine-readable reports.
 
-Machine output follows the shipped JSON schema (data/report_schema.json);
-all algebraic values are serialized as exact expression strings, never as
-floats. Every witness carried by a report is re-verified against its exact
-identity at emission time; a failure raises WitnessVerificationError (CLI
-exit code 4).
+Machine output follows the shipped JSON schema (data/report_schema.json),
+written directly in the bytes of json.dumps(payload, sort_keys=True,
+indent=2); all algebraic values are serialized as exact expression
+strings, never as floats. Every witness carried by a report is re-verified
+against its exact identity at emission time; a failure raises
+WitnessVerificationError (CLI exit code 4).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .algebra.numberfield import NFElement
@@ -82,14 +83,14 @@ def emit(report: Report, format: str = "text") -> str:
     if report.witness is not None:
         report.witness.check()
     if format == "json":
-        return _emit_json(report)
+        return _dump(_payload(report))
     if format == "text":
         return _emit_text(report)
     raise ValueError(f"unknown format {format!r}")
 
 
-def _emit_json(report: Report) -> str:
-    payload = {
+def _payload(report: Report) -> dict:
+    return {
         "verdict": report.verdict,
         "base": None
         if report.base is None
@@ -106,7 +107,36 @@ def _emit_json(report: Report) -> str:
         "completeness_case": report.completeness_case,
         "notes": list(report.notes),
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _dump(value, indent: str = "") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, at
+    nesting indent, without json's pure-Python encoder, which any indent
+    selects. A report holds str, int, bool, None, lists and dicts with str
+    keys; any other value or key raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_dump(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"not a report value: {value!r}")
 
 
 def _emit_text(report: Report) -> str:

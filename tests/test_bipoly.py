@@ -376,6 +376,10 @@ class TestFractionOracle:
             assert canon(pa * pb).terms == prod.terms
             scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             assert canon(pa * scalar).terms == (fa * scalar).terms
+            # a scalar sum or difference goes into the constant term in place
+            assert canon(pa + scalar).terms == (fa + scalar).terms
+            assert canon(pa - scalar).terms == (fa + -scalar).terms
+            assert canon(scalar - pa).terms == (-fa + scalar).terms
             if len(fa.terms) <= 6:
                 k = rng.randint(0, 3)
                 assert canon(pa**k).terms == (fa**k).terms
@@ -520,6 +524,17 @@ class TestBinomialPower:
             assert got == _repeated_squaring(p, n), (p, n)
             assert got.prim[max(got.prim)] > 0
         assert {p.lc < 0 for p, _ in cases} == {True, False}
+
+    def test_one_term_powers_match_repeated_squaring(self):
+        # a one-term base is raised by its exponents, a constant among them
+        rng = random.Random(5055)
+        for _ in range(40):
+            key = rng.choice([(0, 0), (1, 0), (0, 1), (rng.randint(0, 5), rng.randint(0, 5))])
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 8))
+            p, n = BiPoly.of({key: c}), rng.randint(0, 12)
+            got = p**n
+            assert got == _repeated_squaring(p, n), (p, n)
+            assert assert_bi_canonical(got).terms == {(key[0] * n, key[1] * n): c**n}
 
 
 class TestCrossRing:

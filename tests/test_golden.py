@@ -21,7 +21,7 @@ import pytest
 from orthoscope.cli import COMMANDS, run
 from orthoscope.errors import OrthoscopeError
 from orthoscope.fixtures import load_corpus
-from orthoscope.report import emit
+from orthoscope.report import _dump, _payload, emit
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = {"json": DATA / "golden.json", "text": DATA / "golden_text.json"}
@@ -80,6 +80,17 @@ def test_outputs_match_golden(golden, command):
 def test_text_outputs_match_golden(golden_text, command):
     for source in sources():
         assert output(command, source, "text") == golden_text[key(command, source)], source
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_writer_matches_json_dumps(command):
+    # the report's own writer against the stdlib encoder, payload by payload
+    for source in sources():
+        try:
+            payload = _payload(run(command, source))
+        except OrthoscopeError:
+            continue
+        assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2), source
 
 
 if __name__ == "__main__":

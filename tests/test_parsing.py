@@ -24,6 +24,7 @@ from orthoscope.parsing import (
     MAX_DEGREE,
     MAX_NESTING,
     UnivariateFamily,
+    _parse,
 )
 from conftest import record_calls
 
@@ -153,10 +154,12 @@ class TestGrammar:
         assert family.kind == KIND_LOG
         # polynomial statements build no BiRatFunc and take no gcd
         assert not built and not gcds and not ratfunc_gcds
-        # one bivariate gcd per quotient; f and g of the family are read off
-        # the reduced pairs without a second gcd in Q[x]
+        # one gcd per quotient, in the ring of its operands: the y-free x'
+        # quotient in Q[x], and the y' quotient, whose dividend is y*(x + 3),
+        # in Q[x, y]; f and g of the family are read off the reduced pairs
+        # without a second gcd
         family = parse_system("x' = (x + 1)/(x^2 - 2); y' = y*(x + 3)/(x - 1)")
-        assert len(gcds) == 2 and not ratfunc_gcds
+        assert len(ratfunc_gcds) == 1 and len(gcds) == 1
         assert family.kind == KIND_LOG
         assert (str(family.f), str(family.g)) == ("(x + 1)/(x^2 - 2)", "(x + 3)/(x - 1)")
 
@@ -287,6 +290,41 @@ class TestRoundTrip:
             seen.add("polynomial" if value.den.is_constant else "rational")
             done += 1
         assert seen == {"polynomial", "rational"}
+
+    def test_y_free_fuzz_matches_sympy_in_either_ring(self):
+        # y-free text is read in Q[x]; wrapped as y*(...)/y it is promoted to
+        # Q[x, y] at its first y, and the y cancels; either way each slot
+        # holds sympy's cancelled quotient
+        sympy = pytest.importorskip("sympy")
+        X = sympy.symbols("x")
+
+        def monic_over(poly, scale) -> UniPoly:
+            return UniPoly.of(Fraction(int(c.p), int(c.q))
+                              for c in reversed(poly.quo_ground(scale).all_coeffs()))
+
+        rng = random.Random(2912)
+        seen, done = set(), 0
+        while done < 120:
+            body = fuzz_expression(rng).replace("y", "x")
+            text = body if rng.random() < 0.5 else f"y*({body})/y"
+            try:
+                value = _parse(text)
+            except ParseError as exc:
+                assert str(exc).startswith("division by zero"), text
+                continue
+            p, q = sympy.fraction(sympy.cancel(sympy.sympify(body.replace("^", "**"),
+                                                             locals={"x": X})))
+            p, q = sympy.Poly(p, X, domain=sympy.QQ), sympy.Poly(q, X, domain=sympy.QQ)
+            expected = (monic_over(p, q.LC()), monic_over(q, q.LC()))
+            family = parse_system(f"x' = {text}; y' = y*({text})")
+            assert family.kind == (KIND_DERIVATIVE if expected[0].is_zero else KIND_LOG), text
+            derivative = parse_system(f"x' = {text}; y' = {text}")
+            assert derivative.kind == KIND_DERIVATIVE, text
+            for r in (parse_univariate(text), family.f, family.g, derivative.g):
+                assert (r.num, r.den) == expected, text
+            seen.add("Q[x, y]" if isinstance(value, (BiPoly, BiRatFunc)) else "Q[x]")
+            done += 1
+        assert seen == {"Q[x]", "Q[x, y]"}
 
 
 def fuzz_expression(rng: random.Random, depth: int = 0) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from orthoscope.errors import OrthoscopeError, WitnessVerificationError
 from orthoscope.fixtures import Fixture, load_corpus, run_corpus, run_fixture
 from orthoscope.parsing import parse_system, parse_univariate
 from orthoscope.planar import linearize_along_line
-from orthoscope.report import WITNESS_DLOG, Report, WitnessData
+from orthoscope.report import WITNESS_DLOG, Report, WitnessData, _dump
 
 from conftest import record_calls
 
@@ -81,6 +82,51 @@ class TestEmit:
         report = Report("classify", "orthogonal-to-constants", witness=bad)
         with pytest.raises(WitnessVerificationError):
             emit(report, "json")
+
+
+# characters that json escapes, or writes as \u escapes under ensure_ascii
+JSON_CHARS = ["a", "x", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
+              "\u2028", "\U0001f600"]
+
+
+def random_payload(rng: random.Random, depth: int = 0):
+    """A value of the kinds a report holds: str, int, bool, None, lists
+    and dicts with str keys, nested up to three deep."""
+    kind = rng.randrange(6 if depth < 3 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 2**64 + 1, -(2**70) - 3, rng.randint(-10**30, 10**30)])
+    if kind in (2, 3):
+        return random_text(rng)
+    if kind == 4:
+        return [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {random_text(rng): random_payload(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(6)))
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps_on_seeded_payloads(self):
+        rng = random.Random(2028)
+        for _ in range(400):
+            payload = {"notes": random_payload(rng), "verdict": random_payload(rng)}
+            assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2), payload
+
+    def test_matches_json_dumps_on_every_listed_kind(self):
+        payload = {"s": "".join(JSON_CHARS), "empty": [], "none": {}, "t": True, "f": False,
+                   "n": None, "big": [2**64, -(2**64) - 1],
+                   "nested": {"b": [{"z": 1, "a": [[]]}], "a": {"é": "\u2028"}}}
+        assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+        for leaf in ([], {}, "", 0, None):
+            assert _dump(leaf) == json.dumps(leaf, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, (1,), {1: "a"}, {1: "a", "b": 2}])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _dump({"notes": [value]})
 
 
 class TestCliExitCodes:
@@ -280,6 +326,16 @@ class TestCliExitCodes:
         path = tmp_path / "system.txt"
         path.write_text("x' = x^2*(x-1); y' = x\n")
         assert main(["classify", "--input", str(path)]) == 0
+
+    def test_input_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        # an editor may save UTF-8 with a BOM and CRLF line ends
+        source = "x' = x^2*(x-1); y' = x"
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + source.replace("; ", "\r\n").encode() + b"\r\n")
+        assert main(["classify", source]) == 0
+        inline = capsys.readouterr().out
+        assert main(["classify", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == inline
 
     def test_missing_input_exit_three(self, capsys):
         assert main(["classify"]) == 3

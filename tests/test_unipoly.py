@@ -97,13 +97,15 @@ class TestArithmetic:
         assert _power(Exponent(1), 0, Exponent(0)) == Exponent(0) and products == []
 
     def test_two_term_powers_match_repeated_squaring(self, x):
-        # the binomial expansion of (a*x^j + b*x^i)^n against _power, the
-        # repeated squaring every other base takes
+        # the binomial expansion of (a*x^j + b*x^i)^n, and the exponent
+        # product of a one-term base, against _power, the repeated squaring
+        # every other base takes
         from orthoscope.algebra.unipoly import _power
 
         rng = random.Random(5054)
         cases = [(x - 1, 0), (x + 1, 1), (2 * x - 3, 2), (x**2 - 5, 3),
-                 (Fraction(-2, 3) * x**7 + Fraction(5, 4) * x**3, 3)]
+                 (Fraction(-2, 3) * x**7 + Fraction(5, 4) * x**3, 3),
+                 (Fraction(-2, 3) * x**5, 7), (UniPoly.constant(Fraction(9, 4)), 3), (x**3, 0)]
         drawn = set()
         while len(cases) < 520:
             bits = rng.choice([1, 1, 8, 200])
@@ -471,6 +473,11 @@ class TestFractionOracle:
                     seen.add("100-bit")
             assert canon(pa).coeffs == fa.coeffs
             assert canon(pa + pb).coeffs == (fa + fb).coeffs
+            # a scalar sum or difference goes into the constant term in place
+            c = b[0] if b else 0
+            assert canon(pa + c).coeffs == (fa + c).coeffs
+            assert canon(pa - c).coeffs == (fa + -c).coeffs
+            assert canon(c - pa).coeffs == (fa * -1 + c).coeffs
             assert canon(pa * pb).coeffs == (fa * fb).coeffs
             assert canon(pa.monic()).coeffs == fa.monic().coeffs
             assert canon(pa.derivative()).coeffs == fa.derivative().coeffs
