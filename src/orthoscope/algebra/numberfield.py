@@ -2,9 +2,8 @@
 
 Elements carry their modulus; irreducibility is a documented precondition
 (the callers construct moduli from irreducible factorizations) and is not
-re-verified per element. An inverse is one extended Euclid that keeps only
-the element's cofactor, not the modulus's; a gcd that is not constant
-shows a reducible modulus and raises ValueError.
+re-verified per element. An inverse is poly_div_mod(1, rep, modulus); a
+gcd that is not constant shows a reducible modulus and raises ValueError.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .unipoly import UniPoly
+from .unipoly import UniPoly, poly_div_mod
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,7 @@ class NFElement:
     def inverse(self) -> "NFElement":
         if self.rep.is_zero:
             raise ZeroDivisionError("inverse of zero in a number field")
-        # extended Euclid on (modulus, rep), keeping only each remainder's
-        # cofactor s of rep: s*rep = r mod the modulus; a constant rep c
-        # takes no step and inverts to 1/c
-        r0, r1 = self.modulus, self.rep
-        s0, s1 = UniPoly.zero(), UniPoly.one()
-        while not r1.is_constant:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r1.is_zero:
-            raise ValueError("modulus is not irreducible: nontrivial gcd found")
-        return NFElement(s1 * (1 / r1.lc), self.modulus)
+        return NFElement(poly_div_mod(UniPoly.one(), self.rep, self.modulus), self.modulus)
 
     @property
     def is_zero(self) -> bool:

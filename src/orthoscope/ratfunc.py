@@ -27,8 +27,8 @@ from .algebra.unipoly import (
     _canonical,
     _join_terms,
     _mul_pair,
+    poly_div_mod,
     poly_gcd,
-    poly_xgcd,
 )
 from .errors import WitnessVerificationError
 
@@ -297,14 +297,14 @@ def _residue(value: Residue) -> Residue:
 def _value_at(a: UniPoly, b: UniPoly, q: UniPoly) -> Residue:
     """a/b at the roots of the monic irreducible q, which does not divide b.
 
-    At q = x - c it is a(c)/b(c), by evaluation; elsewhere a*b^-1 mod q,
-    with one inverse. The residue of a/d at a simple pole on q is
+    At q = x - c it is a(c)/b(c), by evaluation; elsewhere a/b mod q, by
+    poly_div_mod. The residue of a/d at a simple pole on q is
     _value_at(a, d', q) (Bronstein, Symbolic Integration I, section 2.5).
     """
     if q.degree == 1:
         c = -q.coeff(0)
         return a.eval(c) / b.eval(c)
-    return _residue(NFElement(a, q) * NFElement(b, q).inverse())
+    return _residue(NFElement(poly_div_mod(a, b, q), q))
 
 
 @dataclass(frozen=True)
@@ -409,9 +409,9 @@ def hermite_reduce(
     c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
     over p^(e-1). What is left is a/p, and its residue at the roots of a
     locus q | p is a/p' there, read by _value_at: a(c)/p'(c) at q = x - c,
-    and one inverse of p' mod q elsewhere (Bronstein, Symbolic Integration
-    I, sections 2.2 and 2.5). Only the steps j = e..2 take the extended gcd
-    s*p + t*p' = 1, so a squarefree part (e = 1) takes none.
+    and a/p' mod q elsewhere (Bronstein, Symbolic Integration I, sections
+    2.2 and 2.5). Only the steps j = e..2 need s*p + t*p' = 1: t = 1/p' mod
+    p by poly_div_mod and s = (1 - t*p')/p exactly, none for e = 1.
 
     When p is a single linear locus x - c and e >= 2, the e - 1 steps are
     one Taylor shift each way (_linear_laurent): the Laurent coefficients
@@ -422,11 +422,10 @@ def hermite_reduce(
     shift adds it too, so both give the same h. No gcd and only p^(e-1)
     (by the binomial theorem) and p^e are needed.
 
-    The partial-fraction split over the parts p^e (_split_partial) takes
-    an extended gcd only where the part it splits off is not a single
-    linear locus: parts are ordered by multiplicity, so for
-    (x - a)^e*(x - b) the simple locus x - b comes first and the split is
-    one evaluation and one exact division, with no extended gcd at all.
+    The partial-fraction split (_split_partial) runs a Euclid only where the
+    part it splits off is not a single linear locus; parts are ordered by
+    multiplicity, so for (x - a)^e*(x - b) the simple locus x - b comes
+    first and the split runs none.
 
     The pieces are summed as polynomials over D = prod p^(e-1) and
     P = prod p. D*P must equal r.den, which catches a wrong factorization,
@@ -465,7 +464,8 @@ def hermite_reduce(
             if _is_linear_multiple(p, e):
                 acc, a = _linear_laurent(a, -p.coeff(0), e)
             elif e >= 2:
-                _, s, t = poly_xgcd(p, dp)
+                t = poly_div_mod(UniPoly.one(), dp, p)
+                s = (1 - t * dp).exact_div(p)
                 terms = []
                 for j in range(e, 1, -1):
                     a = a % pw[j]
@@ -555,26 +555,14 @@ def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
     """Partial-fraction numerators of a over pairwise-coprime moduli.
 
     With m1 = moduli[0] and rest the product of the others, a/(m1*rest) is
-    first/m1 + second/rest. At a linear m1 = x - c this is the identity
-    a = first*rest + second*(x - c): first = a(c)/rest(c) by evaluation,
-    and second by one exact division. A modulus of higher degree takes the
-    extended gcd s*m1 + t*rest = 1: first = a*t mod m1, second = a*s mod
-    rest.
+    first/m1 + second/rest: first = a/rest mod m1 by poly_div_mod (a(c)/rest(c)
+    at m1 = x - c), and second = (a - first*rest)/m1 by one exact division.
     """
     if len(moduli) == 1:
         return [a % moduli[0]]
-    m1 = moduli[0]
-    rest = UniPoly.one()
-    for m in moduli[1:]:
-        rest = rest * m
-    if m1.degree == 1:
-        c = -m1.coeff(0)
-        first = UniPoly.constant(a.eval(c) / rest.eval(c))
-        second = (a - first * rest).exact_div(m1)
-    else:
-        _, s, t = poly_xgcd(m1, rest)
-        first, second = (a * t) % m1, (a * s) % rest
-    return [first] + _split_partial(second, moduli[1:])
+    m1, rest = moduli[0], math.prod(moduli[2:], start=moduli[1])
+    first = poly_div_mod(a, rest, m1)
+    return [first] + _split_partial((a - first * rest).exact_div(m1), moduli[1:])
 
 
 def exact_derivative_part(r: RatFunc, herm: HermiteDecomposition) -> Optional[WitnessData]:

@@ -85,14 +85,14 @@ def random_proper_ratfunc(rng: random.Random, den: UniPoly) -> RatFunc:
     return RatFunc(num, den)
 
 
-def record_calls(monkeypatch, fn) -> list:
+def record_calls(monkeypatch, fn, arg: int = 0) -> list:
     """Wrap fn in every orthoscope module and class that binds it, for the
-    rest of the test; the returned list receives the first argument of each
-    call (self, for a method)."""
+    rest of the test; the returned list receives the positional argument
+    numbered arg of each call (by default the first, self for a method)."""
     calls = []
 
     def wrapper(*args, **kwargs):
-        calls.append(args[0] if args else None)
+        calls.append(args[arg] if len(args) > arg else None)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):

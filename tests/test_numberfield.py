@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orthoscope import NFElement, UniPoly, factor_rationals, poly_xgcd
+from orthoscope.algebra import unipoly
 
 from conftest import random_unipoly, record_calls
 
@@ -63,8 +64,10 @@ class TestInverseProperty:
             count += 1
 
     def test_constant_inverse_skips_euclid(self, monkeypatch):
-        """A constant c inverts to 1/c with no extended gcd, and equals the
-        inverse that Euclid's algorithm gives."""
+        """A constant c inverts to 1/c by poly_div_mod with no Euclid step,
+        and equals the inverse that Euclid's algorithm gives. Every step
+        divides a remainder of degree at least 1, starting with q, so a
+        division of a nonconstant polynomial would show one."""
         rng = random.Random(32)
         cases = []
         for _ in range(40):
@@ -72,14 +75,16 @@ class TestInverseProperty:
             while q.degree < 2:
                 q = random_unipoly(rng, 3, monic=True)
             c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 12))
-            cases.append((c, q, poly_xgcd(UniPoly.constant(c), q)[1]))
-        calls = record_calls(monkeypatch, poly_xgcd)
-        for c, q, euclid in cases:
-            inv = NFElement(UniPoly.constant(c), q).inverse()
-            assert inv == NFElement(euclid, q)
-            assert inv.as_fraction() == 1 / c
-        assert calls == []
-        assert {int(q.degree) for _, q, _ in cases} == {2, 3}
+            cases.append((NFElement(UniPoly.constant(c), q), poly_xgcd(UniPoly.constant(c), q)[1]))
+        moduli = record_calls(monkeypatch, unipoly.poly_div_mod, arg=2)
+        dividends = record_calls(monkeypatch, UniPoly.__divmod__)
+        for e, euclid in cases:
+            inv = e.inverse()
+            assert inv == NFElement(euclid, e.modulus)
+            assert inv.as_fraction() == 1 / e.rep.coeff(0)
+        assert moduli == [e.modulus for e, _ in cases]
+        assert dividends and all(d.is_constant for d in dividends)
+        assert {int(e.modulus.degree) for e, _ in cases} == {2, 3}
 
     def test_inverse_matches_the_extended_gcd_on_random_fields(self):
         """For monic irreducible moduli of degree 2..9 and nonzero elements

@@ -599,26 +599,28 @@ class TestHermite:
         r = RatFunc(x**2 + 3, (x - 1) ** 2 * (x - 2) ** 3 * (x - Fraction(3, 7)) ** 5
                     * (x**2 + 1))
         expected = hermite_oracle(r)
-        calls = record_calls(monkeypatch, unipoly.poly_xgcd)
+        moduli = record_calls(monkeypatch, unipoly.poly_div_mod, arg=2)
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == expected
-        # three for the partial-fraction split of four parts; none takes
-        # (p, p') for the simple quadratic locus p, whose inverse of p' = 2x
-        # runs its own Euclid, and none serves the three linear multiple parts
-        assert calls == [x**2 + 1, (x - 1) ** 2, (x - 2) ** 3]
+        # three divisions for the partial-fraction split of four parts, and
+        # one for the residue a/p' at the simple quadratic locus p; none
+        # serves the three linear multiple parts, whose steps are Taylor
+        # shifts and whose residues are evaluations
+        assert moduli == [x**2 + 1, (x - 1) ** 2, (x - 2) ** 3, x**2 + 1]
 
     @pytest.mark.parametrize("e", [2, 6, 22])
     def test_no_xgcd_at_a_linear_multiple_pole_beside_a_simple_one(self, x, e, monkeypatch):
-        # the simple locus x - b comes first in the split: one evaluation
-        # and one exact division, no extended gcd
+        # the simple locus x - b comes first in the split: one division
+        # modulo the linear x + 5, an evaluation, then one exact division;
+        # no Euclid runs
         from orthoscope.algebra import unipoly
 
         r = RatFunc(UniPoly.one(), (x - Fraction(2, 3)) ** e * (x + 5))
         expected = hermite_oracle(r)
-        calls = record_calls(monkeypatch, unipoly.poly_xgcd)
+        moduli = record_calls(monkeypatch, unipoly.poly_div_mod, arg=2)
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == expected
-        assert calls == []
+        assert moduli == [x + 5]
 
     def test_remainder_is_reduced_without_a_gcd(self, x, monkeypatch):
         # gcd(A, P) is the product of the loci with residue zero, so those
@@ -664,37 +666,57 @@ class TestHermite:
                          ("e", "mid")}
 
     def test_split_partial_matches_euclid_split(self, x):
-        # a linear first modulus, then linear loci, powers of linear loci
-        # and irreducible quadratics (discriminant b^2 - 4c < 0), all coprime
+        # a first modulus that is linear or a power of an irreducible
+        # quadratic or cubic, then linear loci, powers of linear loci,
+        # irreducible quadratics and powers of irreducible quadratics and
+        # cubics, all coprime: b^2 - 4c < 0, and x^3 + b*x + 1 has no root
+        # +-1 for b > 0; distinct b keep the nonlinear loci apart
         rng = random.Random(2041)
         kinds = set()
+
+        def nonlinear(b):
+            if rng.random() < 0.5:
+                kinds.add("quadratic locus")
+                return x**2 + b * x + rng.randint(30, 39)
+            kinds.add("cubic locus")
+            return x**3 + b * x + 1
+
         for _ in range(200):
             count = rng.randint(1, 3)
             roots = iter(rng.sample(sorted({Fraction(v, d) for v in range(-9, 10)
                                             for d in range(1, 5)}), count + 1))
-            moduli = [x - next(roots)]
-            bs = iter(rng.sample(range(1, 10), count))
+            bs = iter(rng.sample(range(1, 10), count + 1))
+            if rng.random() < 0.4:
+                moduli = [nonlinear(next(bs)) ** rng.randint(1, 3)]
+                kinds.add("nonlinear first")
+            else:
+                moduli = [x - next(roots)]
             for _ in range(count):
-                kind = rng.choice(["linear", "power", "quadratic"])
+                kind = rng.choice(["linear", "power", "quadratic", "nonlinear power"])
                 kinds.add(kind)
                 if kind == "quadratic":
                     moduli.append(x**2 + next(bs) * x + rng.randint(30, 39))
+                elif kind == "nonlinear power":
+                    moduli.append(nonlinear(next(bs)) ** rng.randint(2, 3))
                 else:
                     moduli.append((x - next(roots)) ** (1 if kind == "linear" else rng.randint(2, 8)))
             degree = int(sum(m.degree for m in moduli)) - 1
             a = random_unipoly(rng, degree, -9, 9) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
             assert _split_partial(a, moduli) == euclid_split(a, moduli), (a, moduli)
-        assert kinds == {"linear", "power", "quadratic"}
+        assert kinds == {"linear", "power", "quadratic", "nonlinear power", "nonlinear first",
+                         "quadratic locus", "cubic locus"}
 
     def test_no_xgcd_at_linear_simple_loci(self, x, monkeypatch):
         from orthoscope.algebra import unipoly
 
+        # one squarefree part: no split, and each residue is an evaluation,
+        # so nothing is divided modulo a polynomial
         r = RatFunc(x**4 - 3 * x + 2, x * (x - 1) * (x + 2) * (x - Fraction(3, 7)) * (x + 5))
         expected = hermite_oracle(r)
-        calls = record_calls(monkeypatch, unipoly.poly_xgcd)
+        moduli = record_calls(monkeypatch, unipoly.poly_div_mod, arg=2)
         herm = hermite_reduce(r)
         assert (herm.derivative_part, herm.remainder) == expected
-        assert calls == []
+        assert moduli == []
         assert all(isinstance(e.residue, Fraction) for e in herm.spectrum.affine_poles)
 
     def test_known_loci_give_the_same_reduction(self, x):

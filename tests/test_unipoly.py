@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import (NEG_INF, BiPoly, RatFunc, UniPoly, poly_gcd, poly_xgcd, resultant_x,
-                        squarefree_decompose)
+from orthoscope import (NEG_INF, BiPoly, RatFunc, UniPoly, factor_rationals, poly_gcd, poly_xgcd,
+                        resultant_x, squarefree_decompose)
+from orthoscope.algebra.unipoly import poly_div_mod
 
 from conftest import assert_canonical, compose_affine, expand, frac, random_unipoly, record_calls
 
@@ -190,6 +191,72 @@ class TestGcd:
                 continue
             g = poly_gcd(p * r, q * r)
             assert (g % r.monic()).is_zero
+
+
+class TestDivMod:
+    @staticmethod
+    def _locus(rng: random.Random, degree: int) -> UniPoly:
+        """A monic irreducible polynomial of the given degree."""
+        while True:
+            q = UniPoly.of([rng.randint(-6, 6) for _ in range(degree)] + [1])
+            if factor_rationals(q).parts == ((q, 1),):
+                return q
+
+    def test_matches_the_extended_gcd_cofactor(self):
+        """a/b mod m for m an irreducible locus of degree 1 to 9, a power
+        q^e (e <= 8) of a linear or a nonlinear locus as the partial-fraction
+        split sees it, or a coprime product of these: b*r = a mod m with
+        deg r < deg m, r is a*t mod m for poly_xgcd's cofactor t of b, and
+        r = a(c)/b(c) at a linear m = x - c. A b that shares a locus with m,
+        or is 0 mod m, raises ValueError."""
+        rng = random.Random(2050)
+        drawn = set()
+        for _ in range(150):
+            shape = rng.choice(["irreducible", "power", "product"])
+            if shape == "irreducible":
+                loci = [(self._locus(rng, rng.randint(1, 9)), 1)]
+            else:
+                loci = []
+                for _ in range(1 if shape == "power" else rng.randint(2, 3)):
+                    q = self._locus(rng, rng.choice((1, 1, 2, 3)))
+                    if all(q != p for p, _ in loci):
+                        loci.append((q, rng.randint(2 if shape == "power" else 1, 8)))
+            m = math.prod((q**e for q, e in loci), start=UniPoly.one())
+            if rng.random() < 0.2:
+                m = m * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+                drawn.add("not monic")
+            top = int(m.degree) + 3
+            a = random_unipoly(rng, top) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            b = random_unipoly(rng, top, nonzero=True) * Fraction(rng.randint(-9, 9) or 1,
+                                                                  rng.randint(1, 9))
+            if rng.random() < 0.15:
+                b = b * rng.choice([q for q, _ in loci] + [m])
+            drawn.add((shape, "linear" if all(q.degree == 1 for q, _ in loci) else "nonlinear"))
+            if poly_gcd(b, m).degree >= 1:
+                drawn.add("shared factor")
+                with pytest.raises(ValueError, match="nontrivial gcd"):
+                    poly_div_mod(a, b, m)
+                continue
+            r = poly_div_mod(a, b, m)
+            assert r.degree < m.degree and ((b * r - a) % m).is_zero, (a, b, m)
+            g, _, t = poly_xgcd(m, b)
+            assert g == UniPoly.one() and r == (a * t) % m, (a, b, m)
+            if m.degree == 1:
+                c = -m.coeff(0) / m.lc
+                assert r == UniPoly.constant(a.eval(c) / b.eval(c))
+            else:
+                drawn.add(("degree", int(m.degree) if shape == "irreducible" else "high"))
+        assert drawn >= {(shape, kind) for shape in ("irreducible", "power", "product")
+                         for kind in ("linear", "nonlinear")}
+        assert drawn >= {"shared factor", "not monic", *(("degree", d) for d in range(2, 10))}
+
+    def test_unit_divisors(self, x):
+        assert poly_div_mod(UniPoly.one(), x, x**2 - 2) == Fraction(1, 2) * x
+        assert poly_div_mod(x**3, UniPoly.constant(3), x**2 + 1) == Fraction(-1, 3) * x
+        assert poly_div_mod(x, x + 1, 2 * x - 1) == UniPoly.constant(Fraction(1, 3))
+        for b, m in [(x**2 - 1, (x - 1) ** 3), (x - 3, 2 * x - 6), (x**2 + 1, x**2 + 1)]:
+            with pytest.raises(ValueError, match="nontrivial gcd"):
+                poly_div_mod(UniPoly.one(), b, m)
 
 
 class TestTaylorShift:
