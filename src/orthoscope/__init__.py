@@ -54,6 +54,7 @@ from .ratfunc import (
     pole_spectrum,
     ratio_all_rational,
     residue_polynomial,
+    spectrum_and_remainder,
 )
 from .report import Report, WitnessData, emit
 

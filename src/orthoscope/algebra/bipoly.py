@@ -333,18 +333,24 @@ def resultant_x(a: BiPoly, b: BiPoly) -> UniPoly:
 # -- bivariate gcd -----------------------------------------------------------
 
 
+def _x_content(coeffs: list[UniPoly]) -> UniPoly:
+    """The monic gcd of the y-coefficients, 0 when there are none."""
+    g = UniPoly.zero()
+    for c in coeffs:
+        g = poly_gcd(g, c)
+        if g.degree == 0:
+            break
+    return g
+
+
 def _primitive_y(coeffs: list[UniPoly]) -> tuple[list[UniPoly], UniPoly]:
     """The y-coefficients with their UniPoly gcd divided out and the last
     one monic, and that gcd."""
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
-    g = UniPoly.zero()
+    g = _x_content(coeffs)
     if not coeffs:
         return coeffs, g
-    for c in coeffs:
-        g = poly_gcd(g, c)
-        if g.degree == 0:
-            break
     if g.degree > 0:
         coeffs = [c.exact_div(g) for c in coeffs]
     lc_scale = 1 / coeffs[-1].lc
@@ -370,7 +376,9 @@ def _pseudo_rem_y(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
 def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     """Bivariate gcd: x-content gcd times a primitive PRS gcd in Q[x][y].
 
-    The result is normalized so its lex-leading coefficient is 1.
+    The result is normalized so its lex-leading coefficient is 1. A y-free
+    operand is its own x-content up to a unit, so with one the gcd is the
+    x-contents' gcd, in Q[x], and no PRS runs.
     """
     if p.is_zero and q.is_zero:
         return BiPoly.zero()
@@ -378,6 +386,9 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
+    if p.is_y_free() or q.is_y_free():
+        return BiPoly.from_unipoly_x(
+            poly_gcd(_x_content(p.y_coefficients()), _x_content(q.y_coefficients())))
     a, cp = _primitive_y(p.y_coefficients())
     b, cq = _primitive_y(q.y_coefficients())
     cg = poly_gcd(cp, cq)

@@ -1,8 +1,11 @@
 """Decision procedures for base orthogonality and fiber internality.
 
-base_orthogonal reads the projective pole spectrum of (1/f)dx off its
-Hermite reduction, whose residues both beta searches reuse. Its pole
-loci, with their multiplicities, are the factors of f.num; with the
+base_orthogonal reads the projective pole spectrum of (1/f)dx and the
+Hermite remainder of 1/f off one checked partial-fraction split
+(spectrum_and_remainder), which builds no derivative part: only a
+derivative witness needs one. Both beta searches reuse its residues, and
+the derivative search its remainder. Its pole loci, with their
+multiplicities, are the factors of f.num; with the
 factors of g.den they factor every denominator of either beta search, so a
 request factors each input once.
 The beta searches decide whether some constant shift of g makes
@@ -35,7 +38,6 @@ from .errors import HypothesisError, WitnessVerificationError
 from .ratfunc import (
     INTEGER,
     RATIONAL,
-    HermiteDecomposition,
     PoleEntry,
     PoleSpectrum,
     RatFunc,
@@ -49,6 +51,7 @@ from .ratfunc import (
     exact_derivative_part,
     hermite_reduce,
     ratio_all_rational,
+    spectrum_and_remainder,
 )
 
 EVIDENCE_MULTIPLE_AND_SIMPLE = "multiple-and-simple-pole"
@@ -79,11 +82,8 @@ KIND_ALMOST = "almost"
 class OrthogonalityVerdict:
     orthogonal: bool
     evidence: str
-    hermite: HermiteDecomposition   # of 1/f
-
-    @property
-    def spectrum(self) -> PoleSpectrum:
-        return self.hermite.spectrum
+    spectrum: PoleSpectrum   # of (1/f)dx
+    remainder: RatFunc       # the Hermite remainder of 1/f
 
 
 @dataclass(frozen=True)
@@ -120,17 +120,18 @@ def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
     """Orthogonality of the base equation x' = f(x) from the spectrum of (1/f)dx."""
     if f.is_zero:
         raise HypothesisError("base coefficient f must be nonzero")
-    herm = hermite_reduce(RatFunc.one() / f)
-    spectrum = herm.spectrum
+    spectrum, remainder = spectrum_and_remainder(RatFunc.one() / f)
     if f.is_polynomial and f.num.degree <= 1:
-        return OrthogonalityVerdict(False, EVIDENCE_DEGENERATE, herm)
-    if spectrum.has_multiple_pole() and spectrum.has_simple_pole():
-        return OrthogonalityVerdict(True, EVIDENCE_MULTIPLE_AND_SIMPLE, herm)
-    if not spectrum.has_multiple_pole():
-        if ratio_all_rational(spectrum):
-            return OrthogonalityVerdict(False, EVIDENCE_RATIONAL_RATIOS, herm)
-        return OrthogonalityVerdict(True, EVIDENCE_IRRATIONAL_RATIO, herm)
-    return OrthogonalityVerdict(False, EVIDENCE_NO_SIMPLE_POLE, herm)
+        orthogonal, evidence = False, EVIDENCE_DEGENERATE
+    elif spectrum.has_multiple_pole() and spectrum.has_simple_pole():
+        orthogonal, evidence = True, EVIDENCE_MULTIPLE_AND_SIMPLE
+    elif spectrum.has_multiple_pole():
+        orthogonal, evidence = False, EVIDENCE_NO_SIMPLE_POLE
+    elif ratio_all_rational(spectrum):
+        orthogonal, evidence = False, EVIDENCE_RATIONAL_RATIOS
+    else:
+        orthogonal, evidence = True, EVIDENCE_IRRATIONAL_RATIO
+    return OrthogonalityVerdict(orthogonal, evidence, spectrum, remainder)
 
 
 # -- affine-in-beta condition solving ----------------------------------------
@@ -283,12 +284,11 @@ def beta_search_log(
     n, m, d, parts = _search_data(f, g, base)
 
     conditions: list[tuple[Fraction, Fraction]] = []
-    for q, e in parts:
-        if e >= 2:
-            mod = q ** (e - 1)
-            nn, mm = n % mod, m % mod
-            for k in range(int(mod.degree)):
-                conditions.append((nn.coeff(k), mm.coeff(k)))
+    powers = [q ** (e - 1) for q, e in parts if e >= 2]    # D = their product
+    for mod in powers:
+        nn, mm = n % mod, m % mod
+        for k in range(int(mod.degree)):
+            conditions.append((nn.coeff(k), mm.coeff(k)))
     d_deg = int(d.degree) if d.degree >= 0 else 0
     top = max(int(n.degree) if not n.is_zero else -1, int(m.degree) if not m.is_zero else -1)
     for k in range(d_deg, top + 1):
@@ -298,7 +298,7 @@ def beta_search_log(
     if status == _EMPTY:
         return _none(CASE_A, "multiple-pole cancellation conditions are unsatisfiable")
     if status == _PINNED:
-        num, den, residues = _pinned_residues(n - m * pinned, d, parts)
+        num, den, residues = _pinned_residues(n - m * pinned, d, parts, powers)
         return _test_candidate(pinned, num, den, residues, residue_class, CASE_A)
 
     # free case: d squarefree, infinity at worst simple, for every beta
@@ -363,16 +363,17 @@ def beta_search_log(
 
 
 def _pinned_residues(
-    c: UniPoly, d: UniPoly, parts: tuple[tuple[UniPoly, int], ...]
+    c: UniPoly, d: UniPoly, parts: tuple[tuple[UniPoly, int], ...], powers: list[UniPoly]
 ) -> tuple[UniPoly, UniPoly, list[tuple[UniPoly, Residue]]]:
     """c/d as num/P, with P = d/D squarefree for D = prod q^(e-1), and the
-    pairs (q, residue) at each locus q of d.
+    pairs (q, residue) at each locus q of d; powers are the q^(e-1) at the
+    loci with e >= 2, which the search built for its conditions.
 
     A pinned beta makes D divide c = n - beta*m and c proper, so c/d has
     simple poles only; the residue at the roots of q is
     _value_at(num, P', q).
     """
-    big_d = math.prod((q ** (e - 1) for q, e in parts if e >= 2), start=UniPoly.one())
+    big_d = math.prod(powers, start=UniPoly.one())
     num, den = c.exact_div(big_d), d.exact_div(big_d)
     dprime = den.derivative()
     return num, den, [(q, _value_at(num, dprime, q)) for q, _ in parts]
@@ -426,7 +427,7 @@ def beta_search_derivative(
     Res(g/f) - beta*Res(1/f). So a single nonzero residue of 1/f pins
     beta, and any valid beta equals the pinned one; the search is
     complete once the pinned beta is tested. base is base_orthogonal(f),
-    whose reduction of 1/f supplies its residues.
+    whose split of 1/f supplies its residues and its remainder.
 
     - rem(1/f) = 0: no residue depends on beta, so beta = 0.
     - Else, at the first simple pole alpha of 1/f (locus q) where g is
@@ -440,11 +441,12 @@ def beta_search_derivative(
     _search_data, as in the log search. It is brought to lowest terms over
     that factorization (_reduce_over) and Hermite-reduced once, so no gcd
     or factorization runs on it again; a zero remainder gives the verified
-    witness and a nonzero one the answer none. The fallback reduces
-    g/f = n/d the same way.
+    witness and a nonzero one the answer none. The fallback brings
+    g/f = n/d to lowest terms the same way and reads only its remainder
+    (spectrum_and_remainder), which needs no derivative part.
     """
     n, m, d, parts = _search_data(f, g, base)
-    rem_one = base.hermite.remainder
+    rem_one = base.remainder
 
     if rem_one.is_zero:
         detail = "the remainder is beta-independent and nonzero"
@@ -459,7 +461,7 @@ def beta_search_derivative(
                     return _none(CASE_B, detail)
                 break
         if beta is None:
-            ratio = hermite_reduce(*_reduce_over(n, d, parts)).remainder / rem_one
+            ratio = spectrum_and_remainder(*_reduce_over(n, d, parts))[1] / rem_one
             if not ratio.is_constant:
                 return _none(CASE_B, detail)
             beta = ratio.constant_value()

@@ -3,10 +3,12 @@
 FractionField holds the reduction, normal form, field arithmetic and
 printing of a fraction field of polynomials, written once for RatFunc
 (Q(x), here) and BiRatFunc (Q(x, y), in planar); each names only its gcd.
-Hermite reduction, which also reads off the pole spectrum with exact
-residues, the residue polynomial (resultant form), and logarithmic-derivative
-membership with verified witnesses. WitnessData is the one witness record:
-the searches build it, and the report carries and re-verifies it unchanged.
+The pole spectrum with exact residues and the Hermite remainder, read off
+one checked partial-fraction split; Hermite reduction, which also builds the
+derivative part; the residue polynomial (resultant form); and
+logarithmic-derivative membership with verified witnesses. WitnessData is
+the one witness record: the searches build it, and the report carries and
+re-verifies it unchanged.
 Conventions: a rational function r is analyzed as the differential form
 r*dx; the point at infinity is read through the chart u = 1/x, under which
 r*dx maps to -r(1/u)*u^(-2) du.
@@ -357,8 +359,10 @@ class PoleSpectrum:
 
 
 def pole_spectrum(r: RatFunc) -> PoleSpectrum:
-    """Pole loci with multiplicities and exact order-1 residues of r*dx on P^1."""
-    return hermite_reduce(r).spectrum
+    """Pole loci with multiplicities and exact order-1 residues of r*dx on
+    P^1, read off the checked partial-fraction split of r
+    (spectrum_and_remainder); no derivative part is built."""
+    return spectrum_and_remainder(r)[0]
 
 
 def _infinity_pole(r: RatFunc, n0: UniPoly) -> Optional[InfinityPole]:
@@ -379,7 +383,113 @@ def _infinity_pole(r: RatFunc, n0: UniPoly) -> Optional[InfinityPole]:
     return InfinityPole(mult, -n0.coeff(int(r.den.degree) - 1))
 
 
-# -- Hermite reduction ----------------------------------------------------------------
+# -- partial fractions and Hermite reduction ----------------------------------------
+
+
+Loci = tuple[tuple[UniPoly, int], ...]
+
+
+def _classes(r: RatFunc, loci: Optional[Loci]):
+    """r.num = polypart*r.den + n0, the loci, and r.den's multiplicity classes.
+
+    loci is r.den's factorization, as (monic irreducible locus,
+    multiplicity) pairs in factor order; without it, r.den is factored
+    from scratch (factor_rationals). A class (p, e, qs, p^e) has p the
+    product of the loci qs of multiplicity e; the classes come by
+    increasing e, so that the split takes the simple ones first, and for
+    (x - a)^e*(x - b) it splits off x - b by evaluation and runs no Euclid.
+    The moduli p^e must multiply to r.den, which catches a wrong
+    factorization: WitnessVerificationError otherwise.
+    """
+    polypart, n0 = divmod(r.num, r.den)
+    if loci is None:
+        loci = factor_rationals(r.den).parts if r.den.degree >= 1 else ()
+    groups: dict[int, list[UniPoly]] = {}
+    for q, e in loci:
+        groups.setdefault(e, []).append(q)
+    classes = []
+    for e, qs in sorted(groups.items()):
+        p = math.prod(qs[1:], start=qs[0])
+        classes.append((p, e, qs, p**e))
+    full = math.prod((c[3] for c in classes), start=UniPoly.one())
+    if full != r.den:
+        raise WitnessVerificationError(f"the loci of {r.den} multiply to {full}")
+    return polypart, n0, loci, classes
+
+
+def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
+    """Partial-fraction numerators of a over pairwise-coprime moduli.
+
+    With m1 = moduli[0] and rest the product of the others, a/(m1*rest) is
+    first/m1 + second/rest: first = a/rest mod m1 by poly_div_mod (a(c)/rest(c)
+    at m1 = x - c), and second = (a - first*rest)/m1 by one division, which
+    must be exact; so a = first*rest + second*m1 holds at every step, and a
+    step that fails raises WitnessVerificationError.
+    """
+    if len(moduli) <= 1:
+        return [a % m for m in moduli]
+    m1, rest = moduli[0], math.prod(moduli[2:], start=moduli[1])
+    try:
+        first = poly_div_mod(a, rest, m1)
+    except ValueError as exc:
+        raise WitnessVerificationError(f"the moduli {m1} and {rest} are not coprime") from exc
+    second, left = divmod(a - first * rest, m1)
+    if not left.is_zero:
+        raise WitnessVerificationError(f"the partial-fraction step over {m1} is inexact")
+    return [first] + _split_partial(second, moduli[1:])
+
+
+def _simple_part(r: RatFunc, n0: UniPoly, loci: Loci, classes, simple: list[UniPoly]):
+    """The spectrum of r*dx and r's Hermite remainder, in lowest terms and
+    as A/P over P = prod p, from each class's simple part a/p (deg a < deg p).
+
+    The residue at the roots of a locus q | p is a/p' there, read by
+    _value_at: a(c)/p'(c) at q = x - c, and a/p' mod q elsewhere (Bronstein,
+    Symbolic Integration I, sections 2.2 and 2.5).
+    """
+    residues: dict[UniPoly, Residue] = {}
+    num, den = UniPoly.zero(), UniPoly.one()
+    for (p, _, qs, _), a in zip(classes, simple):
+        dp = p.derivative()
+        for q in qs:
+            residues[q] = _value_at(a, dp, q)
+        num = num * p + a * den
+        den = den * p
+    spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
+                            _infinity_pole(r, n0))
+    return spectrum, _lowest_terms(num, den, residues.items()), num, den
+
+
+def spectrum_and_remainder(r: RatFunc, loci: Optional[Loci] = None) -> tuple[PoleSpectrum, RatFunc]:
+    """The projective pole spectrum of r*dx and r's Hermite remainder (the
+    proper part with squarefree denominator), without the derivative part.
+
+    Both come from the partial-fraction split of r.num mod r.den over
+    r.den's multiplicity classes (_classes, _split_partial), one a/p^e per
+    class p of multiplicity e, deg a < e*deg p. A simple class is its own
+    simple part a/p. At a class that is one linear locus x - c with
+    e >= 2, the residue is alpha_{e-1}, the coefficient of u^(e-1) in the
+    Taylor shift a(u + c); as deg a < e, a Taylor shift keeps that top
+    coefficient, so it is a's coefficient of x^(e-1) and no shift is made.
+    The class adds alpha_{e-1}/(x - c) to the remainder. A class whose part
+    is nonlinear with e >= 2 needs Hermite's steps, so r then goes
+    through hermite_reduce's steps and its identity check, on the same
+    split. loci is as in _classes.
+
+    What is returned is proven by the split: the moduli multiply to r.den,
+    and every step is an exact division, so n0/r.den is the sum of the
+    a/p^e; a failure raises WitnessVerificationError.
+    """
+    split = _classes(r, loci)
+    _, n0, loci, classes = split
+    if any(e >= 2 and p.degree > 1 for p, e, _, _ in classes):
+        herm = _reduce_classes(r, *split)
+        return herm.spectrum, herm.remainder
+    numerators = _split_partial(n0, [c[3] for c in classes])
+    simple = [a if e == 1 else UniPoly.constant(a.coeff(e - 1))
+              for (_, e, _, _), a in zip(classes, numerators)]
+    spectrum, rem, _, _ = _simple_part(r, n0, loci, classes, simple)
+    return spectrum, rem
 
 
 @dataclass(frozen=True)
@@ -396,45 +506,36 @@ class HermiteDecomposition:
     spectrum: PoleSpectrum
 
 
-def hermite_reduce(
-    r: RatFunc, loci: Optional[tuple[tuple[UniPoly, int], ...]] = None
-) -> HermiteDecomposition:
-    """Exact Hermite reduction by per-factor integration by parts.
+def hermite_reduce(r: RatFunc, loci: Optional[Loci] = None) -> HermiteDecomposition:
+    """Exact Hermite reduction by per-factor integration by parts; its job
+    is the derivative part h, which only a derivative witness needs
+    (spectrum_and_remainder gives the rest without it).
 
-    loci is r.den's factorization, as (monic irreducible locus,
-    multiplicity) pairs in factor order; without it, r.den is factored
-    from scratch (factor_rationals). The loci, grouped by multiplicity,
-    give the squarefree factors.
-    For a factor p of multiplicity e, step j = e..2 splits off
-    c_j/p^(j-1); the steps are folded by Horner's rule into one numerator
-    over p^(e-1). What is left is a/p, and its residue at the roots of a
-    locus q | p is a/p' there, read by _value_at: a(c)/p'(c) at q = x - c,
-    and a/p' mod q elsewhere (Bronstein, Symbolic Integration I, sections
-    2.2 and 2.5). Only the steps j = e..2 need s*p + t*p' = 1: t = 1/p' mod
-    p by poly_div_mod and s = (1 - t*p')/p exactly, none for e = 1.
+    loci is as in _classes, whose multiplicity classes give the squarefree
+    factors, and the split is spectrum_and_remainder's. For a factor p of
+    multiplicity e, step j = e..2 splits off c_j/p^(j-1); the steps are
+    folded by Horner's rule into one numerator over p^(e-1). What is left
+    is a/p, whose residues _simple_part reads. Only the steps j = e..2 need
+    s*p + t*p' = 1: t = 1/p' mod p by poly_div_mod and s = (1 - t*p')/p
+    exactly, none for e = 1 (Bronstein, Symbolic Integration I, sections
+    2.2 and 2.5).
 
     When p is a single linear locus x - c and e >= 2, the e - 1 steps are
-    one Taylor shift each way (_linear_laurent): the Laurent coefficients
-    alpha_k of a/(x - c)^e are read off a(u + c), the residue is
-    alpha_{e-1}, and the derivative part is integrated term by term, on
-    integers over one content. The steps leave the constant
+    one Taylor shift each way (_linear_laurent): the derivative part is
+    integrated term by term from the Laurent coefficients alpha_k of
+    a/(x - c)^e, on integers over one content, and the residue is
+    alpha_{e-1}, a's coefficient of x^(e-1). The steps leave the constant
     -alpha_{e-1}*H_{e-1} in h, with H_{e-1} = 1 + 1/2 + ... + 1/(e-1); the
-    shift adds it too, so both give the same h. No gcd and only p^(e-1)
-    (by the binomial theorem) and p^e are needed.
-
-    The partial-fraction split (_split_partial) runs a Euclid only where the
-    part it splits off is not a single linear locus; parts are ordered by
-    multiplicity, so for (x - a)^e*(x - b) the simple locus x - b comes
-    first and the split runs none.
+    shift adds it too, so both give the same h. No gcd is needed, and
+    p^(e-1) and p^e are expanded by the binomial theorem.
 
     The pieces are summed as polynomials over D = prod p^(e-1) and
-    P = prod p. D*P must equal r.den, which catches a wrong factorization,
-    and the identity r = h' + rem is checked exactly as one polynomial
-    division by D*P: with D'/D = S/P, h = H/D and rem = A/P,
-    r.num - (H'*P - H*S) - A*D = q*D*P. The quotient q collects the
+    P = prod p, and D*P = r.den (_classes checks it). The identity
+    r = h' + rem is checked exactly as one polynomial division by r.den:
+    with D'/D = S/P, h = H/D and rem = A/P,
+    r.num - (H'*P - H*S) - A*D = q*r.den. The quotient q collects the
     polynomial parts dropped along the way and joins h as its
-    antiderivative. A nonzero remainder, or D*P != r.den, raises
-    WitnessVerificationError.
+    antiderivative. A nonzero remainder raises WitnessVerificationError.
 
     Once the identity holds, h's numerator and D are coprime, so h is
     built without a gcd. r is reduced, so it has a pole of order exactly e
@@ -444,58 +545,47 @@ def hermite_reduce(
     A/P loses only the loci whose residue is zero (_lowest_terms), with
     no gcd either.
     """
-    polypart, n0 = divmod(r.num, r.den)
-    if loci is None:
-        loci = factor_rationals(r.den).parts if r.den.degree >= 1 else ()
-    groups: dict[int, list[UniPoly]] = {}
-    for q, e in loci:
-        groups.setdefault(e, []).append(q)
-    parts = [(math.prod(qs[1:], start=qs[0]), e) for e, qs in sorted(groups.items())]
+    return _reduce_classes(r, *_classes(r, loci))
+
+
+def _reduce_classes(r: RatFunc, polypart: UniPoly, n0: UniPoly, loci: Loci,
+                    classes) -> HermiteDecomposition:
+    """hermite_reduce(r) from _classes(r, loci)."""
+    numerators = _split_partial(n0, [c[3] for c in classes])
     h_num, h_den = polypart.antiderivative(), UniPoly.one()    # H/D
-    rem_num, rem_den = UniPoly.zero(), UniPoly.one()        # A/P
-    w = UniPoly.zero()                                         # S: D'/D = S/P
-    residues: dict[UniPoly, Residue] = {}
-    if loci:
-        # [p^(e-1), p^e] at a linear multiple part, every power up to p^e elsewhere
-        powers = [_powers(p, e, e - 1 if _is_linear_multiple(p, e) else 0) for p, e in parts]
-        numerators = _split_partial(n0, [pw[-1] for pw in powers])
-        for (p, e), pw, a in zip(parts, powers, numerators):
-            dp = p.derivative()
-            if _is_linear_multiple(p, e):
-                acc, a = _linear_laurent(a, -p.coeff(0), e)
-            elif e >= 2:
-                t = poly_div_mod(UniPoly.one(), dp, p)
-                s = (1 - t * dp).exact_div(p)
-                terms = []
-                for j in range(e, 1, -1):
-                    a = a % pw[j]
-                    b = a * t
-                    terms.append(b * Fraction(-1, j - 1))
-                    a = a * s + b.derivative() * Fraction(1, j - 1)
-                acc = UniPoly.zero()
-                for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
-                    acc = acc * p + c
-            if e >= 2:
-                h_num = h_num * pw[-2] + acc * h_den
-                h_den = h_den * pw[-2]
-            w = w * p + dp * rem_den * (e - 1)
-            a = a % p
-            for q in groups[e]:
-                residues[q] = _value_at(a, dp, q)
-            rem_num = rem_num * p + a * rem_den
-            rem_den = rem_den * p
+    w, done = UniPoly.zero(), UniPoly.one()    # S with D'/D = S/P; prod p so far
+    simple = []
+    for (p, e, _, _), a in zip(classes, numerators):
+        dp = p.derivative()
+        if e >= 2 and p.degree == 1:
+            acc, below = _linear_laurent(a, -p.coeff(0), e), p ** (e - 1)
+            a = UniPoly.constant(a.coeff(e - 1))
+        elif e >= 2:
+            pw = _powers(p, e - 1)
+            t = poly_div_mod(UniPoly.one(), dp, p)
+            s = (1 - t * dp).exact_div(p)
+            terms = []
+            for j in range(e, 1, -1):
+                b = a * t
+                terms.append(b * Fraction(-1, j - 1))
+                a = (a * s + b.derivative() * Fraction(1, j - 1)) % pw[j - 1]
+            acc = UniPoly.zero()
+            for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
+                acc = acc * p + c
+            below = pw[-1]
+        if e >= 2:
+            h_num = h_num * below + acc * h_den
+            h_den = h_den * below
+        w = w * p + dp * done * (e - 1)
+        done = done * p
+        simple.append(a)
+    spectrum, rem, rem_num, rem_den = _simple_part(r, n0, loci, classes, simple)
     # dropped polynomial quotients along the way surface here, exactly
-    full = h_den * rem_den
-    if full != r.den:
-        raise WitnessVerificationError(f"the loci of {r.den} multiply to {full}")
     defect = r.num - h_num.derivative() * rem_den + h_num * w - rem_num * h_den
-    quotient, left = divmod(defect, full)
+    quotient, left = divmod(defect, r.den)
     if not left.is_zero:
         raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
     h = RatFunc._coprime(h_num + quotient.antiderivative() * h_den, h_den)
-    spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
-                            _infinity_pole(r, n0))
-    rem = _lowest_terms(rem_num, rem_den, residues.items())
     return HermiteDecomposition(h, rem, spectrum)
 
 
@@ -516,53 +606,33 @@ def _lowest_terms(num: UniPoly, den: UniPoly, residues) -> RatFunc:
     return RatFunc._coprime(num, den)
 
 
-def _powers(p: UniPoly, e: int, start: int = 0) -> list[UniPoly]:
-    """[p**start, ..., p**e], one multiplication each after the first."""
-    powers = [p**start]
-    for _ in range(e - start):
+def _powers(p: UniPoly, e: int) -> list[UniPoly]:
+    """[1, p, ..., p**e], one multiplication each."""
+    powers = [UniPoly.one()]
+    for _ in range(e):
         powers.append(powers[-1] * p)
     return powers
 
 
-def _is_linear_multiple(p: UniPoly, e: int) -> bool:
-    return e >= 2 and p.degree == 1
-
-
-def _linear_laurent(a: UniPoly, c: Fraction, e: int) -> tuple[UniPoly, UniPoly]:
+def _linear_laurent(a: UniPoly, c: Fraction, e: int) -> UniPoly:
     """For a/(x - c)^e with deg a < e: the numerator of its derivative part
-    over (x - c)^(e-1), and its residue as a constant polynomial.
+    over (x - c)^(e-1).
 
     With a(u + c) = sum alpha_k u^k, the derivative part is
     sum_{k <= e-2} alpha_k/(k-e+1) u^(k-e+1) - alpha_{e-1}*S/L, where
     L = lcm(1, ..., e-1) and S = sum_{j < e} L/j, so S/L is the harmonic
     number 1 + 1/2 + ... + 1/(e-1); that constant is the one the
-    step-by-step reduction leaves. The residue is alpha_{e-1}. The alpha_k
-    are the content of one Taylor shift times its integer coefficients A_k,
-    so L times the derivative part's coefficients are the integers
-    -A_k*L/(e-1-k) and -A_{e-1}*S, over that content.
+    step-by-step reduction leaves. The alpha_k are the content of one
+    Taylor shift times its integer coefficients A_k, so L times the
+    derivative part's coefficients are the integers -A_k*L/(e-1-k) and
+    -A_{e-1}*S, over that content.
     """
     shifted = a.taylor_shift(c)
     ints = shifted.prim + (0,) * (e - len(shifted.prim))
     big_l = math.lcm(*range(1, e))
     beta = [-ints[k] * (big_l // (e - 1 - k)) for k in range(e - 1)]
     beta.append(-ints[e - 1] * sum(big_l // j for j in range(1, e)))
-    num, den = shifted.cnum, shifted.cden
-    return (_canonical(*_mul_pair(num, den, 1, big_l), beta).taylor_shift(-c),
-            _canonical(num, den, [ints[e - 1]]))
-
-
-def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
-    """Partial-fraction numerators of a over pairwise-coprime moduli.
-
-    With m1 = moduli[0] and rest the product of the others, a/(m1*rest) is
-    first/m1 + second/rest: first = a/rest mod m1 by poly_div_mod (a(c)/rest(c)
-    at m1 = x - c), and second = (a - first*rest)/m1 by one exact division.
-    """
-    if len(moduli) == 1:
-        return [a % moduli[0]]
-    m1, rest = moduli[0], math.prod(moduli[2:], start=moduli[1])
-    first = poly_div_mod(a, rest, m1)
-    return [first] + _split_partial((a - first * rest).exact_div(m1), moduli[1:])
+    return _canonical(*_mul_pair(shifted.cnum, shifted.cden, 1, big_l), beta).taylor_shift(-c)
 
 
 def exact_derivative_part(r: RatFunc, herm: HermiteDecomposition) -> Optional[WitnessData]:
@@ -585,7 +655,7 @@ def residue_polynomial(r: RatFunc) -> UniPoly:
     UniPoly, so it prints in x: its roots are residues, not points of the
     x-line.
     """
-    rem = hermite_reduce(r).remainder
+    rem = spectrum_and_remainder(r)[1]
     if rem.is_zero:
         return UniPoly.one()
     d, n = rem.den, rem.num
@@ -640,11 +710,11 @@ class DlogWitnessResult:
 
 def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
     """Decide N*r = dlog(h) membership on P^1 with an exact witness, from
-    the spectrum of r's Hermite reduction (see dlog_from_spectrum).
+    r's pole spectrum (see dlog_from_spectrum).
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    return dlog_from_spectrum(r, hermite_reduce(r).spectrum, residue_class)
+    return dlog_from_spectrum(r, pole_spectrum(r), residue_class)
 
 
 def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -> DlogWitnessResult:

@@ -182,7 +182,7 @@ class TestDerivativePin:
         from orthoscope.criteria import BetaSearchResult
 
         rem_g = hermite_reduce(g / f).remainder
-        rem_one = base.hermite.remainder
+        rem_one = base.remainder
         if rem_one.is_zero:
             if not rem_g.is_zero:
                 return BetaSearchResult(STATUS_NONE, None, None, CASE_B, None,
@@ -205,7 +205,7 @@ class TestDerivativePin:
         """The route the pin takes for (f, g), read from 1/f's spectrum."""
         from orthoscope import NFElement
 
-        if base.hermite.remainder.is_zero:
+        if base.remainder.is_zero:
             return "rem(1/f) = 0"
         for entry in base.spectrum.affine_poles:
             if entry.multiplicity == 1 and not (g.den % entry.locus).is_zero:
@@ -285,23 +285,27 @@ class TestDerivativePin:
     def test_pinned_beta_reduces_only_the_target(self, x, monkeypatch):
         from orthoscope import ratfunc
 
+        split = record_calls(monkeypatch, ratfunc.spectrum_and_remainder)
         reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
         for e, beta, c in ((2, Fraction(1), Fraction(1)), (6, Fraction(-1, 2), Fraction(3)),
                            (22, Fraction(7, 3), Fraction(-2, 5))):
-            reduced.clear()
+            split.clear(), reduced.clear()
             a = x - Fraction(3, 2)
             f = P(a**e * (x + 2))
             sv = classify_derivative_family(f, P(beta - c * (e - 1) * (x + 2)))
             assert sv.fibration.found and sv.fibration.beta == beta
             assert sv.fibration.witness.h == RatFunc(UniPoly.constant(c), a ** (e - 1))
-            assert len(reduced) == 2, e
-        # rem(1/f) = 0 takes beta = 0 and also reduces twice; a pole of 1/f
-        # that g shares leaves the remainder ratio, one reduction more
-        for f, g, count in ((P(x**2), P(x), 2),
-                            (P(x**2 * (x - 1)), RatFunc(UniPoly.one(), x - 1), 3)):
-            reduced.clear()
+            # 1/f is split once, and only the target is Hermite-reduced
+            assert (split, reduced) == ([RatFunc.one() / f], [sv.fibration.witness.target]), e
+        # rem(1/f) = 0 takes beta = 0 and also splits 1/f and reduces the
+        # target once each; a pole of 1/f that g shares leaves the remainder
+        # ratio, one split more (g/f's double class x*(x - 1) is not a
+        # linear locus, so that split takes Hermite's steps on its own)
+        for f, g, counts in ((P(x**2), P(x), (1, 1)),
+                             (P(x**2 * (x - 1)), RatFunc(UniPoly.one(), x - 1), (2, 1))):
+            split.clear(), reduced.clear()
             classify_derivative_family(f, g)
-            assert len(reduced) == count, (f, g)
+            assert (len(split), len(reduced)) == counts, (f, g)
 
 
 class TestClassifiers:
@@ -333,11 +337,14 @@ class TestClassifiers:
     def test_derivative_family_reduces_one_over_f_once(self, x, monkeypatch):
         from orthoscope import ratfunc
 
+        split = record_calls(monkeypatch, ratfunc.spectrum_and_remainder)
         reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
         f = P(x**2 * (x - 1))
         sv = classify_derivative_family(f, P(x))
         assert sv.conclusion == CONCLUSION_NONORTHOGONAL and sv.fibration.beta == 1
-        assert reduced.count(RatFunc.one() / f) == 1
+        # 1/f is split once and never Hermite-reduced: it needs no derivative part
+        assert split.count(RatFunc.one() / f) == 1
+        assert reduced.count(RatFunc.one() / f) == 0
 
     def test_one_factorization_per_request(self, x, monkeypatch):
         from orthoscope.algebra import factor
@@ -454,6 +461,7 @@ class TestCandidateResidues:
         from orthoscope import ratfunc
         from orthoscope.algebra import factor
 
+        split = record_calls(monkeypatch, ratfunc.spectrum_and_remainder)
         reduced = record_calls(monkeypatch, ratfunc.hermite_reduce)
         factored = record_calls(monkeypatch, factor.factor_rationals)
         dlogs = record_calls(monkeypatch, ratfunc.dlog_witness)
@@ -462,12 +470,13 @@ class TestCandidateResidues:
                   P(Fraction(1, 2) + (x - 1) ** 2 * (2 * (x + 2) - (x - 1)) * Fraction(1, 3)))
         for (f, g), case, beta in ((case_b, CASE_B, Fraction(-1, 3)),
                                    (case_a, CASE_A, Fraction(1, 2))):
-            reduced.clear(), factored.clear(), dlogs.clear()
+            split.clear(), reduced.clear(), factored.clear(), dlogs.clear()
             sv = classify_log_family(P(f), g)
             assert sv.fibration.found and (sv.fibration.completeness_case, sv.fibration.beta) \
                 == (case, beta)
-            # the one reduction and the one factorization are those of 1/f
-            assert (reduced, factored, len(dlogs)) == ([RatFunc.one() / P(f)], [f], 0)
+            # the one split and the one factorization are those of 1/f, and
+            # nothing is Hermite-reduced
+            assert (split, reduced, factored, len(dlogs)) == ([RatFunc.one() / P(f)], [], [f], 0)
 
 
 class TestSearchFactorization:

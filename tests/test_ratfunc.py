@@ -22,6 +22,7 @@ from orthoscope import (
     ratio_all_rational,
     residue_polynomial,
     resultant_x,
+    spectrum_and_remainder,
     squarefree_decompose,
 )
 from orthoscope.ratfunc import (
@@ -35,6 +36,7 @@ from orthoscope.ratfunc import (
     _split_partial,
     exact_derivative_part,
 )
+from orthoscope.criteria import base_orthogonal
 from orthoscope.errors import WitnessVerificationError
 
 from conftest import (
@@ -295,6 +297,53 @@ def random_linear_multiple_pole(rng: random.Random) -> tuple[RatFunc, set]:
         r = r + random_unipoly(rng, 3, -9, 9)
     if e >= 30:
         features.add("e >= 30")
+    return r, features
+
+
+def random_spectrum_input(rng: random.Random) -> tuple[RatFunc, set]:
+    """r = sum of a_i/q_i^e_i + s over distinct loci: linear loci of
+    multiplicity 2..12 or 30 (distinct multiplicities, so each is a class of
+    its own, or two sharing one), linear and nonlinear simple loci, and at
+    times a nonlinear locus of multiplicity 2..4; a_i is random, and at a
+    linear multiple locus its top coefficient is at times 0 (a zero
+    residue). Returns r and the features drawn."""
+    x = UniPoly.variable()
+    features = set()
+    roots = rng.sample([Fraction(k, d) for k in range(-9, 10) for d in (1, 2, 3)], 9)
+    mults = rng.sample(range(2, 13), rng.randint(0, 3))
+    if rng.random() < 0.25:
+        mults.append(30)
+    loci = [(x - roots.pop(), e) for e in dict.fromkeys(mults)]
+    if loci and rng.random() < 0.15:
+        loci.append((x - roots.pop(), loci[0][1]))
+        features.add("two linear loci in one class")
+    for _ in range(rng.randint(0 if loci else 1, 3)):
+        if rng.random() < 0.5:
+            loci.append((x - roots.pop(), 1))
+        else:
+            b, k = rng.randint(-3, 3), rng.randint(1, 4)
+            q = rng.choice([x**2 + b * x + b * b + k, x**3 + k * x + 1])
+            if all(q != other for other, _ in loci):
+                loci.append((q, 1))
+                features.add("nonlinear simple")
+    if rng.random() < 0.2:
+        loci.append((x**2 + 5, rng.randint(2, 4)))
+        features.add("nonlinear multiple")
+    r = RatFunc.zero()
+    for q, e in loci:
+        a = random_unipoly(rng, int(q.degree) * e - 1, -9, 9, nonzero=True)
+        if q.degree == 1 and e >= 2 and rng.random() < 0.3:
+            # a(x + c) cut below u^(e-1), shifted back: deg < e - 1 in x - c
+            a = compose_affine(compose_affine(a, 1, -q.coeff(0)) % x ** (e - 1), 1, q.coeff(0))
+            features.add("zero residue at a multiple locus")
+        r = r + RatFunc(a, q**e)
+    if rng.random() < 0.3:
+        r = r + random_unipoly(rng, 3, -9, 9)
+        features.add("polynomial part")
+    if sum(e >= 2 for _, e in loci) >= 2:
+        features.add("several multiple classes")
+    if any(e == 30 for _, e in loci):
+        features.add("e = 30")
     return r, features
 
 
@@ -661,7 +710,9 @@ class TestHermite:
                 if a.degree < e - 1:
                     drawn.add("deg a < e - 1")
             drawn.add(("e", e if e in (2, 60, 200) else "mid"))
-            assert _linear_laurent(a, c, e) == laurent_oracle(a, c, e), (a, c, e)
+            # the residue is read off a as its coefficient of x^(e-1)
+            assert (_linear_laurent(a, c, e), UniPoly.constant(a.coeff(e - 1))) \
+                == laurent_oracle(a, c, e), (a, c, e)
         assert drawn >= {"tall", "zero", "deg a < e - 1", ("e", 2), ("e", 60), ("e", 200),
                          ("e", "mid")}
 
@@ -738,7 +789,8 @@ class TestHermite:
 
         from orthoscope import ratfunc
 
-        source = inspect.getsource(ratfunc.hermite_reduce)
+        source = inspect.getsource(ratfunc.hermite_reduce) \
+            + inspect.getsource(ratfunc._reduce_classes)
         fold = "acc = acc * p + c\n"
         assert source.count(fold) == 1
         namespace = dict(vars(ratfunc))
@@ -751,6 +803,80 @@ class TestHermite:
             mutant(r)
         with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
             mutant(r, ((x - 2, 3), (x, 1), (x**2 + 1, 2)))
+
+
+class TestSpectrumAndRemainder:
+    """The spectrum path: the pole spectrum and the Hermite remainder off the
+    checked partial-fraction split, with no derivative part."""
+
+    def test_matches_hermite_reduce(self, x, monkeypatch):
+        from orthoscope import ratfunc
+
+        steps_run = record_calls(monkeypatch, ratfunc._reduce_classes)
+        rng = random.Random(2051)
+        drawn = set()
+        for _ in range(80):
+            r, features = random_spectrum_input(rng)
+            drawn |= features
+            loci = factor_rationals(r.den).parts
+            herm = hermite_reduce(r)
+            classes = {}
+            for q, e in loci:
+                classes.setdefault(e, []).append(q)
+            steps = any(e >= 2 and (len(qs) > 1 or qs[0].degree > 1)
+                        for e, qs in classes.items())
+            for given in (None, loci):
+                steps_run.clear()
+                assert spectrum_and_remainder(r, given) == (herm.spectrum, herm.remainder), r
+                # only a nonlinear class of multiplicity >= 2 takes Hermite's steps
+                assert len(steps_run) == steps, r
+            drawn.add("Hermite's steps" if steps else "split only")
+        assert drawn >= {
+            "two linear loci in one class", "nonlinear simple", "nonlinear multiple",
+            "zero residue at a multiple locus", "polynomial part",
+            "several multiple classes", "e = 30", "Hermite's steps", "split only",
+        }, drawn
+
+    def test_linear_multiple_residue_is_the_top_coefficient(self, x):
+        # Res of a/(x - c)^e at c, for deg a < e, is a's x^(e-1) coefficient
+        for e in (2, 7, 30):
+            a = (x + 3) ** (e - 1) * Fraction(-5, 7) + x
+            s, rem = spectrum_and_remainder(RatFunc(a, (x - Fraction(2, 3)) ** e))
+            assert s.affine_poles[0].residue == Fraction(-5, 7) + (e == 2)
+            assert rem == RatFunc(UniPoly.constant(s.affine_poles[0].residue),
+                                  x - Fraction(2, 3))
+
+    @pytest.mark.parametrize("modulus", ["linear", "power"])
+    def test_corrupted_laurent_coefficient_is_caught(self, x, monkeypatch, modulus):
+        # mutation check: a split step that returns one Laurent coefficient
+        # off by 1 (the constant term of a numerator over a class) must fail
+        # its exact division, in pole_spectrum and in base_orthogonal
+        from orthoscope import ratfunc
+
+        f = RatFunc.from_poly((x - 2) ** 5 * (x + 1) ** 3 * x)
+        spectrum = pole_spectrum(1 / f)
+        assert spectrum == hermite_reduce(1 / f).spectrum == base_orthogonal(f).spectrum
+        divide = ratfunc.poly_div_mod
+
+        def corrupted(a, b, m):
+            out = divide(a, b, m)
+            return out + 1 if (m.degree == 1) == (modulus == "linear") else out
+
+        monkeypatch.setattr(ratfunc, "poly_div_mod", corrupted)
+        with pytest.raises(WitnessVerificationError, match="inexact"):
+            pole_spectrum(1 / f)
+        with pytest.raises(WitnessVerificationError, match="inexact"):
+            base_orthogonal(f)
+
+    def test_wrong_loci_raise(self, x):
+        r = RatFunc(x, (x - 1) ** 2 * (x + 2))
+        for loci in (((x - 1, 2),), ((x - 1, 1), (x + 2, 1)),
+                     ((x - 1, 2), (x + 2, 1), (x + 7, 1)), ()):
+            with pytest.raises(WitnessVerificationError, match="multiply to"):
+                spectrum_and_remainder(r, loci)
+        # loci that multiply to r.den, in two classes that share a root
+        with pytest.raises(WitnessVerificationError, match="not coprime"):
+            spectrum_and_remainder(RatFunc(x + 3, (x - 1) ** 3), ((x - 1, 1), (x - 1, 2)))
 
 
 class TestDlog:

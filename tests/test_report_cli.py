@@ -558,15 +558,17 @@ class TestBranchesNoDeckReaches:
     @pytest.mark.parametrize("command", ["beta-der", "classify"])
     def test_remainder_ratio_fallback(self, capsys, monkeypatch, command):
         # 1/f has residues only at x (a double pole) and at x - 1, a pole of
-        # g, so beta is rem(g/f)/rem(1/f): hermite_reduce runs on 1/f, on
-        # g/f and on the target
+        # g, so beta is rem(g/f)/rem(1/f): the split reads 1/f and g/f (whose
+        # double class x*(x - 1), not a linear locus, takes Hermite's steps
+        # within the split), and hermite_reduce runs on the target
         from orthoscope import ratfunc
 
         sp, x = self.sympy, self.x
         f, g = x**2 * (x - 1), 1 / (x - 1)
+        split = record_calls(monkeypatch, ratfunc.spectrum_and_remainder)
         calls = record_calls(monkeypatch, ratfunc.hermite_reduce)
         report = self.report(capsys, command, "x' = x^2*(x-1); y' = 1/(x-1)")
-        assert len(calls) == 3
+        assert (len(split), len(calls)) == (2, 1)
         want = "beta-found" if command == "beta-der" else \
             "nonorthogonal-uniformly-almost-internal"
         assert report["verdict"] == want

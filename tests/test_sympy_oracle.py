@@ -24,6 +24,8 @@ from orthoscope import (
 )
 from orthoscope.errors import ParseError
 
+from conftest import record_calls
+
 X, Y = sympy.symbols("x y")
 
 
@@ -256,6 +258,29 @@ def test_bipoly_gcd_matches_sympy():
             continue
         expected = bi_from_sympy(bi_to_sympy(a).gcd(bi_to_sympy(b))).monic()
         assert bipoly_gcd(a, b) == expected
+
+
+def test_bipoly_gcd_with_a_y_free_operand_matches_sympy(monkeypatch):
+    # a y-free operand gives the gcd in Q[x], from the x-contents: no
+    # BiPoly product is built
+    products = record_calls(monkeypatch, BiPoly.__mul__)
+    rng = random.Random(7011)
+    drawn = set()
+    for n in range(150):
+        common = _random_poly(rng, 2) if n % 3 else UniPoly.one()
+        a = _random_bipoly(rng, 3, 2, wide=n % 5 == 0) * BiPoly.from_unipoly_x(common)
+        if n % 4 == 0:
+            a = a * BiPoly.from_unipoly_x(_random_poly(rng, 2))   # more x-content
+        b = BiPoly.from_unipoly_x(_random_poly(rng, 3, wide=n % 7 == 0) * common)
+        if a.is_zero:
+            continue
+        expected = bi_from_sympy(bi_to_sympy(a).gcd(bi_to_sympy(b))).monic()
+        products.clear()
+        assert bipoly_gcd(a, b) == bipoly_gcd(b, a) == expected, (a, b)
+        assert products == []
+        drawn.add("y-free a" if a.is_y_free() else "a with y")
+        drawn.add("constant gcd" if expected.is_constant else "gcd in Q[x]")
+    assert drawn == {"y-free a", "a with y", "constant gcd", "gcd in Q[x]"}, drawn
 
 
 def test_bipoly_exact_div_matches_sympy():
