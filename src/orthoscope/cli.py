@@ -274,9 +274,19 @@ def _read_source(args) -> str:
 
 def main(argv=None) -> int:
     # exact results may print more digits than Python's default int-to-str
-    # limit; the parser bounds its literals itself (MAX_LITERAL_DIGITS)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # limit; the parser bounds its literals itself (MAX_LITERAL_DIGITS). The
+    # limit is lifted for this call only, and restored on the way out.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         if args.command == "fixtures":

@@ -4,8 +4,11 @@ FractionField holds the reduction, normal form, field arithmetic and
 printing of a fraction field of polynomials, written once for RatFunc
 (Q(x), here) and BiRatFunc (Q(x, y), in planar); each names only its gcd.
 The pole spectrum with exact residues and the Hermite remainder, read off
-one checked partial-fraction split; Hermite reduction, which also builds the
-derivative part; the residue polynomial (resultant form); and
+one checked partial-fraction split; Hermite reduction one multiplicity
+class at a time, each class checked on its own (_class_part), which the
+spectrum path runs at its nonlinear multiple classes and hermite_reduce at
+every multiple class to build the derivative part; the residue polynomial
+(resultant form); and
 logarithmic-derivative membership with verified witnesses. WitnessData is
 the one witness record: the searches build it, and the report carries and
 re-verifies it unchanged.
@@ -440,8 +443,8 @@ def _split_partial(a: UniPoly, moduli: list[UniPoly]) -> list[UniPoly]:
 
 
 def _simple_part(r: RatFunc, n0: UniPoly, loci: Loci, classes, simple: list[UniPoly]):
-    """The spectrum of r*dx and r's Hermite remainder, in lowest terms and
-    as A/P over P = prod p, from each class's simple part a/p (deg a < deg p).
+    """The spectrum of r*dx and r's Hermite remainder in lowest terms, from
+    each class's simple part a/p (deg a < deg p), summed over P = prod p.
 
     The residue at the roots of a locus q | p is a/p' there, read by
     _value_at: a(c)/p'(c) at q = x - c, and a/p' mod q elsewhere (Bronstein,
@@ -457,7 +460,56 @@ def _simple_part(r: RatFunc, n0: UniPoly, loci: Loci, classes, simple: list[UniP
         den = den * p
     spectrum = PoleSpectrum(tuple(PoleEntry(q, e, residues[q]) for q, e in loci),
                             _infinity_pole(r, n0))
-    return spectrum, _lowest_terms(num, den, residues.items()), num, den
+    return spectrum, _lowest_terms(num, den, residues.items())
+
+
+def _class_part(a0: UniPoly, p: UniPoly, e: int, pe: UniPoly):
+    """Hermite reduction of one multiplicity class: for p squarefree, e >= 2,
+    pe = p^e and deg a0 < deg pe, a0/p^e = (acc/p^(e-1))' + a/p + Q with
+    deg a < deg p and Q a polynomial; returns (a, acc, p^(e-1), Q).
+
+    When p is a single linear locus x - c, the e - 1 steps are one Taylor
+    shift each way (_linear_laurent): acc is integrated term by term from
+    the Laurent coefficients alpha_k of a0/(x - c)^e, on integers over one
+    content, and a is alpha_{e-1}, a0's coefficient of x^(e-1). The steps
+    leave the constant -alpha_{e-1}*H_{e-1} in acc/p^(e-1), with
+    H_{e-1} = 1 + 1/2 + ... + 1/(e-1); the shift adds it too, so both give
+    the same acc. No gcd is needed, and p^(e-1) is expanded by the binomial
+    theorem.
+
+    Otherwise step j = e..2 splits off c_j/p^(j-1), and the steps are
+    folded by Horner's rule into acc. Only they need s*p + t*p' = 1:
+    t = 1/p' mod p by poly_div_mod and s = (1 - t*p')/p exactly (Bronstein,
+    Symbolic Integration I, section 2.2). The reductions mod p^(j-1) drop
+    polynomial parts, which Q collects.
+
+    Either way the class is checked on its own, by one polynomial division:
+    a0 - acc'*p + (e - 1)*acc*p' - a*p^(e-1) = Q*p^e, which is the identity
+    above times p^e; a nonzero remainder raises WitnessVerificationError.
+    """
+    dp = p.derivative()
+    if p.degree == 1:
+        acc, below = _linear_laurent(a0, -p.coeff(0), e), p ** (e - 1)
+        a = UniPoly.constant(a0.coeff(e - 1))
+    else:
+        pw = [UniPoly.one()]    # pw[k] = p^k for k < e
+        for _ in range(e - 1):
+            pw.append(pw[-1] * p)
+        t = poly_div_mod(UniPoly.one(), dp, p)
+        s = (1 - t * dp).exact_div(p)
+        terms, a = [], a0
+        for j in range(e, 1, -1):
+            b = a * t
+            terms.append(b * Fraction(-1, j - 1))
+            a = (a * s + b.derivative() * Fraction(1, j - 1)) % pw[j - 1]
+        acc = UniPoly.zero()
+        for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
+            acc = acc * p + c
+        below = pw[-1]
+    quotient, left = divmod(a0 - acc.derivative() * p + acc * dp * (e - 1) - a * below, pe)
+    if not left.is_zero:
+        raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
+    return a, acc, below, quotient
 
 
 def spectrum_and_remainder(r: RatFunc, loci: Optional[Loci] = None) -> tuple[PoleSpectrum, RatFunc]:
@@ -472,24 +524,20 @@ def spectrum_and_remainder(r: RatFunc, loci: Optional[Loci] = None) -> tuple[Pol
     Taylor shift a(u + c); as deg a < e, a Taylor shift keeps that top
     coefficient, so it is a's coefficient of x^(e-1) and no shift is made.
     The class adds alpha_{e-1}/(x - c) to the remainder. A class whose part
-    is nonlinear with e >= 2 needs Hermite's steps, so r then goes
-    through hermite_reduce's steps and its identity check, on the same
-    split. loci is as in _classes.
+    is nonlinear with e >= 2 takes Hermite's steps and its own identity
+    check (_class_part), of which only the simple part is kept. loci is as
+    in _classes.
 
     What is returned is proven by the split: the moduli multiply to r.den,
     and every step is an exact division, so n0/r.den is the sum of the
     a/p^e; a failure raises WitnessVerificationError.
     """
-    split = _classes(r, loci)
-    _, n0, loci, classes = split
-    if any(e >= 2 and p.degree > 1 for p, e, _, _ in classes):
-        herm = _reduce_classes(r, *split)
-        return herm.spectrum, herm.remainder
+    _, n0, loci, classes = _classes(r, loci)
     numerators = _split_partial(n0, [c[3] for c in classes])
-    simple = [a if e == 1 else UniPoly.constant(a.coeff(e - 1))
-              for (_, e, _, _), a in zip(classes, numerators)]
-    spectrum, rem, _, _ = _simple_part(r, n0, loci, classes, simple)
-    return spectrum, rem
+    simple = [a if e == 1 else UniPoly.constant(a.coeff(e - 1)) if p.degree == 1
+              else _class_part(a, p, e, pe)[0]
+              for (p, e, _, pe), a in zip(classes, numerators)]
+    return _simple_part(r, n0, loci, classes, simple)
 
 
 @dataclass(frozen=True)
@@ -507,85 +555,42 @@ class HermiteDecomposition:
 
 
 def hermite_reduce(r: RatFunc, loci: Optional[Loci] = None) -> HermiteDecomposition:
-    """Exact Hermite reduction by per-factor integration by parts; its job
+    """Exact Hermite reduction, one multiplicity class at a time; its job
     is the derivative part h, which only a derivative witness needs
     (spectrum_and_remainder gives the rest without it).
 
     loci is as in _classes, whose multiplicity classes give the squarefree
-    factors, and the split is spectrum_and_remainder's. For a factor p of
-    multiplicity e, step j = e..2 splits off c_j/p^(j-1); the steps are
-    folded by Horner's rule into one numerator over p^(e-1). What is left
-    is a/p, whose residues _simple_part reads. Only the steps j = e..2 need
-    s*p + t*p' = 1: t = 1/p' mod p by poly_div_mod and s = (1 - t*p')/p
-    exactly, none for e = 1 (Bronstein, Symbolic Integration I, sections
-    2.2 and 2.5).
+    factors, and the split is spectrum_and_remainder's. Each class p^e with
+    e >= 2 is reduced and checked by _class_part, to acc/p^(e-1) + a/p plus
+    a polynomial Q; a simple class is its own a/p. With polypart the
+    polynomial part of r,
+    h = sum of acc/p^(e-1) + antiderivative(polypart + sum of Q), and the
+    remainder is the sum of the a/p, whose residues _simple_part reads. The
+    split proves n0 = sum of a0*(r.den/p^e), so the class identities add
+    up to r = h' + rem.
 
-    When p is a single linear locus x - c and e >= 2, the e - 1 steps are
-    one Taylor shift each way (_linear_laurent): the derivative part is
-    integrated term by term from the Laurent coefficients alpha_k of
-    a/(x - c)^e, on integers over one content, and the residue is
-    alpha_{e-1}, a's coefficient of x^(e-1). The steps leave the constant
-    -alpha_{e-1}*H_{e-1} in h, with H_{e-1} = 1 + 1/2 + ... + 1/(e-1); the
-    shift adds it too, so both give the same h. No gcd is needed, and
-    p^(e-1) and p^e are expanded by the binomial theorem.
-
-    The pieces are summed as polynomials over D = prod p^(e-1) and
-    P = prod p, and D*P = r.den (_classes checks it). The identity
-    r = h' + rem is checked exactly as one polynomial division by r.den:
-    with D'/D = S/P, h = H/D and rem = A/P,
-    r.num - (H'*P - H*S) - A*D = q*r.den. The quotient q collects the
-    polynomial parts dropped along the way and joins h as its
-    antiderivative. A nonzero remainder raises WitnessVerificationError.
-
-    Once the identity holds, h's numerator and D are coprime, so h is
-    built without a gcd. r is reduced, so it has a pole of order exactly e
-    at each root of a p with e >= 2; rem has simple poles at most, so
-    h' = r - rem has order e there and h order e - 1, the full power of p
-    in D. Hence no root of D is a root of h's numerator. The remainder
-    A/P loses only the loci whose residue is zero (_lowest_terms), with
-    no gcd either.
+    Once the identity holds, h's numerator and D = prod p^(e-1) are
+    coprime, so h is built without a gcd. r is reduced, so it has a pole of
+    order exactly e at each root of a p with e >= 2; rem has simple poles
+    at most, so h' = r - rem has order e there and h order e - 1, the full
+    power of p in D. Hence no root of D is a root of h's numerator. The
+    remainder loses only the loci whose residue is zero (_lowest_terms),
+    with no gcd either.
     """
-    return _reduce_classes(r, *_classes(r, loci))
-
-
-def _reduce_classes(r: RatFunc, polypart: UniPoly, n0: UniPoly, loci: Loci,
-                    classes) -> HermiteDecomposition:
-    """hermite_reduce(r) from _classes(r, loci)."""
+    polypart, n0, loci, classes = _classes(r, loci)
     numerators = _split_partial(n0, [c[3] for c in classes])
-    h_num, h_den = polypart.antiderivative(), UniPoly.one()    # H/D
-    w, done = UniPoly.zero(), UniPoly.one()    # S with D'/D = S/P; prod p so far
+    h_num, h_den = UniPoly.zero(), UniPoly.one()    # sum of acc/p^(e-1), over D
+    dropped = polypart
     simple = []
-    for (p, e, _, _), a in zip(classes, numerators):
-        dp = p.derivative()
-        if e >= 2 and p.degree == 1:
-            acc, below = _linear_laurent(a, -p.coeff(0), e), p ** (e - 1)
-            a = UniPoly.constant(a.coeff(e - 1))
-        elif e >= 2:
-            pw = _powers(p, e - 1)
-            t = poly_div_mod(UniPoly.one(), dp, p)
-            s = (1 - t * dp).exact_div(p)
-            terms = []
-            for j in range(e, 1, -1):
-                b = a * t
-                terms.append(b * Fraction(-1, j - 1))
-                a = (a * s + b.derivative() * Fraction(1, j - 1)) % pw[j - 1]
-            acc = UniPoly.zero()
-            for c in reversed(terms):   # acc = sum of c_j * p^(e-j)
-                acc = acc * p + c
-            below = pw[-1]
+    for (p, e, _, pe), a in zip(classes, numerators):
         if e >= 2:
+            a, acc, below, quotient = _class_part(a, p, e, pe)
             h_num = h_num * below + acc * h_den
             h_den = h_den * below
-        w = w * p + dp * done * (e - 1)
-        done = done * p
+            dropped = dropped + quotient
         simple.append(a)
-    spectrum, rem, rem_num, rem_den = _simple_part(r, n0, loci, classes, simple)
-    # dropped polynomial quotients along the way surface here, exactly
-    defect = r.num - h_num.derivative() * rem_den + h_num * w - rem_num * h_den
-    quotient, left = divmod(defect, r.den)
-    if not left.is_zero:
-        raise WitnessVerificationError("hermite reduction produced a nonpolynomial defect")
-    h = RatFunc._coprime(h_num + quotient.antiderivative() * h_den, h_den)
+    spectrum, rem = _simple_part(r, n0, loci, classes, simple)
+    h = RatFunc._coprime(h_num + dropped.antiderivative() * h_den, h_den)
     return HermiteDecomposition(h, rem, spectrum)
 
 
@@ -604,14 +609,6 @@ def _lowest_terms(num: UniPoly, den: UniPoly, residues) -> RatFunc:
         common = math.prod(zeros[1:], start=zeros[0])
         num, den = num.exact_div(common), den.exact_div(common)
     return RatFunc._coprime(num, den)
-
-
-def _powers(p: UniPoly, e: int) -> list[UniPoly]:
-    """[1, p, ..., p**e], one multiplication each."""
-    powers = [UniPoly.one()]
-    for _ in range(e):
-        powers.append(powers[-1] * p)
-    return powers
 
 
 def _linear_laurent(a: UniPoly, c: Fraction, e: int) -> UniPoly:

@@ -783,26 +783,28 @@ class TestHermite:
                 hermite_reduce(r, loci)
 
     def test_perturbed_horner_term_is_caught(self, x):
-        # mutation check: a copy of hermite_reduce whose Horner fold adds 1
-        # to each step must fail its own identity check
+        # mutation check: a copy of the per-class step whose Horner fold adds
+        # 1 to each step must fail the class's identity check, in
+        # hermite_reduce and on the spectrum path
         import inspect
 
         from orthoscope import ratfunc
 
-        source = inspect.getsource(ratfunc.hermite_reduce) \
-            + inspect.getsource(ratfunc._reduce_classes)
+        source = inspect.getsource(ratfunc._class_part)
         fold = "acc = acc * p + c\n"
         assert source.count(fold) == 1
         namespace = dict(vars(ratfunc))
-        exec(source.replace(fold, "acc = acc * p + c + 1\n"), namespace)
-        mutant = namespace["hermite_reduce"]
+        exec(source.replace(fold, "acc = acc * p + c + 1\n")
+             + inspect.getsource(ratfunc.hermite_reduce)
+             + inspect.getsource(ratfunc.spectrum_and_remainder), namespace)
         r = RatFunc(x**3 + 1, (x - 2) ** 3 * (x**2 + 1) ** 2 * x)
         herm = hermite_reduce(r)
         assert herm.derivative_part.derivative() + herm.remainder == r
-        with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
-            mutant(r)
-        with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
-            mutant(r, ((x - 2, 3), (x, 1), (x**2 + 1, 2)))
+        for mutant in (namespace["hermite_reduce"], namespace["spectrum_and_remainder"]):
+            with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
+                mutant(r)
+            with pytest.raises(WitnessVerificationError, match="nonpolynomial defect"):
+                mutant(r, ((x - 2, 3), (x, 1), (x**2 + 1, 2)))
 
 
 class TestSpectrumAndRemainder:
@@ -812,7 +814,7 @@ class TestSpectrumAndRemainder:
     def test_matches_hermite_reduce(self, x, monkeypatch):
         from orthoscope import ratfunc
 
-        steps_run = record_calls(monkeypatch, ratfunc._reduce_classes)
+        steps_run = record_calls(monkeypatch, ratfunc._class_part)
         rng = random.Random(2051)
         drawn = set()
         for _ in range(80):
@@ -820,15 +822,18 @@ class TestSpectrumAndRemainder:
             drawn |= features
             loci = factor_rationals(r.den).parts
             herm = hermite_reduce(r)
+            # the remainder also against a reduction that shares no code with ratfunc's
+            rem = hermite_oracle(r)[1]
+            assert herm.remainder == rem, r
             classes = {}
             for q, e in loci:
                 classes.setdefault(e, []).append(q)
-            steps = any(e >= 2 and (len(qs) > 1 or qs[0].degree > 1)
+            steps = sum(e >= 2 and (len(qs) > 1 or qs[0].degree > 1)
                         for e, qs in classes.items())
             for given in (None, loci):
                 steps_run.clear()
-                assert spectrum_and_remainder(r, given) == (herm.spectrum, herm.remainder), r
-                # only a nonlinear class of multiplicity >= 2 takes Hermite's steps
+                assert spectrum_and_remainder(r, given) == (herm.spectrum, rem), r
+                # one per-class step per nonlinear class of multiplicity >= 2
                 assert len(steps_run) == steps, r
             drawn.add("Hermite's steps" if steps else "split only")
         assert drawn >= {

@@ -164,7 +164,29 @@ class TestCliExitCodes:
         assert main(argv) == 0
         assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
-        assert prefix + str(root) in out and err == ""
+        # main restores the int-to-str limit, so str(root) lifts it itself
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = prefix + str(root)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert expected in out and err == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "x' = x^2*(x-1); y' = y*x"], 0),
+        (["classify", "x' = x^2 +; y' = y"], 2),
+        (["fixtures", "run"], 0),
+    ], ids=["verdict", "parse-error", "fixtures-run"])
+    def test_int_to_str_limit_is_restored(self, argv, code, capsys):
+        # main lifts the limit for its own output only
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            assert main(argv) == code
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_input_budgets_exit_two_within_a_second(self, capsys):
         for source, message in (
