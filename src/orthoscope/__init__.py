@@ -1,7 +1,7 @@
 """orthoscope: exact orthogonality and internality criteria for planar
 algebraic differential systems, with verified witnesses."""
 
-from .algebra.bipoly import BiPoly, bipoly_gcd, resultant_x
+from .algebra.bipoly import BiPoly, bipoly_gcd
 from .algebra.factor import factor_rationals
 from .algebra.numberfield import NFElement
 from .algebra.unipoly import (
@@ -9,7 +9,6 @@ from .algebra.unipoly import (
     SquarefreeFactorization,
     UniPoly,
     poly_gcd,
-    poly_xgcd,
     squarefree_decompose,
 )
 from .criteria import (
@@ -53,7 +52,6 @@ from .ratfunc import (
     hermite_reduce,
     pole_spectrum,
     ratio_all_rational,
-    residue_polynomial,
     spectrum_and_remainder,
 )
 from .report import Report, WitnessData, emit

@@ -69,10 +69,6 @@ class NFElement:
         return NFElement(poly_div_mod(UniPoly.one(), self.rep, self.modulus), self.modulus)
 
     @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    @property
     def is_rational(self) -> bool:
         return self.rep.is_constant
 

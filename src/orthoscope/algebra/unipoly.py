@@ -25,13 +25,11 @@ _ZERO = Fraction(0)
 
 
 def _pair(v) -> tuple[int, int]:
-    """The numerator and positive denominator of an exact rational scalar
-    (an int, a Fraction or a decimal or fraction string), in lowest terms;
-    an int or a Fraction is read without forming one."""
+    """The numerator and positive denominator of an exact rational scalar,
+    an int or a Fraction, in lowest terms; any other value, a float or a
+    string among them, raises TypeError."""
     if not isinstance(v, (int, Fraction)):
-        if not isinstance(v, str):
-            raise TypeError(f"not an exact rational scalar: {v!r}")
-        v = Fraction(v)
+        raise TypeError(f"not an exact rational scalar: {v!r}")
     return v.numerator, v.denominator
 
 
@@ -69,9 +67,11 @@ class ContentPoly:
     _lead, _term_count, is_constant, signed_terms, __add__ (which adds an
     int or Fraction scalar into the constant term), __mul__ (which hands
     such a scalar to _scale), _monomial_power and _binomial_power. An
-    operand that is neither of the subclass, a UniPoly nor an exact rational
-    scalar makes _coerce return NotImplemented, so that Python runs the
+    operand that is neither of the subclass, a UniPoly, an int nor a
+    Fraction makes _coerce return NotImplemented, so that Python runs the
     operand's reflected operator: a RatFunc's, or a BiPoly's for a UniPoly.
+    A float's or a string's reflected operator takes no polynomial, so
+    such an operand raises TypeError.
     """
 
     @property
@@ -103,13 +103,13 @@ class ContentPoly:
 
     def _coerce(self, other):
         """other in self's ring: a UniPoly enters a BiPoly as a polynomial
-        in x, and an exact rational scalar as a constant; NotImplemented
-        for any other operand."""
+        in x, and an int or a Fraction as a constant; NotImplemented for
+        any other operand."""
         if isinstance(other, type(self)):
             return other
         if isinstance(other, UniPoly):
             return self.from_unipoly_x(other)
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             return self.constant(other)
         return NotImplemented
 
@@ -303,9 +303,6 @@ class UniPoly(ContentPoly):
         rn, rd = _mul_pair(self.cnum, self.cden, 1, s)
         return (_canonical(*_div_pair(rn, rd, other.cnum, other.cden), q),
                 _canonical(rn, rd, r))
-
-    def __floordiv__(self, other) -> "UniPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other) -> "UniPoly":
         return divmod(self, other)[1]

@@ -31,6 +31,7 @@ from .parsing import (
     parse_univariate,
 )
 from .planar import (
+    BiRatFunc,
     PlanarVectorField,
     classify_invariant_line_lift,
     foliation_linearize,
@@ -169,13 +170,14 @@ def _run_system_command(command: str, text: str, residue_class: str,
         return Report("linearize", "linearized", notes=notes)
 
     if command == "lift":
+        h = parse_expression(gauge_h)
         sv = classify_invariant_line_lift(v)
         lin = sv.linearization
         report = _report_from_system_verdict("lift", sv)
         report.notes.append(
             f"linearized system: x' = {lin.base_f0}; y' = y*({lin.fiber_hZ})"
         )
-        report.notes.extend(_gauge_notes(v, gauge_h))
+        report.notes.extend(_gauge_notes(v, h))
         return report
 
     if command == "dlog-sys":
@@ -187,23 +189,18 @@ def _run_system_command(command: str, text: str, residue_class: str,
     raise ShapeError(f"unknown command {command!r}")
 
 
-def _gauge_notes(v: PlanarVectorField, gauge_h: str) -> list[str]:
-    notes = []
+def _gauge_notes(v: PlanarVectorField, h: BiRatFunc) -> list[str]:
     try:
         cofactor = foliation_linearize(v, _DY)
     except HypothesisError:
-        return notes
-    notes.append(f"tangent-fiber cofactor along d/dy: {cofactor}")
-    try:
-        h = parse_expression(gauge_h)
-        if not h.is_zero:
-            dlog = system_dlog(v, h)
-            notes.append(
-                f"gauge transform by h = {h} leaves cofactor {cofactor - dlog} "
-                f"(dlog({h}) = {dlog} under this system)"
-            )
-    except ParseError:
-        pass
+        return []
+    notes = [f"tangent-fiber cofactor along d/dy: {cofactor}"]
+    if not h.is_zero:
+        dlog = system_dlog(v, h)
+        notes.append(
+            f"gauge transform by h = {h} leaves cofactor {cofactor - dlog} "
+            f"(dlog({h}) = {dlog} under this system)"
+        )
     return notes
 
 

@@ -15,11 +15,10 @@ from .errors import HypothesisError, OrthoscopeError, ParseError, ShapeError
 from .ratfunc import RATIONAL
 from .report import Report, emit
 
-# The values of `expect_error` and the error each one names.
+# The values of `expect_error` and the error each one names. A record
+# that raises any other OrthoscopeError fails; any other exception is an
+# internal fault, which the cli reports with exit code 4.
 ERROR_KINDS = {"hypothesis": HypothesisError, "parse": ParseError, "shape": ShapeError}
-# The package's own errors; a record that raises one fails. Any other
-# exception is an internal fault, which the cli reports with exit code 4.
-REFUSALS = OrthoscopeError
 
 
 @dataclass
@@ -30,7 +29,6 @@ class Fixture:
     residue_class: str = RATIONAL
     gauge_h: str = "y"
     expectations: dict[str, str] = field(default_factory=dict)
-    anchor: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -65,35 +63,29 @@ def load_corpus(text: str | None = None) -> list[Fixture]:
             current.residue_class = value
         elif key == "h":
             current.gauge_h = value
-        elif key == "anchor":
-            current.anchor.append(value)
         elif key.startswith("expect_") or key == "note":
             current.expectations[key] = value
-        else:
+        elif key != "anchor":    # an anchor describes the record; no check reads it
             raise ValueError(f"unknown corpus field {key!r}")
     return fixtures
 
 
 def run_fixture(fx: Fixture) -> FixtureOutcome:
-    details: list[str] = []
-    report: Report | None = None
-    if "expect_error" in fx.expectations:
-        want = fx.expectations["expect_error"]
-        try:
-            run(fx.command, fx.source, residue_class=fx.residue_class,
-                gauge_h=fx.gauge_h)
-        except REFUSALS as exc:
-            if isinstance(exc, ERROR_KINDS.get(want, ())):
-                return FixtureOutcome(fx, True, [], None)
-            return FixtureOutcome(
-                fx, False, [f"expected a {want} error, raised {type(exc).__name__}"], None
-            )
-        return FixtureOutcome(fx, False, ["expected an error, got a verdict"], None)
+    want_error = fx.expectations.get("expect_error")
     try:
         report = run(fx.command, fx.source, residue_class=fx.residue_class,
                      gauge_h=fx.gauge_h)
-    except REFUSALS as exc:
-        return FixtureOutcome(fx, False, [f"raised {type(exc).__name__}: {exc}"], None)
+    except OrthoscopeError as exc:
+        if want_error is None:
+            return FixtureOutcome(fx, False, [f"raised {type(exc).__name__}: {exc}"], None)
+        if isinstance(exc, ERROR_KINDS.get(want_error, ())):
+            return FixtureOutcome(fx, True, [], None)
+        return FixtureOutcome(
+            fx, False, [f"expected a {want_error} error, raised {type(exc).__name__}"], None
+        )
+    if want_error is not None:
+        return FixtureOutcome(fx, False, ["expected an error, got a verdict"], None)
+    details: list[str] = []
     checks = {
         "expect_verdict": lambda r: r.verdict,
         "expect_beta": lambda r: None if r.beta is None else str(r.beta),

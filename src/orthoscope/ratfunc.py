@@ -61,8 +61,9 @@ class FractionField:
     denominator's leading coefficient is 1. A subclass is a frozen
     dataclass with fields num and den, declared with repr=False so that the
     __repr__ below is kept; it supplies _gcd, the gcd of its polynomial
-    ring, and _coerce, and RatFunc adds its calculus. The polynomials
-    supply is_zero, is_constant, lc, exact_div and signed_terms.
+    ring, and _coerce. The polynomials supply is_zero, is_constant, lc,
+    exact_div and signed_terms. Neither subclass differentiates:
+    WitnessData.verify checks an identity on the polynomials of h.
     """
 
     def __post_init__(self):
@@ -219,32 +220,12 @@ class RatFunc(FractionField):
     def constant(c) -> "RatFunc":
         return RatFunc(UniPoly.constant(c), UniPoly.one())
 
-    # -- structure --------------------------------------------------------
-
-    @property
-    def proper(self) -> bool:
-        return self.num.degree < self.den.degree
-
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, UniPoly):
             return RatFunc.from_poly(other)
         return RatFunc.constant(other)
-
-    # -- calculus -------------------------------------------------------------
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def dlog(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("logarithmic derivative of zero")
-        return self.derivative() / self
-
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .algebra.numberfield import NFElement
 from .criteria import OrthogonalityVerdict
 # WitnessData and its kinds are defined in ratfunc and bound here too.
 from .ratfunc import WITNESS_DERIVATIVE, WITNESS_DLOG, PoleSpectrum, WitnessData  # noqa: F401
@@ -46,14 +45,6 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
 
-def residue_string(residue) -> str:
-    if isinstance(residue, Fraction):
-        return str(residue)
-    if isinstance(residue, NFElement):
-        return residue.to_string()
-    raise TypeError(f"not a residue value: {residue!r}")
-
-
 def spectrum_entries(spectrum: Optional[PoleSpectrum]) -> list[dict]:
     """The spectrum's entries as it holds them: every spectrum is made in
     factor order."""
@@ -63,7 +54,7 @@ def spectrum_entries(spectrum: Optional[PoleSpectrum]) -> list[dict]:
         {
             "locus": entry.locus.to_string(),
             "multiplicity": entry.multiplicity,
-            "residue": residue_string(entry.residue),
+            "residue": str(entry.residue),
         }
         for entry in spectrum.affine_poles
     ]

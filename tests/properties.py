@@ -31,6 +31,7 @@ from orthoscope.criteria import STATUS_FOUND
 
 from conftest import (compose_affine, random_proper_ratfunc, random_squarefree_denominator,
                       random_unipoly)
+from oracles import derivative, dlog, proper
 
 X = UniPoly.variable()
 
@@ -63,8 +64,8 @@ def hermite_roundtrip(count: int = 300) -> None:
             num = UniPoly.one()
         r = RatFunc(num, den)
         h = hermite_reduce(r)
-        assert h.derivative_part.derivative() + h.remainder == r
-        assert h.remainder.is_zero or h.remainder.proper
+        assert derivative(h.derivative_part) + h.remainder == r
+        assert h.remainder.is_zero or proper(h.remainder)
         if not h.remainder.is_zero:
             d = h.remainder.den
             assert poly_gcd(d, d.derivative()).degree == 0
@@ -80,10 +81,10 @@ def dlog_soundness_completeness(count: int = 100) -> None:
             h = h * RatFunc.from_poly(p) ** rng.choice([-3, -2, -1, 1, 2, 3])
         if h.is_constant:
             continue
-        target = h.dlog()
+        target = dlog(h)
         res = dlog_witness(target, INTEGER)
         assert res.found and res.witness.scaling == 1
-        assert res.witness.h.dlog() == target
+        assert dlog(res.witness.h) == target
         done += 1
 
 

@@ -6,7 +6,8 @@ from typing import Mapping
 
 import pytest
 
-from orthoscope import BiPoly, UniPoly, bipoly_gcd, resultant_x
+from orthoscope import BiPoly, UniPoly, bipoly_gcd
+from orthoscope.algebra.bipoly import resultant_x
 
 from conftest import assert_canonical as uni_canonical, frac, random_unipoly
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NFElement, UniPoly, factor_rationals, poly_xgcd
+from orthoscope import NFElement, UniPoly, factor_rationals
 from orthoscope.algebra import unipoly
+from orthoscope.algebra.unipoly import poly_xgcd
 
 from conftest import random_unipoly, record_calls
 

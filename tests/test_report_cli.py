@@ -435,6 +435,21 @@ class TestCliExitCodes:
         assert any(note.startswith("gauge transform by h = 1/(x*y) leaves cofactor ")
                    for note in report.notes)
 
+    def test_lift_refuses_a_malformed_gauge_as_dlog_sys_does(self, capsys):
+        source = "x' = x^3*(x-1); y' = x*y + y^2/2"
+        for command in ("lift", "dlog-sys"):
+            assert main([command, "--h", "x +", source]) == 2
+            assert capsys.readouterr().err == (
+                "parse error: expected an expression, found 'end of input' (at offset 3)\n")
+        assert main(["lift", source]) == 0
+        assert capsys.readouterr().out.endswith(
+            "note: gauge transform by h = y leaves cofactor 1/2*y "
+            "(dlog(y) = x + 1/2*y under this system)\n")
+        assert main(["lift", "--h", "1/(x*y)", source]) == 0
+        assert capsys.readouterr().out.endswith(
+            "note: gauge transform by h = 1/(x*y) leaves cofactor x^3 - x^2 + 2*x + 3/2*y "
+            "(dlog(1/(x*y)) = -x^3 + x^2 - x - 1/2*y under this system)\n")
+
     def test_dlog_sys_prints_a_monomial_denominator_in_parentheses(self, capsys):
         assert main(["dlog-sys", "--h", "1/(x*y)", "x' = y; y' = x"]) == 0
         assert "dlog(1/(x*y)) = (-x^2 - y^2)/(x*y)" in capsys.readouterr().out

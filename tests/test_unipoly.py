@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import (NEG_INF, BiPoly, RatFunc, UniPoly, factor_rationals, poly_gcd, poly_xgcd,
-                        resultant_x, squarefree_decompose)
-from orthoscope.algebra.unipoly import poly_div_mod
+from orthoscope import NEG_INF, BiPoly, RatFunc, UniPoly, factor_rationals, poly_gcd, squarefree_decompose
+from orthoscope.algebra.bipoly import resultant_x
+from orthoscope.algebra.unipoly import poly_div_mod, poly_xgcd
 
 from conftest import assert_canonical, compose_affine, expand, frac, random_unipoly, record_calls
 
@@ -158,6 +158,13 @@ class TestMixedOperands:
         r = RatFunc(UniPoly.one(), x)
         for op in (lambda: x + object(), lambda: object() - x, lambda: x * object(),
                    lambda: divmod(x, r), lambda: x.exact_div(r), lambda: x % r):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_only_ints_and_fractions_are_scalars(self):
+        for op in (lambda: UniPoly.constant("1/2"), lambda: UniPoly.of([1, "2"]),
+                   lambda: BiPoly.constant("3"), lambda: UniPoly.one() + "1",
+                   lambda: UniPoly.constant(0.5), lambda: UniPoly.one() * 0.5):
             with pytest.raises(TypeError):
                 op()
 
