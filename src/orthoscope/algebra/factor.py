@@ -367,16 +367,66 @@ def factor_rationals(p: UniPoly) -> SquarefreeFactorization:
     """Complete irreducible factorization over Q; rejects the zero polynomial.
 
     The parts are the monic irreducible factors, so several may share a
-    multiplicity.
+    multiplicity. A linear p is its own monic factor, with no squarefree
+    decomposition. factor_bases factors a value from the bases the parser
+    multiplied, one call here per distinct base.
     """
     if p.is_zero:
         raise ValueError("factorization of the zero polynomial")
+    if p.degree == 1:
+        return SquarefreeFactorization(p.lc, ((p.monic(), 1),))
     sf = squarefree_decompose(p)
     parts: dict[UniPoly, int] = {}
     for sq_part, mult in sf.parts:
         for factor in _factor_squarefree(sq_part):
             parts[factor] = parts.get(factor, 0) + mult
     return SquarefreeFactorization(sf.content, _factor_order(parts.items()))
+
+
+def factor_bases(bases, denominator: bool = False) -> tuple[tuple[UniPoly, int], ...]:
+    """The irreducible factorization of the numerator of c*prod(p**e) over
+    (p, e) in bases, for a nonzero constant c, in lowest terms; with
+    `denominator`, of its denominator. These are factor_rationals' parts of
+    that side, in factor order.
+
+    The bases are made monic and equal ones merged, then each distinct base
+    on the wanted side (e > 0 for the numerator) is factored once, and an
+    irreducible q of it adds its multiplicity times e. A base p on the other
+    side is not factored: q is divided out of it (_strip) at most as many
+    times as q has so far, and each time takes |e| off q's count. By unique
+    factorization in Q[x] the positive counts left are that side's
+    factorization, so the bases need no gcd, and a base that only the other
+    side holds is never factored.
+    """
+    sign = -1 if denominator else 1
+    merged: dict[UniPoly, int] = {}
+    for p, e in bases:
+        if p.degree > 0:
+            p = p.monic()
+            merged[p] = merged.get(p, 0) + sign * e
+    mult: dict[UniPoly, int] = {}
+    for p, e in merged.items():
+        if e > 0:
+            for q, m in factor_rationals(p).parts:
+                mult[q] = mult.get(q, 0) + m * e
+    for p, e in merged.items():
+        if e < 0:
+            for q, m in mult.items():
+                if m > 0:
+                    p, k = _strip(p, q, m)
+                    mult[q] = m + k * e
+    return _factor_order((q, m) for q, m in mult.items() if m > 0)
+
+
+def _strip(p: UniPoly, q: UniPoly, most: int) -> tuple[UniPoly, int]:
+    """p/q^k and k, for the largest k <= most with q^k | p."""
+    k = 0
+    while k < most:
+        quotient, left = divmod(p, q)
+        if not left.is_zero:
+            break
+        p, k = quotient, k + 1
+    return p, k
 
 
 def _factor_order(parts) -> tuple[tuple[UniPoly, int], ...]:

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 
+from .algebra.factor import factor_bases
 from .criteria import (
     SystemVerdict,
     base_orthogonal,
@@ -28,7 +29,7 @@ from .parsing import (
     UnivariateFamily,
     parse_expression,
     parse_system,
-    parse_univariate,
+    parse_univariate_bases,
 )
 from .planar import (
     BiRatFunc,
@@ -71,17 +72,18 @@ def run(command: str, source_text: str, residue_class: str = RATIONAL,
 
 
 def _run_function_command(command: str, text: str, residue_class: str) -> Report:
-    r = parse_univariate(text)
+    r, bases = parse_univariate_bases(text)
+    loci = factor_bases(bases, denominator=True)
     if command == "residues":
-        return Report("residues", "residues-computed", residues=pole_spectrum(r))
+        return Report("residues", "residues-computed", residues=pole_spectrum(r, loci))
     if command == "is-dlog":
-        result = dlog_witness(r, residue_class)
+        result = dlog_witness(r, residue_class, loci)
         if result.found:
             return Report("is-dlog", "dlog-witness-found", witness=result.witness,
                           residues=result.spectrum)
         return Report("is-dlog", "dlog-witness-none", residues=result.spectrum,
                       notes=[f"reason: {result.reason}"])
-    herm = hermite_reduce(r)
+    herm = hermite_reduce(r, loci)
     witness = exact_derivative_part(r, herm)
     if witness is not None:
         return Report("is-derivative", "derivative-witness-found", witness=witness)
@@ -116,11 +118,11 @@ def _run_system_command(command: str, text: str, residue_class: str,
                         gauge_h: str) -> Report:
     if command == "base":
         try:
-            f = parse_univariate(text)
+            f, bases = parse_univariate_bases(text)
         except ParseError:
-            source = parse_system(text)
-            f = _family(source, command).f
-        verdict = base_orthogonal(f)
+            family = _family(parse_system(text), command)
+            f, bases = family.f, family.bases
+        verdict = base_orthogonal(f, factor_bases(bases))
         name = "base-orthogonal" if verdict.orthogonal else "base-nonorthogonal"
         return Report("base", name, base=verdict)
 
@@ -128,22 +130,21 @@ def _run_system_command(command: str, text: str, residue_class: str,
 
     if command == "classify":
         family = _family(source, command)
-        if family.kind == KIND_LOG:
-            sv = classify_log_family(family.f, family.g)
-        else:
-            sv = classify_derivative_family(family.f, family.g)
+        classify = classify_log_family if family.kind == KIND_LOG else classify_derivative_family
+        sv = classify(family.f, family.g, factor_bases(family.bases))
         return _report_from_system_verdict("classify", sv)
 
     if command == "beta-log":
         family = _family(source, command, KIND_LOG)
-        result = beta_search_log(family.f, family.g, base_orthogonal(family.f),
-                                 residue_class)
+        base = base_orthogonal(family.f, factor_bases(family.bases))
+        result = beta_search_log(family.f, family.g, base, residue_class)
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))
 
     if command == "beta-der":
         family = _family(source, command, KIND_DERIVATIVE)
-        result = beta_search_derivative(family.f, family.g, base_orthogonal(family.f))
+        base = base_orthogonal(family.f, factor_bases(family.bases))
+        result = beta_search_derivative(family.f, family.g, base)
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))
 

@@ -5,9 +5,10 @@ Hermite remainder of 1/f off one checked partial-fraction split
 (spectrum_and_remainder), which builds no derivative part: only a
 derivative witness needs one. Both beta searches reuse its residues, and
 the derivative search its remainder. Its pole loci, with their
-multiplicities, are the factors of f.num; with the
-factors of g.den they factor every denominator of either beta search, so a
-request factors each input once.
+multiplicities, are the factors of f.num, which the caller may pass in as
+loci (the CLI reads them off the parsed bases of f with factor_bases);
+with the factors of g.den they factor every denominator of either beta
+search, so a request factors each input once.
 The beta searches decide whether some constant shift of g makes
 (g - beta)/f a scaled logarithmic derivative (log family) or an exact
 derivative (derivative family). Both searches return verified witnesses;
@@ -32,12 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra.factor import _factor_order, factor_rationals
+from .algebra.factor import _factor_order, _strip, factor_rationals
 from .algebra.unipoly import UniPoly, poly_gcd
 from .errors import HypothesisError, WitnessVerificationError
 from .ratfunc import (
     INTEGER,
     RATIONAL,
+    Loci,
     PoleEntry,
     PoleSpectrum,
     RatFunc,
@@ -116,11 +118,13 @@ class SystemVerdict:
 # -- base orthogonality (pole structure of (1/f)dx) ---------------------------
 
 
-def base_orthogonal(f: RatFunc) -> OrthogonalityVerdict:
-    """Orthogonality of the base equation x' = f(x) from the spectrum of (1/f)dx."""
+def base_orthogonal(f: RatFunc, loci: Optional[Loci] = None) -> OrthogonalityVerdict:
+    """Orthogonality of the base equation x' = f(x) from the spectrum of
+    (1/f)dx. loci is f.num's factorization, as factor_bases reads it off
+    the parsed bases; without it f.num is factored here."""
     if f.is_zero:
         raise HypothesisError("base coefficient f must be nonzero")
-    spectrum, remainder = spectrum_and_remainder(RatFunc.one() / f)
+    spectrum, remainder = spectrum_and_remainder(RatFunc.one() / f, loci)
     if f.is_polynomial and f.num.degree <= 1:
         orthogonal, evidence = False, EVIDENCE_DEGENERATE
     elif spectrum.has_multiple_pole() and spectrum.has_simple_pole():
@@ -196,17 +200,6 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 
 
 # -- the log-family beta search ------------------------------------------------
-
-
-def _strip(p: UniPoly, q: UniPoly, most: int) -> tuple[UniPoly, int]:
-    """p/q^k and k, for the largest k <= most with q^k | p."""
-    k = 0
-    while k < most:
-        quotient, left = divmod(p, q)
-        if not left.is_zero:
-            break
-        p, k = quotient, k + 1
-    return p, k
 
 
 def _search_parts(
@@ -497,15 +490,16 @@ def _reduce_over(
 # -- family classifiers ------------------------------------------------------------
 
 
-def classify_log_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
-    """Full classification of x' = f(x), y' = y*g(x)."""
-    base = base_orthogonal(f)
+def classify_log_family(f: RatFunc, g: RatFunc, loci: Optional[Loci] = None) -> SystemVerdict:
+    """Full classification of x' = f(x), y' = y*g(x); loci as in base_orthogonal."""
+    base = base_orthogonal(f, loci)
     return _system_verdict(base, beta_search_log(f, g, base, RATIONAL))
 
 
-def classify_derivative_family(f: RatFunc, g: RatFunc) -> SystemVerdict:
-    """Full classification of x' = f(x), y' = g(x)."""
-    base = base_orthogonal(f)
+def classify_derivative_family(f: RatFunc, g: RatFunc,
+                               loci: Optional[Loci] = None) -> SystemVerdict:
+    """Full classification of x' = f(x), y' = g(x); loci as in base_orthogonal."""
+    base = base_orthogonal(f, loci)
     return _system_verdict(base, beta_search_derivative(f, g, base))
 
 

@@ -21,6 +21,10 @@ statement, so a family's f and g take no second gcd:
   y' = y*g(x)  with y-free f, g  ->  log family
   y' = g(x)    with y-free f, g  ->  derivative family
   polynomial components          ->  planar vector field
+
+The x' statement and a bare univariate expression also record the bases
+they multiplied (see _Parser), so that f.num and r.den are factored one
+distinct base at a time (factor_bases) instead of from their expansion.
 """
 
 from __future__ import annotations
@@ -54,13 +58,20 @@ _X, _Y, _ONE = UniPoly.variable(), BiPoly.y(), BiPoly.one()
 
 # not typing.Union, whose cache would keep these classes alive across reloads
 Value = Fraction | UniPoly | RatFunc | BiPoly | BiRatFunc
+# (polynomial, signed exponent) pairs whose product, times a nonzero
+# rational constant, is a y-free value; None once the value has met y
+Bases = tuple[tuple[UniPoly, int], ...]
+_X_BASES: Bases = ((_X, 1),)
 
 
 @dataclass(frozen=True)
 class UnivariateFamily:
+    """x' = f, y' = y*g (log) or y' = g (derivative); bases are f's, as
+    the parser multiplied them, for factor_bases."""
     f: RatFunc
     g: RatFunc
     kind: str  # log | derivative
+    bases: Bases
 
 
 def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
@@ -100,12 +111,19 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
 class _Parser:
     """Recursive descent over the token lists: a sum of products of signed
     powers. A signed power is carried as (base, exponent, negate) and
-    expanded only after the operation it enters is checked against MAX_DEGREE."""
+    expanded only after the operation it enters is checked against MAX_DEGREE.
 
-    def __init__(self, text: str):
+    Each value comes with its bases while `track` is set: x is its own
+    base and a literal has none, a power multiplies the exponents, a
+    product joins the lists and a quotient negates the divisor's exponents.
+    A sum or difference is its own single base (_own), and a value that
+    met y has None. Without `track`, x has None too, so nothing is kept."""
+
+    def __init__(self, text: str, track: bool = False):
         self.kinds, self.texts, self.offsets = _tokenize(text)
         self.i = 0
         self.depth = 0      # open parentheses around the current token
+        self.track = track
 
     def expect(self, kind: str, want: str) -> int:
         """Step over a token of this kind, named want in the error; its index."""
@@ -121,26 +139,28 @@ class _Parser:
             what = _RESULT_NAMES.get(self.texts[i], "power")
             raise ParseError(f"{what} exceeds the degree bound {MAX_DEGREE}", self.offsets[i])
 
-    def parse_expr(self) -> Value:
+    def parse_expr(self) -> tuple[Value, Optional[Bases]]:
         kinds = self.kinds
-        acc = self.parse_term()
+        acc, bases = self.parse_term()
+        if kinds[self.i] not in "+-":
+            return acc, bases
         while kinds[self.i] in "+-":
             op = self.i
             self.i += 1
-            acc, rhs = _common(acc, self.parse_term())
+            acc, rhs = _common(acc, self.parse_term()[0])
             if isinstance(acc, FractionField) or isinstance(rhs, FractionField):  # else in bound
                 (a, b), (c, d) = _degrees(acc), _degrees(rhs)
                 self._bound(max(a + d, c + b, b + d), op)
             acc = _lower(acc + rhs if kinds[op] == "+" else acc - rhs)
-        return acc
+        return acc, _own(acc) if self.track else None
 
-    def parse_term(self) -> Value:
+    def parse_term(self) -> tuple[Value, Optional[Bases]]:
         kinds = self.kinds
-        base, exponent, negate = self.parse_factor()
+        base, exponent, negate, bases = self.parse_factor()
         while kinds[self.i] in "*/":
             op = self.i
             self.i += 1
-            rbase, rexponent, rnegate = self.parse_factor()
+            rbase, rexponent, rnegate, rbases = self.parse_factor()
             # the bound of a product or quotient is the sum of the operand degrees
             self._bound(max(_degrees(base)) * exponent + max(_degrees(rbase)) * rexponent, op)
             value, other = _common(_expand(base, exponent, negate),
@@ -157,16 +177,22 @@ class _Parser:
                 field = BiRatFunc if isinstance(other, BiPoly) else RatFunc
                 value = field(other._coerce(value), other)
             base, exponent, negate = _lower(value), 1, False
-        return _expand(base, exponent, negate)
+            if bases is not None and rbases is not None:
+                bases += rbases if kinds[op] == "*" else tuple([(p, -e) for p, e in rbases])
+            else:
+                bases = None
+        return _expand(base, exponent, negate), bases
 
-    def parse_factor(self) -> tuple[Value, int, bool]:
-        """A signed power as (base, exponent, negate), not yet expanded."""
+    def parse_factor(self) -> tuple[Value, int, bool, Optional[Bases]]:
+        """A signed power as (base, exponent, negate), not yet expanded, and
+        the bases of its expansion."""
         kinds = self.kinds
         negate = False
         while kinds[self.i] in "+-":
             negate ^= kinds[self.i] == "-"
             self.i += 1
-        base, exponent = self.parse_atom(), 1
+        base, bases = self.parse_atom()
+        exponent = 1
         while kinds[self.i] == "^":
             i = self.i + 1
             if kinds[i] != "num":
@@ -178,9 +204,11 @@ class _Parser:
             # lengths first: int() refuses a string of more than 4300 digits
             exponent = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
             self._bound(max(*_degrees(base), 1) * exponent, i)
-        return base, exponent, negate
+            if bases is not None:
+                bases = tuple([(p, e * exponent) for p, e in bases])
+        return base, exponent, negate, bases
 
-    def parse_atom(self) -> Value:
+    def parse_atom(self) -> tuple[Value, Optional[Bases]]:
         i = self.i
         kind, text = self.kinds[i], self.texts[i]
         if kind == "num":
@@ -188,12 +216,14 @@ class _Parser:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", self.offsets[i])
             self.i = i + 1
-            return Fraction(int(text))
+            return Fraction(int(text)), ()
         if kind == "name":
             if text not in ("x", "y"):
                 raise ParseError(f"unknown symbol {text!r}", self.offsets[i])
             self.i = i + 1
-            return _X if text == "x" else _Y
+            if text == "y":
+                return _Y, None
+            return _X, _X_BASES if self.track else None
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.offsets[i])
@@ -215,6 +245,16 @@ def _lower(value: Value) -> Value:
     if isinstance(value, (UniPoly, BiPoly)) and value.is_constant:
         return value.constant_value()
     return value
+
+
+def _own(value: Value) -> Optional[Bases]:
+    """A y-free value as its own single base: its numerator with +1 and
+    its denominator with -1; None for a value that met y."""
+    if isinstance(value, UniPoly):
+        return ((value, 1),)
+    if isinstance(value, RatFunc):
+        return ((value.num, 1), (value.den, -1))
+    return () if isinstance(value, Fraction) else None
 
 
 def _expand(base: Value, exponent: int, negate: bool) -> Value:
@@ -262,12 +302,16 @@ def _parts(value: Value) -> tuple[BiPoly, BiPoly]:
 
 
 def _parse(text: str) -> Value:
-    parser = _Parser(text)
-    value = parser.parse_expr()
+    return _read(_Parser(text))[0]
+
+
+def _read(parser: _Parser) -> tuple[Value, Optional[Bases]]:
+    """The whole text as one expression, and its bases."""
+    parsed = parser.parse_expr()
     i = parser.i
     if parser.kinds[i] != "end":
         raise ParseError(f"trailing input {parser.texts[i]!r}", parser.offsets[i])
-    return value
+    return parsed
 
 
 def parse_expression(text: str) -> BiRatFunc:
@@ -278,10 +322,17 @@ def parse_expression(text: str) -> BiRatFunc:
 
 def parse_univariate(text: str) -> RatFunc:
     """Parse a bare expression required to be univariate in x."""
-    f = _univariate(_parse(text))
+    return parse_univariate_bases(text)[0]
+
+
+def parse_univariate_bases(text: str) -> tuple[RatFunc, Bases]:
+    """parse_univariate's function and the bases the parser multiplied,
+    whose product is the function up to a nonzero constant (factor_bases)."""
+    value, bases = _read(_Parser(text, True))
+    f = _univariate(value)
     if f is None:
         raise ShapeError(f"expression is not univariate in x: {text!r}")
-    return f
+    return f, _univariate_bases(f, bases)
 
 
 def _univariate(value: Value) -> Optional[RatFunc]:
@@ -293,6 +344,15 @@ def _univariate(value: Value) -> Optional[RatFunc]:
     if isinstance(value, UniPoly):
         return RatFunc._coprime(value, UniPoly.one())
     return _univariate_pair(*_parts(value))
+
+
+def _univariate_bases(f: RatFunc, bases: Optional[Bases]) -> Bases:
+    """The bases of the univariate value f: as parsed, or f as its own
+    single base when the value met y; none when f is zero, whose constant
+    is zero."""
+    if f.is_zero:
+        return ()
+    return _own(f) if bases is None else bases
 
 
 def _univariate_pair(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
@@ -311,6 +371,7 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
     parser = _Parser(text)
     kinds, texts, offsets = parser.kinds, parser.texts, parser.offsets
     slots: dict[str, Value] = {}
+    x_bases = None
     while True:
         while kinds[parser.i] == "sep":
             parser.i += 1
@@ -322,10 +383,13 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
             raise ParseError(f"statements must assign x' or y', found {name!r}", offsets[at])
         parser.expect("'", "prime")
         parser.expect("=", "eq")
-        value = parser.parse_expr()
+        parser.track = name == "x"
+        value, bases = parser.parse_expr()
         if name in slots:
             raise ParseError(f"duplicate statement for {name}'", offsets[at])
         slots[name] = value
+        if parser.track:
+            x_bases = bases
         i = parser.i
         if kinds[i] == "sep":
             parser.i += 1
@@ -334,12 +398,14 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
     if "x" not in slots or "y" not in slots:
         missing = "x'" if "x" not in slots else "y'"
         raise ParseError(f"missing statement for {missing}", len(text))
-    return _classify_shape(slots["x"], slots["y"])
+    return _classify_shape(slots["x"], slots["y"], x_bases)
 
 
-def _classify_shape(fx: Value, fy: Value) -> Union[UnivariateFamily, PlanarVectorField]:
+def _classify_shape(fx: Value, fy: Value,
+                    x_bases: Optional[Bases]) -> Union[UnivariateFamily, PlanarVectorField]:
     f = _univariate(fx)
     if f is not None:
+        x_bases = _univariate_bases(f, x_bases)
         # fy is reduced, so fy/y is y-free exactly when y divides every term
         # of its numerator once and its denominator is y-free
         if isinstance(fy, (BiPoly, BiRatFunc)):   # else y-free, and no log family
@@ -347,10 +413,10 @@ def _classify_shape(fx: Value, fy: Value) -> Union[UnivariateFamily, PlanarVecto
             if all(j == 1 for _, j in ynum.prim):
                 g = _univariate_pair(ynum.div_exact_y(), yden)
                 if g is not None:
-                    return UnivariateFamily(f, g, KIND_LOG)
+                    return UnivariateFamily(f, g, KIND_LOG, x_bases)
         g = _univariate(fy)
         if g is not None:
-            return UnivariateFamily(f, g, KIND_DERIVATIVE)
+            return UnivariateFamily(f, g, KIND_DERIVATIVE, x_bases)
     (xnum, xden), (ynum, yden) = _parts(fx), _parts(fy)
     if xden.is_constant and yden.is_constant:   # 1 in normal form
         return PlanarVectorField(xnum, ynum)

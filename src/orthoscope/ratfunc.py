@@ -342,11 +342,12 @@ class PoleSpectrum:
         return total
 
 
-def pole_spectrum(r: RatFunc) -> PoleSpectrum:
+def pole_spectrum(r: RatFunc, loci: Optional[Loci] = None) -> PoleSpectrum:
     """Pole loci with multiplicities and exact order-1 residues of r*dx on
     P^1, read off the checked partial-fraction split of r
-    (spectrum_and_remainder); no derivative part is built."""
-    return spectrum_and_remainder(r)[0]
+    (spectrum_and_remainder); no derivative part is built. loci is as in
+    _classes."""
+    return spectrum_and_remainder(r, loci)[0]
 
 
 def _infinity_pole(r: RatFunc, n0: UniPoly) -> Optional[InfinityPole]:
@@ -686,13 +687,14 @@ class DlogWitnessResult:
         return self.witness is not None
 
 
-def dlog_witness(r: RatFunc, residue_class: str = INTEGER) -> DlogWitnessResult:
+def dlog_witness(r: RatFunc, residue_class: str = INTEGER,
+                 loci: Optional[Loci] = None) -> DlogWitnessResult:
     """Decide N*r = dlog(h) membership on P^1 with an exact witness, from
-    r's pole spectrum (see dlog_from_spectrum).
+    r's pole spectrum (see dlog_from_spectrum); loci is as in _classes.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
-    return dlog_from_spectrum(r, pole_spectrum(r), residue_class)
+    return dlog_from_spectrum(r, pole_spectrum(r, loci), residue_class)
 
 
 def dlog_from_spectrum(r: RatFunc, spectrum: PoleSpectrum, residue_class: str) -> DlogWitnessResult:

@@ -103,3 +103,30 @@ def record_calls(monkeypatch, fn, arg: int = 0) -> list:
                     if value is fn:
                         monkeypatch.setattr(owner, attr, wrapper)
     return calls
+
+
+# Bases for factored_text: repeated linear loci, a non-monic copy of one,
+# reducible bases that share an irreducible with others (x^2 - 1, x^4 - 1,
+# the square x^2 + 2x + 1), irreducible ones, and sums that reduce to x^2
+# and to the quotient 1/(x - 1).
+FACTORED_BASES = ("x", "(x - 1)", "(x + 1)", "(2*x - 2)", "(1/2*x + 1/3)", "(x^2 - 1)",
+                  "(x^2 + 2*x + 1)", "(x^2 - 2)", "(x^3 - 2)", "(x^4 - 1)",
+                  "((x - 1)*(x + 1) + 1)", "(x/(x - 1) - 1)")
+
+
+def factored_text(rng: random.Random, depth: int = 0) -> str:
+    """A product and quotient of powers (exponents 0 to 3) of FACTORED_BASES,
+    nonzero scalars, and parenthesized products of the same kind, nested up
+    to two deep; at the top, sometimes wrapped as y*(...)/y, whose y cancels."""
+    def factor() -> str:
+        roll = rng.random()
+        if roll < 0.15:
+            return rng.choice(("3", "(2/3)", "(-1)"))
+        inner = (f"({factored_text(rng, depth + 1)})" if roll < 0.35 and depth < 2
+                 else rng.choice(FACTORED_BASES))
+        return f"{inner}^{rng.randint(0, 3 - depth)}" if rng.random() < 0.4 else inner
+
+    text = factor()
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice("*/") + factor()
+    return f"y*({text})/y" if depth == 0 and rng.random() < 0.2 else text

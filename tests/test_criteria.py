@@ -31,7 +31,7 @@ from orthoscope.criteria import (
     STATUS_INCONCLUSIVE,
     STATUS_NONE,
 )
-from orthoscope.errors import HypothesisError
+from orthoscope.errors import HypothesisError, WitnessVerificationError
 from conftest import record_calls
 from oracles import derivative
 
@@ -63,6 +63,15 @@ class TestBaseOrthogonal:
     def test_zero_rejected(self):
         with pytest.raises(HypothesisError, match="base coefficient f must be nonzero"):
             base_orthogonal(RatFunc.zero())
+
+    def test_given_loci_must_multiply_back_to_f(self, x):
+        f = P((x - 1) ** 2 * (x + 2) * (x**2 + 1) * Fraction(1, 3))
+        loci = ((x - 1, 2), (x + 2, 1), (x**2 + 1, 1))
+        assert base_orthogonal(f, loci) == base_orthogonal(f)
+        dropped, changed, extra = loci[1:], ((x - 1, 3),) + loci[1:], loci + ((x - 3, 1),)
+        for wrong in (dropped, changed, extra):
+            with pytest.raises(WitnessVerificationError, match="multiply to"):
+                base_orthogonal(f, wrong)
 
     def test_evidence_consistent_with_spectrum(self, x):
         cases = [x**3 * (x - 1), x * (x - 1), x**3 - 2, x**2, x + 1]

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import UniPoly, factor_rationals
+from orthoscope import UniPoly, factor_rationals, parse_system
+from orthoscope.algebra.factor import factor_bases
+from orthoscope.parsing import parse_univariate_bases
 
-from conftest import expand, random_unipoly, record_calls
+from conftest import expand, factored_text, random_unipoly, record_calls
 
 
 def linear_factor_roots(p: UniPoly) -> set[Fraction]:
@@ -252,6 +254,42 @@ class TestFactorProperties:
         assert factor_rationals(f).parts == ((x**2 - 18, 1), (x**2 - 8, 1), (x**2 - 2, 1))
         assert berlekamp == [] and lifts == []
         assert searched == [[-288, 196, -28, 1]]
+
+
+class TestFactorBases:
+    def test_shared_irreducibles_merge_and_quotients_cancel(self, x):
+        assert factor_bases(((x**2 - 1, 1), (x - 1, 1))) == ((x - 1, 2), (x + 1, 1))
+        assert factor_bases(((x**2 - 1, 1), (x - 1, -1))) == ((x + 1, 1),)
+        assert factor_bases(((x**2 - 1, 1), (x - 1, -1)), denominator=True) == ()
+        # 2x - 2 and x - 1 are one base once monic; x^2 + 1 nets to exponent 0
+        assert factor_bases(((2 * x - 2, 2), (x - 1, -3), (x**2 + 1, 2), (x**2 + 1, -2)),
+                            denominator=True) == ((x - 1, 1),)
+
+    def test_the_other_side_is_divided_not_factored(self, x, monkeypatch):
+        calls = record_calls(monkeypatch, factor_rationals)
+        bases = ((x - 1, 2), (x**6 - 2 * x**3 + 1, -1))    # (x^3 - 1)^2 below
+        assert factor_bases(bases) == ()
+        assert calls == [x - 1]
+
+    def test_parsed_bases_factor_as_the_expanded_value(self):
+        # products, quotients and powers of repeated and overlapping bases,
+        # ^0, scalars, sums, nested parentheses and a cancelling y: the
+        # factored bases give factor_rationals' parts of f.num and f.den
+        rng = random.Random(3401)
+        for _ in range(300):
+            text = factored_text(rng)
+            f, bases = parse_univariate_bases(text)
+            assert factor_bases(bases) == factor_rationals(f.num).parts, text
+            assert factor_bases(bases, denominator=True) == factor_rationals(f.den).parts, text
+            assert parse_system(f"x' = {text}; y' = y").bases == bases, text
+
+    def test_linear_parts_skip_the_squarefree_decomposition(self, x, monkeypatch):
+        from orthoscope import squarefree_decompose
+
+        calls = record_calls(monkeypatch, squarefree_decompose)
+        fac = factor_rationals(3 * x - 1)
+        assert (fac.content, fac.parts) == (3, ((x - Fraction(1, 3), 1),))
+        assert calls == []
 
 
 class TestExactRoot:

@@ -25,6 +25,7 @@ from orthoscope.parsing import (
     MAX_NESTING,
     UnivariateFamily,
     _parse,
+    parse_univariate_bases,
 )
 from conftest import record_calls
 
@@ -35,6 +36,19 @@ class TestGrammar:
         assert isinstance(family, UnivariateFamily) and family.kind == KIND_LOG
         assert family.f == RatFunc.from_poly(x**3 * (x - 1))
         assert family.g == RatFunc.from_poly(x)
+
+    def test_the_x_statement_records_the_bases_it_multiplied(self, x):
+        family = parse_system("x' = 2*(x - 1)^3*x/(x^2 + 1)^2*(x + (1/2))^0; y' = y*x")
+        assert family.bases == ((x - 1, 3), (x, 1), (x**2 + 1, -2), (x + Fraction(1, 2), 0))
+        # a power of a parenthesized product multiplies every exponent
+        assert parse_univariate_bases("-((x - 1)*x^2)^3")[1] == ((x - 1, 3), (x, 6))
+        # a sum is its own single base, and so is a value that met y
+        assert parse_univariate_bases("x^2 - 1")[1] == ((x**2 - 1, 1),)
+        assert parse_univariate_bases("1/x + 1")[1] == ((x + 1, 1), (x, -1))
+        assert parse_univariate_bases("y*x/(y*(x - 1))")[1] == ((x, 1), (x - 1, -1))
+        # a constant has none, and a zero value none whatever it multiplied
+        assert parse_univariate_bases("3/4")[1] == ()
+        assert parse_univariate_bases("0*(x - 1)/x")[1] == ()
 
     def test_planar(self):
         v = parse_system("x' = x^3*(x-1); y' = x*y + y^2/2")

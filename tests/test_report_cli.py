@@ -333,9 +333,35 @@ class TestCliExitCodes:
             raise ValueError("inexact polynomial division: x by x - 1")
 
         monkeypatch.setattr(factor_mod, "_factor_squarefree", broken_factor)
-        assert main(["classify", "x' = x^2*(x - 1); y' = y*x"]) == 4
+        assert main(["classify", "x' = x^2*(x^3 - 2); y' = y*x"]) == 4
         err = capsys.readouterr().err
         assert err == "internal inconsistency: inexact polynomial division: x by x - 1\n"
+
+    def test_linear_bases_take_no_squarefree_decomposition(self, capsys, monkeypatch):
+        # f = (x - 1/2)^22*(x + 1) is factored from its two linear bases
+        from orthoscope import squarefree_decompose
+
+        calls = record_calls(monkeypatch, squarefree_decompose)
+        assert main(["classify", "x' = (x - 1/2)^22*(x + 1); y' = y*x"]) == 0
+        assert capsys.readouterr().out.startswith("command: classify\nverdict: ")
+        assert [p for p in calls if p.degree > 1] == []
+
+    def test_a_side_no_command_reads_is_not_factored(self, capsys, monkeypatch):
+        # x^240 - 8 is hang-table row G's factorization; residues reads only
+        # r.den and classify only f.num, so neither factors it
+        from orthoscope import factor_rationals
+
+        calls = record_calls(monkeypatch, factor_rationals)
+        assert main(["residues", "(x^240 - 8)/(x - 1)"]) == 0
+        assert main(["classify", "x' = (x - 1)/(x^240 - 8); y' = y*x"]) == 0
+        assert calls and all(p.degree == 1 for p in calls)
+
+    def test_a_zero_product_has_no_bases_to_factor(self, capsys):
+        assert main(["classify", "x' = 0*(x - 1); y' = y"]) == 3
+        assert capsys.readouterr().err == "input error: base coefficient f must be nonzero\n"
+        for command in ("residues", "is-dlog", "is-derivative"):
+            assert main([command, "0/(x - 1)"]) == 0
+            assert "verdict: " in capsys.readouterr().out
 
     def test_degenerate_inputs_exit_three(self, capsys):
         for argv, message in (

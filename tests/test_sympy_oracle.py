@@ -22,9 +22,11 @@ from orthoscope import (
     poly_gcd,
     squarefree_decompose,
 )
+from orthoscope.algebra.factor import factor_bases
 from orthoscope.errors import ParseError
+from orthoscope.parsing import parse_univariate_bases
 
-from conftest import record_calls
+from conftest import factored_text, record_calls
 
 X, Y = sympy.symbols("x y")
 
@@ -139,6 +141,21 @@ def _assert_factors_match(p: UniPoly) -> None:
     monic_content = content * sympy.prod([f.LC() ** m for f, m in parts])
     assert fac.content == Fraction(int(monic_content.p), int(monic_content.q))
     assert set(fac.parts) == {(from_sympy(f.monic()), m) for f, m in parts}, p
+
+
+def test_factored_bases_match_factor_list():
+    # sympy factors the cancelled quotient of the text; factor_bases only
+    # the bases the parser multiplied
+    rng = random.Random(3402)
+    for _ in range(150):
+        text = factored_text(rng)
+        bases = parse_univariate_bases(text)[1]
+        quotient = sympy.fraction(sympy.cancel(
+            sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y})))
+        for denominator, side in zip((False, True), quotient):
+            _, parts = sympy.Poly(side, X, domain=sympy.QQ).factor_list()
+            want = {(from_sympy(f.monic()), m) for f, m in parts}
+            assert set(factor_bases(bases, denominator)) == want, text
 
 
 def test_factor_rationals_matches_sympy_on_root_rich_parts():
