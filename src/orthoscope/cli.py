@@ -44,6 +44,7 @@ from .planar import (
 from .ratfunc import (
     INTEGER,
     RATIONAL,
+    Loci,
     dlog_witness,
     exact_derivative_part,
     hermite_reduce,
@@ -73,7 +74,7 @@ def run(command: str, source_text: str, residue_class: str = RATIONAL,
 
 def _run_function_command(command: str, text: str, residue_class: str) -> Report:
     r, bases = parse_univariate_bases(text)
-    loci = factor_bases(bases, denominator=True)
+    loci = factor_bases(bases, r.den.degree, denominator=True)
     if command == "residues":
         return Report("residues", "residues-computed", residues=pole_spectrum(r, loci))
     if command == "is-dlog":
@@ -105,6 +106,11 @@ def _family(family: UnivariateFamily | PlanarVectorField, command: str,
     return family
 
 
+def _loci(family: UnivariateFamily) -> Loci | None:
+    """f.num's factorization off the parsed bases of f; None when they cancel."""
+    return factor_bases(family.bases, family.f.num.degree)
+
+
 def _planar(planar: UnivariateFamily | PlanarVectorField, command: str) -> PlanarVectorField:
     if not isinstance(planar, PlanarVectorField):
         raise ShapeError(
@@ -122,7 +128,7 @@ def _run_system_command(command: str, text: str, residue_class: str,
         except ParseError:
             family = _family(parse_system(text), command)
             f, bases = family.f, family.bases
-        verdict = base_orthogonal(f, factor_bases(bases))
+        verdict = base_orthogonal(f, factor_bases(bases, f.num.degree))
         name = "base-orthogonal" if verdict.orthogonal else "base-nonorthogonal"
         return Report("base", name, base=verdict)
 
@@ -131,19 +137,19 @@ def _run_system_command(command: str, text: str, residue_class: str,
     if command == "classify":
         family = _family(source, command)
         classify = classify_log_family if family.kind == KIND_LOG else classify_derivative_family
-        sv = classify(family.f, family.g, factor_bases(family.bases))
+        sv = classify(family.f, family.g, _loci(family))
         return _report_from_system_verdict("classify", sv)
 
     if command == "beta-log":
         family = _family(source, command, KIND_LOG)
-        base = base_orthogonal(family.f, factor_bases(family.bases))
+        base = base_orthogonal(family.f, _loci(family))
         result = beta_search_log(family.f, family.g, base, residue_class)
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))
 
     if command == "beta-der":
         family = _family(source, command, KIND_DERIVATIVE)
-        base = base_orthogonal(family.f, factor_bases(family.bases))
+        base = base_orthogonal(family.f, _loci(family))
         result = beta_search_derivative(family.f, family.g, base)
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))

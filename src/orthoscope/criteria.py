@@ -6,7 +6,8 @@ Hermite remainder of 1/f off one checked partial-fraction split
 derivative witness needs one. Both beta searches reuse its residues, and
 the derivative search its remainder. Its pole loci, with their
 multiplicities, are the factors of f.num, which the caller may pass in as
-loci (the CLI reads them off the parsed bases of f with factor_bases);
+loci (the CLI reads them off the parsed bases of f with factor_bases,
+which gives None, so that f.num is factored here, when the bases cancel);
 with the factors of g.den they factor every denominator of either beta
 search, so a request factors each input once.
 The beta searches decide whether some constant shift of g makes
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra.factor import _factor_order, _strip, factor_rationals
+from .algebra.factor import _factor_order, factor_rationals
 from .algebra.unipoly import UniPoly, poly_gcd
 from .errors import HypothesisError, WitnessVerificationError
 from .ratfunc import (
@@ -200,6 +201,17 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 
 
 # -- the log-family beta search ------------------------------------------------
+
+
+def _strip(p: UniPoly, q: UniPoly, most: int) -> tuple[UniPoly, int]:
+    """p/q^k and k, for the largest k <= most with q^k | p."""
+    k = 0
+    while k < most:
+        quotient, left = divmod(p, q)
+        if not left.is_zero:
+            break
+        p, k = quotient, k + 1
+    return p, k
 
 
 def _search_parts(

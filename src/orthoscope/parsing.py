@@ -24,7 +24,8 @@ statement, so a family's f and g take no second gcd:
 
 The x' statement and a bare univariate expression also record the bases
 they multiplied (see _Parser), so that f.num and r.den are factored one
-distinct base at a time (factor_bases) instead of from their expansion.
+distinct base at a time (factor_bases) instead of from their expansion,
+unless bases of the numerator and the denominator cancel.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ Value = Fraction | UniPoly | RatFunc | BiPoly | BiRatFunc
 # (polynomial, signed exponent) pairs whose product, times a nonzero
 # rational constant, is a y-free value; None once the value has met y
 Bases = tuple[tuple[UniPoly, int], ...]
-_X_BASES: Bases = ((_X, 1),)
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,10 @@ class _Parser:
     Each value comes with its bases while `track` is set: x is its own
     base and a literal has none, a power multiplies the exponents, a
     product joins the lists and a quotient negates the divisor's exponents.
-    A sum or difference is its own single base (_own), and a value that
-    met y has None. Without `track`, x has None too, so nothing is kept."""
+    A sum or difference is its own single base (_own), a constant value
+    has none, and a value that met y has None. Each value owns its list,
+    which a product extends in place, so a term's bases cost linear time.
+    Without `track`, x has None too, so nothing is kept."""
 
     def __init__(self, text: str, track: bool = False):
         self.kinds, self.texts, self.offsets = _tokenize(text)
@@ -139,7 +141,7 @@ class _Parser:
             what = _RESULT_NAMES.get(self.texts[i], "power")
             raise ParseError(f"{what} exceeds the degree bound {MAX_DEGREE}", self.offsets[i])
 
-    def parse_expr(self) -> tuple[Value, Optional[Bases]]:
+    def parse_expr(self) -> tuple[Value, Optional[list]]:
         kinds = self.kinds
         acc, bases = self.parse_term()
         if kinds[self.i] not in "+-":
@@ -154,7 +156,7 @@ class _Parser:
             acc = _lower(acc + rhs if kinds[op] == "+" else acc - rhs)
         return acc, _own(acc) if self.track else None
 
-    def parse_term(self) -> tuple[Value, Optional[Bases]]:
+    def parse_term(self) -> tuple[Value, Optional[list]]:
         kinds = self.kinds
         base, exponent, negate, bases = self.parse_factor()
         while kinds[self.i] in "*/":
@@ -177,13 +179,15 @@ class _Parser:
                 field = BiRatFunc if isinstance(other, BiPoly) else RatFunc
                 value = field(other._coerce(value), other)
             base, exponent, negate = _lower(value), 1, False
-            if bases is not None and rbases is not None:
-                bases += rbases if kinds[op] == "*" else tuple([(p, -e) for p, e in rbases])
-            else:
+            if bases is None or rbases is None:
                 bases = None
+            elif isinstance(base, Fraction):
+                bases = []
+            else:
+                bases.extend(rbases if kinds[op] == "*" else [(p, -e) for p, e in rbases])
         return _expand(base, exponent, negate), bases
 
-    def parse_factor(self) -> tuple[Value, int, bool, Optional[Bases]]:
+    def parse_factor(self) -> tuple[Value, int, bool, Optional[list]]:
         """A signed power as (base, exponent, negate), not yet expanded, and
         the bases of its expansion."""
         kinds = self.kinds
@@ -192,7 +196,7 @@ class _Parser:
             negate ^= kinds[self.i] == "-"
             self.i += 1
         base, bases = self.parse_atom()
-        exponent = 1
+        exponent = scale = 1
         while kinds[self.i] == "^":
             i = self.i + 1
             if kinds[i] != "num":
@@ -204,11 +208,12 @@ class _Parser:
             # lengths first: int() refuses a string of more than 4300 digits
             exponent = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
             self._bound(max(*_degrees(base), 1) * exponent, i)
-            if bases is not None:
-                bases = tuple([(p, e * exponent) for p, e in bases])
+            scale *= exponent
+        if scale != 1 and bases:
+            bases = [(p, e * scale) for p, e in bases]
         return base, exponent, negate, bases
 
-    def parse_atom(self) -> tuple[Value, Optional[Bases]]:
+    def parse_atom(self) -> tuple[Value, Optional[list]]:
         i = self.i
         kind, text = self.kinds[i], self.texts[i]
         if kind == "num":
@@ -216,14 +221,14 @@ class _Parser:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", self.offsets[i])
             self.i = i + 1
-            return Fraction(int(text)), ()
+            return Fraction(int(text)), []
         if kind == "name":
             if text not in ("x", "y"):
                 raise ParseError(f"unknown symbol {text!r}", self.offsets[i])
             self.i = i + 1
             if text == "y":
                 return _Y, None
-            return _X, _X_BASES if self.track else None
+            return _X, [(_X, 1)] if self.track else None
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.offsets[i])
@@ -247,14 +252,14 @@ def _lower(value: Value) -> Value:
     return value
 
 
-def _own(value: Value) -> Optional[Bases]:
+def _own(value: Value) -> Optional[list]:
     """A y-free value as its own single base: its numerator with +1 and
     its denominator with -1; None for a value that met y."""
     if isinstance(value, UniPoly):
-        return ((value, 1),)
+        return [(value, 1)]
     if isinstance(value, RatFunc):
-        return ((value.num, 1), (value.den, -1))
-    return () if isinstance(value, Fraction) else None
+        return [(value.num, 1), (value.den, -1)]
+    return [] if isinstance(value, Fraction) else None
 
 
 def _expand(base: Value, exponent: int, negate: bool) -> Value:
@@ -305,7 +310,7 @@ def _parse(text: str) -> Value:
     return _read(_Parser(text))[0]
 
 
-def _read(parser: _Parser) -> tuple[Value, Optional[Bases]]:
+def _read(parser: _Parser) -> tuple[Value, Optional[list]]:
     """The whole text as one expression, and its bases."""
     parsed = parser.parse_expr()
     i = parser.i
@@ -346,13 +351,13 @@ def _univariate(value: Value) -> Optional[RatFunc]:
     return _univariate_pair(*_parts(value))
 
 
-def _univariate_bases(f: RatFunc, bases: Optional[Bases]) -> Bases:
+def _univariate_bases(f: RatFunc, bases: Optional[list]) -> Bases:
     """The bases of the univariate value f: as parsed, or f as its own
     single base when the value met y; none when f is zero, whose constant
     is zero."""
     if f.is_zero:
         return ()
-    return _own(f) if bases is None else bases
+    return tuple(_own(f) if bases is None else bases)
 
 
 def _univariate_pair(num: BiPoly, den: BiPoly) -> Optional[RatFunc]:
@@ -402,7 +407,7 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
 
 
 def _classify_shape(fx: Value, fy: Value,
-                    x_bases: Optional[Bases]) -> Union[UnivariateFamily, PlanarVectorField]:
+                    x_bases: Optional[list]) -> Union[UnivariateFamily, PlanarVectorField]:
     f = _univariate(fx)
     if f is not None:
         x_bases = _univariate_bases(f, x_bases)

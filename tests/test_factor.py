@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import UniPoly, factor_rationals, parse_system
+from orthoscope import RatFunc, UniPoly, factor_rationals, parse_system
 from orthoscope.algebra.factor import factor_bases
 from orthoscope.parsing import parse_univariate_bases
 
@@ -257,31 +257,45 @@ class TestFactorProperties:
 
 
 class TestFactorBases:
-    def test_shared_irreducibles_merge_and_quotients_cancel(self, x):
-        assert factor_bases(((x**2 - 1, 1), (x - 1, 1))) == ((x - 1, 2), (x + 1, 1))
-        assert factor_bases(((x**2 - 1, 1), (x - 1, -1))) == ((x + 1, 1),)
-        assert factor_bases(((x**2 - 1, 1), (x - 1, -1)), denominator=True) == ()
+    def test_shared_irreducibles_merge_and_cancelling_sides_give_none(self, x):
+        assert factor_bases(((x**2 - 1, 1), (x - 1, 1)), 3) == ((x - 1, 2), (x + 1, 1))
+        # (x^2 - 1)/(x - 1) = x + 1: a base of each side holds x - 1
+        assert factor_bases(((x**2 - 1, 1), (x - 1, -1)), 1) is None
+        assert factor_bases(((x**2 - 1, 1), (x - 1, -1)), 0, denominator=True) is None
         # 2x - 2 and x - 1 are one base once monic; x^2 + 1 nets to exponent 0
-        assert factor_bases(((2 * x - 2, 2), (x - 1, -3), (x**2 + 1, 2), (x**2 + 1, -2)),
+        assert factor_bases(((2 * x - 2, 2), (x - 1, -3), (x**2 + 1, 2), (x**2 + 1, -2)), 1,
                             denominator=True) == ((x - 1, 1),)
 
-    def test_the_other_side_is_divided_not_factored(self, x, monkeypatch):
+    def test_cancelling_bases_are_not_factored(self, x, monkeypatch):
+        # x^240 - 8 is hang-table row G's factorization
         calls = record_calls(monkeypatch, factor_rationals)
-        bases = ((x - 1, 2), (x**6 - 2 * x**3 + 1, -1))    # (x^3 - 1)^2 below
-        assert factor_bases(bases) == ()
+        bases = ((x**240 - 8, 1), (x - 1, 1), (x**241 - x**240 - 8 * x + 8, -1))
+        assert factor_bases(bases, 0) is None
+        assert factor_bases(bases, 0, denominator=True) is None
+        assert factor_bases(((x - 1, 2), (x**240 - 8, -1)), 2) == ((x - 1, 2),)
         assert calls == [x - 1]
 
     def test_parsed_bases_factor_as_the_expanded_value(self):
         # products, quotients and powers of repeated and overlapping bases,
         # ^0, scalars, sums, nested parentheses and a cancelling y: the
-        # factored bases give factor_rationals' parts of f.num and f.den
+        # bases multiply to f up to a constant, and factor_bases gives
+        # factor_rationals' parts of f.num and f.den unless the sides cancel
         rng = random.Random(3401)
+        factored = 0
         for _ in range(300):
             text = factored_text(rng)
             f, bases = parse_univariate_bases(text)
-            assert factor_bases(bases) == factor_rationals(f.num).parts, text
-            assert factor_bases(bases, denominator=True) == factor_rationals(f.den).parts, text
+            product = RatFunc.one()
+            for p, e in bases:
+                power = RatFunc.from_poly(p) ** abs(e)
+                product = product * power if e >= 0 else product / power
+            assert (f / product).is_constant, text
+            for side, denominator in ((f.num, False), (f.den, True)):
+                loci = factor_bases(bases, side.degree, denominator)
+                assert loci in (None, factor_rationals(side).parts), text
+                factored += loci is not None and side.degree > 0
             assert parse_system(f"x' = {text}; y' = y").bases == bases, text
+        assert factored > 150
 
     def test_linear_parts_skip_the_squarefree_decomposition(self, x, monkeypatch):
         from orthoscope import squarefree_decompose

@@ -356,6 +356,20 @@ class TestCliExitCodes:
         assert main(["classify", "x' = (x - 1)/(x^240 - 8); y' = y*x"]) == 0
         assert calls and all(p.degree == 1 for p in calls)
 
+    def test_bases_that_cancel_across_sides_are_not_factored(self, capsys, monkeypatch):
+        # both texts reduce to 1, and the side read has bases x^240 - 8 and
+        # x - 1 against their product: the reduced side, a constant, is what
+        # is factored (not at all), never x^240 - 8, hang-table row G
+        from orthoscope import factor_rationals
+
+        calls = record_calls(monkeypatch, factor_rationals)
+        assert main(["residues", "1/((x^240 - 8)*(x - 1))*(x^241 - x^240 - 8*x + 8)"]) == 0
+        assert main(["classify",
+                     "x' = (x^240 - 8)*(x - 1)/(x^241 - x^240 - 8*x + 8); y' = y*x"]) == 0
+        assert calls == []
+        assert main(["residues", "1/(x - 1)"]) == 0
+        assert [str(p) for p in calls] == ["x - 1"]
+
     def test_a_zero_product_has_no_bases_to_factor(self, capsys):
         assert main(["classify", "x' = 0*(x - 1); y' = y"]) == 3
         assert capsys.readouterr().err == "input error: base coefficient f must be nonzero\n"
