@@ -418,8 +418,16 @@ def factor_bases(bases, degree: int,
 
 def _factor_order(parts) -> tuple[tuple[UniPoly, int], ...]:
     """(locus, multiplicity) pairs in factor order: by the locus's degree,
-    then its coefficients. Every factorization and spectrum is in this order."""
-    return tuple(sorted(parts, key=lambda qe: (qe[0].degree, qe[0].coeffs)))
+    then its coefficients, lowest degree first. Every factorization and
+    spectrum is in this order.
+
+    Every locus must be monic, so that its coefficients are prim[k]/prim[-1];
+    they are compared as integers over the lcm of the leading entries,
+    which forms no Fraction."""
+    parts = list(parts)
+    lcm = math.lcm(*(q.prim[-1] for q, _ in parts))
+    return tuple(sorted(parts, key=lambda qe: (
+        len(qe[0].prim), [c * lcm // qe[0].prim[-1] for c in qe[0].prim])))
 
 
 def _factor_squarefree(f: UniPoly, deflate: bool = True) -> list[UniPoly]:

@@ -140,17 +140,12 @@ def _run_system_command(command: str, text: str, residue_class: str,
         sv = classify(family.f, family.g, _loci(family))
         return _report_from_system_verdict("classify", sv)
 
-    if command == "beta-log":
-        family = _family(source, command, KIND_LOG)
+    if command in ("beta-log", "beta-der"):
+        log = command == "beta-log"
+        family = _family(source, command, KIND_LOG if log else KIND_DERIVATIVE)
         base = base_orthogonal(family.f, _loci(family))
-        result = beta_search_log(family.f, family.g, base, residue_class)
-        return _report_from_system_verdict(
-            command, SystemVerdict(None, result, f"beta-{result.status}", None))
-
-    if command == "beta-der":
-        family = _family(source, command, KIND_DERIVATIVE)
-        base = base_orthogonal(family.f, _loci(family))
-        result = beta_search_derivative(family.f, family.g, base)
+        result = (beta_search_log(family.f, family.g, base, residue_class) if log
+                  else beta_search_derivative(family.f, family.g, base))
         return _report_from_system_verdict(
             command, SystemVerdict(None, result, f"beta-{result.status}", None))
 
@@ -187,13 +182,9 @@ def _run_system_command(command: str, text: str, residue_class: str,
         report.notes.extend(_gauge_notes(v, h))
         return report
 
-    if command == "dlog-sys":
-        h = parse_expression(gauge_h)
-        value = system_dlog(v, h)
-        return Report("dlog-sys", "system-dlog-computed",
-                      notes=[f"dlog({h}) = {value}"])
-
-    raise ShapeError(f"unknown command {command!r}")
+    h = parse_expression(gauge_h)    # dlog-sys
+    value = system_dlog(v, h)
+    return Report("dlog-sys", "system-dlog-computed", notes=[f"dlog({h}) = {value}"])
 
 
 def _gauge_notes(v: PlanarVectorField, h: BiRatFunc) -> list[str]:

@@ -24,7 +24,10 @@ with a residue of 1/f (at a simple pole where g is regular) and reduces
 only (g - beta)/f, once. Both searches write (g - beta)/f as
 (n - beta*m)/d over one factorization of d (_search_data); the derivative
 search divides the loci that n - beta*m shares with d out of both sides
-and hands what is left of the factorization to hermite_reduce.
+and hands what is left of the factorization to hermite_reduce. Every
+residue of (g - beta)/f is Res(g/f) - beta*Res(1/f), and its Hermite
+remainder rem(g/f) - beta*rem(1/f), so both searches read beta off the
+residues, remainders and factorizations they already hold.
 """
 
 from __future__ import annotations
@@ -222,17 +225,14 @@ def _search_parts(
     mult_q(d) = mult_q(f.num) + mult_q(g.den) - mult_q(common). The factors
     of f.num are the affine pole loci of 1/f that base already holds, so
     only g.den is factored here, and only when it is nonconstant.
-    common = gcd(f.den, g.den) has no root of f.num, so only the loci of
-    g.den can divide it, each at most mult_q(g.den) <= mult[q] times; it
-    is divided only when nonconstant.
+    common = gcd(f.den, g.den) has no root of f.num, as f is reduced, so
+    it is stripped only at each locus q of g.den, at most mult_q(g.den)
+    times, as that locus is added.
     """
     mult = {e.locus: e.multiplicity for e in base.spectrum.affine_poles}
     if g.den.degree >= 1:
         for q, e in factor_rationals(g.den).parts:
-            mult[q] = mult.get(q, 0) + e
-    if common.degree > 0:
-        for q in mult:
-            mult[q] -= _strip(common, q, mult[q])[1]
+            mult[q] = mult.get(q, 0) + e - _strip(common, q, e)[1]
     return _factor_order((q, e) for q, e in mult.items() if e)
 
 
@@ -278,11 +278,12 @@ def beta_search_log(
     section 2.5): a pinned beta divides n - beta*m by D = prod q^(e-1) and
     reads the residue at q as the quotient over (d/D)' mod q; a free or
     soft-pinned beta gives a_el - beta*b_el from the per-locus values that
-    the free case computes anyway. Those values are n/d' and m/d' at the
-    roots of q, except at a simple pole of 1/f where g is regular: there
-    Res((g - beta)/f) = (g - beta)*Res(1/f), so b_el is base's residue
-    rho_q and a_el = (g mod q)*rho_q. dlog_from_spectrum then builds and
-    checks the witness.
+    the free case computes anyway. At a simple pole of 1/f where g is
+    regular, Res((g - beta)/f) = (g - beta)*Res(1/f), so b_el is base's
+    residue rho_q and a_el = (g mod q)*rho_q. Every other locus of the
+    squarefree d is a locus of g.den alone, where m/d = 1/f is regular:
+    there b_el = 0 and a_el is n/d' at the roots of q.
+    dlog_from_spectrum then builds and checks the witness.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
@@ -294,9 +295,8 @@ def beta_search_log(
         nn, mm = n % mod, m % mod
         for k in range(int(mod.degree)):
             conditions.append((nn.coeff(k), mm.coeff(k)))
-    d_deg = int(d.degree) if d.degree >= 0 else 0
-    top = max(int(n.degree) if not n.is_zero else -1, int(m.degree) if not m.is_zero else -1)
-    for k in range(d_deg, top + 1):
+    d_deg = int(d.degree)
+    for k in range(d_deg, max(n.total_degree(), m.total_degree()) + 1):
         conditions.append((n.coeff(k), m.coeff(k)))
 
     status, pinned = _solve_affine(conditions)
@@ -317,8 +317,8 @@ def beta_search_log(
         if q in rho:    # d is squarefree, so g.den misses q
             b_el = rho[q]
             a_el = _residue(_value_at(g.num, g.den, q) * b_el)
-        else:
-            a_el, b_el = _value_at(n, dprime, q), _value_at(m, dprime, q)
+        else:    # a locus of g.den alone, where m/d = 1/f is regular
+            a_el, b_el = _value_at(n, dprime, q), Fraction(0)
         affine.append((q, a_el, b_el))
         if isinstance(b_el, Fraction):
             if not isinstance(a_el, Fraction):
@@ -440,7 +440,9 @@ def beta_search_derivative(
       must be g mod q; when that is irrational, no beta works.
     - Else (every pole of 1/f with a nonzero residue is multiple or a pole
       of g) beta is pinned by the linearity of the Hermite remainder:
-      rem(g/f) = beta*rem(1/f).
+      rem(g/f) = beta*rem(1/f). Both remainders are reduced with monic
+      denominators, so beta = lc(rem(g/f).num)/lc(rem(1/f).num), which is
+      0 when rem(g/f) = 0, and one comparison checks it, with no gcd.
 
     (g - beta)/f = (n - beta*m)/d, with d's factorization, comes from
     _search_data, as in the log search. It is brought to lowest terms over
@@ -466,10 +468,10 @@ def beta_search_derivative(
                     return _none(CASE_B, detail)
                 break
         if beta is None:
-            ratio = spectrum_and_remainder(*_reduce_over(n, d, parts))[1] / rem_one
-            if not ratio.is_constant:
+            rem_g = spectrum_and_remainder(*_reduce_over(n, d, parts))[1]
+            beta = rem_g.num.lc / rem_one.num.lc
+            if rem_g != rem_one * beta:
                 return _none(CASE_B, detail)
-            beta = ratio.constant_value()
     r, loci = _reduce_over(n - m * beta, d, parts)
     herm = hermite_reduce(r, loci)
     if not herm.remainder.is_zero:

@@ -148,6 +148,20 @@ class TestBetaSearchLog:
         r = beta_search_log(f, P(x**2), base_orthogonal(f), RATIONAL)
         assert r.status == STATUS_INCONCLUSIVE and r.completeness_case == CASE_C
 
+    def test_a_locus_of_g_den_alone_takes_no_value_of_m(self, x, monkeypatch):
+        # at x^2 - 2, which divides g.den and not f.num, m/d = 1/f is
+        # regular, so the beta coefficient of the residue is 0 and m is
+        # never evaluated there: (g - beta)/f = (1 - beta*m)/d with m = x^2 - 2
+        from orthoscope import criteria
+
+        f, g = P((x - 1) * (x - 2)), RatFunc(UniPoly.one(), x**2 - 2)
+        base = base_orthogonal(f)
+        values = record_calls(monkeypatch, criteria._value_at)
+        r = beta_search_log(f, g, base, RATIONAL)
+        assert r.status == STATUS_NONE and r.completeness_case == CASE_B
+        assert r.detail == "residue at x^2 - 2 is irrational for every beta"
+        assert values and x**2 - 2 not in values
+
     def test_anchored_conjugate_factor_is_complete(self, x):
         # an extra rational simple pole anchors beta, so the conjugate factor
         # yields a complete verdict instead of case C
@@ -316,6 +330,25 @@ class TestDerivativePin:
             split.clear(), reduced.clear()
             classify_derivative_family(f, g)
             assert (len(split), len(reduced)) == counts, (f, g)
+
+    def test_the_remainder_ratio_takes_no_division(self, x, monkeypatch):
+        # where no simple pole pins beta, it is read off the remainders'
+        # leading coefficients and checked by one comparison, with no gcd
+        from orthoscope.ratfunc import FractionField
+
+        cases = []
+        for f, g, beta in ((P(x**2 * (x - 1)), RatFunc(UniPoly.one(), x - 1), Fraction(-2)),
+                           (P(x**2 * (x - 1) ** 2), P(x), Fraction(1, 2)),
+                           (P(x**2 * (x - 1) ** 2), P(x**3), None)):
+            base = base_orthogonal(f)
+            assert self._branch(g, base).startswith("fallback")
+            expected = self._reference(f, g, base)
+            assert expected.beta == beta
+            cases.append((f, g, base, expected))
+        divisions = record_calls(monkeypatch, FractionField.__truediv__)
+        for f, g, base, expected in cases:
+            assert beta_search_derivative(f, g, base) == expected, (f, g)
+            assert divisions == [], (f, g)
 
 
 class TestClassifiers:

@@ -4,11 +4,14 @@ tests/data/golden.json maps "command | source" to the JSON report that
 `emit` produces, and tests/data/golden_text.json to the text report (with
 its `identity:` lines); either holds "ErrorType: message" when the command
 refuses the source. tests/data/golden_decks.json maps each request of one
-round of every benchmark deck at seed 1, as "command | text" (with
+round of every benchmark deck at seeds 1 to 3, as "command | text" (with
 "--class C" after the command for a class other than rational), to the
-sha256 of both reports. A refactor that must keep verdicts, witnesses and
-output bytes unchanged keeps the three files unchanged. After a deliberate
-output change, regenerate them with
+sha256 of both reports. tests/data/golden_branches.json does the same for
+BRANCH_KEYS, requests that reach branches of the beta searches and of
+Hermite's steps which neither the corpus nor the decks reach. A refactor
+that must keep verdicts, witnesses and output bytes unchanged keeps the
+four files unchanged. After a deliberate output change, regenerate them
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -32,6 +35,41 @@ from orthoscope.report import _dump, _payload, emit
 DATA = Path(__file__).parent / "data"
 GOLDEN = {"json": DATA / "golden.json", "text": DATA / "golden_text.json"}
 DECKS = DATA / "golden_decks.json"
+BRANCHES = DATA / "golden_branches.json"
+DECK_SEEDS = (1, 2, 3)
+
+# Each request and the branch it reaches, as deck_key writes it.
+BRANCH_KEYS = (
+    # case C: the soft system is empty and nothing anchors beta
+    "classify | x' = (x^2-2)*(x^2-3); y' = y*x^2",
+    # the soft system is empty and anchored: none, case B
+    "classify | x' = (x-1)*(x^2-2)*(x^2-3); y' = y*x^2",
+    # the soft-pinned candidate fails and nothing anchors beta: case C
+    "beta-log --class integer | x' = x^2 - 2; y' = y*(x + 1)",
+    # _solve_integrality finds no beta
+    "beta-log --class integer | x' = (x-1)*(x-2); y' = y*x/2",
+    # the pinned candidate fails: none, case A
+    "beta-log --class integer | x' = x^2*(x-1); y' = y*(1 + x/2)",
+    # a locus of g.den alone, irrational for every beta
+    "beta-log | x' = (x-1)*(x-2); y' = y/(x^2-2)",
+    # the conditions at infinity leave case A empty
+    "classify | x' = x; y' = y*x^2",
+    # common = x + 2 is stripped from d's factorization
+    "classify | x' = (x-1)/(x+2); y' = y*x/((x+2)*(x-3))",
+    # the remainder ratio pins beta, which works
+    "beta-der | x' = x^2*(x-1); y' = 1/(x-1)",
+    "beta-der | x' = x^2*(x-1)^2; y' = x",
+    # the remainder ratio is not constant: none
+    "beta-der | x' = x^2*(x-1)^2; y' = x^3",
+    # rem(1/f) = 0, so beta = 0: none, then found
+    "beta-der | x' = x^2; y' = x",
+    "beta-der | x' = x^2; y' = 1",
+    # the simple pole pins an irrational beta: none
+    "beta-der | x' = x^2 - 2; y' = x",
+    # Hermite's steps at a nonlinear class of multiplicity >= 2
+    "residues | 1/(x^2+1)^3",
+    "is-derivative | x/(x^2+1)^2",
+)
 
 
 def sources() -> list[str]:
@@ -70,16 +108,18 @@ def deck_digest(key: str) -> str:
 
 
 def deck_entries() -> dict[str, str]:
-    """One round of each benchmark deck at seed 1, from bench/workloads.py."""
+    """One round of each benchmark deck at each of DECK_SEEDS, from
+    bench/workloads.py."""
     sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
     import workloads
 
     fixtures, keys = load_corpus(), []
     for workload in workloads.WORKLOADS:
         count = workloads.round_length(workload, fixtures)
-        for req in workloads.generate(workload, 1, count, fixtures):
-            assert req.gauge_h == "y", req     # deck_key has no --h
-            keys.append(deck_key(req.command, req.text, req.residue_class))
+        for seed in DECK_SEEDS:
+            for req in workloads.generate(workload, seed, count, fixtures):
+                assert req.gauge_h == "y", req     # deck_key has no --h
+                keys.append(deck_key(req.command, req.text, req.residue_class))
     return {k: deck_digest(k) for k in keys}
 
 
@@ -119,8 +159,15 @@ def test_text_outputs_match_golden(golden_text, command):
 
 def test_deck_reports_match_golden():
     decks = json.loads(DECKS.read_text())
-    assert len(decks) == 50
+    assert len(decks) == 50 * len(DECK_SEEDS)
     for key, digest in decks.items():
+        assert deck_digest(key) == digest, key
+
+
+def test_branch_reports_match_golden():
+    branches = json.loads(BRANCHES.read_text())
+    assert set(branches) == set(BRANCH_KEYS)
+    for key, digest in branches.items():
         assert deck_digest(key) == digest, key
 
 
@@ -142,3 +189,6 @@ if __name__ == "__main__":
         sys.stdout.write(f"wrote {path}\n")
     DECKS.write_text(json.dumps(deck_entries(), indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {DECKS}\n")
+    BRANCHES.write_text(json.dumps({k: deck_digest(k) for k in BRANCH_KEYS},
+                                   indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {BRANCHES}\n")
