@@ -26,7 +26,6 @@ import math
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from operator import neg
-from typing import Optional
 
 from .unipoly import SquarefreeFactorization, UniPoly, _conv, _int_divmod, squarefree_decompose
 
@@ -384,21 +383,20 @@ def factor_rationals(p: UniPoly) -> SquarefreeFactorization:
     return SquarefreeFactorization(sf.content, _factor_order(parts.items()))
 
 
-def factor_bases(bases, degree: int,
-                 denominator: bool = False) -> Optional[tuple[tuple[UniPoly, int], ...]]:
+def factor_bases(bases, denominator: bool = False) -> tuple[tuple[UniPoly, int], ...]:
     """The irreducible factorization of the numerator of c*prod(p**e) over
-    (p, e) in bases, for a nonzero constant c, in lowest terms, whose degree
-    is `degree`; with `denominator`, of its denominator. These are
-    factor_rationals' parts of that side, in factor order; None when bases
-    of the two sides cancel, for the caller to factor that side itself.
+    (p, e) in bases, for a nonzero constant c; with `denominator`, of its
+    denominator. These are factor_rationals' parts of that side, in factor
+    order, for bases as the parser records them: the positive ones
+    multiply to the reduced numerator and the negative ones to the reduced
+    denominator, up to constants, so no base of one side shares a factor
+    with a base of the other.
 
-    The bases are made monic and equal ones merged; those left on the
-    wanted side (e > 0 for the numerator) multiply to a multiple of it,
-    and to that side itself (up to c) exactly when their degrees, times
-    e, add up to `degree`: then no base of the other side shares a factor
-    with them, each is factored once, and an irreducible q of it adds its
-    multiplicity times e. By unique factorization in Q[x] the bases need
-    no gcd, and a base only the other side holds is never factored.
+    The bases are made monic and equal ones merged; each base left on the
+    wanted side (e > 0 for the numerator) is factored once, and an
+    irreducible q of it adds its multiplicity times e. By unique
+    factorization in Q[x] the bases need no gcd, and a base only the
+    other side holds is never factored.
     """
     sign = -1 if denominator else 1
     merged: dict[UniPoly, int] = {}
@@ -406,13 +404,11 @@ def factor_bases(bases, degree: int,
         if p.degree > 0:
             p = p.monic()
             merged[p] = merged.get(p, 0) + sign * e
-    wanted = [(p, e) for p, e in merged.items() if e > 0]
-    if sum(p.degree * e for p, e in wanted) != degree:
-        return None
     mult: dict[UniPoly, int] = {}
-    for p, e in wanted:
-        for q, m in factor_rationals(p).parts:
-            mult[q] = mult.get(q, 0) + m * e
+    for p, e in merged.items():
+        if e > 0:
+            for q, m in factor_rationals(p).parts:
+                mult[q] = mult.get(q, 0) + m * e
     return _factor_order(mult.items())
 
 

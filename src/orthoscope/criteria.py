@@ -6,8 +6,7 @@ Hermite remainder of 1/f off one checked partial-fraction split
 derivative witness needs one. Both beta searches reuse its residues, and
 the derivative search its remainder. Its pole loci, with their
 multiplicities, are the factors of f.num, which the caller may pass in as
-loci (the CLI reads them off the parsed bases of f with factor_bases,
-which gives None, so that f.num is factored here, when the bases cancel);
+loci (the CLI reads them off the parsed bases of f with factor_bases);
 with the factors of g.den they factor every denominator of either beta
 search, so a request factors each input once.
 The beta searches decide whether some constant shift of g makes

@@ -6,15 +6,16 @@ expressions over x, y with integer literals, + - * / ^ and parentheses
 fall out of division). The text is tokenized in one pass and evaluated as
 it is read. A value is a Fraction while it is constant, a UniPoly or
 RatFunc while it is y-free, and a BiPoly or BiRatFunc from the first
-operation that meets y, which promotes its y-free operand; so a y-free
-quotient takes its gcd in Q[x]. A fraction, reduced by Henrici's rules,
-is held only while its reduced denominator is nonconstant. A power,
-product, quotient, sum or difference whose degree bound, read from the
-reduced operands, would exceed MAX_DEGREE is refused before it is
-expanded, and so is an integer literal of more than MAX_LITERAL_DIGITS
-digits and a parenthesis nested more than MAX_NESTING deep. Leading signs
-are read in a loop, so a run of any length parses. str of a parsed value
-is text that parses back to it.
+operation that meets y, which promotes its y-free operand. A fraction is
+held only while its reduced denominator is nonconstant; a y-free
+quotient, or product with a denominator, is reduced over the bases of
+its operands (see _Parser), and any other by Henrici's rules in its
+ring. A power, product, quotient, sum or difference whose degree bound,
+read from the reduced operands, would exceed MAX_DEGREE is refused
+before it is expanded, and so is an integer literal of more than
+MAX_LITERAL_DIGITS digits and a parenthesis nested more than MAX_NESTING
+deep. Leading signs are read in a loop, so a run of any length parses.
+str of a parsed value is text that parses back to it.
 Parsed systems are shape-classified from the reduced value of each
 statement, so a family's f and g take no second gcd:
 
@@ -22,10 +23,9 @@ statement, so a family's f and g take no second gcd:
   y' = g(x)    with y-free f, g  ->  derivative family
   polynomial components          ->  planar vector field
 
-The x' statement and a bare univariate expression also record the bases
-they multiplied (see _Parser), so that f.num and r.den are factored one
-distinct base at a time (factor_bases) instead of from their expansion,
-unless bases of the numerator and the denominator cancel.
+Every statement and bare expression also records the bases it multiplied
+(see _Parser), so that f.num and r.den are factored one distinct base at
+a time (factor_bases) instead of from their expansion.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .algebra.bipoly import BiPoly
-from .algebra.unipoly import UniPoly
+from .algebra.unipoly import UniPoly, poly_gcd
 from .errors import ParseError, ShapeError
 from .planar import BiRatFunc, PlanarVectorField
 from .ratfunc import FractionField, RatFunc
@@ -59,15 +59,17 @@ _X, _Y, _ONE = UniPoly.variable(), BiPoly.y(), BiPoly.one()
 
 # not typing.Union, whose cache would keep these classes alive across reloads
 Value = Fraction | UniPoly | RatFunc | BiPoly | BiRatFunc
-# (polynomial, signed exponent) pairs whose product, times a nonzero
-# rational constant, is a y-free value; None once the value has met y
+# (polynomial, signed exponent) pairs of a y-free value: the positive ones
+# multiply to its reduced numerator and the negative ones to its reduced
+# denominator, up to nonzero constants; None once the value has met y
 Bases = tuple[tuple[UniPoly, int], ...]
 
 
 @dataclass(frozen=True)
 class UnivariateFamily:
     """x' = f, y' = y*g (log) or y' = g (derivative); bases are f's, as
-    the parser multiplied them, for factor_bases."""
+    the parser multiplied them, for factor_bases: the positive ones
+    multiply to f.num and the negative ones to f.den, up to constants."""
     f: RatFunc
     g: RatFunc
     kind: str  # log | derivative
@@ -113,19 +115,25 @@ class _Parser:
     powers. A signed power is carried as (base, exponent, negate) and
     expanded only after the operation it enters is checked against MAX_DEGREE.
 
-    Each value comes with its bases while `track` is set: x is its own
-    base and a literal has none, a power multiplies the exponents, a
-    product joins the lists and a quotient negates the divisor's exponents.
-    A sum or difference is its own single base (_own), a constant value
-    has none, and a value that met y has None. Each value owns its list,
-    which a product extends in place, so a term's bases cost linear time.
-    Without `track`, x has None too, so nothing is kept."""
+    Each value comes with its bases: x is its own base and a literal has
+    none, a power multiplies the exponents, a product joins the lists and
+    a quotient negates the divisor's exponents. A sum or difference is its
+    own single base (_own), a constant value has none, and a value that
+    met y has None. Each value owns its list, which a product extends in
+    place, so a term's bases cost linear time.
 
-    def __init__(self, text: str, track: bool = False):
+    A y-free quotient, or product with a denominator, tests each base p of
+    its right operand against the side of the left value a/b it lands
+    opposite: gcd(p, b) when p joins the numerator, gcd(p, a) when it joins
+    the denominator. gcd(A, prod p**e) = 1 exactly when each gcd(A, p) = 1,
+    so if all are constant the cross products are in lowest terms and the
+    lists join; otherwise the value takes one gcd of its sides and is its
+    own single base. So bases never cancel across sides."""
+
+    def __init__(self, text: str):
         self.kinds, self.texts, self.offsets = _tokenize(text)
         self.i = 0
         self.depth = 0      # open parentheses around the current token
-        self.track = track
 
     def expect(self, kind: str, want: str) -> int:
         """Step over a token of this kind, named want in the error; its index."""
@@ -154,7 +162,7 @@ class _Parser:
                 (a, b), (c, d) = _degrees(acc), _degrees(rhs)
                 self._bound(max(a + d, c + b, b + d), op)
             acc = _lower(acc + rhs if kinds[op] == "+" else acc - rhs)
-        return acc, _own(acc) if self.track else None
+        return acc, _own(acc)
 
     def parse_term(self) -> tuple[Value, Optional[list]]:
         kinds = self.kinds
@@ -167,24 +175,35 @@ class _Parser:
             self._bound(max(_degrees(base)) * exponent + max(_degrees(rbase)) * rexponent, op)
             value, other = _common(_expand(base, exponent, negate),
                                    _expand(rbase, rexponent, rnegate))
-            if kinds[op] == "*":
+            divide, coprime = kinds[op] == "/", True
+            if divide and rbases is not None:
+                rbases = [(p, -e) for p, e in rbases]
+            if not divide and not (isinstance(value, RatFunc) or isinstance(other, RatFunc)):
                 value = value * other
-            elif isinstance(other, Fraction):
+            elif divide and isinstance(other, Fraction):
                 if not other:
                     raise ParseError("division by zero", self.offsets[self.i])
                 value = value / other if isinstance(value, Fraction) else value * (1 / other)
-            elif isinstance(value, FractionField) or isinstance(other, FractionField):
+            elif bases is not None and rbases is not None:  # y-free, meets a denominator
+                u, v = _univariate(value), _univariate(other)
+                (a, b), (c, d) = (u.num, u.den), (v.den, v.num) if divide else (v.num, v.den)
+                # each base of other against the side of value it lands
+                # opposite; coprime to all, the cross products are reduced
+                coprime = all(poly_gcd(p, b if e > 0 else a).is_constant for p, e in rbases if e)
+                value = RatFunc._coprime(a * c, b * d) if coprime else RatFunc(a * c, b * d)
+            elif isinstance(value, BiRatFunc) or isinstance(other, BiRatFunc):
                 value = value / other
-            else:   # by a polynomial: one gcd, in the divisor's ring
-                field = BiRatFunc if isinstance(other, BiPoly) else RatFunc
-                value = field(other._coerce(value), other)
+            else:   # met y, by a polynomial: one gcd, in Q[x, y]
+                value = BiRatFunc(other._coerce(value), other)
             base, exponent, negate = _lower(value), 1, False
-            if bases is None or rbases is None:
-                bases = None
-            elif isinstance(base, Fraction):
+            if isinstance(base, Fraction):
                 bases = []
+            elif bases is None or rbases is None:
+                bases = None
+            elif coprime:
+                bases.extend(rbases)
             else:
-                bases.extend(rbases if kinds[op] == "*" else [(p, -e) for p, e in rbases])
+                bases = _own(base)
         return _expand(base, exponent, negate), bases
 
     def parse_factor(self) -> tuple[Value, int, bool, Optional[list]]:
@@ -209,8 +228,8 @@ class _Parser:
             exponent = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
             self._bound(max(*_degrees(base), 1) * exponent, i)
             scale *= exponent
-        if scale != 1 and bases:
-            bases = [(p, e * scale) for p, e in bases]
+        if scale != 1 and (bases or not scale):     # y^0 = 1 has bases too
+            bases = [(p, e * scale) for p, e in bases or ()]
         return base, exponent, negate, bases
 
     def parse_atom(self) -> tuple[Value, Optional[list]]:
@@ -228,7 +247,7 @@ class _Parser:
             self.i = i + 1
             if text == "y":
                 return _Y, None
-            return _X, [(_X, 1)] if self.track else None
+            return _X, [(_X, 1)]
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.offsets[i])
@@ -333,7 +352,7 @@ def parse_univariate(text: str) -> RatFunc:
 def parse_univariate_bases(text: str) -> tuple[RatFunc, Bases]:
     """parse_univariate's function and the bases the parser multiplied,
     whose product is the function up to a nonzero constant (factor_bases)."""
-    value, bases = _read(_Parser(text, True))
+    value, bases = _read(_Parser(text))
     f = _univariate(value)
     if f is None:
         raise ShapeError(f"expression is not univariate in x: {text!r}")
@@ -375,8 +394,7 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
     """Parse "x' = ...; y' = ..." and classify its shape."""
     parser = _Parser(text)
     kinds, texts, offsets = parser.kinds, parser.texts, parser.offsets
-    slots: dict[str, Value] = {}
-    x_bases = None
+    slots: dict[str, tuple[Value, Optional[list]]] = {}
     while True:
         while kinds[parser.i] == "sep":
             parser.i += 1
@@ -388,13 +406,10 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
             raise ParseError(f"statements must assign x' or y', found {name!r}", offsets[at])
         parser.expect("'", "prime")
         parser.expect("=", "eq")
-        parser.track = name == "x"
-        value, bases = parser.parse_expr()
+        parsed = parser.parse_expr()
         if name in slots:
             raise ParseError(f"duplicate statement for {name}'", offsets[at])
-        slots[name] = value
-        if parser.track:
-            x_bases = bases
+        slots[name] = parsed
         i = parser.i
         if kinds[i] == "sep":
             parser.i += 1
@@ -403,11 +418,11 @@ def parse_system(text: str) -> Union[UnivariateFamily, PlanarVectorField]:
     if "x" not in slots or "y" not in slots:
         missing = "x'" if "x" not in slots else "y'"
         raise ParseError(f"missing statement for {missing}", len(text))
-    return _classify_shape(slots["x"], slots["y"], x_bases)
+    return _classify_shape(*slots["x"], slots["y"][0])
 
 
-def _classify_shape(fx: Value, fy: Value,
-                    x_bases: Optional[list]) -> Union[UnivariateFamily, PlanarVectorField]:
+def _classify_shape(fx: Value, x_bases: Optional[list],
+                    fy: Value) -> Union[UnivariateFamily, PlanarVectorField]:
     f = _univariate(fx)
     if f is not None:
         x_bases = _univariate_bases(f, x_bases)

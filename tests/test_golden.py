@@ -66,6 +66,10 @@ BRANCH_KEYS = (
     "beta-der | x' = x^2; y' = 1",
     # the simple pole pins an irrational beta: none
     "beta-der | x' = x^2 - 2; y' = x",
+    # only the residue at infinity anchors beta, and the soft system is
+    # empty: none, case B; f and g are quotients of coprime bases
+    "classify | x' = (x^2-2)*(x^2-3)/(x^3 + 1); y' = y/(x-5)",
+    "classify | x' = (x^2-2)*(x^2-3)/(x^3 + 1); y' = y*x/(x-5)",
     # Hermite's steps at a nonlinear class of multiplicity >= 2
     "residues | 1/(x^2+1)^3",
     "is-derivative | x/(x^2+1)^2",

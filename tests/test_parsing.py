@@ -14,6 +14,7 @@ from orthoscope import (
     parse_expression,
     parse_system,
     parse_univariate,
+    parsing,
     poly_gcd,
     ratfunc,
 )
@@ -159,25 +160,55 @@ class TestGrammar:
             assert value.den == BiPoly.x() ** 600 * (BiPoly.x() + 1) ** 400
             assert value.num == top * (BiPoly.x() ** 600 + (BiPoly.x() + 1) ** 400)
 
-    def test_polynomial_statements_reduce_once_each(self, monkeypatch):
+    def test_polynomial_statements_reduce_once_each(self, x, monkeypatch):
         built = record_calls(monkeypatch, BiRatFunc.__post_init__)
         gcds = record_calls(monkeypatch, bipoly_gcd)
-        # RatFunc's own gcd, apart from the poly_gcd calls inside bipoly_gcd
-        ratfunc_gcds = []
+        # RatFunc's own gcd and the parser's, apart from the poly_gcd calls
+        # inside bipoly_gcd
+        ratfunc_gcds, parser_gcds = [], []
         monkeypatch.setattr(ratfunc, "poly_gcd",
                             lambda a, b: ratfunc_gcds.append(a) or poly_gcd(a, b))
+        monkeypatch.setattr(parsing, "poly_gcd",
+                            lambda a, b: parser_gcds.append((a, b)) or poly_gcd(a, b))
         family = parse_system("x' = (x-1)^3*(x+2); y' = y*(2*x - 1/3)")
         assert family.kind == KIND_LOG
         # polynomial statements build no BiRatFunc and take no gcd
-        assert not built and not gcds and not ratfunc_gcds
-        # one gcd per quotient, in the ring of its operands: the y-free x'
-        # quotient in Q[x], and the y' quotient, whose dividend is y*(x + 3),
-        # in Q[x, y]; f and g of the family are read off the reduced pairs
-        # without a second gcd
+        assert not built and not gcds and not ratfunc_gcds and not parser_gcds
+        # the y-free x' quotient takes one gcd of a base of the divisor
+        # against the dividend, and none of the expanded sides; the y'
+        # quotient, whose dividend is y*(x + 3), takes one in Q[x, y]; f
+        # and g of the family are read off the reduced pairs without a
+        # second gcd
         family = parse_system("x' = (x + 1)/(x^2 - 2); y' = y*(x + 3)/(x - 1)")
-        assert len(ratfunc_gcds) == 1 and len(gcds) == 1
+        assert parser_gcds == [(x**2 - 2, x + 1)]
+        assert not ratfunc_gcds and len(gcds) == 1
         assert family.kind == KIND_LOG
         assert (str(family.f), str(family.g)) == ("(x + 1)/(x^2 - 2)", "(x + 3)/(x - 1)")
+
+    def test_quotient_tests_the_divisor_bases_not_the_expanded_sides(self, x, monkeypatch):
+        # hang-table row B: each base of the divisor, of degree 1, against
+        # the dividend (x^2 + 1)^200; no gcd of the sides, of degrees 400
+        # and 200, in the parser or in RatFunc
+        calls = record_calls(monkeypatch, poly_gcd)
+        f, bases = parse_univariate_bases("(x^2 + 1)^200/((x-1)^100*(x-2)^100)")
+        assert calls == [x - 1, x - 2]
+        assert (f.num.degree, f.den.degree) == (400, 200)
+        assert bases == ((x**2 + 1, 200), (x - 1, -100), (x - 2, -100))
+
+    @pytest.mark.parametrize("text, degrees", [
+        ("1/(x+1)*" + "*".join(f"(x-{k})" for k in range(1, 400)), (399, 1)),
+        ("*".join(f"(x-{k})" for k in range(1, 400)) + "*1/"
+         + "/".join(f"(x-{k})" for k in range(1, 400)), (0, 0)),
+        ("x" + "*x/x" * 2000, (1, 0)),
+    ], ids=["products", "cancelling", "x-over-x"])
+    def test_long_quotient_chains_within_1_s(self, text, degrees):
+        # each step tests the new bases against one side, and a step whose
+        # bases cancel reduces with one gcd against a linear divisor: no
+        # rebuilding of the value from its bases
+        start = time.perf_counter()
+        f, _ = parse_univariate_bases(text)
+        assert time.perf_counter() - start < 1.0
+        assert (f.num.degree, f.den.degree) == degrees
 
     NESTED = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
 

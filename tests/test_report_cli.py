@@ -216,6 +216,16 @@ class TestCliExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "verdict: nonorthogonal-uniformly-almost-internal" in capsys.readouterr().out
 
+    def test_quotient_of_high_powers_exits_zero_within_a_second(self, capsys):
+        # hang-table row B: the parser tests each base of the divisor
+        # against the dividend instead of taking the gcd of the expanded
+        # sides, of degrees 400 and 200
+        start = time.perf_counter()
+        assert main(["is-dlog", "(x^2 + 1)^200/((x-1)^100*(x-2)^100)"]) == 0
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert "verdict: dlog-witness-none\n" in out and err == ""
+
     @pytest.mark.parametrize("argv, line", [
         (["residues", "1/(x^240 - 2)"],
          "  x^240 - 2: multiplicity 1, residue root of x^240 - 2, component 1/480*x\n"),
