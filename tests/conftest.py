@@ -85,6 +85,36 @@ def random_proper_ratfunc(rng: random.Random, den: UniPoly) -> RatFunc:
     return RatFunc(num, den)
 
 
+def random_search_input(rng: random.Random) -> tuple[RatFunc, RatFunc]:
+    """Rational f and g for the beta searches, over loci of degree 1 to 3,
+    where g.den may share loci with f.num and with f.den."""
+    x, P = UniPoly.variable(), RatFunc.from_poly
+    pool = [x - 2, x + 1, x, x - Fraction(1, 2), x**2 + 1, x**2 - 2, x**2 + x + 1,
+            x**3 - 2, x**3 - x - 1]
+    picks = rng.sample(pool, rng.randint(2, 4))
+    split = rng.randint(1, len(picks) - 1)
+    num_loci, den_loci = picks[:split], picks[split:] if rng.random() < 0.6 else []
+    f = RatFunc.constant(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])))
+    for q in num_loci:
+        f = f * P(q) ** rng.choice([1, 1, 2, 3])
+    for q in den_loci:
+        f = f / P(q) ** rng.choice([1, 2])
+    shape = rng.choice(["dlog", "dlog", "f.num", "f.den", "polynomial"])
+    if shape == "dlog":
+        # g - beta0 = f*t with simple poles only: a candidate is tested
+        t = RatFunc.zero()
+        for q in rng.sample(pool, rng.randint(1, 3)):
+            t = t + RatFunc(q.derivative(), q) * Fraction(rng.choice([1, -1, 2, -3]),
+                                                           rng.choice([1, 1, 2]))
+        g = t * f + Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+    else:
+        g = P(UniPoly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]))
+        if shape != "polynomial":
+            shared = rng.choice(num_loci if shape == "f.num" else den_loci or num_loci)
+            g = g / P(shared) ** rng.choice([1, 2, 3])
+    return f, g
+
+
 def record_calls(monkeypatch, fn, arg: int = 0) -> list:
     """Wrap fn in every orthoscope module and class that binds it, for the
     rest of the test; the returned list receives the positional argument

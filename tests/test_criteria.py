@@ -32,7 +32,7 @@ from orthoscope.criteria import (
     STATUS_NONE,
 )
 from orthoscope.errors import HypothesisError, WitnessVerificationError
-from conftest import record_calls
+from conftest import random_search_input, record_calls
 from oracles import derivative
 
 P = RatFunc.from_poly
@@ -528,36 +528,7 @@ class TestSearchFactorization:
     regular off base's residue. The oracles factor d from scratch and
     Hermite-reduce (g - beta)/f from scratch."""
 
-    @staticmethod
-    def _input(rng, x):
-        """Rational f and g over loci of degree 1 to 3, where g.den may
-        share loci with f.num and with f.den."""
-        pool = [x - 2, x + 1, x, x - Fraction(1, 2), x**2 + 1, x**2 - 2, x**2 + x + 1,
-                x**3 - 2, x**3 - x - 1]
-        picks = rng.sample(pool, rng.randint(2, 4))
-        split = rng.randint(1, len(picks) - 1)
-        num_loci, den_loci = picks[:split], picks[split:] if rng.random() < 0.6 else []
-        f = RatFunc.constant(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])))
-        for q in num_loci:
-            f = f * P(q) ** rng.choice([1, 1, 2, 3])
-        for q in den_loci:
-            f = f / P(q) ** rng.choice([1, 2])
-        shape = rng.choice(["dlog", "dlog", "f.num", "f.den", "polynomial"])
-        if shape == "dlog":
-            # g - beta0 = f*t with simple poles only: a candidate is tested
-            t = RatFunc.zero()
-            for q in rng.sample(pool, rng.randint(1, 3)):
-                t = t + RatFunc(q.derivative(), q) * Fraction(rng.choice([1, -1, 2, -3]),
-                                                               rng.choice([1, 1, 2]))
-            g = t * f + Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-        else:
-            g = P(UniPoly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]))
-            if shape != "polynomial":
-                shared = rng.choice(num_loci if shape == "f.num" else den_loci or num_loci)
-                g = g / P(shared) ** rng.choice([1, 2, 3])
-        return f, g
-
-    def test_factorization_matches_factoring_from_scratch(self, x):
+    def test_factorization_matches_factoring_from_scratch(self):
         import random
 
         from orthoscope import criteria, factor_rationals, poly_gcd
@@ -565,7 +536,7 @@ class TestSearchFactorization:
         rng = random.Random(16016)
         features = set()
         for _ in range(150):
-            f, g = self._input(rng, x)
+            f, g = random_search_input(rng)
             n, m, d = g.num * f.den, g.den * f.den, g.den * f.num
             common = poly_gcd(poly_gcd(n, m), d)
             assert common == poly_gcd(f.den, g.den), (f, g)
@@ -594,7 +565,7 @@ class TestSearchFactorization:
                              ((x + 2, 1), (x**2 + 1, 1)))
         assert criteria._reduce_over(UniPoly.zero(), d, parts) == (RatFunc.zero(), ())
 
-    def test_candidate_residues_match_hermite_reduction(self, x, monkeypatch):
+    def test_candidate_residues_match_hermite_reduction(self, monkeypatch):
         import random
 
         from orthoscope import criteria, hermite_reduce, poly_gcd
@@ -610,7 +581,7 @@ class TestSearchFactorization:
         rng = random.Random(16017)
         features = set()
         for _ in range(150):
-            f, g = self._input(rng, x)
+            f, g = random_search_input(rng)
             base = base_orthogonal(f)
             simple = {e.locus for e in base.spectrum.affine_poles if e.multiplicity == 1}
             for residue_class in (RATIONAL, INTEGER):
@@ -641,7 +612,7 @@ class TestSearchFactorization:
 
 
 class TestResidueForm:
-    def test_residue_is_a_fraction_exactly_when_rational(self, x):
+    def test_residue_is_a_fraction_exactly_when_rational(self):
         import random
 
         from orthoscope import NFElement
@@ -649,7 +620,7 @@ class TestResidueForm:
         rng = random.Random(16018)
         seen = set()
         for _ in range(60):
-            f, g = TestSearchFactorization._input(rng, x)
+            f, g = random_search_input(rng)
             for sv in (classify_log_family(f, g), classify_derivative_family(f, g)):
                 for spectrum in (sv.base.spectrum, sv.fibration.residue_table):
                     for e in spectrum.affine_poles if spectrum is not None else ():
@@ -736,7 +707,7 @@ class TestSpectrumOrder:
         pool = [x - 2, x + 1, x, x - Fraction(1, 2), x**2 + 1, x**2 - 2, x**3 - 2]
         tables = {"log": 0, "derivative": 0}
         for _ in range(100):
-            f, g = TestSearchFactorization._input(rng, x)
+            f, g = random_search_input(rng)
             r = g / f
             for loci in (None, factor_rationals(r.den).parts):
                 keys = self._keys(hermite_reduce(r, loci).spectrum)

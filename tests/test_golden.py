@@ -8,9 +8,13 @@ round of every benchmark deck at seeds 1 to 3, as "command | text" (with
 "--class C" after the command for a class other than rational), to the
 sha256 of both reports. tests/data/golden_branches.json does the same for
 BRANCH_KEYS, requests that reach branches of the beta searches and of
-Hermite's steps which neither the corpus nor the decks reach. A refactor
-that must keep verdicts, witnesses and output bytes unchanged keeps the
-four files unchanged. After a deliberate output change, regenerate them
+Hermite's steps which neither the corpus nor the decks reach.
+tests/data/golden_searches.json holds, for each of the three beta searches
+(log in the rational and in the integer class, derivative) over
+SEARCH_DRAWS random (f, g) pairs at SEARCH_SEED, the sha256 of every result
+and the count of results by status and completeness case. A refactor that
+must keep verdicts, witnesses and output bytes unchanged keeps the five
+files unchanged. After a deliberate output change, regenerate them
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,22 +25,28 @@ entries in CHANGES.md.
 
 import hashlib
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from orthoscope.cli import COMMANDS, run
+from orthoscope.criteria import base_orthogonal, beta_search_derivative, beta_search_log
 from orthoscope.errors import OrthoscopeError
 from orthoscope.fixtures import load_corpus
-from orthoscope.ratfunc import RATIONAL
+from orthoscope.ratfunc import INTEGER, RATIONAL
 from orthoscope.report import _dump, _payload, emit
+from conftest import random_search_input
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = {"json": DATA / "golden.json", "text": DATA / "golden_text.json"}
 DECKS = DATA / "golden_decks.json"
 BRANCHES = DATA / "golden_branches.json"
+SEARCHES = DATA / "golden_searches.json"
 DECK_SEEDS = (1, 2, 3)
+SEARCH_SEED, SEARCH_DRAWS = 3501, 500
 
 # Each request and the branch it reaches, as deck_key writes it.
 BRANCH_KEYS = (
@@ -46,6 +56,8 @@ BRANCH_KEYS = (
     "classify | x' = (x-1)*(x^2-2)*(x^2-3); y' = y*x^2",
     # the soft-pinned candidate fails and nothing anchors beta: case C
     "beta-log --class integer | x' = x^2 - 2; y' = y*(x + 1)",
+    # the soft-pinned candidate fails and beta is anchored: none, case B
+    "beta-log --class integer | x' = (x-1)*(x^2-2); y' = y*x",
     # _solve_integrality finds no beta
     "beta-log --class integer | x' = (x-1)*(x-2); y' = y*x/2",
     # the pinned candidate fails: none, case A
@@ -127,6 +139,39 @@ def deck_entries() -> dict[str, str]:
     return {k: deck_digest(k) for k in keys}
 
 
+BETA_SEARCHES = {
+    "log rational": lambda f, g, base: beta_search_log(f, g, base, RATIONAL),
+    "log integer": lambda f, g, base: beta_search_log(f, g, base, INTEGER),
+    "derivative": beta_search_derivative,
+}
+
+
+def search_record(result) -> str:
+    """Everything a beta search answers: status, beta, case, detail, the
+    witness's kind, h, scaling and target, and the residue table."""
+    w = result.witness
+    witness = None if w is None else (w.kind, w.h, w.scaling, w.target)
+    return repr((result.status, result.beta, result.completeness_case, result.detail,
+                 witness, result.residue_table))
+
+
+def search_entries() -> dict[str, dict]:
+    """The sha256 of each search's results over SEARCH_DRAWS random pairs,
+    and the count of its results by status and case."""
+    rng = random.Random(SEARCH_SEED)
+    digests = {name: hashlib.sha256() for name in BETA_SEARCHES}
+    counts = {name: Counter() for name in BETA_SEARCHES}
+    for _ in range(SEARCH_DRAWS):
+        f, g = random_search_input(rng)
+        base = base_orthogonal(f)
+        for name, search in BETA_SEARCHES.items():
+            result = search(f, g, base)
+            digests[name].update(f"{search_record(result)}\n".encode())
+            counts[name][f"{result.status} {result.completeness_case}"] += 1
+    return {name: {"sha256": digests[name].hexdigest(), "counts": dict(counts[name])}
+            for name in BETA_SEARCHES}
+
+
 def load(format: str) -> dict[str, str]:
     return json.loads(GOLDEN[format].read_text())
 
@@ -175,6 +220,10 @@ def test_branch_reports_match_golden():
         assert deck_digest(key) == digest, key
 
 
+def test_random_searches_match_golden():
+    assert search_entries() == json.loads(SEARCHES.read_text())
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_json_writer_matches_json_dumps(command):
     # the report's own writer against the stdlib encoder, payload by payload
@@ -196,3 +245,5 @@ if __name__ == "__main__":
     BRANCHES.write_text(json.dumps({k: deck_digest(k) for k in BRANCH_KEYS},
                                    indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {BRANCHES}\n")
+    SEARCHES.write_text(json.dumps(search_entries(), indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {SEARCHES}\n")
