@@ -551,7 +551,9 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
     i + k (compare both sides mod each a_j), and the loop then ends
     without the gcds of the passes in between: two gcds in all for
     (x - a)^e*(x - b). A squarefree p, with gcd(p, p') = 1, is its own
-    single part after the first gcd.
+    single part after the first gcd. Each pass appends at its own i, and
+    the early exit at i + k with k >= 0, so the parts come in strictly
+    increasing multiplicity.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
@@ -579,5 +581,4 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeFactorization:
             db = b.derivative()
         d = d - db      # a = 1 leaves b, and so b', as they were
         i += 1
-    parts.sort(key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
     return SquarefreeFactorization(content, tuple(parts))

@@ -7,26 +7,27 @@ derivative witness needs one. Both beta searches reuse its residues, and
 the derivative search its remainder. Its pole loci, with their
 multiplicities, are the factors of f.num, which the caller may pass in as
 loci (the CLI reads them off the parsed bases of f with factor_bases);
-with the factors of g.den they factor every denominator of either beta
-search, so a request factors each input once.
+with the factors of rest = g.den/gcd(f.den, g.den) they factor every
+denominator of either beta search, so a request factors each input once.
 The beta searches decide whether some constant shift of g makes
 (g - beta)/f a scaled logarithmic derivative (log family) or an exact
 derivative (derivative family). Both searches return verified witnesses;
 the log search is complete whenever a multiple pole pins beta (case A) or a
 rational anchor forces beta rational (case B), and reports case C honestly
 otherwise. The log search reads its denominator's factorization off those
-of f.num and g.den, takes the residue of (g - beta)/f at a simple pole of
-1/f where g is regular as (g - beta)*Res(1/f), and tests its candidate
-beta on residues read off the data it solved for beta with, so it never
-factors or Hermite-reduces (g - beta)/f. The derivative search pins beta
-with a residue of 1/f (at a simple pole where g is regular) and reduces
-only (g - beta)/f, once. Both searches write (g - beta)/f as
-(n - beta*m)/d over one factorization of d (_search_data); the derivative
-search divides the loci that n - beta*m shares with d out of both sides
-and hands what is left of the factorization to hermite_reduce. Every
-residue of (g - beta)/f is Res(g/f) - beta*Res(1/f), and its Hermite
-remainder rem(g/f) - beta*rem(1/f), so both searches read beta off the
-residues, remainders and factorizations they already hold.
+of f.num and rest, takes the residue of (g - beta)/f at a simple pole of
+1/f where g is regular as (g - beta)*Res(1/f), settles one candidate beta
+and tests it once, on residues read off the data it solved for beta with,
+so it never factors or Hermite-reduces (g - beta)/f. The derivative search
+pins beta with a residue of 1/f (at a simple pole where g is regular) and
+reduces only (g - beta)/f, once. Both searches write (g - beta)/f as
+(n - beta*m)/d, with d = rest*f.num, over one factorization of d that
+factors only rest (_search_data); the derivative search divides the loci
+that n - beta*m shares with d out of both sides and hands what is left of
+the factorization to hermite_reduce. Every residue of (g - beta)/f is
+Res(g/f) - beta*Res(1/f), and its Hermite remainder rem(g/f) - beta*rem(1/f),
+so both searches read beta off the residues, remainders and factorizations
+they already hold.
 """
 
 from __future__ import annotations
@@ -205,34 +206,21 @@ def _solve_integrality(constraints: list[tuple[Fraction, Fraction]]) -> Optional
 # -- the log-family beta search ------------------------------------------------
 
 
-def _strip(p: UniPoly, q: UniPoly, most: int) -> tuple[UniPoly, int]:
-    """p/q^k and k, for the largest k <= most with q^k | p."""
-    k = 0
-    while k < most:
-        quotient, left = divmod(p, q)
-        if not left.is_zero:
-            break
-        p, k = quotient, k + 1
-    return p, k
-
-
 def _search_parts(
-    base: OrthogonalityVerdict, g: RatFunc, common: UniPoly
+    base: OrthogonalityVerdict, rest: UniPoly
 ) -> tuple[tuple[UniPoly, int], ...]:
-    """The factorization of d = g.den*f.num/common, in factor order.
+    """The factorization of d = rest*f.num, in factor order, for
+    rest = g.den/gcd(f.den, g.den).
 
-    mult_q(d) = mult_q(f.num) + mult_q(g.den) - mult_q(common). The factors
-    of f.num are the affine pole loci of 1/f that base already holds, so
-    only g.den is factored here, and only when it is nonconstant.
-    common = gcd(f.den, g.den) has no root of f.num, as f is reduced, so
-    it is stripped only at each locus q of g.den, at most mult_q(g.den)
-    times, as that locus is added.
+    mult_q(d) = mult_q(f.num) + mult_q(rest). The factors of f.num are the
+    affine pole loci of 1/f that base already holds, so only rest is
+    factored here, and only when it is nonconstant.
     """
     mult = {e.locus: e.multiplicity for e in base.spectrum.affine_poles}
-    if g.den.degree >= 1:
-        for q, e in factor_rationals(g.den).parts:
-            mult[q] = mult.get(q, 0) + e - _strip(common, q, e)[1]
-    return _factor_order((q, e) for q, e in mult.items() if e)
+    if rest.degree >= 1:
+        for q, e in factor_rationals(rest).parts:
+            mult[q] = mult.get(q, 0) + e
+    return _factor_order(mult.items())
 
 
 def _search_data(
@@ -241,19 +229,19 @@ def _search_data(
     """n, m, d and d's factorization, with (g - beta)/f = (n - beta*m)/d
     for every beta and d monic.
 
-    With f and g reduced, n = g.num*f.den, m = g.den*f.den and
-    d = g.den*f.num have gcd(n, m, d) = gcd(f.den, g.den), which is
-    divided out; d's factorization is read off those of f.num and g.den
-    (_search_parts).
+    With f and g reduced, g.num*f.den, g.den*f.den and g.den*f.num have
+    gcd common = gcd(f.den, g.den). It is divided out of g.den and f.den
+    once, leaving rest = g.den/common and f.den/common: n = g.num*f.den/common,
+    m = rest*f.den and d = rest*f.num. d's factorization is read off those
+    of f.num and rest (_search_parts).
     """
-    n = g.num * f.den
-    m = g.den * f.den
-    d = g.den * f.num
-    common = poly_gcd(f.den, g.den)    # gcd(n, m, d), as f and g are reduced
+    common = poly_gcd(f.den, g.den)
+    rest, f_den = g.den, f.den
     if common.degree > 0:
-        n, m, d = n.exact_div(common), m.exact_div(common), d.exact_div(common)
+        rest, f_den = rest.exact_div(common), f_den.exact_div(common)
+    n, m, d = g.num * f_den, rest * f.den, rest * f.num
     scale = 1 / d.lc
-    return n * scale, m * scale, d.monic(), _search_parts(base, g, common)
+    return n * scale, m * scale, d.monic(), _search_parts(base, rest)
 
 
 def beta_search_log(
@@ -267,7 +255,8 @@ def beta_search_log(
     and any beta-dependent residue at a rational point anchors beta to the
     rationals (case B). Conjugate-coupled factors without an anchor are
     reported as case C, never guessed. base is base_orthogonal(f); its pole
-    loci, with those of g.den, factor every denominator of the search.
+    loci, with those of rest = g.den/gcd(f.den, g.den), factor every
+    denominator of the search.
 
     With (g - beta)/f = (n - beta*m)/d, d monic (_search_data), every
     candidate has simple poles only: a pinned beta clears q^(e-1) at each
@@ -283,6 +272,14 @@ def beta_search_log(
     squarefree d is a locus of g.den alone, where m/d = 1/f is regular:
     there b_el = 0 and a_el is n/d' at the roots of q.
     dlog_from_spectrum then builds and checks the witness.
+
+    The free case settles beta first, and tests it once: the soft pin or,
+    when the soft system is free, 0 in the rational class and
+    _solve_integrality's beta in the integer class. The candidate of a free
+    soft system must be found, as any beta with class residues then works.
+    beta is anchored when the infinity coefficient or a rational residue
+    depends on it: then an empty soft system or a failed candidate is a
+    complete none (case B), and otherwise case C.
     """
     if residue_class not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown residue class {residue_class!r}")
@@ -308,7 +305,6 @@ def beta_search_log(
     # free case: d squarefree, infinity at worst simple, for every beta
     dprime = d.derivative()
     rho = {e.locus: e.residue for e in base.spectrum.affine_poles if e.multiplicity == 1}
-    anchored = m.coeff(d_deg - 1) != 0 if d_deg >= 1 else False
     integrality: list[tuple[Fraction, Fraction]] = []
     soft: list[tuple[Fraction, Fraction]] = []
     affine: list[tuple[UniPoly, Residue, Residue]] = []   # residue a_el - beta*b_el
@@ -324,15 +320,14 @@ def beta_search_log(
                 # residue values at conjugate roots would have to differ by
                 # rationals, impossible for a nonconstant class: complete none
                 return _none(CASE_B, f"residue at {q} is irrational for every beta")
-            if b_el != 0:
-                anchored = True
             integrality.append((a_el, b_el))
         else:
             # b_el is irrational, so this locus alone pins beta or is unsatisfiable
             a_rep = UniPoly.constant(a_el) if isinstance(a_el, Fraction) else a_el.rep
             soft.extend((a_rep.coeff(k), b_el.rep.coeff(k)) for k in range(1, int(q.degree)))
 
-    soft_status, soft_pin = _solve_affine(soft)
+    soft_status, beta = _solve_affine(soft)
+    anchored = m.coeff(d_deg - 1) != 0 or any(b for _, b in integrality)
     if soft_status == _EMPTY:
         if anchored:
             return _none(CASE_B, "no rational beta satisfies the residue-rationality system")
@@ -341,29 +336,19 @@ def beta_search_log(
             "conjugate-coupled residues admit no rational beta; an irrational "
             "beta is not excluded",
         )
-
-    def test_free(beta: Fraction, assert_found: bool = False) -> BetaSearchResult:
-        residues = [(q, _residue(a_el - b_el * beta)) for q, a_el, b_el in affine]
-        return _test_candidate(beta, n - m * beta, d, residues, residue_class, CASE_B,
-                               assert_found)
-
-    if soft_status == _PINNED:
-        result = test_free(soft_pin)
-        if result.found or anchored:
-            return result
-        return BetaSearchResult(
-            STATUS_INCONCLUSIVE, None, None, CASE_C, None,
-            "the unique rational candidate fails; an irrational beta is not "
-            "excluded",
-        )
-
-    # no polynomial constraints left on beta at all
-    if residue_class == RATIONAL:
-        return test_free(Fraction(0), assert_found=True)
-    beta_hat = _solve_integrality(integrality)
-    if beta_hat is None:
-        return _none(CASE_B, "no beta makes every residue an integer")
-    return test_free(beta_hat, assert_found=True)
+    if soft_status == _FREE:    # no polynomial constraints left on beta at all
+        beta = Fraction(0) if residue_class == RATIONAL else _solve_integrality(integrality)
+        if beta is None:
+            return _none(CASE_B, "no beta makes every residue an integer")
+    residues = [(q, _residue(a_el - b_el * beta)) for q, a_el, b_el in affine]
+    result = _test_candidate(beta, n - m * beta, d, residues, residue_class, CASE_B,
+                             assert_found=soft_status == _FREE)
+    if result.found or anchored:
+        return result
+    return BetaSearchResult(
+        STATUS_INCONCLUSIVE, None, None, CASE_C, None,
+        "the unique rational candidate fails; an irrational beta is not excluded",
+    )
 
 
 def _pinned_residues(
@@ -492,7 +477,12 @@ def _reduce_over(
     """
     loci = []
     for q, e in parts:
-        c, k = _strip(c, q, e)
+        k = 0
+        while k < e:
+            quotient, left = divmod(c, q)
+            if not left.is_zero:
+                break
+            c, k = quotient, k + 1
         if k:
             d = d.exact_div(q**k)
         if k < e:

@@ -541,7 +541,7 @@ class TestSearchFactorization:
             common = poly_gcd(poly_gcd(n, m), d)
             assert common == poly_gcd(f.den, g.den), (f, g)
             d = d.exact_div(common).monic()
-            parts = criteria._search_parts(base_orthogonal(f), g, common)
+            parts = criteria._search_parts(base_orthogonal(f), g.den.exact_div(common))
             assert parts == (factor_rationals(d).parts if d.degree >= 1 else ()), (f, g)
             if poly_gcd(f.num, g.den).degree > 0:
                 features.add("f.num shares with g.den")

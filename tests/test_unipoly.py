@@ -334,7 +334,10 @@ class TestSquarefree:
                 p = p * base ** rng.randint(1, 3)
             if p.degree < 1:
                 continue
-            assert expand(squarefree_decompose(p)) == p
+            sf = squarefree_decompose(p)
+            assert expand(sf) == p
+            mults = [m for _, m in sf.parts]
+            assert all(a < b for a, b in zip(mults, mults[1:])), (p, mults)
 
 
 # -- Fraction oracle ------------------------------------------------------
