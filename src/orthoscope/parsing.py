@@ -3,19 +3,24 @@
 Statements "x' = <expr>" and "y' = <expr>" separated by ";" or newlines;
 expressions over x, y with integer literals, + - * / ^ and parentheses
 (caret takes a nonnegative integer exponent; ratio literals such as 1/2
-fall out of division). The text is tokenized in one pass and evaluated as
-it is read. A value is a Fraction while it is constant, a UniPoly or
-RatFunc while it is y-free, and a BiPoly or BiRatFunc from the first
-operation that meets y, which promotes its y-free operand. A fraction is
-held only while its reduced denominator is nonconstant; a y-free
-quotient, or product with a denominator, is reduced over the bases of
-its operands (see _Parser), and any other by Henrici's rules in its
-ring. A power, product, quotient, sum or difference whose degree bound,
-read from the reduced operands, would exceed MAX_DEGREE is refused
-before it is expanded, and so is an integer literal of more than
-MAX_LITERAL_DIGITS digits and a parenthesis nested more than MAX_NESTING
-deep. Leading signs are read in a loop, so a run of any length parses.
-str of a parsed value is text that parses back to it.
+fall out of division). The text is tokenized in one pass and evaluated
+as it is read, each distinct parenthesized group once: a later copy of a
+group, by its exact text, whose value is in Q[x] and holds at most 8
+bits of integers per character of the group takes the value read first
+(see _Parser), and a copy nested past MAX_NESTING is read afresh, so
+every refusal keeps its message and offset. A value is a Fraction while
+it is constant, a UniPoly or RatFunc while it is y-free, and a BiPoly or
+BiRatFunc from the first operation that meets y, which promotes its
+y-free operand. A fraction is held only while its reduced denominator is
+nonconstant; a y-free quotient, or product with a denominator, is
+reduced over the bases of its operands (see _Parser), and any other by
+Henrici's rules in its ring. A power, product, quotient, sum or
+difference whose degree bound, read from the reduced operands, would
+exceed MAX_DEGREE is refused before it is expanded, and so is an integer
+literal of more than MAX_LITERAL_DIGITS digits and a parenthesis nested
+more than MAX_NESTING deep. Leading signs are read in a loop, so a run
+of any length parses. str of a parsed value is text that parses back to
+it.
 Parsed systems are shape-classified from the reduced value of each
 statement, so a family's f and g take no second gcd:
 
@@ -128,12 +133,42 @@ class _Parser:
     the denominator. gcd(A, prod p**e) = 1 exactly when each gcd(A, p) = 1,
     so if all are constant the cross products are in lowest terms and the
     lists join; otherwise the value takes one gcd of its sides and is its
-    own single base. So bases never cancel across sides."""
+    own single base. So bases never cancel across sides.
+
+    A product, sum or difference of two values in Q[x] (a UniPoly or a
+    Fraction) takes the ring operation directly, with the degree bound of
+    a product read off the operands' lengths.
+
+    Each distinct group is evaluated once per text: the parser matches the
+    parentheses when it is built, and keeps, by its text from "(" to ")",
+    the value and bases of each group in Q[x] whose integers hold at most
+    8 bits per character of that text, while the keys total at most the
+    text's length; so the table never outgrows its text. A later copy takes
+    the value and a fresh copy of the bases and steps past its ")", unless
+    its own nesting would pass MAX_NESTING at its depth: then it is read
+    afresh and refused at the same "(" as without the table."""
 
     def __init__(self, text: str):
+        self.text = text
         self.kinds, self.texts, self.offsets = _tokenize(text)
         self.i = 0
         self.depth = 0      # open parentheses around the current token
+        # each matched "(" token: the index of its ")" and the depth of its
+        # group's nesting, 1 for a group that holds no other
+        self.closing: dict[int, tuple[int, int]] = {}
+        opened = []         # [index, nesting] of each "(" not yet closed
+        for j, kind in enumerate(self.kinds):
+            if kind == "(":
+                opened.append([j, 1])
+            elif kind == ")" and opened:
+                start, nesting = opened.pop()
+                self.closing[start] = j, nesting
+                if opened:
+                    opened[-1][1] = max(opened[-1][1], nesting + 1)
+        # the value and bases of each distinct group in Q[x] read so far, by
+        # its text; the keys take at most len(text) characters in all
+        self.groups: dict[str, tuple[Value, Bases]] = {}
+        self.room = len(text)
 
     def expect(self, kind: str, want: str) -> int:
         """Step over a token of this kind, named want in the error; its index."""
@@ -157,7 +192,12 @@ class _Parser:
         while kinds[self.i] in "+-":
             op = self.i
             self.i += 1
-            acc, rhs = _common(acc, self.parse_term()[0])
+            rhs = self.parse_term()[0]
+            if _qx_degree(acc) >= 0 and _qx_degree(rhs) >= 0:     # in Q[x], so in bound
+                rhs = rhs if kinds[op] == "+" else -rhs
+                acc = _qx_lower(rhs + acc if type(acc) is Fraction else acc + rhs)
+                continue
+            acc, rhs = _common(acc, rhs)
             if isinstance(acc, FractionField) or isinstance(rhs, FractionField):  # else in bound
                 (a, b), (c, d) = _degrees(acc), _degrees(rhs)
                 self._bound(max(a + d, c + b, b + d), op)
@@ -171,6 +211,17 @@ class _Parser:
             op = self.i
             self.i += 1
             rbase, rexponent, rnegate, rbases = self.parse_factor()
+            a, b = _qx_degree(base), _qx_degree(rbase)
+            if a >= 0 and b >= 0 and kinds[op] == "*":      # a product in Q[x]
+                self._bound(a * exponent + b * rexponent, op)
+                value, other = _expand(base, exponent, negate), _expand(rbase, rexponent, rnegate)
+                base = _qx_lower(other * value if type(value) is Fraction else value * other)
+                exponent, negate = 1, False
+                if type(base) is Fraction:
+                    bases = []
+                else:
+                    bases.extend(rbases)
+                continue
             # the bound of a product or quotient is the sum of the operand degrees
             self._bound(max(_degrees(base)) * exponent + max(_degrees(rbase)) * rexponent, op)
             value, other = _common(_expand(base, exponent, negate),
@@ -251,12 +302,24 @@ class _Parser:
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.offsets[i])
+            # a copy of a group read before takes its value and a fresh copy
+            # of its bases, unless its own nesting would pass MAX_NESTING here
+            end, nesting = self.closing.get(i, (i, 0))   # an unmatched "(" is refused below
+            key = self.text[self.offsets[i]:self.offsets[end] + 1]
+            hit = self.groups.get(key)
+            if hit and self.depth + nesting <= MAX_NESTING:
+                self.i = end + 1
+                return hit[0], list(hit[1])
             self.i = i + 1
             self.depth += 1
-            inner = self.parse_expr()
+            value, bases = self.parse_expr()
             self.expect(")", ")")
             self.depth -= 1
-            return inner
+            # a value is kept only while its integers take no more room than its text
+            if _qx_degree(value) >= 0 and len(key) <= self.room and _bits(value) <= 8 * len(key):
+                self.room -= len(key)
+                self.groups[key] = value, tuple(bases)
+            return value, bases
         raise ParseError(f"expected an expression, found {text or 'end of input'!r}",
                          self.offsets[i])
 
@@ -279,6 +342,25 @@ def _own(value: Value) -> Optional[list]:
     if isinstance(value, RatFunc):
         return [(value.num, 1), (value.den, -1)]
     return [] if isinstance(value, Fraction) else None
+
+
+def _qx_degree(value: Value) -> int:
+    """The degree of a value in Q[x], 0 for a constant; -1 for any other."""
+    # exact types: isinstance(value, Fraction) runs ABCMeta.__instancecheck__ on a non-Fraction
+    kind = type(value)
+    return len(value.prim) - 1 if kind is UniPoly else 0 if kind is Fraction else -1
+
+
+def _qx_lower(value: Fraction | UniPoly) -> Fraction | UniPoly:
+    """A value in Q[x] as a Fraction when it is constant."""
+    return value.constant_value() if type(value) is UniPoly and len(value.prim) <= 1 else value
+
+
+def _bits(value: Fraction | UniPoly) -> int:
+    """Bits of the integers that hold a value in Q[x]."""
+    ints = ((value.numerator, value.denominator) if type(value) is Fraction
+            else (value.cnum, value.cden, *value.prim))
+    return sum(map(int.bit_length, ints))
 
 
 def _expand(base: Value, exponent: int, negate: bool) -> Value:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -26,9 +28,13 @@ from orthoscope.parsing import (
     MAX_NESTING,
     UnivariateFamily,
     _parse,
+    _Parser,
+    _read,
     parse_univariate_bases,
 )
-from conftest import record_calls
+from orthoscope.algebra.factor import factor_bases
+from orthoscope.fixtures import load_corpus
+from conftest import factored_text, record_calls
 
 
 class TestGrammar:
@@ -399,3 +405,185 @@ def fuzz_expression(rng: random.Random, depth: int = 0) -> str:
     if rng.random() < 0.5:
         return f"(({sub()})/({sub()}))^{rng.randint(0, 3)}"
     return f"({sub()})^{rng.randint(0, 3)}"
+
+
+# the seed-1 simple-poles deck's linear-6 request: g/f is a sum of
+# logarithmic derivatives of f's factors, so y' repeats each group of x'
+LINEAR_6 = (
+    "x' = (x + 2)*(x + 3)*(x + 4)*(x + 5)*(x + 6)*(x + 7); y' = y*("
+    "(-3/4)*1*(x + 3)*(x + 4)*(x + 5)*(x + 6)*(x + 7) + "
+    "(-1/4)*1*(x + 2)*(x + 4)*(x + 5)*(x + 6)*(x + 7) + "
+    "(-1/2)*1*(x + 2)*(x + 3)*(x + 5)*(x + 6)*(x + 7) + "
+    "(3/4)*1*(x + 2)*(x + 3)*(x + 4)*(x + 6)*(x + 7) + "
+    "(1/2)*1*(x + 2)*(x + 3)*(x + 4)*(x + 5)*(x + 7) + "
+    "(-1/4)*1*(x + 2)*(x + 3)*(x + 4)*(x + 5)*(x + 6))")
+
+
+def group_texts(text: str) -> list[str]:
+    """The text of each parenthesized group, from its "(" to its ")"."""
+    opened, groups = [], []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")" and opened:
+            groups.append(text[opened.pop():i + 1])
+    return groups
+
+
+def respaced(text: str) -> str:
+    """text with the n-th "(" followed by n spaces: no two groups share a text."""
+    count = itertools.count()
+    return re.sub(r"\(\s*", lambda m: "(" + " " * next(count), text)
+
+
+def _q(value: Fraction) -> str:
+    return str(value) if value >= 0 and value.denominator == 1 else f"({value})"
+
+
+def log_sum_text(rng: random.Random) -> str:
+    """x' = f, y' = y*g with g = sum_i r_i * p_i' * prod_{j != i} p_j over the
+    factors p_i of f, as the simple-poles benchmark deck writes it."""
+    n = rng.randint(2, 6)
+    if rng.random() < 0.6:
+        ks = rng.sample(range(-9, 10), n)
+        factors = [f"(x - {k})" if k > 0 else f"(x + {-k})" for k in ks]
+        derivatives = ["1"] * n
+    else:
+        factors = [f"(x^2 - {rng.choice((2, 3, 5, -1, -2))*k*k})" for k in range(1, n + 1)]
+        derivatives = ["2*x"] * n
+    scale = rng.randint(1, 4)
+    terms = ["*".join([_q(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), scale)), d]
+                      + factors[:i] + factors[i + 1:]) for i, d in enumerate(derivatives)]
+    return f"x' = {'*'.join(factors)}; y' = y*({' + '.join(terms)})"
+
+
+def pulled_back_text(rng: random.Random, source: str) -> str:
+    """A fixture source with x replaced by one affine group (a*x + b)."""
+    a = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    b = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+    return re.sub(r"\bx\b", f"({a}*x + {_q(b)})", source)
+
+
+# groups the table never keeps (they hold y, a quotient or a rational
+# function) among groups it keeps
+MIXED_GROUPS = ("(x - 1)", "(x^2 - 2)", "(2/3)", "(x*(x - 1))", "(y*(x - 1))", "(y + x)",
+                "((x + 1)/(x - 2))", "(1/x + 1)", "(x/(x^2 - 2))", "((x - 1)^2/y)")
+
+
+def mixed_text(rng: random.Random) -> str:
+    """Products, quotients and sums of repeated MIXED_GROUPS, some powers."""
+    def factor() -> str:
+        group = rng.choice(MIXED_GROUPS)
+        return f"{group}^{rng.randint(0, 3)}" if rng.random() < 0.3 else group
+
+    def term() -> str:
+        text = factor()
+        for _ in range(rng.randint(0, 4)):
+            text += rng.choice("**/") + factor()
+        return text
+
+    text = term()
+    for _ in range(rng.randint(0, 2)):
+        text += rng.choice("+-") + term()
+    return text
+
+
+def sides_of(bases) -> tuple[UniPoly, UniPoly]:
+    num, den = UniPoly.one(), UniPoly.one()
+    for p, e in bases:
+        num, den = (num * p**e, den) if e >= 0 else (num, den * p**-e)
+    return num, den
+
+
+def outcome(text: str):
+    """What parsing gives for text: a family's f, g, kind and bases, or a
+    field's components, or a bare expression's value (and bases when it is
+    y-free), or the refusal's type and message without its offset. The
+    bases multiply to each side of f, and factor_bases factors each side."""
+    try:
+        if "'" in text:
+            parsed = parse_system(text)
+            if isinstance(parsed, PlanarVectorField):
+                return parsed.fx, parsed.fy
+            f, bases = parsed.f, parsed.bases
+            out = (parsed.f, parsed.g, parsed.kind, bases)
+        elif "y" in text:
+            return parse_expression(text)
+        else:
+            f, bases = parse_univariate_bases(text)
+            out = (f, bases)
+    except (ParseError, ShapeError) as exc:
+        return type(exc).__name__, str(exc).split(" (at offset")[0]
+    num, den = sides_of(bases)
+    assert f.is_zero or (num.monic(), den.monic()) == (f.num.monic(), f.den), text
+    return out + tuple(factor_bases(bases, d) for d in (False, True) if not f.is_zero)
+
+
+class TestGroupTable:
+    """A copy of a parenthesized group read before in the same text takes
+    the stored value, so each distinct group is evaluated once per text."""
+
+    def test_each_distinct_group_is_evaluated_once(self, monkeypatch):
+        adds = record_calls(monkeypatch, UniPoly.__add__)
+        # (x + 3), (x + 4), (x + 5) and the sum: the second (x + 3) adds nothing
+        parse_univariate_bases("(x + 3)*(x + 4) + (x + 3)*(x + 5)")
+        assert len(adds) == 4
+        adds.clear()
+        # the six groups of x', and five sums in y': its 30 copies add nothing
+        family = parse_system(LINEAR_6)
+        assert len(adds) == 11
+        assert family.kind == KIND_LOG and family.g.num.degree == 5
+
+    @pytest.mark.parametrize("kind", ["log-sums", "pull-backs", "mixed", "factored"])
+    def test_repeated_groups_parse_as_with_every_group_distinct(self, kind):
+        # each text against itself with no group text repeated, so with no
+        # copy taken from the table: the same value, bases in the same
+        # order and factor_bases, and the bases multiply to each side
+        rng = random.Random(f"group-table:{kind}")
+        sources = [fx.source for fx in load_corpus()]
+        draw = {"log-sums": lambda: log_sum_text(rng),
+                "pull-backs": lambda: pulled_back_text(rng, rng.choice(sources)),
+                "mixed": lambda: (f"x' = {mixed_text(rng)}; y' = y*({mixed_text(rng)})"
+                                  if rng.random() < 0.5 else mixed_text(rng)),
+                "factored": lambda: factored_text(rng)}[kind]
+        copies = 0
+        for _ in range(200):
+            text = draw()
+            plain = respaced(text)
+            groups = group_texts(text)
+            copies += len(groups) - len(set(groups))
+            assert len(set(group_texts(plain))) == len(groups), plain
+            assert outcome(text) == outcome(plain), text
+        assert copies >= 100
+
+    def test_a_copy_nested_past_the_bound_is_parsed_afresh(self):
+        # the copy's nesting decides: at depth 97, (((( reaches 101 and is
+        # refused at the parenthesis that passes the bound, as it would be
+        # with no table
+        group = "((((x + 1))))"
+        for depth in (95, 96):
+            text = group + " + " + "(" * depth + group + ")" * depth
+            assert parse_expression(text) == parse_expression("2*x + 2")
+        text = group + " + " + "(" * 97 + group + ")" * 97
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == f"parentheses nested deeper than {MAX_NESTING} (at offset 116)"
+
+    def test_each_copy_brings_its_own_bases(self, x):
+        f, bases = parse_univariate_bases("((x-1)*(x+2))*((x-1)*(x+2))*((x-1)*(x+2))")
+        assert bases == ((x - 1, 1), (x + 2, 1)) * 3
+        assert factor_bases(bases) == ((x - 1, 3), (x + 2, 3))
+        assert f.num == ((x - 1) * (x + 2)) ** 3
+
+    def test_the_table_keeps_no_value_larger_than_its_text(self):
+        powers = [f"((x + {1000003 + k})^300)" for k in range(20)]
+        text = " + ".join(powers)
+        parser = _Parser(text)
+        _read(parser)
+        assert not set(powers) & parser.groups.keys()
+        assert "(x + 1000003)" in parser.groups
+        assert sum(map(len, parser.groups)) <= len(text)
+        for key, (value, _) in parser.groups.items():
+            ints = ((value.numerator, value.denominator) if isinstance(value, Fraction)
+                    else (value.cnum, value.cden, *value.prim))
+            assert sum(n.bit_length() for n in ints) <= 8 * len(key), key
