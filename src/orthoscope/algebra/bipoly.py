@@ -27,7 +27,7 @@ from .unipoly import ContentPoly, UniPoly, _binomial, _div_pair, _mul_pair, _pai
 from .unipoly import _canonical as _uni_canonical
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, unsafe_hash=True, slots=True)
 class BiPoly(ContentPoly):
     """Sparse polynomial ``cnum/cden * sum(prim[i, j] * x**i * y**j)``.
 
@@ -103,14 +103,15 @@ class BiPoly(ContentPoly):
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Fraction)) and self.prim:
-            den, fa, fb = self._over(other.numerator, other.denominator)
-            out = {k: fa * v for k, v in self.prim.items()}
-            out[0, 0] = out.get((0, 0), 0) + fb
-            return _canonical(1, den, out)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not BiPoly:
+            if isinstance(other, (int, Fraction)) and self.prim:
+                den, fa, fb = self._over(other.numerator, other.denominator)
+                out = {k: fa * v for k, v in self.prim.items()}
+                out[0, 0] = out.get((0, 0), 0) + fb
+                return _canonical(1, den, out)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         if not other.prim:
             return self
         if not self.prim:
@@ -125,11 +126,12 @@ class BiPoly(ContentPoly):
     __radd__ = __add__
 
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not BiPoly:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         if not self.prim or not other.prim:
             return BiPoly.zero()
         # Gauss's lemma: a product of primitive polynomials is primitive, and

@@ -14,9 +14,13 @@ from fractions import Fraction
 from .unipoly import UniPoly, poly_div_mod
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class NFElement:
-    """Residue class rep mod modulus, with deg(rep) < deg(modulus)."""
+    """Residue class rep mod modulus, with deg(rep) < deg(modulus).
+
+    A slotted dataclass that is not frozen, immutable by contract as
+    UniPoly is: only __init__ and __post_init__, which reduces the pair,
+    store to rep and modulus."""
 
     rep: UniPoly
     modulus: UniPoly
@@ -27,16 +31,16 @@ class NFElement:
             raise ValueError("modulus must be nonconstant")
         if mod.cnum != 1 or mod.cden != mod.prim[-1]:    # not monic
             mod = mod.monic()
-            object.__setattr__(self, "modulus", mod)
+            self.modulus = mod
         if self.rep.degree >= mod.degree:
-            object.__setattr__(self, "rep", self.rep % mod)
+            self.rep = self.rep % mod
 
     def _check(self, other: "NFElement"):
         if self.modulus != other.modulus:
             raise ValueError("number field modulus mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not NFElement and isinstance(other, (int, Fraction)):
             return NFElement(self.rep + other, self.modulus)
         self._check(other)
         return NFElement(self.rep + other.rep, self.modulus)
@@ -47,7 +51,7 @@ class NFElement:
         return NFElement(-self.rep, self.modulus)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not NFElement and isinstance(other, (int, Fraction)):
             return NFElement(self.rep - other, self.modulus)
         self._check(other)
         return NFElement(self.rep - other.rep, self.modulus)
@@ -56,7 +60,7 @@ class NFElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not NFElement and isinstance(other, (int, Fraction)):
             return NFElement(self.rep * other, self.modulus)
         self._check(other)
         return NFElement(self.rep * other.rep, self.modulus)

@@ -61,8 +61,12 @@ class ContentPoly:
     int pairs with cross-cancelled gcds (Knuth, TAOCP vol. 2, §4.5.1). A
     Fraction is formed only where a coefficient is read.
 
-    A subclass is a frozen dataclass with fields cnum, cden and prim,
-    declared with repr=False so that the __repr__ below is kept. It supplies
+    A subclass is a slotted dataclass with fields cnum, cden and prim,
+    declared with repr=False so that the __repr__ below is kept and with
+    unsafe_hash=True so that its hash reads the fields. It is not frozen:
+    a value is immutable by contract, as a Fraction is, and only its
+    __init__ stores to those fields, which a static test of the sources
+    (tests/test_store_guard.py) checks. It supplies
     what reads its container: the constructors zero, one and constant,
     _lead, _term_count, is_constant, signed_terms, __add__ (which adds an
     int or Fraction scalar into the constant term), __mul__ (which hands
@@ -73,6 +77,8 @@ class ContentPoly:
     A float's or a string's reflected operator takes no polynomial, so
     such an operand raises TypeError.
     """
+
+    __slots__ = ()
 
     @property
     def content(self) -> Fraction:
@@ -105,7 +111,7 @@ class ContentPoly:
         """other in self's ring: a UniPoly enters a BiPoly as a polynomial
         in x, and an int or a Fraction as a constant; NotImplemented for
         any other operand."""
-        if isinstance(other, type(self)):
+        if type(other) is type(self) or isinstance(other, type(self)):
             return other
         if isinstance(other, UniPoly):
             return self.from_unipoly_x(other)
@@ -123,13 +129,15 @@ class ContentPoly:
         return type(self)(-self.cnum, self.cden, self.prim)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the exact own type first: isinstance(other, Fraction) runs
+        # ABCMeta.__instancecheck__ on any operand that is not a Fraction
+        if type(other) is not type(self) and isinstance(other, (int, Fraction)):
             return self + -other
         other = self._coerce(other)
         return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not type(self) and isinstance(other, (int, Fraction)):
             return -self + other
         other = self._coerce(other)
         return other if other is NotImplemented else other - self
@@ -161,7 +169,7 @@ class ContentPoly:
         return f"{type(self).__name__}({self.to_string()!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, unsafe_hash=True, slots=True)
 class UniPoly(ContentPoly):
     """Dense polynomial ``cnum/cden * sum(prim[k] * x**k)``.
 
@@ -184,16 +192,16 @@ class UniPoly(ContentPoly):
 
     @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly(0, 1, ())
+        return _ZERO_POLY
 
     @staticmethod
     def one() -> "UniPoly":
-        return UniPoly(1, 1, (1,))
+        return _ONE_POLY
 
     @staticmethod
     def constant(c) -> "UniPoly":
         n, d = _pair(c)
-        return UniPoly(n, d, (1,)) if n else UniPoly.zero()
+        return UniPoly(n, d, (1,)) if n else _ZERO_POLY
 
     @staticmethod
     def variable() -> "UniPoly":
@@ -233,14 +241,15 @@ class UniPoly(ContentPoly):
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)) and self.prim:
-            den, fa, fb = self._over(other.numerator, other.denominator)
-            out = [fa * v for v in self.prim]
-            out[0] += fb
-            return _canonical(1, den, out)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not UniPoly:
+            if isinstance(other, (int, Fraction)) and self.prim:
+                den, fa, fb = self._over(other.numerator, other.denominator)
+                out = [fa * v for v in self.prim]
+                out[0] += fb
+                return _canonical(1, den, out)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         if not other.prim:
             return self
         if not self.prim:
@@ -258,14 +267,15 @@ class UniPoly(ContentPoly):
     __radd__ = __add__
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not UniPoly:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         a, b = self.prim, other.prim
         if not a or not b:
-            return UniPoly.zero()
+            return _ZERO_POLY
         # Gauss's lemma: a product of primitive polynomials is primitive; a
         # nonzero constant's primitive part is (1,), so a product by one
         # multiplies the contents alone
@@ -364,6 +374,11 @@ class UniPoly(ContentPoly):
                 for k, v in reversed(list(enumerate(self.prim))) if v]
 
 
+# the shared zero and one that UniPoly.zero() and UniPoly.one() return
+_ZERO_POLY = UniPoly(0, 1, ())
+_ONE_POLY = UniPoly(1, 1, (1,))
+
+
 def _power(base, n: int, one):
     """base**n by repeated squaring from one, the unit of base's ring."""
     if n < 0:
@@ -426,7 +441,7 @@ def _canonical(cnum: int, cden: int, ints: list[int]) -> UniPoly:
     while ints and not ints[-1]:
         ints.pop()
     if not ints or not cnum:
-        return UniPoly.zero()
+        return _ZERO_POLY
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g

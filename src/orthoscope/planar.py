@@ -28,7 +28,7 @@ from .errors import HypothesisError
 from .ratfunc import FractionField, RatFunc
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(repr=False, eq=False, slots=True)
 class BiRatFunc(FractionField):
     """Reduced bivariate rational function, by FractionField's normal form
     with the bivariate gcd: the denominator's lex-leading coefficient is 1.

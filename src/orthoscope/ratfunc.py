@@ -58,13 +58,18 @@ class FractionField:
     operands are reduced, so a sum, product or quotient takes gcds only of
     factors from opposite sides, and none against a constant.
     The normal form stores zero as 0/1 and scales the pair so that the
-    denominator's leading coefficient is 1. A subclass is a frozen
+    denominator's leading coefficient is 1. A subclass is a slotted
     dataclass with fields num and den, declared with repr=False so that the
     __repr__ below is kept; it supplies _gcd, the gcd of its polynomial
-    ring, and _coerce. The polynomials supply is_zero, is_constant, lc,
-    exact_div and signed_terms. Neither subclass differentiates:
+    ring, and _coerce. It is not frozen: a value is immutable by contract,
+    as a Fraction is, and only __init__, __post_init__ and _normalize store
+    to num and den, which a static test of the sources
+    (tests/test_store_guard.py) checks. The polynomials supply is_zero,
+    is_constant, lc, exact_div and signed_terms. Neither subclass differentiates:
     WitnessData.verify checks an identity on the polynomials of h.
     """
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.den.is_zero:
@@ -85,8 +90,8 @@ class FractionField:
         lc = den.lc
         if lc != 1:
             num, den = num * (1 / lc), den * (1 / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num
+        self.den = den
 
     @classmethod
     def _coprime(cls, num, den):
@@ -191,7 +196,7 @@ def _compound(terms: list[tuple[int, int, str]]) -> bool:
     return len(terms) > 1 or (terms[0][2] != "" and terms[0][:2] != (1, 1))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, unsafe_hash=True, slots=True)
 class RatFunc(FractionField):
     """Reduced rational function; denominator monic, zero is 0/1."""
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orthoscope import NEG_INF, BiPoly, RatFunc, UniPoly, factor_rationals, poly_gcd, squarefree_decompose
+from orthoscope import (NEG_INF, BiPoly, NFElement, RatFunc, UniPoly, factor_rationals, poly_gcd,
+                        squarefree_decompose)
 from orthoscope.algebra.bipoly import resultant_x
 from orthoscope.algebra.unipoly import poly_div_mod, poly_xgcd
 
@@ -167,6 +168,113 @@ class TestMixedOperands:
                    lambda: UniPoly.constant(0.5), lambda: UniPoly.one() * 0.5):
             with pytest.raises(TypeError):
                 op()
+
+    # The ring operations test an operand's exact type before isinstance;
+    # these pin that the slower isinstance path behind it keeps its meaning.
+
+    def test_bool_and_fraction_subclass_operands_are_scalars(self, x):
+        class Half(Fraction):
+            pass
+
+        half = Half(1, 2)
+        for p in (Fraction(3, 2) * x**2 - x + Fraction(1, 3), UniPoly.zero(), UniPoly.one(),
+                  BiPoly.of({(1, 1): Fraction(2, 5), (0, 0): -1, (2, 0): 3})):
+            assert p * True == p * 1 and p + True == p + 1 and p - True == p - 1
+            assert True * p == p and True + p == p + 1 and True - p == 1 - p
+            assert p * False == p * 0 and p + False == p
+            assert p * half == p * Fraction(1, 2) and half * p == p * Fraction(1, 2)
+            assert p + half == p + Fraction(1, 2) and half + p == p + Fraction(1, 2)
+            assert p - half == p - Fraction(1, 2) and half - p == Fraction(1, 2) - p
+            assert all(type(v) is type(p) for v in (p * True, p + True, p - half, half - p))
+
+    def test_float_and_string_operands_raise_type_error(self, x):
+        for p in (x + 1, UniPoly.zero(), BiPoly.y() + 1):
+            for other in (1.5, 0.0, "2", "x"):
+                for op in (lambda: p + other, lambda: other + p, lambda: p - other,
+                           lambda: other - p, lambda: p * other, lambda: other * p):
+                    with pytest.raises(TypeError):
+                        op()
+
+    def test_unipoly_by_bipoly_gives_a_bipoly(self, x):
+        # the printed results, as the isinstance-first dispatch gave them
+        p = Fraction(3, 2) * x**2 - x + Fraction(1, 3)
+        b = BiPoly.of({(1, 1): Fraction(2, 5), (0, 0): -1, (2, 0): 3})
+        sum_ = "9/2*x^2 + 2/5*x*y - x - 2/3"
+        product = ("9/2*x^4 + 3/5*x^3*y - 3*x^3 - 2/5*x^2*y - 1/2*x^2 + 2/15*x*y"
+                   " + x - 1/3")
+        cases = [(p + b, sum_), (b + p, sum_), (p * b, product), (b * p, product),
+                 (p - b, "-3/2*x^2 - 2/5*x*y - x + 4/3"),
+                 (b - p, "3/2*x^2 + 2/5*x*y + x - 4/3")]
+        for got, want in cases:
+            assert type(got) is BiPoly and str(got) == want
+        lifted = BiPoly.from_unipoly_x(p)
+        assert p + b == lifted + b and p * b == lifted * b and p - b == lifted - b
+
+    def test_number_field_element_by_scalar(self, x):
+        # the reprs, as the isinstance-first dispatch gave them
+        class Quarter(Fraction):
+            pass
+
+        e = NFElement(Fraction(1, 2) * x + 3, 3 * UniPoly.of([-2, 0, 1]))
+        for c in (Fraction(-7, 4), Quarter(-7, 4)):
+            cases = [(e + c, "1/2*x + 5/4"), (c + e, "1/2*x + 5/4"),
+                     (e - c, "1/2*x + 19/4"), (c - e, "-1/2*x - 19/4"),
+                     (e * c, "-7/8*x - 21/4"), (c * e, "-7/8*x - 21/4")]
+            for got, want in cases:
+                assert type(got) is NFElement and repr(got) == f"NFElement({want} mod x^2 - 2)"
+        assert repr(e * True) == "NFElement(1/2*x + 3 mod x^2 - 2)"
+        assert repr(e + True) == "NFElement(1/2*x + 4 mod x^2 - 2)"
+        assert e * e == NFElement((Fraction(1, 2) * x + 3) ** 2, UniPoly.of([-2, 0, 1]))
+
+
+class TestValueContract:
+    """UniPoly is a slotted dataclass that is not frozen: equal values hash
+    equally whichever way they were built, and the shared zero and one
+    never change."""
+
+    def test_equal_values_hash_equally_across_construction_routes(self, x):
+        from orthoscope.algebra.unipoly import _canonical
+        from orthoscope.parsing import parse_univariate
+
+        rng = random.Random(3939)
+        for _ in range(150):
+            coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                      for _ in range(rng.randint(1, 7))]
+            den = math.lcm(*(c.denominator for c in coeffs))
+            built = UniPoly.of(coeffs)
+            routes = [
+                built,
+                sum((c * x**k for k, c in enumerate(coeffs)), UniPoly.zero()),
+                (built + x**9) - x**9,
+                _canonical(1, den, [int(c * den) for c in coeffs]),
+                parse_univariate(str(built)).num,
+            ]
+            table = {routes[0]: "first"}
+            for q in routes:
+                assert q == built and hash(q) == hash(built), (q, built)
+                assert table[q] == "first"
+            assert len(set(routes)) == 1
+
+    def test_zero_and_one_are_shared_and_unchanged(self, x):
+        zero, one = UniPoly.zero(), UniPoly.one()
+        assert UniPoly.zero() is zero and UniPoly.one() is one
+        p = Fraction(-5, 3) * x**3 + 2 * x - 7
+        cases = [(zero + p, p), (p + zero, p), (zero - p, -p), (-zero, zero), (zero * p, zero),
+                 (p * zero, zero), (one * p, p), (p * one, p), (one + one, UniPoly.constant(2)),
+                 (one - one, zero), (-one, UniPoly.constant(-1)), (zero + 4, UniPoly.constant(4)),
+                 (one * Fraction(2, 3), UniPoly.constant(Fraction(2, 3))), (p**0, one),
+                 (one.monic(), one), (zero.monic(), zero), (divmod(p, one), (p, zero)),
+                 (divmod(zero, p), (zero, zero)), (one.derivative(), zero),
+                 (zero.antiderivative(), zero), (one.taylor_shift(3), one), (x - x, zero),
+                 (UniPoly.constant(0), zero), (RatFunc(p, one).den, one),
+                 (RatFunc(zero, p).num, zero), (poly_gcd(zero, zero), zero),
+                 (poly_gcd(p, one), one)]
+        for got, want in cases:
+            assert got == want
+        assert (zero.cnum, zero.cden, zero.prim) == (0, 1, ())
+        assert (one.cnum, one.cden, one.prim) == (1, 1, (1,))
+        assert zero == UniPoly.of([]) and one == UniPoly.of([1])
+        assert hash(zero) == hash(UniPoly.of([0])) and hash(one) == hash(UniPoly.of([1]))
 
 
 class TestGcd:
